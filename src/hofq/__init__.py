@@ -20,7 +20,7 @@ from .engine import (
     tanny_spec,
     v_variant_spec,
 )
-from .errors import CapExceeded, InvalidFSpec, InvalidQ
+from .errors import CapExceeded, InvalidFSpec, InvalidQ, SequenceDied
 from .fspec import (
     ConstLimit,
     DiffBits,

@@ -1,7 +1,8 @@
 """Pure-Python trace kernels.
 
-Fallback used when the compiled extension is unavailable (or when
-HOFQ_PURE=1 forces it).  Same call contracts as hofq._kernels:
+Fallback used when the C kernels of `_kernels.c` cannot be built (or when
+HOFQ_PURE=1 forces it), and the reference the tests compare them against.
+Call contracts, shared with the C kernels as hofq.kernels wraps them:
 
   * arrays are 1-D contiguous int64 numpy arrays
   * return value is (status, n) where status is OK / DIED / OVERFLOW and,

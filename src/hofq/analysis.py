@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import QTrace, compute_q
+from .errors import SequenceDied
 from .fspec import ConstLimit, FloorRatio, Perturbed, as_fspec
 
 GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -107,7 +108,7 @@ def approx_error(fspec, model, n_max: int, keep_trace: bool = False,
     """Exact error statistics of the trace against the model."""
     trace = compute_q(fspec, n_max)
     if not trace.exists:
-        raise RuntimeError(f"trace {trace.outcome}")
+        raise SequenceDied(trace.outcome)
     n = np.arange(1, n_max + 1, dtype=np.int64)
     err = trace.q_values.astype(np.float64) - model.values(n)
     lo, hi = float(err.min()), float(err.max())

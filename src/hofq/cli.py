@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import analysis, engine, triangle, verify
-from .errors import CapExceeded, InvalidFSpec, InvalidQ
+from .errors import CapExceeded, InvalidFSpec, InvalidQ, SequenceDied
 from .fspec import parse_fspec
 
 EXIT_OK = 0
@@ -189,14 +189,18 @@ def _emit_trace(args, trace: engine.QTrace, fh) -> None:
         print(f"outcome: {trace.outcome}", file=fh)
 
 
+def _report_died(outcome: engine.ExistenceOutcome) -> int:
+    print(f"hofq: sequence died at n = {outcome.died_at} "
+          f"(lookup index {outcome.lookup_index})", file=sys.stderr)
+    return EXIT_DIED
+
+
 def _cmd_compute(args) -> int:
     trace = engine.compute_q(parse_fspec(args.fspec), args.n)
     with _Out(args.out) as fh:
         _emit_trace(args, trace, fh)
     if not trace.exists:
-        print(f"hofq: sequence died at n = {trace.outcome.died_at} "
-              f"(lookup index {trace.outcome.lookup_index})", file=sys.stderr)
-        return EXIT_DIED
+        return _report_died(trace.outcome)
     return EXIT_OK
 
 
@@ -373,9 +377,7 @@ def _cmd_hofstadter(args) -> int:
         else:
             _emit_trace(args, trace, fh)
     if not trace.exists:
-        print(f"hofq: sequence died at n = {trace.outcome.died_at} "
-              f"(lookup index {trace.outcome.lookup_index})", file=sys.stderr)
-        return EXIT_DIED
+        return _report_died(trace.outcome)
     return EXIT_OK
 
 
@@ -401,6 +403,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.cmd](args)
+    except SequenceDied as exc:
+        return _report_died(exc.outcome)
     except (InvalidFSpec, InvalidQ, CapExceeded, ValueError) as exc:
         print(f"hofq: {exc}", file=sys.stderr)
         return EXIT_USAGE

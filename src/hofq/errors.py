@@ -11,3 +11,14 @@ class InvalidQ(ValueError):
 
 class CapExceeded(ValueError):
     """An exhaustive-enumeration request is beyond the configured cap."""
+
+
+class SequenceDied(RuntimeError):
+    """A computation needed a trace that exists, and the trace died.
+
+    `outcome` is the trace's ExistenceOutcome.
+    """
+
+    def __init__(self, outcome):
+        super().__init__(f"trace {outcome}")
+        self.outcome = outcome

@@ -40,6 +40,7 @@ import numpy as np
 from .errors import CapExceeded, InvalidFSpec
 from .exactfloor import (
     INT64_MAX,
+    INT64_MIN,
     ceil_div_pow,
     ceil_div_sqrt,
     floor_gamma_sq,
@@ -374,7 +375,11 @@ class Perturbed(FSpec):
         self._check_len(n_max)
         out = self.inner.values(n_max)
         if self.at <= n_max:
-            out[self.at - 1] += self.amount
+            # numpy would wrap the int64 sum; add in Python ints and check
+            v = int(out[self.at - 1]) + self.amount
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise OverflowError(f"perturb: f({self.at}) = {v} exceeds int64")
+            out[self.at - 1] = v
         return out
 
     def max_len(self):

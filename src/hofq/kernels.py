@@ -1,27 +1,135 @@
 """Kernel backend selection.
 
-Imports the compiled extension when present, otherwise the pure-Python
-fallback.  Set HOFQ_PURE=1 to force the fallback (useful for benchmarks and
-for testing both paths).
+The trace loops are the C source `_kernels.c`.  On first import it is
+compiled with the C compiler Python was built with into the per-user cache
+`${XDG_CACHE_HOME:-~/.cache}/hofq/kernels-<source hash>.so` and loaded with
+ctypes.  When that fails (no compiler, unwritable cache) the pure-Python
+twin `_kernels_py` runs instead; HOFQ_PURE=1 forces it.  BACKEND names the
+one in use: "c" or "python".
 """
 
+import ctypes
+import functools
+import importlib.util
 import os
+from pathlib import Path
+
+import numpy as np
 
 from . import _kernels_py
+
+OK = _kernels_py.OK
+DIED = _kernels_py.DIED
+OVERFLOW = _kernels_py.OVERFLOW
+
+SOURCE = Path(__file__).with_name("_kernels.c")
+
+
+def _address(a, name: str, write: bool = False) -> int:
+    """Data address of `a` once it is known to be safe to hand to C."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 1
+            and a.flags.c_contiguous and (a.flags.writeable or not write)):
+        kind = "writeable " if write else ""
+        raise ValueError(f"{name} must be a 1-D C-contiguous {kind}int64 array")
+    return a.ctypes.data
+
+
+def _status(r: int, start: int) -> tuple[int, int]:
+    """(status, where) from a C kernel's return value; k maps to start + k."""
+    if r == 0:
+        return OK, 0
+    return (DIED, start + r) if r > 0 else (OVERFLOW, start - r)
+
+
+class CompiledKernels:
+    """The C kernels of a shared library built from `_kernels.c`.
+
+    Same call contracts as `_kernels_py`.  ctypes releases the interpreter
+    lock during each call; the numpy arrays stay referenced by the caller's
+    frame until the call returns.
+    """
+
+    IMPLEMENTATION = "c"
+
+    def __init__(self, path: Path):
+        lib = ctypes.CDLL(str(path))
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        self._one = lib.one_term_trace
+        self._one.argtypes = [ptr, ptr, i64]
+        self._one.restype = i64
+        self._two = lib.two_term_trace
+        self._two.argtypes = [ptr, i64, i64, i64, i64, i64]
+        self._two.restype = i64
+
+    def one_term_trace(self, f, q):
+        pf, pq = _address(f, "f"), _address(q, "q", write=True)
+        if len(q) < len(f):
+            raise ValueError(f"q holds {len(q)} terms, f has {len(f)}")
+        return _status(self._one(pf, pq, len(f)), 0)
+
+    def two_term_trace(self, q, n_init, start, d1, d2, outer):
+        pq = _address(q, "q", write=True)
+        if d1 < 1 or d2 < 1 or outer not in (0, 1):
+            raise ValueError("offsets must be positive and outer 0 or 1")
+        if not max(d1, d2) <= n_init <= len(q):
+            raise ValueError(
+                f"n_init = {n_init} is outside [max(d1, d2), len(q)]")
+        return _status(self._two(pq, len(q), n_init, d1, d2, outer), start)
+
+
+def _cache_path(source: bytes) -> Path:
+    # the interpreter's own 64-bit source hash, which importing hashlib
+    # would not beat by enough to pay for its ~4 ms on every import
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    digest = importlib.util.source_hash(source).hex()
+    return Path(cache) / "hofq" / f"kernels-{digest}.so"
+
+
+def _build(so: Path) -> None:
+    """Compile SOURCE to `so` through a temporary file, so that a process
+    never loads a partly written library; raises OSError on failure."""
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    so.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=so.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [*cc, "-O3", "-shared", "-fPIC", "-o", tmp, str(SOURCE)],
+            capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise OSError(f"compiling {SOURCE.name} failed: {proc.stderr}")
+        os.replace(tmp, so)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def compiled() -> CompiledKernels:
+    """The C kernels, compiled into the cache unless already there.
+
+    Raises OSError when they cannot be built or loaded.
+    """
+    so = _cache_path(SOURCE.read_bytes())
+    if not so.exists():
+        _build(so)
+    return CompiledKernels(so)
+
 
 if os.environ.get("HOFQ_PURE"):
     _impl = _kernels_py
 else:
     try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
+        _impl = compiled()
+    except OSError:
         _impl = _kernels_py
 
 BACKEND = _impl.IMPLEMENTATION
-
-OK = _kernels_py.OK
-DIED = _kernels_py.DIED
-OVERFLOW = _kernels_py.OVERFLOW
 
 one_term_trace = _impl.one_term_trace
 two_term_trace = _impl.two_term_trace

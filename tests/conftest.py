@@ -1,3 +1,4 @@
+import shutil
 import sys
 from pathlib import Path
 
@@ -5,16 +6,21 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracle helpers
 
-from hofq import _kernels_py
-
-try:
-    from hofq import _kernels
-    _BACKENDS = [_kernels_py, _kernels]
-except ImportError:
-    _BACKENDS = [_kernels_py]
+from hofq import _kernels_py, kernels
 
 
-@pytest.fixture(params=_BACKENDS, ids=lambda m: m.IMPLEMENTATION)
+@pytest.fixture
+def c_kernels():
+    """The C kernels; skips only where no C compiler is on PATH, so that a
+    broken build fails the tests instead of hiding behind the fallback."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    return kernels.compiled()
+
+
+@pytest.fixture(params=["python", "c"])
 def kernel_backend(request):
-    """Both kernel implementations when the extension is built."""
-    return request.param
+    """Both kernel implementations: the pure-Python reference and the C one."""
+    if request.param == "python":
+        return _kernels_py
+    return request.getfixturevalue("c_kernels")

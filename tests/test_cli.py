@@ -127,6 +127,13 @@ def test_perturb_text_and_csv(capsys):
     assert rows[16] == "16,-1"
 
 
+def test_approx_on_dying_trace_exits_2(capsys):
+    code, out, err = run(capsys, "approx", "--f", "prefix:0,2,2", "--n", "3",
+                         "--model", "sqrt:1/2")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["hofq: sequence died at n = 3 (lookup index 0)"]
+
+
 def test_approx_text_and_json(capsys):
     code, out, _ = run(capsys, "approx", "--f", "floor:1/2", "--model",
                        "sqrt:1/2", "--n", "4000")

@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from hofq import cli
+from hofq.engine import compute_q
 from hofq.errors import CapExceeded, InvalidFSpec
 from hofq.fspec import (
     ConstLimit,
@@ -258,6 +260,21 @@ def test_perturbed_values():
     assert (other == np.delete(base.values(20), 15)).all()
     # perturbation beyond the horizon is a no-op
     assert (Perturbed(base, 100, 7).values(20) == base.values(20)).all()
+
+
+def test_perturbed_values_overflow_is_loud(capsys):
+    # an int64 add would wrap f(5) negative, and the trace would report a
+    # death at 6 instead of the overflow
+    text = "perturb:5:+9223372036854775807:(floor:1/2)"
+    spec = parse_fspec(text)
+    assert spec.value(5) == 2**63 + 1
+    with pytest.raises(OverflowError):
+        spec.values(10)
+    with pytest.raises(OverflowError):
+        compute_q(text, 10)
+    assert cli.main(["compute", "--f", text, "--n", "10"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("hofq: overflow: ")
 
 
 def test_as_fspec_coercions():

@@ -1,10 +1,18 @@
 """Both kernel backends must agree bit-for-bit, including on the edge
 semantics (death reporting, overflow)."""
 
+import os
+import shutil
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from hofq import kernels
+from hofq import _kernels_py, kernels
+
+INT64_MAX = 2**63 - 1
+INT64_MIN = -(2**63)
 
 
 def run_one_term(mod, f):
@@ -85,20 +93,129 @@ def test_two_term_extreme_value_does_not_wrap(kernel_backend):
     assert (status, where) == (kernels.DIED, 3)
 
 
-def test_backends_agree_on_random_input():
-    try:
-        from hofq import _kernels
-    except ImportError:
-        pytest.skip("compiled backend not built")
-    from hofq import _kernels_py
+def run_two_term(mod, init, total, start, d1, d2, outer):
+    q = np.zeros(total, dtype=np.int64)
+    q[: len(init)] = init
+    status, where = mod.two_term_trace(q, len(init), start, d1, d2, outer)
+    return status, where, q
 
+
+def extreme_or_small(rng, size, small):
+    """Small values, with about one in five near INT64_MAX or INT64_MIN."""
+    out = rng.integers(-small, small + 1, size=size)
+    near = rng.random(size) < 0.2
+    edge = rng.integers(0, 4, size=size)
+    out[near] = np.where(rng.random(size) < 0.5, INT64_MAX - edge,
+                         INT64_MIN + edge)[near]
+    return out
+
+
+def test_backends_agree_on_random_input(c_kernels):
     rng = np.random.default_rng(31)
-    for _ in range(150):
+    seen = set()
+    for _ in range(300):
         m = int(rng.integers(1, 60))
-        f = rng.integers(-4, 5, size=m)
+        f = extreme_or_small(rng, m, 4) if rng.random() < 0.3 \
+            else rng.integers(-4, 5, size=m)
         f[0] = 0
-        ra = run_one_term(_kernels, f)
-        rb = run_one_term(_kernels_py, f)
-        assert ra[0] == rb[0] and ra[1] == rb[1]
-        upto = m if ra[0] == kernels.OK else max(ra[1] - 1, 0)
-        assert (ra[2][:upto] == rb[2][:upto]).all()
+        ra, rb = run_one_term(c_kernels, f), run_one_term(_kernels_py, f)
+        assert ra[:2] == rb[:2] and (ra[2] == rb[2]).all()
+        seen.add(("one", ra[0]))
+    for _ in range(600):
+        d1, d2 = (int(v) for v in rng.integers(1, 5, size=2))
+        outer = int(rng.integers(0, 2))
+        start = int(rng.choice([0, 1, 3]))
+        n_init = max(d1, d2) + int(rng.integers(0, 4))
+        init = extreme_or_small(rng, n_init, 6) if rng.random() < 0.3 \
+            else rng.integers(-1, 7, size=n_init)
+        args = (init, n_init + int(rng.integers(0, 60)), start, d1, d2, outer)
+        ra, rb = run_two_term(c_kernels, *args), run_two_term(_kernels_py, *args)
+        assert ra[:2] == rb[:2] and (ra[2] == rb[2]).all()
+        seen.add(("two", ra[0]))
+    # the random inputs reach every status of both kernels
+    assert seen == {(k, s) for k in ("one", "two")
+                    for s in (kernels.OK, kernels.DIED, kernels.OVERFLOW)}
+
+
+def test_compiled_backend_is_active():
+    # a broken build must not silently leave tier-1 on the fallback alone
+    pure = os.environ.get("HOFQ_PURE") or shutil.which("cc") is None
+    assert kernels.BACKEND == ("python" if pure else "c")
+
+
+def test_compiled_wrapper_rejects_unsafe_arrays(c_kernels):
+    f = np.zeros(8, dtype=np.int64)
+    q = np.zeros(8, dtype=np.int64)
+    readonly = np.zeros(8, dtype=np.int64)
+    readonly.flags.writeable = False
+    bad_one_term = [
+        (f.astype(np.float64), q),   # dtype
+        (f, np.zeros(16, dtype=np.int64)[::2]),  # not contiguous
+        (f, np.zeros((2, 8), dtype=np.int64)),   # not 1-D
+        (f, readonly),               # q is written
+        (f, q[:7]),                  # q shorter than f
+        (list(f), q),                # not an array
+    ]
+    for ff, qq in bad_one_term:
+        with pytest.raises(ValueError):
+            c_kernels.one_term_trace(ff, qq)
+    assert c_kernels.one_term_trace(readonly, q) == (kernels.OK, 0)  # f is only read
+    bad_two_term = [
+        (q.astype(np.float64), 2, 1, 1, 2, 0),
+        (np.zeros(16, dtype=np.int64)[::2], 2, 1, 1, 2, 0),
+        (readonly, 2, 1, 1, 2, 0),
+        (q, 1, 1, 1, 2, 0),          # n_init < max(d1, d2)
+        (q, 9, 1, 1, 2, 0),          # n_init > len(q)
+        (q, 2, 1, 0, 2, 0),          # offsets must be positive
+        (q, 2, 1, 1, 2, 2),          # outer is 0 or 1
+    ]
+    for args in bad_two_term:
+        with pytest.raises(ValueError):
+            c_kernels.two_term_trace(*args)
+
+
+def test_compiled_kernels_are_thread_safe(c_kernels):
+    big = 2**62
+    ones = np.ones(5000, dtype=np.int64)
+    ones[0] = 0
+    cases = [  # (kind, args); dying and overflowing calls among them
+        ("one", (ones,)),
+        ("one", (np.array([0, 2, 2], dtype=np.int64),)),
+        ("one", (np.array([0, INT64_MAX], dtype=np.int64),)),
+        ("two", ((1, 1), 5000, 1, 1, 2, 0)),
+        ("two", ((1, 1, 1), 5000, 0, 1, 2, 1)),
+        ("two", ((1, 50), 6, 1, 1, 2, 0)),
+        ("two", ((big, big, 3, 3), 8, 3, 1, 2, 0)),
+    ]
+
+    def call(mod, kind, args):
+        return (run_one_term(mod, *args) if kind == "one"
+                else run_two_term(mod, *args))[:2]
+
+    expected = [call(_kernels_py, *case) for case in cases]
+    assert {e[0] for e in expected} == {kernels.OK, kernels.DIED,
+                                        kernels.OVERFLOW}
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(200):
+                k = (i + offset) % len(cases)
+                got = call(c_kernels, *cases[k])
+                if got != expected[k]:
+                    errors.append((cases[k], got, expected[k]))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
