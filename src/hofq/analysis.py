@@ -230,9 +230,12 @@ class PerturbationTrace:
 
 def perturb_compare(base, at: int, amount: int, n_max: int) -> PerturbationTrace:
     """Both traces, their difference, and the maximal zero-difference
-    intervals.  Death of the perturbed trace is reported, not raised."""
+    intervals.  Death of the perturbed trace is reported, not raised; death
+    of the base trace raises SequenceDied."""
     spec = as_fspec(base)
     base_trace = compute_q(spec, n_max)
+    if not base_trace.exists:
+        raise SequenceDied(base_trace.outcome)
     pert_trace = compute_q(Perturbed(spec, at, amount), n_max)
     m = min(len(base_trace.q_values), len(pert_trace.q_values))
     diff = (base_trace.q_values[:m] - pert_trace.q_values[:m]).copy()

@@ -7,7 +7,9 @@ error messages go to stderr.  Exit codes: 0 success, 1 usage error,
 
 Identical invocations produce byte-identical output: ordering is stable and
 data files carry no timestamps.  An optional --config JSON file supplies
-per-flag defaults (keys are flag names without dashes); explicit flags win.
+per-flag defaults: keys are the subcommand's flag names without dashes, each
+value is read as if typed right after the subcommand name (`true` as the bare
+flag, `false` as nothing), and flags typed on the command line win.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ class _Parser(argparse.ArgumentParser):
         return EXIT_USAGE
 
 
+class _ConfigParser(_Parser):
+    """Reparses argv with the --config values in: a bad one is a ValueError,
+    reported on one line like every other usage error."""
+
+    def error(self, message):
+        raise ValueError(f"--config: {message}")
+
+
 def _default_threads() -> int | None:
     env = os.environ.get("HOFQ_THREADS")
     if env:
@@ -49,11 +59,11 @@ def _default_threads() -> int | None:
     return None
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="hofq", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
+def build_parser(parser_class: type[_Parser] = _Parser) -> _Parser:
+    p = parser_class(prog="hofq", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", help="JSON file with default flag values")
-    sub = p.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
+    sub = p.add_subparsers(dest="cmd", required=True, parser_class=parser_class)
 
     def add_common(sp, fmt=("text", "csv", "json"), n_default=None, f_flag=False):
         if f_flag:
@@ -123,18 +133,30 @@ def build_parser() -> _Parser:
     return p
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    if not args.config:
-        return
+def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
+    """argv with the --config file's values typed in as `--key=value` right
+    after the subcommand name, so argparse checks them like typed flags and
+    a flag typed later on the command line wins."""
     with open(args.config) as fh:
-        conf = json.load(fh)
-    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+        try:
+            conf = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--config {args.config}: {exc}") from None
+    if not isinstance(conf, dict):
+        raise ValueError(f"--config {args.config}: expected a JSON object "
+                         f"of flag defaults, got {type(conf).__name__}")
+    tokens = []
     for key, value in conf.items():
-        flag = "--" + key
-        dest = key.replace("-", "_")
-        if flag in given or not hasattr(args, dest):
-            continue
-        setattr(args, dest, value)
+        if not isinstance(value, (str, int, float)):
+            raise ValueError(f"--config: bad value {value!r} for --{key}")
+        if value is True:
+            tokens.append(f"--{key}")
+        elif value is not False:
+            tokens.append(f"--{key}={value}")
+    i = 0  # before the subcommand stand only --config VALUE or --config=VALUE
+    while argv[i] != args.cmd:
+        i += 1 if "=" in argv[i] else 2
+    return argv[:i + 1] + tokens + argv[i + 1:]
 
 
 class _Out:
@@ -395,14 +417,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args, argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(_ConfigParser).parse_args(
+                _config_argv(args, argv))
         return _COMMANDS[args.cmd](args)
+    except SystemExit as exc:  # argparse: --help, or a usage error reported
+        return int(exc.code or 0)
     except SequenceDied as exc:
         return _report_died(exc.outcome)
     except (InvalidFSpec, InvalidQ, CapExceeded, ValueError) as exc:

@@ -52,6 +52,11 @@ from .exactfloor import (
 ENUM_CAP = 24  # exhaustive slow-prefix enumeration: at most 2^23 sequences
 _ALPHA_DENOM_CAP = 10**9  # decimal literals -> nearest fraction (approximate)
 _FRACPOW_MAX_BITS = 4096
+# const-limit pow/exp take the float64 seed only where a is exact in float64
+# and, for exp, b and b*n stay normal floats; the rest go term by term
+_SEED_A_MAX = 2**52
+_EXP_B_MIN, _EXP_B_MAX = 2.0**-900, 2.0**900
+_TINY = np.nextafter(0.0, 1.0)  # smallest positive float64
 
 
 class FSpec:
@@ -290,10 +295,12 @@ class DiffBits(FSpec):
     def __post_init__(self):
         raw = self.bits
         if isinstance(raw, str):
-            raw = bytes(int(c) for c in raw)
+            # '0' and '1' map to 0 and 1; every other byte wraps above 1
+            raw = (np.frombuffer(raw.encode(), dtype=np.uint8)
+                   - np.uint8(ord("0"))).tobytes()
         elif not isinstance(raw, bytes):
             raw = bytes(int(b) for b in raw)
-        if any(b not in (0, 1) for b in raw):
+        if raw and np.frombuffer(raw, dtype=np.uint8).max() > 1:
             raise InvalidFSpec("bits: differences must be 0 or 1")
         object.__setattr__(self, "bits", raw)
 
@@ -315,7 +322,8 @@ class DiffBits(FSpec):
         return len(self.bits) + 1
 
     def spec_str(self):
-        return "bits:" + "".join(str(b) for b in self.bits)
+        return "bits:" + (np.frombuffer(self.bits, dtype=np.uint8)
+                          + np.uint8(ord("0"))).tobytes().decode()
 
     @property
     def is_slow_family(self):
@@ -448,16 +456,56 @@ class ConstLimit(FSpec):
 
     def values(self, n_max):
         self._check_len(n_max)
-        if self.form == "sqrt":
-            out = self._sqrt_values(n_max)
-        elif self.form == "clamp":
-            n = np.minimum(np.arange(1, n_max + 1, dtype=np.int64), self.n0)
-            out = (self.alpha.numerator * n) // self.alpha.denominator
-        else:
-            out = np.fromiter((self.value(n) for n in range(1, n_max + 1)),
-                              dtype=np.int64, count=n_max)
+        out = self._unchecked_values(n_max)
         _require_slow(out, self)
         return out
+
+    def _unchecked_values(self, n_max):
+        """f(1..n_max) before the slow-property check."""
+        if self.form == "sqrt":
+            return self._sqrt_values(n_max)
+        if self.form == "clamp":
+            return self._clamp_values(n_max)
+        if self.a <= _SEED_A_MAX and (self.form == "pow"
+                                      or _EXP_B_MIN < self.b < _EXP_B_MAX):
+            return self.a - self._decay_ceil(n_max)
+        return np.fromiter((self.value(n) for n in range(1, n_max + 1)),
+                           dtype=np.int64, count=n_max)
+
+    def _clamp_values(self, n_max):
+        n = np.minimum(np.arange(1, n_max + 1, dtype=np.int64), self.n0)
+        p, q = self.alpha.numerator, self.alpha.denominator
+        if max(p * min(n_max, self.n0), q) > INT64_MAX:  # beyond int64
+            return (n.astype(object) * p // q).astype(np.int64)
+        return (p * n) // q
+
+    def _decay_ceil(self, n_max):
+        """ceil(x) for x = a/n^b (pow) or a*exp(-b*n) (exp), n = 1..n_max,
+        from a float64 seed.
+
+        Error bound, with u = 2**-53 and numpy's log and exp trusted to
+        4 ulp (relative 8u; about 1u measured against mpmath):
+          float(b) = b (1 + e1), |e1| <= u (correctly rounded);
+          log(n) = ln(n) (1 + e2), |e2| <= 8u (pow only: exp uses n itself,
+            exact below 2**53);
+          t = float(b) * log(n) rounds by (1 + e3), |e3| <= u, so t is
+            within 10u*t (+ O(u^2)) of the true argument, and exp(-t) is off
+            by a factor exp(10u*t) from that alone;
+          exp(-t) rounds by (1 + e4), |e4| <= 8u;
+          a * exp(-t) is exact in a (a <= 2**52) and rounds by (1 + e5),
+            |e5| <= u.
+        So x is within (10t + 10)u * x of the true value, plus O(u^2);
+        (16t + 16)u * x also covers the rounding of x - err and x + err.
+        Where exp(-t) underflows the relative bound fails, but then t > 708,
+        the true x is below 2**52 * e**-700 < 1 and so is x + err, which the
+        clip at 0 in `_certified_round` settles: ceil is 1.
+        """
+        n = np.arange(1, n_max + 1, dtype=np.float64)
+        t = float(self.b) * (np.log(n) if self.form == "pow" else n)
+        x = self.a * np.exp(-t)
+        err = x * (16 * t + 16) * 2.0**-53
+        return _certified_round(x, err, lambda k: self.a - self.value(k),
+                                ceil=True)
 
     def _sqrt_values(self, n_max):
         n = np.arange(1, n_max + 1, dtype=np.int64)
@@ -572,10 +620,15 @@ class FracPowerSum(FSpec):
             "through irrational cancellation)")
 
     def values(self, n_max):
-        """Vectorized evaluation: float64 carries a certified error budget,
-        so its floor is trusted except within eps of a boundary, where the
-        exact integer path decides."""
         self._check_len(n_max)
+        out = self._unchecked_values(n_max)
+        _require_slow(out, self)
+        return out
+
+    def _unchecked_values(self, n_max):
+        """Vectorized evaluation before the slow-property check: float64
+        carries a certified error budget, so its floor is trusted except
+        within that budget of an integer, where the exact path decides."""
         n = np.arange(1, n_max + 1, dtype=np.float64)
         total = np.zeros(n_max)
         magnitude = np.zeros(n_max)
@@ -583,15 +636,9 @@ class FracPowerSum(FSpec):
             term = float(c) * n ** float(e)
             total += term
             magnitude += np.abs(term)
-        fl = np.floor(total)
-        frac = total - fl
         # per-term float64 error is a few ulp; 1e-13 relative is ~450 ulp
-        eps = 1e-13 * magnitude + 1e-12
-        out = fl.astype(np.int64)
-        for i in np.flatnonzero((frac < eps) | (frac > 1 - eps)):
-            out[i] = self.value(int(i) + 1)
-        _require_slow(out, self)
-        return out
+        err = 1e-13 * magnitude + 1e-12
+        return _certified_round(total, err, self.value)
 
     def spec_str(self):
         parts = []
@@ -610,6 +657,30 @@ class FracPowerSum(FSpec):
     @property
     def is_slow_family(self):
         return True
+
+
+def _certified_round(x: np.ndarray, err, exact,
+                     ceil: bool = False) -> np.ndarray:
+    """int64 floors of the reals that the float64 array `x` approximates to
+    within the proven absolute error `err`; with `ceil`, ceilings of reals
+    known to be > 0 (the one caller is a decaying positive term), so the
+    bracket is clipped at 0 from below and a term under 1 has ceiling 1.
+
+    Where every real in [x - err, x + err] rounds to the same integer, that
+    integer is the answer; elsewhere, i.e. where x lies within err of an
+    integer, `exact(n)` gives it for n = index + 1.
+    """
+    if not (np.abs(x) < 2.0**62).all():  # the int64 cast is undefined there
+        raise OverflowError("values exceed int64")
+    lo, hi = x - err, x + err
+    if ceil:
+        lo, hi = np.maximum(lo, _TINY), np.maximum(hi, _TINY)
+    rnd = np.ceil if ceil else np.floor
+    r_lo = rnd(lo)
+    out = r_lo.astype(np.int64)
+    for i in np.flatnonzero(r_lo != rnd(hi)):
+        out[i] = exact(int(i) + 1)
+    return out
 
 
 def _require_slow(values: np.ndarray, spec: FSpec) -> None:

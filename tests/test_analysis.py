@@ -19,6 +19,7 @@ from hofq.analysis import (
     scan_self_similarity,
 )
 from hofq.engine import compute_q
+from hofq.errors import SequenceDied
 
 
 def test_approx_report_basics():
@@ -133,6 +134,11 @@ def test_perturb_death_is_reported_not_raised():
     p = perturb_compare("zeros", 2, 5, 10)
     assert "died" in p.perturbed_outcome
     assert "exists" in p.base_outcome
+
+
+def test_perturb_dying_base_trace_raises():
+    with pytest.raises(SequenceDied, match="died at 3 "):
+        perturb_compare([0, 2, 2], 2, 1, 3)
 
 
 def test_const_ansatz_residual_rates():

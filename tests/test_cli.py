@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from hofq import cli
 from hofq.triangle import build_triangle
 
@@ -127,6 +129,13 @@ def test_perturb_text_and_csv(capsys):
     assert rows[16] == "16,-1"
 
 
+def test_perturb_on_dying_base_trace_exits_2(capsys):
+    code, out, err = run(capsys, "perturb", "--f", "prefix:0,2,2", "--at", "2",
+                         "--amount", "1", "--n", "3")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["hofq: sequence died at n = 3 (lookup index 0)"]
+
+
 def test_approx_on_dying_trace_exits_2(capsys):
     code, out, err = run(capsys, "approx", "--f", "prefix:0,2,2", "--n", "3",
                          "--model", "sqrt:1/2")
@@ -188,6 +197,38 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", str(conf), "compute", "--f", "zeros",
                        "--n", "3")
     assert len(out.strip().splitlines()) == 4  # explicit flag wins
+
+
+@pytest.mark.parametrize("conf", ["[5, 3]", '{"n": "abc"}', '{"n": 2.5}',
+                                  '{"format": "xml"}', "{", '{"n": [5]}',
+                                  '{"n": true}', '{"unknown": 1}'])
+def test_config_type_errors_are_usage_errors(tmp_path, capsys, conf):
+    path = tmp_path / "conf.json"
+    path.write_text(conf)
+    code, out, err = run(capsys, "--config", str(path), "compute", "--f",
+                         "zeros")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hofq: ")
+
+
+def test_config_values_go_through_flag_types(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"n": "3", "format": "csv", "f": "linear",
+                                "full-resolution": True}))
+    code, out, _ = run(capsys, "--config", str(path), "export-figure",
+                       "--which", "trace", "--out", str(tmp_path / "t.csv"))
+    assert code == 0
+    rows = (tmp_path / "t.csv").read_text().splitlines()
+    assert rows[0] == "n,q,f" and len(rows) == 4 and rows[3] == "3,3,2"
+
+
+def test_config_yields_to_abbreviated_flag(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"format": "json", "n": 2}))
+    code, out, _ = run(capsys, "--config=" + str(path), "compute", "--f",
+                       "zeros", "--form", "csv")
+    assert code == 0 and out.splitlines() == ["n,f,q", "1,0,1", "2,0,1"]
 
 
 def test_help_exits_zero(capsys):

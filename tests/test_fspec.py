@@ -3,10 +3,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hofq import cli
 from hofq.engine import compute_q
 from hofq.errors import CapExceeded, InvalidFSpec
+from hofq.exactfloor import INT64_MAX, INT64_MIN
 from hofq.fspec import (
     ConstLimit,
     DiffBits,
@@ -102,6 +105,13 @@ def test_even_staircase_spec():
     spec = FloorRatio(1, 2, shift=-1, scale=2)
     assert list(spec.values(8)) == [0, 0, 2, 2, 4, 4, 6, 6]
     assert not spec.is_slow_family
+
+
+@pytest.mark.parametrize("bad", ["012", "0a", "0\x01", "01 ", "é",
+                                 b"\x00\x02", [0, 1, 2]])
+def test_diffbits_rejects_non_bits(bad):
+    with pytest.raises(InvalidFSpec, match="differences must be 0 or 1"):
+        DiffBits(bad)
 
 
 def test_prefix_and_bits_length_limits():
@@ -215,6 +225,98 @@ def test_const_limit_values_against_oracle():
             got = spec.values(400)
             want = [int(mpmath.floor(fn(n))) for n in range(1, 401)]
             assert list(got) == want, text
+
+
+def test_const_limit_clamp_large_numerator_does_not_wrap():
+    # alpha.numerator * n exceeds int64 from n = 2 on; an int64 product
+    # wrapped and the spec was refused as not slow
+    spec = parse_fspec("const-limit:clamp:alpha=4611686018427387903/"
+                       "4611686018427387904,n0=10")
+    want = [spec.value(n) for n in range(1, 13)]
+    assert want == list(range(10)) + [9, 9]
+    assert spec.values(12).tolist() == want
+
+
+def test_const_limit_pow_margin_decides_float_near_misses():
+    # 30/n^(1/3) is an integer at every cube; there the float seed lands a
+    # few ulp off, above it at n = 8, 27, 216 and 1000 (30/1000^(1/3)
+    # evaluates to 3.0000000000000004), so a ceiling taken without the
+    # certified margin is one too high.  Not slow, hence below the check.
+    spec = ConstLimit("pow", a=30, b=Fraction(1, 3))
+    got = spec._unchecked_values(1000)
+    assert [int(got[k**3 - 1]) for k in range(1, 11)] == [
+        30 - -(-30 // k) for k in range(1, 11)]
+    assert got.tolist() == [spec.value(n) for n in range(1, 1001)]
+
+
+def _fractions(num, den):
+    return st.builds(Fraction, num, den)
+
+
+def _unit_fractions():
+    """Fractions p/q in [0, 1) with q up to 2**63."""
+    return st.integers(1, 2**63).flatmap(
+        lambda q: _fractions(st.integers(0, q - 1), st.just(q)))
+
+
+_NEAR_2_52 = st.integers(2**52 - 64, 2**52 + 64)  # float seed / per-term edge
+_CONST_A = st.one_of(st.integers(1, 100), _NEAR_2_52)
+_CONST_B = _fractions(st.integers(1, 64), st.integers(1, 64))  # up to 64/1
+
+_UNCHECKED_LEAVES = st.one_of(
+    st.just(GammaSq()),
+    st.text("01", max_size=400).map(DiffBits),
+    st.lists(st.integers(0, 1), max_size=400).map(lambda b: DiffBits(bytes(b))),
+    st.builds(lambda alpha, n0: ConstLimit("clamp", alpha=alpha, n0=n0),
+              _unit_fractions(), st.integers(1, 500)),
+    st.builds(FloorRatio, st.integers(0, 10), st.integers(1, 10)),
+)
+
+_DRIVER_SPECS = st.one_of(
+    st.builds(FracPowerSum, st.lists(st.tuples(
+        _fractions(st.integers(-64, 64), st.integers(1, 64)),
+        st.integers(1, 16).flatmap(
+            lambda q: _fractions(st.integers(0, q - 1), st.just(q)))),
+        min_size=1, max_size=3).map(tuple)),
+    st.builds(lambda a, b: ConstLimit("pow", a=a, b=b), _CONST_A, _CONST_B),
+    st.builds(lambda a, b: ConstLimit("exp", a=a, b=b), _CONST_A, _CONST_B),
+    st.builds(lambda a: ConstLimit("sqrt", a=a), st.integers(1, 2**31)),
+    st.recursive(_UNCHECKED_LEAVES, lambda inner: st.one_of(
+        st.builds(Shifted, st.integers(1, 20), inner),
+        st.builds(Perturbed, inner, st.integers(1, 300), st.one_of(
+            st.integers(-10, 10), st.integers(2**63 - 300, 2**63)))),
+        max_leaves=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_DRIVER_SPECS, n=st.integers(1, 300))
+# pinned extremes: a around 2**52, b = 64, exp(-b*n) underflowing to 0.0
+@example(spec=ConstLimit("exp", a=2**52, b=Fraction(64)), n=300)
+@example(spec=ConstLimit("exp", a=1, b=Fraction(64)), n=300)
+@example(spec=ConstLimit("pow", a=2**52 - 1, b=Fraction(1, 64)), n=300)
+@example(spec=ConstLimit("pow", a=2**52 + 1, b=Fraction(64)), n=300)
+@example(spec=FracPowerSum(((Fraction(10**20), Fraction(1, 2)),)), n=4)
+# clamp with a denominator beyond int64
+@example(spec=ConstLimit("clamp", alpha=Fraction(1, 2**63), n0=10), n=12)
+def test_vectorised_values_match_scalar_value(spec, n):
+    # the vectorised evaluator is compared below the slow-property check,
+    # so parameters that give a non-slow sequence are compared too
+    n = min(n, spec.max_len() or n)
+    evaluate = getattr(spec, "_unchecked_values", spec.values)
+    try:
+        want = [spec.value(k) for k in range(1, n + 1)]
+    except InvalidFSpec:  # fracpow: an exact integer through cancellation
+        with pytest.raises(InvalidFSpec):
+            evaluate(n)
+        return
+    if not all(INT64_MIN <= v <= INT64_MAX for v in want):
+        with pytest.raises(OverflowError):
+            evaluate(n)
+        return
+    got = evaluate(n)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
 def test_fracpow_against_high_precision_oracle():
