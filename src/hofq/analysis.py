@@ -9,7 +9,6 @@ is ample because the compared errors are far above rounding scale.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ import numpy as np
 from .engine import QTrace, compute_q
 from .errors import SequenceDied
 from .fspec import ConstLimit, FloorRatio, Perturbed, as_fspec
+from .table import write_rows
 
 GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_EXPORT_ROWS = 10**6
@@ -103,12 +103,18 @@ class ApproximationReport:
     error_trace: tuple[np.ndarray, np.ndarray] | None = None  # (n, error)
 
 
-def approx_error(fspec, model, n_max: int, keep_trace: bool = False,
-                 stride: int | None = None) -> ApproximationReport:
-    """Exact error statistics of the trace against the model."""
+def _existing_trace(fspec, n_max: int) -> QTrace:
+    """The trace to n_max; SequenceDied if it dies first."""
     trace = compute_q(fspec, n_max)
     if not trace.exists:
         raise SequenceDied(trace.outcome)
+    return trace
+
+
+def approx_error(fspec, model, n_max: int, keep_trace: bool = False,
+                 stride: int | None = None) -> ApproximationReport:
+    """Exact error statistics of the trace against the model."""
+    trace = _existing_trace(fspec, n_max)
     n = np.arange(1, n_max + 1, dtype=np.int64)
     err = trace.q_values.astype(np.float64) - model.values(n)
     lo, hi = float(err.min()), float(err.max())
@@ -233,9 +239,7 @@ def perturb_compare(base, at: int, amount: int, n_max: int) -> PerturbationTrace
     intervals.  Death of the perturbed trace is reported, not raised; death
     of the base trace raises SequenceDied."""
     spec = as_fspec(base)
-    base_trace = compute_q(spec, n_max)
-    if not base_trace.exists:
-        raise SequenceDied(base_trace.outcome)
+    base_trace = _existing_trace(spec, n_max)
     pert_trace = compute_q(Perturbed(spec, at, amount), n_max)
     m = min(len(base_trace.q_values), len(pert_trace.q_values))
     diff = (base_trace.q_values[:m] - pert_trace.q_values[:m]).copy()
@@ -271,6 +275,9 @@ def export_figure_data(kind: str, out_path, n_max: int | None = None,
       approach      n,q,model        constant-limit driver vs sqrt(2(a-1)n)-(a-1)/2
       perturbation  log2n,diff       q - q1 for a single +amount at `at`
       trace         n,q,f            raw trace of an explicit fspec
+
+    A dying trace raises SequenceDied, except for `trace`, which writes the
+    terms before the death.
     """
     kind = EXPORT_ALIASES.get(kind, kind)
     if kind not in EXPORT_KINDS:
@@ -278,13 +285,13 @@ def export_figure_data(kind: str, out_path, n_max: int | None = None,
     n = n_max or _EXPORT_DEFAULT_N[kind]
     if kind == "detrended":
         spec = as_fspec(fspec) if fspec is not None else FloorRatio(1, 2)
-        trace = compute_q(spec, n)
+        trace = _existing_trace(spec, n)
         idx = np.arange(1, n + 1, dtype=np.int64)
         det = trace.q_values.astype(np.float64) - math.sqrt(alpha) * idx
         cols, rows = ("n", "detrended"), (idx, det)
     elif kind == "approach":
         spec = as_fspec(fspec) if fspec is not None else ConstLimit("sqrt", a=a)
-        trace = compute_q(spec, n)
+        trace = _existing_trace(spec, n)
         idx = np.arange(1, n + 1, dtype=np.int64)
         model = ConstLimitModel(a - 1).values(idx)
         cols, rows = ("n", "q", "model"), (idx, trace.q_values, model)
@@ -302,35 +309,20 @@ def export_figure_data(kind: str, out_path, n_max: int | None = None,
         rows = (idx, trace.q_values, trace.f_values[:len(idx)])
     step = 1 if full_resolution else max(1, math.ceil(len(rows[0]) / MAX_EXPORT_ROWS))
     data = [col[::step] for col in rows]
-    count = len(data[0])
     if fmt == "csv":
-        _write_csv(out_path, cols, data)
-    elif fmt == "json":
-        doc = {"schema": "hofq.figure/1", "kind": kind, "columns": list(cols),
-               "rows": [[_jsonify(col[i]) for col in data] for i in range(count)]}
-        with open(out_path, "w") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.write("\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return count
-
-
-def _jsonify(v):
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    return float(v)
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, (np.integer, int)):
-        return str(int(v))
-    return format(float(v), ".12g")
-
-
-def _write_csv(out_path, cols, data) -> None:
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(len(data[0])):
-            writer.writerow([_fmt_value(col[i]) for col in data])
+        row_fmt = ",".join("%d" if col.dtype.kind in "iu" else "%.12g"
+                           for col in data) + "\r\n"
+        with open(out_path, "w", newline="") as fh:
+            fh.write(",".join(cols) + "\r\n")  # csv.writer's line ending
+            return write_rows(fh, row_fmt, data)
+    if fmt == "json":
+        row_fmt = "[" + ",".join("%d" if col.dtype.kind in "iu" else "%r"
+                                 for col in data) + "]"
+        head = json.dumps({"schema": "hofq.figure/1", "kind": kind,
+                           "columns": list(cols)}, separators=(",", ":"))
+        with open(out_path, "w", newline="") as fh:
+            fh.write(head[:-1] + ',"rows":[')
+            count = write_rows(fh, row_fmt, data, json=True)
+            fh.write("]}\n")
+        return count
+    raise ValueError(f"unknown format {fmt!r}")

@@ -3,7 +3,10 @@
 Subcommands: compute, verify, triangle, scan-selfsim, perturb, approx,
 export-figure, hofstadter.  Data goes to stdout (or --out); progress and
 error messages go to stderr.  Exit codes: 0 success, 1 usage error,
-2 a computed sequence died, 3 verifier failure.
+2 a computed sequence died, 3 verifier failure.  A reader that stops early
+(`hofq compute ... | head`) is not an error: the broken pipe ends the output
+with nothing on stderr, and the exit code is 0, or the command's own code if
+it had finished (2 for a trace that died).
 
 Identical invocations produce byte-identical output: ordering is stable and
 data files carry no timestamps.  An optional --config JSON file supplies
@@ -24,6 +27,7 @@ import numpy as np
 from . import analysis, engine, triangle, verify
 from .errors import CapExceeded, InvalidFSpec, InvalidQ, SequenceDied
 from .fspec import parse_fspec
+from .table import write_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -181,34 +185,29 @@ def _outcome_json(outcome: engine.ExistenceOutcome) -> dict:
 
 
 def _emit_trace(args, trace: engine.QTrace, fh) -> None:
-    idx = np.arange(trace.start, trace.n_max + 1, dtype=np.int64)
     has_f = trace.f_values is not None
-    if args.format == "csv":
-        print("n,f,q" if has_f else "n,q", file=fh)
-        for j, n in enumerate(idx):
-            if has_f:
-                print(f"{n},{trace.f_values[j]},{trace.q_values[j]}", file=fh)
-            else:
-                print(f"{n},{trace.q_values[j]}", file=fh)
-    elif args.format == "json":
+    if args.format == "json":
         doc = {"schema": "hofq.trace/1",
                "fspec": trace.fspec.spec_str() if trace.fspec else None,
                "start": trace.start,
                "outcome": _outcome_json(trace.outcome),
-               "q": [int(v) for v in trace.q_values]}
+               "q": trace.q_values.tolist()}
         if has_f:
-            doc["f"] = [int(v) for v in trace.f_values]
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+            doc["f"] = trace.f_values.tolist()
+        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        return
+    idx = np.arange(trace.start, trace.n_max + 1, dtype=np.int64)
+    if has_f:
+        cols = (idx, trace.f_values[:len(idx)], trace.q_values)
     else:
-        head = " n  f  q" if has_f else " n  q"
-        print(head, file=fh)
-        for j, n in enumerate(idx):
-            if has_f:
-                print(f"{n:>2}  {trace.f_values[j]}  {trace.q_values[j]}", file=fh)
-            else:
-                print(f"{n:>2}  {trace.q_values[j]}", file=fh)
-        print(f"outcome: {trace.outcome}", file=fh)
+        cols = (idx, trace.q_values)
+    if args.format == "csv":
+        fh.write("n,f,q\n" if has_f else "n,q\n")
+        write_rows(fh, "%d,%d,%d\n" if has_f else "%d,%d\n", cols)
+    else:
+        fh.write(" n  f  q\n" if has_f else " n  q\n")
+        write_rows(fh, "%2d  %d  %d\n" if has_f else "%2d  %d\n", cols)
+        fh.write(f"outcome: {trace.outcome}\n")
 
 
 def _report_died(outcome: engine.ExistenceOutcome) -> int:
@@ -284,8 +283,7 @@ def _parse_shift_args(args, trace) -> list[int]:
 def _cmd_scan(args) -> int:
     trace = engine.compute_q(parse_fspec(args.fspec), args.n)
     if not trace.exists:
-        print(f"hofq: sequence died at n = {trace.outcome.died_at}", file=sys.stderr)
-        return EXIT_DIED
+        return _report_died(trace.outcome)
     shifts = _parse_shift_args(args, trace)
     if not shifts:
         print("hofq: no shifts given (use --shifts, --shift-range or --discover)",
@@ -300,16 +298,19 @@ def _cmd_scan(args) -> int:
                                 "lo": m.lo, "hi": m.hi} for m in matches]}
             json.dump(doc, fh, separators=(",", ":"))
             fh.write("\n")
-        elif args.format == "csv":
-            print("shift,delta,lo,hi", file=fh)
-            for m in matches:
-                print(f"{m.shift},{m.delta},{m.lo},{m.hi}", file=fh)
         else:
-            for m in matches:
-                print(f"shift {m.shift}: q(i+{m.shift}) - q(i) = {m.delta} "
-                      f"for i in [{m.lo}, {m.hi}] (length {m.length})", file=fh)
-            if not matches:
-                print("no matches at this min-run", file=fh)
+            shift, delta, lo, hi = np.array(
+                [(m.shift, m.delta, m.lo, m.hi) for m in matches],
+                dtype=np.int64).reshape(-1, 4).T
+            if args.format == "csv":
+                fh.write("shift,delta,lo,hi\n")
+                write_rows(fh, "%d,%d,%d,%d\n", (shift, delta, lo, hi))
+            else:
+                write_rows(fh, "shift %d: q(i+%d) - q(i) = %d "
+                               "for i in [%d, %d] (length %d)\n",
+                           (shift, shift, delta, lo, hi, hi - lo + 1))
+                if not matches:
+                    fh.write("no matches at this min-run\n")
     return EXIT_OK
 
 
@@ -326,9 +327,9 @@ def _cmd_perturb(args) -> int:
             json.dump(doc, fh, separators=(",", ":"))
             fh.write("\n")
         elif args.format == "csv":
-            print("n,diff", file=fh)
-            for j, d in enumerate(pert.diff):
-                print(f"{j + 1},{d}", file=fh)
+            fh.write("n,diff\n")
+            write_rows(fh, "%d,%d\n",
+                       (np.arange(1, len(pert.diff) + 1), pert.diff))
         else:
             print(f"base:      {pert.base_outcome}", file=fh)
             print(f"perturbed: {pert.perturbed_outcome}", file=fh)
@@ -336,8 +337,8 @@ def _cmd_perturb(args) -> int:
             print(f"difference is nonzero at {nz} of {len(pert.diff)} indices",
                   file=fh)
             print(f"zero regions ({len(pert.zero_regions)}):", file=fh)
-            for lo, hi in pert.zero_regions[:20]:
-                print(f"  [{lo}, {hi}]", file=fh)
+            shown = np.array(pert.zero_regions[:20], dtype=np.int64)
+            write_rows(fh, "  [%d, %d]\n", shown.reshape(-1, 2).T)
             if len(pert.zero_regions) > 20:
                 print("  ...", file=fh)
     return EXIT_OK
@@ -357,10 +358,8 @@ def _cmd_approx(args) -> int:
             json.dump(doc, fh, separators=(",", ":"))
             fh.write("\n")
         elif args.format == "csv":
-            print("n,error", file=fh)
-            ns, errs = report.error_trace
-            for n, e in zip(ns, errs):
-                print(f"{n},{format(e, '.12g')}", file=fh)
+            fh.write("n,error\n")
+            write_rows(fh, "%d,%.12g\n", report.error_trace)
         else:
             print(f"fspec:  {report.fspec}", file=fh)
             print(f"model:  {report.model}", file=fh)
@@ -403,6 +402,19 @@ def _cmd_hofstadter(args) -> int:
     return EXIT_OK
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the
+    interpreter's last flush of what is still buffered for a closed pipe
+    raises nothing at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor (captured)
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 _COMMANDS = {
     "compute": _cmd_compute,
     "verify": _cmd_verify,
@@ -416,7 +428,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    code = _run(list(sys.argv[1:] if argv is None else argv))
+    try:
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        _discard_stdout()
+    return code
+
+
+def _run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.config:
@@ -427,6 +447,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except SequenceDied as exc:
         return _report_died(exc.outcome)
+    except BrokenPipeError:  # the reader stopped early: not an error
+        return EXIT_OK
     except (InvalidFSpec, InvalidQ, CapExceeded, ValueError) as exc:
         print(f"hofq: {exc}", file=sys.stderr)
         return EXIT_USAGE

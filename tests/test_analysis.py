@@ -141,6 +141,14 @@ def test_perturb_dying_base_trace_raises():
         perturb_compare([0, 2, 2], 2, 1, 3)
 
 
+@pytest.mark.parametrize("kind", ["detrended", "approach"])
+def test_export_of_dying_trace_raises(tmp_path, kind):
+    out = tmp_path / "d.csv"
+    with pytest.raises(SequenceDied, match="died at 3 "):
+        export_figure_data(kind, out, n_max=3, fspec=[0, 2, 2])
+    assert not out.exists()
+
+
 def test_const_ansatz_residual_rates():
     a = 4.0
     coarse = np.geomspace(100, 10**5, 60)

@@ -1,8 +1,13 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hofq
 from hofq import cli
 from hofq.triangle import build_triangle
 
@@ -102,6 +107,13 @@ def test_scan_selfsim_on_constant_trace(capsys):
     assert rows[2] == "17,0,1,383"
 
 
+def test_scan_selfsim_on_dying_trace_exits_2(capsys):
+    code, out, err = run(capsys, "scan-selfsim", "--f", "prefix:0,2,2", "--n",
+                         "3", "--shifts", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["hofq: sequence died at n = 3 (lookup index 0)"]
+
+
 def test_scan_selfsim_requires_shifts(capsys):
     code, _, err = run(capsys, "scan-selfsim", "--f", "zeros", "--n", "100")
     assert code == 1 and "no shifts" in err
@@ -164,6 +176,23 @@ def test_export_figure(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "detrended"]
     assert len(rows) == 33
+
+
+@pytest.mark.parametrize("which", ["detrended", "approach"])
+def test_export_figure_on_dying_trace_exits_2(tmp_path, capsys, which):
+    out_file = tmp_path / "fig.csv"
+    code, out, err = run(capsys, "export-figure", "--which", which, "--f",
+                         "prefix:0,2,2", "--n", "3", "--out", str(out_file))
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err.splitlines() == ["hofq: sequence died at n = 3 (lookup index 0)"]
+
+
+def test_export_figure_trace_keeps_dying_trace(tmp_path, capsys):
+    out_file = tmp_path / "fig.csv"
+    code, _, err = run(capsys, "export-figure", "--which", "trace", "--f",
+                       "prefix:0,2,2", "--n", "3", "--out", str(out_file))
+    assert code == 0 and "wrote 2 rows" in err
+    assert out_file.read_bytes() == b"n,q,f\r\n1,1,0\r\n2,3,2\r\n"
 
 
 def test_hofstadter_variants(capsys):
@@ -234,3 +263,54 @@ def test_config_yields_to_abbreviated_flag(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises EPIPE."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--f", "gamma2", "--n", "100", "--format", "csv"),
+    ("compute", "--f", "gamma2", "--n", "100", "--format", "json"),
+    ("perturb", "--f", "floor:1/2", "--n", "64"),
+    ("verify", "--lemma", "mod", "--n", "100"),
+])
+def test_closed_stdout_exits_0_quietly(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(list(argv)) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,lines_read,expect_code", [
+    (["compute", "--f", "gamma2", "--n", "200000", "--format", "csv"], 1, 0),
+    (["compute", "--f", "gamma2", "--n", "16", "--format", "csv"], 0, 0),
+    (["compute", "--f", "prefix:0,2,2", "--n", "3", "--format", "csv"], 0, 2),
+    (["--help"], 0, 0),
+])
+def test_closed_pipe_in_a_pipeline(argv, lines_read, expect_code):
+    """`hofq compute ... | head -1`, and readers that have gone before hofq
+    writes anything.  stdout is block-buffered, as in a plain shell, so the
+    interpreter's last flush at exit would also hit the closed pipe.  Only
+    a command that finished reports on stderr and sets the exit code."""
+    src = os.path.dirname(os.path.dirname(hofq.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.Popen([sys.executable, "-m", "hofq.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    try:
+        first = [proc.stdout.readline() for _ in range(lines_read)]
+        proc.stdout.close()  # n = 200000 gives ~3 MB, far more than a pipe holds
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first == [b"n,f,q\n"] * lines_read
+    assert code == expect_code
+    expect_err = b"hofq: sequence died at n = 3 (lookup index 0)\n"
+    assert err == (expect_err if expect_code == 2 else b"")

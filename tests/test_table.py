@@ -1,0 +1,299 @@
+"""Byte-exact checks of the table writer and of every output that uses it.
+
+Each expected text is built here, one row at a time, from the per-row rules
+the writer replaced: f-strings, `format(v, ".12g")`, `csv.writer` and
+`json.dumps`.  Comparing bytes, not parsed rows, catches a changed line
+ending (`\\r\\n` in export-figure csv, `\\n` elsewhere).
+"""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from hofq import analysis, cli, engine, table
+from hofq.fspec import as_fspec
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+
+def run(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def trace_oracle(trace, fmt):
+    has_f = trace.f_values is not None
+    q, f = trace.q_values, trace.f_values
+    if fmt == "json":
+        o = trace.outcome
+        doc = {"schema": "hofq.trace/1",
+               "fspec": trace.fspec.spec_str() if trace.fspec else None,
+               "start": trace.start,
+               "outcome": {"status": "exists" if o.exists else "died",
+                           "checked_to": o.checked_to, "died_at": o.died_at,
+                           "lookup_index": o.lookup_index},
+               "q": [int(v) for v in q]}
+        if has_f:
+            doc["f"] = [int(v) for v in f]
+        return json.dumps(doc, separators=(",", ":")) + "\n"
+    idx = range(trace.start, trace.n_max + 1)
+    if fmt == "csv":
+        lines = ["n,f,q" if has_f else "n,q"]
+        for j, n in enumerate(idx):
+            lines.append(f"{n},{f[j]},{q[j]}" if has_f else f"{n},{q[j]}")
+    else:
+        lines = [" n  f  q" if has_f else " n  q"]
+        for j, n in enumerate(idx):
+            lines.append(f"{n:>2}  {f[j]}  {q[j]}" if has_f else f"{n:>2}  {q[j]}")
+        lines.append(f"outcome: {trace.outcome}")
+    return "".join(line + "\n" for line in lines)
+
+
+def fmt_value(v):
+    if isinstance(v, (np.integer, int)):
+        return str(int(v))
+    return format(float(v), ".12g")
+
+
+def jsonify(v):
+    if isinstance(v, (np.integer, int)):
+        return int(v)
+    return float(v)
+
+
+def figure_oracle(kind, cols, data, fmt):
+    count = len(data[0])
+    if fmt == "csv":
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(cols)
+        for i in range(count):
+            writer.writerow([fmt_value(col[i]) for col in data])
+        return buf.getvalue()
+    doc = {"schema": "hofq.figure/1", "kind": kind, "columns": list(cols),
+           "rows": [[jsonify(col[i]) for col in data] for i in range(count)]}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def figure_data(kind, n, fspec=None, alpha=0.5, a=5, at=16, amount=1):
+    """Columns of each export kind, computed the way the seed computed them
+    (no downsampling at the sizes used here)."""
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    if kind == "detrended":
+        q = engine.compute_q(as_fspec(fspec or "floor:1/2"), n).q_values
+        return ("n", "detrended"), (idx, q.astype(np.float64) - math.sqrt(alpha) * idx)
+    if kind == "approach":
+        q = engine.compute_q(as_fspec(fspec or f"const-limit:sqrt:a={a}"), n).q_values
+        model = np.sqrt(2.0 * (a - 1) * idx) - (a - 1) / 2.0
+        return ("n", "q", "model"), (idx, q, model)
+    if kind == "perturbation":
+        pert = analysis.perturb_compare(fspec or "floor:1/2", at, amount, n)
+        i = np.arange(1, len(pert.diff) + 1, dtype=np.int64)
+        return ("log2n", "diff"), (np.log2(i), pert.diff)
+    trace = engine.compute_q(as_fspec(fspec), n)
+    i = np.arange(1, len(trace.q_values) + 1, dtype=np.int64)
+    return ("n", "q", "f"), (i, trace.q_values, trace.f_values[:len(i)])
+
+
+def write(row_fmt, columns, **kw):
+    buf = io.StringIO()
+    count = table.write_rows(buf, row_fmt, columns, **kw)
+    return count, buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the writer itself
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_zero_one_and_two_rows(rows):
+    a = np.arange(rows, dtype=np.int64)
+    b = -0.5 * a
+    assert write("%d,%.12g\n", (a, b)) == (
+        rows, "".join(f"{x},{format(y, '.12g')}\n" for x, y in zip(a, b)))
+    assert write("[%d,%r]", (a, b), json=True) == (
+        rows, json.dumps([[int(x), float(y)] for x, y in zip(a, b)],
+                         separators=(",", ":"))[1:-1])
+
+
+def test_ints_near_int64_limits():
+    v = np.array([INT64_MIN, INT64_MIN + 1, -1, 0, 1, 2**53 + 1,
+                  INT64_MAX - 1, INT64_MAX], dtype=np.int64)
+    assert write("%d,%d\n", (v, v[::-1]))[1] == "".join(
+        f"{x},{y}\n" for x, y in zip(v, v[::-1]))
+    # beside a float column the ints stay exact (no cast to float64)
+    x = np.full(len(v), 0.25)
+    assert write("%d,%.12g\r\n", (v, x))[1] == "".join(
+        f"{int(a)},0.25\r\n" for a in v)
+
+
+FLOATS = np.array([-2.5, -1e-5, 1e-5, 1e16, -1e16, 0.1 + 0.2, -0.0, 0.0,
+                   1 / 3, 123456789012.5, 5e-324, 1.7976931348623157e308,
+                   np.nan, np.inf, -np.inf])
+
+
+def test_floats_csv_match_format_12g():
+    assert write("%.12g\n", (FLOATS,))[1] == "".join(
+        format(float(v), ".12g") + "\n" for v in FLOATS)
+
+
+def test_floats_json_match_json_dumps():
+    n = np.arange(len(FLOATS), dtype=np.int64)
+    text = write("[%d,%r]", (n, FLOATS), json=True)[1]
+    assert "[" + text + "]" == json.dumps(
+        [[int(i), float(v)] for i, v in zip(n, FLOATS)], separators=(",", ":"))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("json_rows", [False, True])
+def test_chunk_boundaries(monkeypatch, offset, json_rows):
+    monkeypatch.setattr(table, "CHUNK", 4)
+    for rows in (4 + offset, 8 + offset):
+        a = np.arange(rows, dtype=np.int64) * -7
+        writes = []
+
+        class Sink:
+            def write(self, s):
+                writes.append(s)
+
+        assert table.write_rows(Sink(), "%d;", (a,), json=json_rows) == rows
+        sep = "," if json_rows else ""
+        assert "".join(writes) == sep.join(f"{v};" for v in a)
+        assert len(writes) == math.ceil(rows / 4)  # one write per chunk
+
+
+def test_unequal_columns_raise():
+    with pytest.raises(ValueError, match="differ in length"):
+        write("%d,%d\n", (np.arange(3), np.arange(2)))
+
+
+# ---------------------------------------------------------------------------
+# every output built on the writer
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+@pytest.mark.parametrize("spec,n", [("gamma2", 300), ("floor:1/2", 1),
+                                    ("prefix:0,2,2", 3)])
+def test_compute_matches_oracle(capsys, fmt, spec, n):
+    code, out, _ = run(capsys, "compute", "--f", spec, "--n", n, "--format", fmt)
+    trace = engine.compute_q(as_fspec(spec), n)
+    assert code == (0 if trace.exists else 2)
+    assert out == trace_oracle(trace, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("variant", ["hof", "tanny", "quasipoly"])
+def test_hofstadter_matches_oracle(capsys, fmt, variant):
+    code, out, _ = run(capsys, "hofstadter", "--variant", variant, "--n", 200,
+                       "--format", fmt)
+    trace = engine.compute_two_term(cli._VARIANTS[variant](), 200)
+    assert code == 0 and out == trace_oracle(trace, fmt)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_trace_across_chunk_boundary(capsys, monkeypatch, offset):
+    monkeypatch.setattr(table, "CHUNK", 8)
+    for fmt in ("csv", "text"):
+        _, out, _ = run(capsys, "compute", "--f", "gamma2", "--n", 8 + offset,
+                        "--format", fmt)
+        assert out == trace_oracle(engine.compute_q(as_fspec("gamma2"), 8 + offset),
+                                   fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_perturb_matches_oracle(capsys, fmt):
+    code, out, _ = run(capsys, "perturb", "--f", "floor:1/2", "--at", 16,
+                       "--n", 4096, "--format", fmt)
+    pert = analysis.perturb_compare("floor:1/2", 16, 1, 4096)
+    assert code == 0
+    if fmt == "csv":
+        assert out == "n,diff\n" + "".join(
+            f"{j + 1},{d}\n" for j, d in enumerate(pert.diff))
+        return
+    nz = int(np.count_nonzero(pert.diff))
+    expect = [f"base:      {pert.base_outcome}",
+              f"perturbed: {pert.perturbed_outcome}",
+              f"difference is nonzero at {nz} of {len(pert.diff)} indices",
+              f"zero regions ({len(pert.zero_regions)}):"]
+    expect += [f"  [{lo}, {hi}]" for lo, hi in pert.zero_regions[:20]]
+    if len(pert.zero_regions) > 20:
+        expect.append("  ...")
+    assert out == "".join(line + "\n" for line in expect)
+
+
+def test_approx_csv_matches_oracle(capsys):
+    code, out, _ = run(capsys, "approx", "--f", "gamma2", "--model",
+                       "sqrt:gamma2", "--n", 5000, "--format", "csv")
+    report = analysis.approx_error(as_fspec("gamma2"),
+                                   analysis.parse_model("sqrt:gamma2"), 5000,
+                                   keep_trace=True)
+    ns, errs = report.error_trace
+    assert code == 0 and out == "n,error\n" + "".join(
+        f"{n},{format(e, '.12g')}\n" for n, e in zip(ns, errs))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("min_run", [50, 10**6])
+def test_scan_matches_oracle(capsys, fmt, min_run):
+    args = ("--f", "floor:1/2", "--n", 20000, "--shift-range", "60:130",
+            "--min-run", min_run)
+    code, out, _ = run(capsys, "scan-selfsim", *args, "--format", fmt)
+    trace = engine.compute_q(as_fspec("floor:1/2"), 20000)
+    matches = analysis.scan_self_similarity(trace, range(60, 131), min_run)
+    assert code == 0 and (len(matches) > 1) == (min_run == 50)
+    if fmt == "csv":
+        lines = ["shift,delta,lo,hi"]
+        lines += [f"{m.shift},{m.delta},{m.lo},{m.hi}" for m in matches]
+    else:
+        lines = [f"shift {m.shift}: q(i+{m.shift}) - q(i) = {m.delta} "
+                 f"for i in [{m.lo}, {m.hi}] (length {m.length})"
+                 for m in matches] or ["no matches at this min-run"]
+    assert out == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind,n,extra", [
+    ("detrended", 500, {}),
+    ("detrended", 40, {"alpha": math.nan}),
+    ("detrended", 40, {"alpha": math.inf}),
+    ("approach", 500, {}),
+    ("perturbation", 1024, {}),
+    ("trace", 500, {"fspec": "gamma2"}),
+    ("trace", 1, {"fspec": "linear"}),
+    ("trace", 3, {"fspec": "prefix:0,2,2"}),
+])
+def test_export_figure_matches_oracle(tmp_path, fmt, kind, n, extra):
+    out = tmp_path / f"fig.{fmt}"
+    count = analysis.export_figure_data(kind, out, n_max=n, fmt=fmt, **extra)
+    cols, data = figure_data(kind, n, **extra)
+    assert count == len(data[0])
+    assert out.read_bytes() == figure_oracle(kind, cols, data, fmt).encode()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_export_figure_across_chunk_boundary(tmp_path, monkeypatch, offset):
+    monkeypatch.setattr(table, "CHUNK", 16)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"fig.{fmt}"
+        analysis.export_figure_data("detrended", out, n_max=16 + offset, fmt=fmt)
+        cols, data = figure_data("detrended", 16 + offset)
+        assert out.read_bytes() == figure_oracle("detrended", cols, data,
+                                                 fmt).encode()
+
+
+def test_export_figure_cli_writes_the_same_bytes(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    code, _, err = run(capsys, "export-figure", "--which", "trace", "--f",
+                       "gamma2", "--n", 300, "--format", "json", "--out", out)
+    cols, data = figure_data("trace", 300, fspec="gamma2")
+    assert code == 0 and err == f"hofq: wrote 300 rows to {out}\n"
+    assert out.read_bytes() == figure_oracle("trace", cols, data, "json").encode()
