@@ -184,6 +184,13 @@ def _outcome_json(outcome: engine.ExistenceOutcome) -> dict:
             "lookup_index": outcome.lookup_index}
 
 
+def _write_json(fh, doc: dict) -> None:
+    """doc as compact JSON plus a newline, encoded in one C-level call and
+    written at once (json.dump runs the pure-Python encoder, a write per
+    token); what json cannot encode is written as its str()."""
+    fh.write(json.dumps(doc, separators=(",", ":"), default=str) + "\n")
+
+
 def _emit_trace(args, trace: engine.QTrace, fh) -> None:
     has_f = trace.f_values is not None
     if args.format == "json":
@@ -194,7 +201,7 @@ def _emit_trace(args, trace: engine.QTrace, fh) -> None:
                "q": trace.q_values.tolist()}
         if has_f:
             doc["f"] = trace.f_values.tolist()
-        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        _write_json(fh, doc)
         return
     idx = np.arange(trace.start, trace.n_max + 1, dtype=np.int64)
     if has_f:
@@ -241,8 +248,7 @@ def _cmd_verify(args) -> int:
                                 "first_counterexample": r.first_counterexample,
                                 "details": r.details} for r in results],
                    "ok": all(r.ok for r in results)}
-            json.dump(doc, fh, separators=(",", ":"), default=str)
-            fh.write("\n")
+            _write_json(fh, doc)
         else:
             for r in results:
                 print(r, file=fh)
@@ -296,8 +302,7 @@ def _cmd_scan(args) -> int:
                    "n": args.n, "min_run": args.min_run,
                    "matches": [{"shift": m.shift, "delta": m.delta,
                                 "lo": m.lo, "hi": m.hi} for m in matches]}
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.write("\n")
+            _write_json(fh, doc)
         else:
             shift, delta, lo, hi = np.array(
                 [(m.shift, m.delta, m.lo, m.hi) for m in matches],
@@ -324,8 +329,7 @@ def _cmd_perturb(args) -> int:
                    "base_outcome": pert.base_outcome,
                    "perturbed_outcome": pert.perturbed_outcome,
                    "zero_regions": [list(z) for z in pert.zero_regions]}
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.write("\n")
+            _write_json(fh, doc)
         elif args.format == "csv":
             fh.write("n,diff\n")
             write_rows(fh, "%d,%d\n",
@@ -355,8 +359,7 @@ def _cmd_approx(args) -> int:
                    "max_abs_error": report.max_abs_error,
                    "min_signed_error": report.min_signed_error,
                    "max_signed_error": report.max_signed_error}
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.write("\n")
+            _write_json(fh, doc)
         elif args.format == "csv":
             fh.write("n,error\n")
             write_rows(fh, "%d,%.12g\n", report.error_trace)

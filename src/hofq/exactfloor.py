@@ -14,9 +14,12 @@ integer shift/halving.
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
+
+from .errors import InvalidFSpec
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
@@ -164,3 +167,53 @@ def ceil_div_pow(a: int, n: int, p: int, q: int) -> int:
     while k**q * npow < target:
         k += 1
     return k
+
+
+# working precisions of ceil_exp_decay, in decimal digits
+EXP_PRECISIONS = (40, 160, 640)
+
+
+def ceil_exp_decay(a: int, n: int, p: int, q: int) -> int:
+    """ceil(a * exp(-p*n/q)) exactly, for integers a, n, p, q >= 1.
+
+    With t = p*n/q > 0 the value X = a * e^-t is transcendental, so it is
+    never an integer and X lies in (floor(X), floor(X) + 1).  Two cases:
+
+    * t >= L = a.bit_length(): X = a * e^-t < 2^L * 2^-L = 1 (e > 2 and
+      a < 2^L), so ceil(X) = 1, decided on integers alone.
+    * t < L: in a private decimal context of `prec` digits, u = 10^(1-prec),
+      each of the three steps is correctly rounded (half-even), so each
+      carries a relative error e_i with |e_i| <= u/2:
+        t' = t (1 + e1)              (p*n and q are exact decimals)
+        E  = e^-t' (1 + e2) = e^-t e^(-t e1) (1 + e2)
+        x  = a E (1 + e3)            (a is an exact decimal)
+      With -ln(1 - y) <= y/(1 - y) and u <= 10^-39,
+        |ln(x/X)| <= t u/2 + 2 (u/2)/(1 - u/2) <= (t/2 + 1.01) u =: d,
+      and d <= 1/2 because t < L is far below 10^38, so
+        |X/x - 1| <= e^d - 1 <= d (1 + d) <= 1.5 d <= (t + 3) u.
+      Hence X lies in [x (1 - r), x (1 + r)] for r = (ceil(t) + 3) u.  r,
+      1 - r and 1 + r are exact in `prec` digits; the two ends are
+      products rounded outwards (down for the lower, up for the upper), so
+      the computed bracket contains X.  If both ends share a floor k,
+      ceil(X) = k + 1 (so a bracket wholly below 1 gives 1, as r < 1 keeps
+      its lower end positive).  Otherwise the precision escalates
+      40 -> 160 -> 640 digits.
+
+    Raises InvalidFSpec if 640 digits cannot separate X from an integer.
+    """
+    if a.bit_length() * q <= p * n:
+        return 1
+    k = -(-p * n // q)  # ceil(t)
+    for prec in EXP_PRECISIONS:
+        ctx = decimal.Context(prec=prec, rounding=decimal.ROUND_HALF_EVEN,
+                              Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+        x = ctx.multiply(a, ctx.exp(ctx.divide(-p * n, q)))
+        r = decimal.Decimal(f"{k + 3}E{1 - prec}")
+        ctx.rounding = decimal.ROUND_CEILING
+        upper = ctx.multiply(x, ctx.add(1, r))
+        ctx.rounding = decimal.ROUND_FLOOR
+        lower = ctx.multiply(x, ctx.subtract(1, r))
+        fl = math.floor(lower)
+        if fl == math.floor(upper):
+            return fl + 1
+    raise InvalidFSpec("const-limit exp: cannot certify floor")

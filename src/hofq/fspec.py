@@ -43,6 +43,7 @@ from .exactfloor import (
     INT64_MIN,
     ceil_div_pow,
     ceil_div_sqrt,
+    ceil_exp_decay,
     floor_gamma_sq,
     floor_gamma_sq_array,
     GAMMA_ARRAY_CAP,
@@ -50,6 +51,7 @@ from .exactfloor import (
 )
 
 ENUM_CAP = 24  # exhaustive slow-prefix enumeration: at most 2^23 sequences
+_ENUM_BLOCK = 1 << 16  # enumerate_slow_prefixes builds this many rows at once
 _ALPHA_DENOM_CAP = 10**9  # decimal literals -> nearest fraction (approximate)
 _FRACPOW_MAX_BITS = 4096
 # const-limit pow/exp take the float64 seed only where a is exact in float64
@@ -450,7 +452,8 @@ class ConstLimit(FSpec):
             return self.a - ceil_div_pow(self.a, n, self.b.numerator,
                                          self.b.denominator)
         if self.form == "exp":
-            return self.a - _ceil_exp_decay(self.a, self.b, n)
+            return self.a - ceil_exp_decay(self.a, n, self.b.numerator,
+                                           self.b.denominator)
         m = min(n, self.n0)
         return (self.alpha.numerator * m) // self.alpha.denominator
 
@@ -527,24 +530,6 @@ class ConstLimit(FSpec):
     @property
     def is_slow_family(self):
         return True
-
-
-def _ceil_exp_decay(a: int, b: Fraction, n: int) -> int:
-    """ceil(a * exp(-b*n)) exactly; the argument is transcendental for
-    n >= 1, so escalating precision always separates it from integers."""
-    import mpmath
-
-    for dps in (40, 160, 640):
-        with mpmath.workdps(dps):
-            x = a * mpmath.exp(mpmath.mpf(-b.numerator * n) / b.denominator)
-            fl = int(mpmath.floor(x))
-            frac = x - fl
-            eps = mpmath.mpf(10) ** (-dps + 8)
-            if frac > eps and frac < 1 - eps:
-                return fl + 1
-            if x < eps:  # deep tail: 0 < x < 1
-                return 1
-    raise InvalidFSpec("const-limit exp: cannot certify floor")
 
 
 @dataclass(frozen=True)
@@ -720,26 +705,23 @@ def shift_f(spec: FSpec, k: int) -> FSpec:
 
 
 def enumerate_slow_prefixes(m: int, cap: int = ENUM_CAP):
-    """Yield all 2^(m-1) slow zero-start prefixes of length m, in
-    lexicographic difference-bitstring order."""
+    """Yield all 2^(m-1) slow zero-start prefixes of length m, as tuples, in
+    lexicographic difference-bitstring order: the rows of
+    slow_prefix_matrix, built _ENUM_BLOCK rows at a time."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > cap:
         raise CapExceeded(f"enumeration cap is m <= {cap}, got {m}")
-    nbits = m - 1
-    for mask in range(1 << nbits):
-        f = [0] * m
-        acc = 0
-        for i in range(nbits):
-            acc += (mask >> (nbits - 1 - i)) & 1
-            f[i + 1] = acc
-        yield tuple(f)
+    total = 1 << (m - 1)
+    for lo in range(0, total, _ENUM_BLOCK):
+        block = slow_prefix_matrix(m, lo, min(lo + _ENUM_BLOCK, total))
+        yield from map(tuple, block.tolist())
 
 
 def slow_prefix_matrix(m: int, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the difference-bitstring enumeration of length-m slow
-    prefixes, as an (hi-lo, m) int64 matrix.  Row order matches
-    enumerate_slow_prefixes."""
+    prefixes, as an (hi-lo, m) int64 matrix: row i has the m-1 bits of i,
+    most significant first, as its successive differences."""
     if m < 1:
         raise ValueError("m must be >= 1")
     nbits = m - 1

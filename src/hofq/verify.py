@@ -7,6 +7,7 @@ throughout.  A failing verifier carries its first counterexample.
 
 from __future__ import annotations
 
+import decimal
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -210,8 +211,7 @@ def verify_golden(n: int | None = None) -> VerifierResult:
     n = n or DEFAULT_N
     trace = compute_q(GammaSq(), n)
     expected = 1 + floor_gamma_array(np.arange(0, n, dtype=np.int64))
-    mism = _first_mismatch(expected, trace.q_values)
-    return VerifierResult("golden", n, mism is None, mism)
+    return _result("golden", n, expected, trace.q_values)
 
 
 def verify_golden_identity(n: int | None = None,
@@ -257,24 +257,31 @@ def verify_golden_identity(n: int | None = None,
             mism = _first_mismatch(other, fsq[1:n + 1])
             details["floor_identity_checked"] = mism is None
             if mism is None and oracle_samples:
-                details["oracle_samples"] = _golden_oracle_check(
-                    n, oracle_samples)
+                details["oracle_samples"] = oracle_samples
+                mism = _golden_oracle_check(n, oracle_samples)
     return VerifierResult("golden-identity", n, mism is None, mism, details)
 
 
-def _golden_oracle_check(n: int, samples: int) -> int:
-    """Spot-check exact gamma floors against a 60-digit numeric oracle."""
-    import mpmath
+def _golden_oracle_check(n: int, samples: int) -> tuple[int, int, int] | None:
+    """Spot-check floor_gamma(j) at `samples` seeded j in [1, n] against a
+    60-digit decimal oracle; the first disagreement as (j, oracle floor,
+    floor_gamma(j)), or None.
 
+    The oracle's gamma is (sqrt(5) - 1)/2 with sqrt correctly rounded to 60
+    digits, so it is within 10^-59 of gamma, and j*gamma is then within
+    j*10^-58 (product rounding included).  gamma's continued fraction is all
+    1s, so |j*gamma - k| > 1/(3j) for every integer k; for j < 5*10^28,
+    far beyond any n here, j*10^-58 < 1/(3j) and the oracle's floor is the
+    true floor.
+    """
+    ctx = decimal.Context(prec=60, rounding=decimal.ROUND_HALF_EVEN)
+    gamma = ctx.divide(ctx.subtract(ctx.sqrt(5), 1), 2)
     rng = np.random.default_rng(5 * n + samples)
-    picks = rng.integers(1, n + 1, size=samples)
-    with mpmath.workdps(60):
-        gamma = (mpmath.sqrt(5) - 1) / 2
-        for j in picks:
-            j = int(j)
-            if int(mpmath.floor(gamma * j)) != floor_gamma(j):
-                raise AssertionError(f"gamma-floor oracle mismatch at {j}")
-    return samples
+    for j in rng.integers(1, n + 1, size=samples).tolist():
+        oracle = math.floor(ctx.multiply(gamma, j))
+        if oracle != floor_gamma(j):
+            return (j, oracle, floor_gamma(j))
+    return None
 
 
 def verify_quasi_polynomial(n: int | None = None) -> VerifierResult:
@@ -294,8 +301,7 @@ def verify_quasi_polynomial(n: int | None = None) -> VerifierResult:
     expected = np.select([mod == 0, mod == 1, mod == 2, mod == 3],
                          [2, k - 4, 5, k - 5], default=0) \
         + np.where(mod == 4, k - 6, 0)
-    mism = _first_mismatch(expected, r, offset=13)
-    return VerifierResult("quasipoly", n, mism is None, mism)
+    return _result("quasipoly", n, expected, r, offset=13)
 
 
 REGISTRY = {

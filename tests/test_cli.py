@@ -79,6 +79,16 @@ def test_verify_selection_json(capsys):
     assert doc["ok"] is True
 
 
+def test_verify_oracle_failure_exits_3(capsys, monkeypatch):
+    real = hofq.verify.floor_gamma
+    monkeypatch.setattr(hofq.verify, "floor_gamma", lambda j: real(j) + 1)
+    code, out, err = run(capsys, "verify", "--lemma", "golden-identity",
+                         "--n", "2000")
+    assert code == 3 and err == ""
+    assert out.startswith("FAIL golden-identity at n = ")
+    assert len(out.splitlines()) == 1 and "Traceback" not in out
+
+
 def test_verify_unknown_name(capsys):
     code, _, err = run(capsys, "verify", "--lemma", "nope")
     assert code == 1 and "unknown verifier" in err
@@ -314,3 +324,28 @@ def test_closed_pipe_in_a_pipeline(argv, lines_read, expect_code):
     assert code == expect_code
     expect_err = b"hofq: sequence died at n = 3 (lookup index 0)\n"
     assert err == (expect_err if expect_code == 2 else b"")
+
+
+def test_runtime_does_not_import_mpmath():
+    """mpmath is a test-only oracle: the verifiers and the exact exp
+    ceiling (a > 2**52 goes term by term) run on the standard library."""
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from fractions import Fraction\n"
+        "import hofq, hofq.cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert hofq.cli.main(['verify', '--lemma', 'all',"
+        " '--n', '2000']) == 0\n"
+        "spec = hofq.ConstLimit('exp', a=2**60 + 3, b=Fraction(1, 7))\n"
+        "try:\n"
+        "    spec.values(50)  # every term, then refused: f(1) > 0\n"
+        "except hofq.InvalidFSpec:\n"
+        "    pass\n"
+        "print('mpmath' in sys.modules)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(hofq.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

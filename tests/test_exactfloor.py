@@ -1,14 +1,17 @@
+import functools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from hofq import exactfloor
 from hofq.exactfloor import (
     GAMMA_ARRAY_CAP,
     ISQRT_ARRAY_CAP,
     ceil_div_pow,
     ceil_div_sqrt,
+    ceil_exp_decay,
     floor_gamma,
     floor_gamma_array,
     floor_gamma_sq,
@@ -124,3 +127,49 @@ def test_ceil_div_pow_brute():
                     if abs(x - mpmath.nint(x)) < mpmath.mpf("1e-40"):
                         want = int(mpmath.nint(x))
                     assert ceil_div_pow(a, n, p, q) == want, (a, n, p, q)
+
+
+# (a, b = p/q, n range): a > 2**52 is ConstLimit's per-term path; with a =
+# 2**60 + 3 the decaying term drops below 1 past t = 41.6 (n = 291 at
+# b = 1/7), and at b = 64 float64's exp underflows (t > 745) from n = 12 on
+_EXP_CASES = [
+    (1, (1, 7), range(1, 201)),
+    (5, (1, 1000), range(1, 601)),
+    (5, (3, 10**6), range(1, 201)),
+    (2**52 + 1, (1, 7), range(1, 401)),
+    (2**60 + 3, (1, 7), range(1, 401)),
+    (2**60 + 3, (1, 2**62), range(1, 301)),
+    (9 * 10**18, (1, 1000), range(1, 601)),
+    (2**60 + 3, (64, 1), range(1, 301)),
+]
+
+
+def _exp_oracle(a, p, q, n):
+    """ceil(a * exp(-p*n/q)) from a 100-digit mpmath value; the value is
+    transcendental, so above 1 it must sit well away from every integer."""
+    x = a * mpmath.exp(-mpmath.mpf(p * n) / q)
+    away = abs(x - mpmath.nint(x)) > mpmath.mpf(10) ** -60
+    assert x < 1 or away, (a, p, q, n)
+    return int(mpmath.ceil(x))
+
+
+@functools.cache
+def _exp_terms():
+    with mpmath.workdps(100):
+        return [(a, n, p, q, _exp_oracle(a, p, q, n))
+                for a, (p, q), ns in _EXP_CASES for n in ns]
+
+
+def test_ceil_exp_decay_brute():
+    terms = _exp_terms()
+    assert len(terms) >= 3000
+    for a, n, p, q, want in terms:
+        assert ceil_exp_decay(a, n, p, q) == want, (a, n, p, q)
+
+
+def test_ceil_exp_decay_bracket_at_low_precision(monkeypatch):
+    # at 12 digits x = a*exp(-t) for a near 2**60 keeps no fractional digit,
+    # so only the error bracket sends these terms on to 40 digits
+    monkeypatch.setattr(exactfloor, "EXP_PRECISIONS", (12, 40, 160))
+    for a, n, p, q, want in _exp_terms():
+        assert ceil_exp_decay(a, n, p, q) == want, (a, n, p, q)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hofq import cli
+from hofq import cli, fspec
 from hofq.engine import compute_q
 from hofq.errors import CapExceeded, InvalidFSpec
 from hofq.exactfloor import INT64_MAX, INT64_MIN
@@ -162,6 +162,14 @@ def test_slow_prefix_matrix_matches_enumeration():
     part = slow_prefix_matrix(6, 10, 20)
     full = slow_prefix_matrix(6, 0, 32)
     assert (part == full[10:20]).all()
+
+
+def test_enumeration_blocks_join_seamlessly(monkeypatch):
+    # blocks of 3 rows: 32 rows of length 6 cross 10 block seams
+    monkeypatch.setattr(fspec, "_ENUM_BLOCK", 3)
+    rows = list(enumerate_slow_prefixes(6))
+    assert rows == [tuple(r) for r in slow_prefix_matrix(6, 0, 32).tolist()]
+    assert all(type(v) is int for row in rows for v in row)
 
 
 def test_floor_ratio_slow_whenever_num_le_den():

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from hofq import analysis, cli, engine, table
+from hofq import analysis, cli, engine, table, verify
 from hofq.fspec import as_fspec
 
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
@@ -258,6 +258,65 @@ def test_scan_matches_oracle(capsys, fmt, min_run):
                  f"for i in [{m.lo}, {m.hi}] (length {m.length})"
                  for m in matches] or ["no matches at this min-run"]
     assert out == "".join(line + "\n" for line in lines)
+
+
+def json_oracle(doc, **kw):
+    return json.dumps(doc, separators=(",", ":"), **kw) + "\n"
+
+
+@pytest.mark.parametrize("lemma", ["all", "mod,quarter,golden-identity"])
+def test_verify_json_matches_oracle(capsys, lemma):
+    code, out, _ = run(capsys, "verify", "--lemma", lemma, "--n", 2000,
+                       "--format", "json")
+    names = None if lemma == "all" else lemma.split(",")
+    results = verify.run_suite(names, 2000)
+    doc = {"schema": "hofq.verify/1",
+           "results": [{"name": r.name, "ok": r.ok,
+                        "checked_up_to": r.checked_up_to,
+                        "first_counterexample": r.first_counterexample,
+                        "details": r.details} for r in results],
+           "ok": True}
+    assert code == 0 and out == json_oracle(doc, default=str)
+
+
+@pytest.mark.parametrize("min_run", [50, 10**6])
+def test_scan_json_matches_oracle(capsys, min_run):
+    code, out, _ = run(capsys, "scan-selfsim", "--f", "floor:1/2", "--n",
+                       20000, "--shift-range", "60:130", "--min-run", min_run,
+                       "--format", "json")
+    trace = engine.compute_q(as_fspec("floor:1/2"), 20000)
+    matches = analysis.scan_self_similarity(trace, range(60, 131), min_run)
+    doc = {"schema": "hofq.selfsim/1", "fspec": "floor:1/2", "n": 20000,
+           "min_run": min_run,
+           "matches": [{"shift": m.shift, "delta": m.delta, "lo": m.lo,
+                        "hi": m.hi} for m in matches]}
+    assert code == 0 and out == json_oracle(doc)
+
+
+def test_perturb_json_matches_oracle(capsys):
+    code, out, _ = run(capsys, "perturb", "--f", "floor:1/2", "--at", 16,
+                       "--n", 4096, "--format", "json")
+    pert = analysis.perturb_compare("floor:1/2", 16, 1, 4096)
+    doc = {"schema": "hofq.perturb/1", "fspec": pert.fspec, "at": 16,
+           "amount": 1, "base_outcome": pert.base_outcome,
+           "perturbed_outcome": pert.perturbed_outcome,
+           "zero_regions": [list(z) for z in pert.zero_regions]}
+    assert len(pert.zero_regions) > 1
+    assert code == 0 and out == json_oracle(doc)
+
+
+@pytest.mark.parametrize("model", ["sqrt:gamma2", "const:3"])
+def test_approx_json_matches_oracle(capsys, model):
+    code, out, _ = run(capsys, "approx", "--f", "gamma2", "--model", model,
+                       "--n", 5000, "--format", "json")
+    report = analysis.approx_error(as_fspec("gamma2"),
+                                   analysis.parse_model(model), 5000)
+    doc = {"schema": "hofq.approx/1", "fspec": "gamma2",
+           "model": report.model, "n": 5000,
+           "max_abs_error": report.max_abs_error,
+           "min_signed_error": report.min_signed_error,
+           "max_signed_error": report.max_signed_error}
+    assert code == 0 and out == json_oracle(doc)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

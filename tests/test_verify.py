@@ -87,6 +87,21 @@ def test_failure_reporting_carries_counterexample():
     assert "FAIL" in str(res) and "n = 2" in str(res)
 
 
+def test_golden_oracle_disagreement_is_a_failing_result(monkeypatch):
+    monkeypatch.setattr(verify, "floor_gamma", lambda j: floor_gamma(j) + 1)
+    res = verify.verify_golden_identity(2000)
+    assert not res.ok
+    j, oracle, got = res.first_counterexample
+    assert 1 <= j <= 2000 and (oracle, got) == (floor_gamma(j), oracle + 1)
+    assert res.details["oracle_samples"] == 1000
+
+
+def test_golden_oracle_agrees_on_large_j():
+    # the 60-digit oracle must separate j*gamma from an integer far past
+    # the default N; picks are seeded by (n, samples)
+    assert verify._golden_oracle_check(10**15, 500) is None
+
+
 def test_quasipoly_needs_room():
     with pytest.raises(ValueError):
         verify.verify_quasi_polynomial(12)
