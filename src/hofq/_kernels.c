@@ -1,12 +1,13 @@
-/* Trace kernels, compiled on first import by hofq/kernels.py and called
- * through ctypes.  _kernels_py.py holds the same loops with the same
- * contracts and is the reference the tests compare against.
+/* Trace kernels and the triangle's prefix-tree walk, compiled on first
+ * import by hofq/kernels.py and called through ctypes.  _kernels_py.py
+ * holds the same loops with the same contracts and is the reference the
+ * tests compare against.
  *
  * The caller checks every size, dtype and bound before passing pointers.
  * Each call returns one int64: 0 when every term was computed, +k when the
- * trace died at k and -k when the term at k leaves the int64 range; the
- * array then holds every term before k.  No state is shared between calls,
- * so they may run concurrently with the interpreter lock released.
+ * trace died at k and -k when the term at k leaves the int64 range; a
+ * trace array then holds every term before k.  No state is shared between
+ * calls, so they may run concurrently with the interpreter lock released.
  */
 #include <stdint.h>
 
@@ -46,6 +47,44 @@ int64_t two_term_trace(int64_t *q, int64_t total, int64_t n_init,
                                    q[j - outer * d2 - v2], &val))
             return -j;
         q[j] = val;
+    }
+    return 0;
+}
+
+/* Depth-first walk over every slow zero-start prefix f(1..m): f(1) = 0 and
+ * f(n) = f(n-1) + bit[n], bit[n] in {0, 1}.  Each node n extends q by one
+ * term and marks seen[((n-1)*m + f(n))*(m+1) + q(n)], so the caller passes
+ * m*m*(m+1) bytes and keeps m in [1, WALK_MAX_DEPTH].  k is the depth n;
+ * -k also reports a q(n) outside [1, n], which would leave the array. */
+#define WALK_MAX_DEPTH 62
+
+int64_t slow_walk(uint8_t *seen, int64_t m)
+{
+    int64_t q[WALK_MAX_DEPTH + 1], f[WALK_MAX_DEPTH + 1];  /* 1-based */
+    unsigned char bit[WALK_MAX_DEPTH + 1];                /* the path */
+    int64_t n = 2;
+    q[1] = 1;
+    f[1] = 0;
+    seen[1] = 1;
+    bit[2] = 0;
+    while (n > 1 && m > 1) {  /* node n, reached by bit[n] */
+        int64_t prev = q[n - 1], val;
+        if (prev < 1 || prev > n - 1)
+            return n;
+        f[n] = f[n - 1] + bit[n];
+        if (__builtin_add_overflow(q[n - prev], f[n], &val))
+            return -n;
+        if (val < 1 || val > n)
+            return -n;
+        q[n] = val;
+        seen[((n - 1) * m + f[n]) * (m + 1) + val] = 1;
+        if (n < m) {
+            bit[++n] = 0;
+        } else {  /* back up past every 1 bit, then take the next 1 branch */
+            while (n > 1 && bit[n])
+                n--;
+            bit[n] = 1;
+        }
     }
     return 0;
 }

@@ -11,6 +11,9 @@ Call contracts, shared with the C kernels as hofq.kernels wraps them:
 
 Python ints do not wrap, so the int64 range is enforced explicitly to keep
 overflow semantics identical to the compiled kernel.
+
+slow_walk differs: it writes a 1-D contiguous uint8 array sized by
+walk_size(m), which also bounds the walk's depth m.
 """
 
 INT64_MAX = 2**63 - 1
@@ -21,6 +24,8 @@ DIED = 1
 OVERFLOW = 2
 
 IMPLEMENTATION = "python"
+
+WALK_MAX_DEPTH = 62  # the C walk keeps its path in fixed arrays of this depth
 
 
 def one_term_trace(f, q):
@@ -79,3 +84,50 @@ def two_term_trace(q, n_init, start, d1, d2, outer):
     done = total if status == OK else where - start
     q[n_init:done] = ql[n_init:done]
     return status, where
+
+
+def walk_size(m):
+    """Bytes of slow_walk's array for prefixes of length m: m*m*(m+1).
+
+    Raises ValueError unless 1 <= m <= WALK_MAX_DEPTH, so that a caller can
+    check m before it allocates anything."""
+    if not 1 <= m <= WALK_MAX_DEPTH:
+        raise ValueError(
+            f"walk depth m = {m} is outside [1, {WALK_MAX_DEPTH}]")
+    return m * m * (m + 1)
+
+
+def slow_walk(seen, m):
+    """Mark every (n, f(n), q(n)) over all slow zero-start prefixes f(1..m).
+
+    Depth-first over the difference bits: node n extends q by one term and
+    sets seen[((n-1)*m + f(n))*(m+1) + q(n)] = 1, so 2^m - 1 nodes in O(m)
+    memory.  (DIED, n) is a dead lookup at n; (OVERFLOW, n) a q(n) outside
+    [1, n], which would leave the array (it also covers the int64 range).
+    """
+    size = walk_size(m)
+    if len(seen) < size:
+        raise ValueError(f"seen holds {len(seen)} bytes, the walk needs {size}")
+    marks = memoryview(seen)
+    q, f, bit = [0] * (m + 1), [0] * (m + 1), [0] * (m + 1)
+    q[1] = 1
+    marks[1] = 1
+    n = 2
+    while n > 1 and m > 1:  # node n, reached by bit[n]
+        prev = q[n - 1]
+        if prev < 1 or prev > n - 1:
+            return DIED, n
+        fn = f[n] = f[n - 1] + bit[n]
+        val = q[n - prev] + fn
+        if val < 1 or val > n:
+            return OVERFLOW, n
+        q[n] = val
+        marks[((n - 1) * m + fn) * (m + 1) + val] = 1
+        if n < m:
+            n += 1
+            bit[n] = 0
+        else:  # back up past every 1 bit, then take the next 1 branch
+            while n > 1 and bit[n]:
+                n -= 1
+            bit[n] = 1
+    return OK, 0

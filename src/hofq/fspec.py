@@ -263,9 +263,10 @@ class Prefix(FSpec):
     prefix: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.prefix:
+        prefix = tuple(map(int, self.prefix))
+        if not prefix:
             raise InvalidFSpec("prefix: need at least one value")
-        object.__setattr__(self, "prefix", tuple(int(v) for v in self.prefix))
+        object.__setattr__(self, "prefix", prefix)
 
     def value(self, n):
         if n > len(self.prefix):
@@ -766,7 +767,7 @@ def as_fspec(obj) -> FSpec:
     if isinstance(obj, (bytes, bytearray)):
         raise TypeError("ambiguous bytes; pass DiffBits(...) or a list")
     try:
-        return Prefix(tuple(int(v) for v in obj))
+        return Prefix(obj)  # which converts each value once
     except TypeError:
         raise TypeError(f"cannot interpret {obj!r} as an f-spec") from None
 

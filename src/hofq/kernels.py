@@ -1,6 +1,7 @@
 """Kernel backend selection.
 
-The trace loops are the C source `_kernels.c`.  On first import it is
+The kernels are the two trace loops and the triangle's prefix-tree walk
+`slow_walk`, in the C source `_kernels.c`.  On first import it is
 compiled with the C compiler Python was built with into the per-user cache
 `${XDG_CACHE_HOME:-~/.cache}/hofq/kernels-<source hash>.so` and loaded with
 ctypes.  When that fails (no compiler, unwritable cache) the pure-Python
@@ -21,17 +22,25 @@ from . import _kernels_py
 OK = _kernels_py.OK
 DIED = _kernels_py.DIED
 OVERFLOW = _kernels_py.OVERFLOW
+walk_size = _kernels_py.walk_size
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 
 
-def _address(a, name: str, write: bool = False) -> int:
+_BYTES = ctypes.c_char * 0  # a view of any buffer, even an empty one
+
+
+def _address(a, name: str, write: bool = False, dtype=np.int64) -> int:
     """Data address of `a` once it is known to be safe to hand to C."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 1
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
             and a.flags.c_contiguous and (a.flags.writeable or not write)):
         kind = "writeable " if write else ""
-        raise ValueError(f"{name} must be a 1-D C-contiguous {kind}int64 array")
-    return a.ctypes.data
+        raise ValueError(f"{name} must be a 1-D C-contiguous {kind}"
+                         f"{np.dtype(dtype).name} array")
+    if not a.flags.writeable:  # from_buffer takes writeable buffers only
+        return a.ctypes.data
+    # a third of the cost of a.ctypes.data, which builds a Python object
+    return ctypes.addressof(_BYTES.from_buffer(a))
 
 
 def _status(r: int, start: int) -> tuple[int, int]:
@@ -60,6 +69,9 @@ class CompiledKernels:
         self._two = lib.two_term_trace
         self._two.argtypes = [ptr, i64, i64, i64, i64, i64]
         self._two.restype = i64
+        self._walk = lib.slow_walk
+        self._walk.argtypes = [ptr, i64]
+        self._walk.restype = i64
 
     def one_term_trace(self, f, q):
         pf, pq = _address(f, "f"), _address(q, "q", write=True)
@@ -75,6 +87,14 @@ class CompiledKernels:
             raise ValueError(
                 f"n_init = {n_init} is outside [max(d1, d2), len(q)]")
         return _status(self._two(pq, len(q), n_init, d1, d2, outer), start)
+
+    def slow_walk(self, seen, m):
+        size = walk_size(m)
+        ps = _address(seen, "seen", write=True, dtype=np.uint8)
+        if len(seen) < size:
+            raise ValueError(
+                f"seen holds {len(seen)} bytes, the walk needs {size}")
+        return _status(self._walk(ps, m), 0)
 
 
 def _cache_path(source: bytes) -> Path:
@@ -133,3 +153,4 @@ BACKEND = _impl.IMPLEMENTATION
 
 one_term_trace = _impl.one_term_trace
 two_term_trace = _impl.two_term_trace
+slow_walk = _impl.slow_walk

@@ -2,8 +2,9 @@
 
 cell (i, n) is the set of values q(n) attains over all slow zero-start
 driving prefixes of length n whose final term f(n) equals i.  Built by
-brute force over all 2^(n_max - 1) difference bitstrings (no sampling),
-in contiguous blocks merged by set union.
+brute force over all 2^(n_max - 1) difference bitstrings (no sampling):
+a depth-first walk of their prefix tree, kernels.slow_walk, which extends
+q by one term per node and marks (n, f(n), q(n)) in a byte array.
 
 The closed-form envelope cell is {1} for i = 0 and {i+1, ..., n} for
 i >= 1; every attained cell is contained in its envelope, which is what
@@ -17,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import compute_q, compute_q_batch
+from . import kernels
+from .engine import compute_q
 from .errors import CapExceeded
-from .fspec import slow_prefix_matrix
 
-TRIANGLE_CAP = 24  # 2^23 sequences, minutes of work; override per call
-_BLOCK_BITS = 16
+# the walk has 2^n_max - 1 nodes; on a 2-core VM n_max = 30 takes ~5 s on
+# the C kernel and n_max = 24 ~11 s on the pure-Python one; override per call
+TRIANGLE_CAP = 30 if kernels.BACKEND == "c" else 24
 
 
 @dataclass(frozen=True)
@@ -71,33 +73,27 @@ def format_cell(values: tuple[int, ...]) -> str:
 def build_triangle(n_max: int, cap: int = TRIANGLE_CAP) -> TriangleTable:
     """Exact triangle for all rows n <= n_max.
 
-    One enumeration of the length-n_max prefixes covers every row, since
-    q(n) depends only on the first n terms and every length-n slow prefix
-    extends to length n_max.
+    One walk of the prefix tree of the length-n_max slow prefixes covers
+    every row, since its node at depth n is a length-n prefix and q(n)
+    depends only on the path to it.  The walk visits 2^n_max - 1 nodes
+    (2^(n_max - 1) leaves) in O(n_max) memory and marks the attained
+    (n, f(n), q(n)) in an n_max x n_max x (n_max + 1) byte array.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > cap:
         raise CapExceeded(f"triangle cap is n_max <= {cap}, got {n_max}")
-    total = 1 << (n_max - 1)
-    block = 1 << _BLOCK_BITS
-    seen: set[tuple[int, int, int]] = set()
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        f_mat = slow_prefix_matrix(n_max, lo, hi)
-        q_mat, died = compute_q_batch(f_mat)
-        if died.any():  # slow inputs cannot die; guard the enumeration
-            raise AssertionError("death inside slow enumeration")
-        for n in range(1, n_max + 1):
-            keys = f_mat[:, n - 1] * (n_max + 2) + q_mat[:, n - 1]
-            for key in np.unique(keys):
-                i, v = divmod(int(key), n_max + 2)
-                seen.add((i, n, v))
+    seen = np.zeros(kernels.walk_size(n_max), dtype=np.uint8)
+    status, _ = kernels.slow_walk(seen, n_max)
+    if status != kernels.OK:  # slow inputs cannot die; guard the enumeration
+        raise AssertionError("death inside slow enumeration")
     cells: dict[tuple[int, int], list[int]] = {}
-    for i, n, v in seen:
-        cells.setdefault((i, n), []).append(v)
-    return TriangleTable(
-        n_max, {k: tuple(sorted(vs)) for k, vs in cells.items()})
+    # C order: by n, then f(n), then q(n), so each value list comes sorted
+    ns, fs, vs = np.nonzero(seen.reshape(n_max, n_max, n_max + 1))
+    for n, i, v in zip(ns.tolist(), fs.tolist(), vs.tolist()):
+        cells.setdefault((i, n + 1), []).append(v)
+    return TriangleTable(n_max, {key: tuple(values)
+                                 for key, values in cells.items()})
 
 
 def envelope(i: int, n: int) -> range:

@@ -1,8 +1,15 @@
 """Independent reference implementations for cross-checking the engine.
 
 Deliberately written as direct, unoptimized recursions from the defining
-equations (python lists/dicts, no numpy, no shared code with the package).
+equations (python lists/dicts, no numpy, no shared code with the package),
+except oracle_triangle_cells: the triangle builder that preceded the
+prefix-tree walk, on numpy batches of whole prefixes.
 """
+
+import numpy as np
+
+from hofq.engine import compute_q_batch
+from hofq.fspec import slow_prefix_matrix
 
 
 def oracle_q(f, n_max=None):
@@ -46,3 +53,26 @@ def oracle_inverse_f(q):
     for n in range(2, len(q) + 1):
         f.append(q[n - 1] - q[n - q[n - 2] - 1])
     return f
+
+
+def oracle_triangle_cells(n_max):
+    """(i, n) -> sorted tuple of the q(n) attained with f(n) = i, from
+    compute_q_batch on every length-n_max slow prefix (itself checked
+    against the scalar kernel), in blocks merged by set union."""
+    total = 1 << (n_max - 1)
+    block = 1 << 16
+    seen = set()
+    for lo in range(0, total, block):
+        f_mat = slow_prefix_matrix(n_max, lo, min(lo + block, total))
+        q_mat, died = compute_q_batch(f_mat)
+        if died.any():
+            raise AssertionError("death inside slow enumeration")
+        for n in range(1, n_max + 1):
+            keys = f_mat[:, n - 1] * (n_max + 2) + q_mat[:, n - 1]
+            for key in np.unique(keys):
+                i, v = divmod(int(key), n_max + 2)
+                seen.add((i, n, v))
+    cells = {}
+    for i, n, v in seen:
+        cells.setdefault((i, n), []).append(v)
+    return {k: tuple(sorted(vs)) for k, vs in cells.items()}

@@ -107,6 +107,12 @@ def test_triangle_json(capsys):
     assert {"n": 4, "i": 1, "values": [2, 3]} in doc["cells"]
 
 
+def test_triangle_depth_bound_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "triangle", "--n", "63", "--cap", "63")
+    assert code == 1 and out == ""
+    assert err == "hofq: walk depth m = 63 is outside [1, 62]\n"
+
+
 def test_scan_selfsim_on_constant_trace(capsys):
     code, out, _ = run(capsys, "scan-selfsim", "--f", "zeros", "--n", "400",
                        "--shifts", "5,17", "--min-run", "10", "--format", "csv")

@@ -160,6 +160,7 @@ def test_compiled_wrapper_rejects_unsafe_arrays(c_kernels):
         with pytest.raises(ValueError):
             c_kernels.one_term_trace(ff, qq)
     assert c_kernels.one_term_trace(readonly, q) == (kernels.OK, 0)  # f is only read
+    assert c_kernels.one_term_trace(f[:0], q[:0]) == (kernels.OK, 0)  # empty
     bad_two_term = [
         (q.astype(np.float64), 2, 1, 1, 2, 0),
         (np.zeros(16, dtype=np.int64)[::2], 2, 1, 1, 2, 0),
@@ -172,6 +173,55 @@ def test_compiled_wrapper_rejects_unsafe_arrays(c_kernels):
     for args in bad_two_term:
         with pytest.raises(ValueError):
             c_kernels.two_term_trace(*args)
+
+
+def walk(mod, m):
+    seen = np.zeros(kernels.walk_size(m), dtype=np.uint8)
+    return mod.slow_walk(seen, m), seen
+
+
+def test_slow_walk_small(kernel_backend):
+    # (n - 1, f(n), q(n)) over f = 000, 001, 011, 012: q = 111, 112, 122, 123
+    status, seen = walk(kernel_backend, 3)
+    assert status == (kernels.OK, 0)
+    marked = {tuple(int(x) for x in idx)
+              for idx in zip(*np.nonzero(seen.reshape(3, 3, 4)))}
+    assert marked == {(0, 0, 1), (1, 0, 1), (1, 1, 2),
+                      (2, 0, 1), (2, 1, 2), (2, 2, 3)}
+
+
+def test_slow_walk_backends_agree(c_kernels):
+    for m in range(1, 15):
+        (sc, c), (sp, p) = walk(c_kernels, m), walk(_kernels_py, m)
+        assert sc == sp == (kernels.OK, 0)
+        assert np.array_equal(c, p), m
+
+
+def test_slow_walk_depth_is_bounded(kernel_backend):
+    # checked before the array, so no walk or allocation of that depth runs
+    seen = np.zeros(8, dtype=np.uint8)
+    for m in (0, -1, 63, 2**40):
+        with pytest.raises(ValueError, match=r"outside \[1, 62\]"):
+            kernel_backend.slow_walk(seen, m)
+    assert kernels.walk_size(62) == 62 * 62 * 63
+
+
+def test_compiled_slow_walk_rejects_unsafe_arrays(c_kernels):
+    size = kernels.walk_size(4)
+    readonly = np.zeros(size, dtype=np.uint8)
+    readonly.flags.writeable = False
+    bad = [
+        np.zeros(size, dtype=np.int64),       # dtype
+        np.zeros(size, dtype=np.float64),
+        readonly,                             # seen is written
+        np.zeros(size - 1, dtype=np.uint8),   # too small
+        np.zeros(2 * size, dtype=np.uint8)[::2],  # not contiguous
+        np.zeros((4, 4, 5), dtype=np.uint8),  # not 1-D
+        bytearray(size),                      # not an array
+    ]
+    for seen in bad:
+        with pytest.raises(ValueError):
+            c_kernels.slow_walk(seen, 4)
 
 
 def test_compiled_kernels_are_thread_safe(c_kernels):

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from hofq import kernels, triangle
 from hofq.errors import CapExceeded
 from hofq.engine import compute_q, compute_q_batch
 from hofq.exactfloor import staircase_value
 from hofq.fspec import slow_prefix_matrix
+from oracle import oracle_triangle_cells
 from hofq.triangle import (
     build_triangle,
     check_containment,
@@ -115,9 +117,41 @@ def test_predecessor_structure():
             assert preds <= {i - 1, i}
 
 
+def test_walk_matches_batch_oracle(kernel_backend, monkeypatch):
+    monkeypatch.setattr(kernels, "slow_walk", kernel_backend.slow_walk)
+    for n in range(1, 17):
+        assert build_triangle(n).cells == oracle_triangle_cells(n), n
+
+
+def test_walk_failure_raises(monkeypatch):
+    # slow prefixes cannot die, so only a broken kernel reaches this guard
+    for status in (kernels.DIED, kernels.OVERFLOW):
+        monkeypatch.setattr(kernels, "slow_walk", lambda seen, m: (status, 3))
+        with pytest.raises(AssertionError, match="death inside slow"):
+            build_triangle(5)
+
+
+def test_invariants_at_24_on_the_c_kernels(c_kernels, monkeypatch):
+    monkeypatch.setattr(kernels, "slow_walk", c_kernels.slow_walk)
+    table = build_triangle(24)
+    assert check_containment(table).ok
+    assert check_min(table).ok
+
+
+def test_depth_is_bounded_before_allocation():
+    # n_max = 10**6 would ask for 10**18 bytes if the bound came too late
+    for n_max in (63, 10**6):
+        with pytest.raises(ValueError, match="walk depth"):
+            build_triangle(n_max, cap=n_max)
+
+
+def test_default_cap_follows_backend():
+    assert triangle.TRIANGLE_CAP == (30 if kernels.BACKEND == "c" else 24)
+
+
 def test_cap():
     with pytest.raises(CapExceeded):
-        build_triangle(25)
+        build_triangle(triangle.TRIANGLE_CAP + 1)
     with pytest.raises(CapExceeded):
         build_triangle(11, cap=10)
 
