@@ -1,13 +1,15 @@
-/* Trace kernels and the triangle's prefix-tree walk, compiled on first
- * import by hofq/kernels.py and called through ctypes.  _kernels_py.py
- * holds the same loops with the same contracts and is the reference the
- * tests compare against.
+/* Trace kernels, a batch of one-term traces and the triangle's prefix-tree
+ * walk, compiled on first import by hofq/kernels.py and called through
+ * ctypes.  With _kernels_py.py, which holds the same loops with the same
+ * contracts and is the reference the tests compare against, these are the
+ * library's only loops over the recurrences.
  *
  * The caller checks every size, dtype and bound before passing pointers.
- * Each call returns one int64: 0 when every term was computed, +k when the
- * trace died at k and -k when the term at k leaves the int64 range; a
- * trace array then holds every term before k.  No state is shared between
- * calls, so they may run concurrently with the interpreter lock released.
+ * Each trace returns one int64 (one_term_rows stores one per row): 0 when
+ * every term was computed, +k when the trace died at k and -k when the
+ * term at k leaves the int64 range; a trace array then holds every term
+ * before k.  No state is shared between calls, so they may run
+ * concurrently with the interpreter lock released.
  */
 #include <stdint.h>
 
@@ -27,6 +29,16 @@ int64_t one_term_trace(const int64_t *f, int64_t *q, int64_t n_max)
         q[n - 1] = val;
     }
     return 0;
+}
+
+/* one_term_trace on each of `rows` rows of length m, laid end to end in f
+ * and q; status[r] receives row r's return value (the rows are the
+ * exhaustive sweeps' batches of whole prefixes). */
+void one_term_rows(const int64_t *f, int64_t *q, int64_t *status,
+                   int64_t rows, int64_t m)
+{
+    for (int64_t r = 0; r < rows; r++)
+        status[r] = one_term_trace(f + r * m, q + r * m, m);
 }
 
 /* q(n) = q(n - outer*d1 - q(n-d1)) + q(n - outer*d2 - q(n-d2)), where q[j]

@@ -9,6 +9,9 @@ Call contracts, shared with the C kernels as hofq.kernels wraps them:
     for nonzero status, n is the first index that could not be computed
   * on return the output array holds every term before index n
 
+one_term_rows is the batch form: one trace per row of flat f and q arrays,
+its (status, n) pairs stored as one int64 per row in a status array.
+
 Python ints do not wrap, so the int64 range is enforced explicitly to keep
 overflow semantics identical to the compiled kernel.
 
@@ -51,6 +54,17 @@ def one_term_trace(f, q):
     done = n_max if status == OK else where - 1
     q[:done] = ql[:done]
     return status, where
+
+
+def one_term_rows(f, q, status, m):
+    """one_term_trace on each length-m row of the flat arrays f and q (row r
+    is [r*m, (r+1)*m)); status[r] = 0, n for a death at n and -n for an
+    overflow at n, the C kernel's return value.  Terms from n on are left
+    as they were."""
+    for r in range(len(status)):
+        row = slice(r * m, (r + 1) * m)
+        code, where = one_term_trace(f[row], q[row])
+        status[r] = -where if code == OVERFLOW else where
 
 
 def two_term_trace(q, n_init, start, d1, d2, outer):

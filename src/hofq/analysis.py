@@ -77,18 +77,21 @@ def parse_model(text: str):
     """Model grammar for the CLI: sqrt:ALPHA | sqrt:gamma2 | const:A | power:A:P:B
     (rationals allowed in numeric slots)."""
     head, _, rest = text.strip().partition(":")
-    if head == "sqrt":
-        if rest == "gamma2":
-            return SqrtAlphaModel(GAMMA * GAMMA)
-        return SqrtAlphaModel(float(Fraction(rest)))
-    if head == "const":
-        return ConstLimitModel(int(rest))
-    if head == "power":
-        parts = rest.split(":")
-        if len(parts) != 3:
-            raise ValueError("power model needs power:A:P:B")
-        a, p, b = (float(Fraction(x)) for x in parts)
-        return PowerAnsatzModel(a, p, b)
+    try:
+        if head == "sqrt":
+            if rest == "gamma2":
+                return SqrtAlphaModel(GAMMA * GAMMA)
+            return SqrtAlphaModel(float(Fraction(rest)))
+        if head == "const":
+            return ConstLimitModel(int(rest))
+        if head == "power":
+            parts = rest.split(":")
+            if len(parts) != 3:
+                raise ValueError("power model needs power:A:P:B")
+            a, p, b = (float(Fraction(x)) for x in parts)
+            return PowerAnsatzModel(a, p, b)
+    except ZeroDivisionError:
+        raise ValueError(f"model {text!r} has a zero denominator") from None
     raise ValueError(f"unknown model {text!r}")
 
 
@@ -282,7 +285,7 @@ def export_figure_data(kind: str, out_path, n_max: int | None = None,
     kind = EXPORT_ALIASES.get(kind, kind)
     if kind not in EXPORT_KINDS:
         raise ValueError(f"unknown export kind {kind!r}")
-    n = n_max or _EXPORT_DEFAULT_N[kind]
+    n = _EXPORT_DEFAULT_N[kind] if n_max is None else n_max
     if kind == "detrended":
         spec = as_fspec(fspec) if fspec is not None else FloorRatio(1, 2)
         trace = _existing_trace(spec, n)

@@ -9,9 +9,12 @@ Two nested terms (Hofstadter-style), self-driven:
     q(n) = q(n - outer*d1 - q(n-d1)) + q(n - outer*d2 - q(n-d2))
 
 A sequence dies at n exactly when a nested lookup index falls outside
-[start, n-1]; the trace keeps every term before n.  All arithmetic is
-64-bit with explicit overflow detection.  Indices are 1-based throughout
-(two-term specs carry their own start index, e.g. 0).
+[start, n-1]; the trace keeps every term before n.  The recurrences run
+only in hofq.kernels: compute_q, compute_q_batch and compute_two_term
+check their input, make one kernel call and turn its status into a death
+record or an OverflowError, so all arithmetic is 64-bit and no term wraps.
+Indices are 1-based throughout (two-term specs carry their own start
+index, e.g. 0).
 """
 
 from __future__ import annotations
@@ -249,32 +252,23 @@ def is_slow(seq, zero_start: bool = False) -> bool:
 
 
 def compute_q_batch(f_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized traces for a batch of driving sequences (rows of f_mat).
+    """Traces for a batch of driving sequences (rows of f_mat), one
+    kernels.one_term_rows call.
 
     Returns (q_mat, died_at) where died_at[b] is 0 for rows that exist to
     the full width and the death index otherwise; entries of dead rows are 0
-    from the death index on.  No overflow detection: intended for slow-range
-    inputs where values stay near [1, n].  Cross-checked against the scalar
-    kernel in the test suite.
+    from the death index on.  Raises OverflowError, naming the first such
+    row, when a term leaves the int64 range.
     """
     f = np.ascontiguousarray(f_mat, dtype=np.int64)
     if f.ndim != 2:
         raise ValueError("need a 2-D batch")
-    nrows, m = f.shape
     q = np.zeros_like(f)
-    if m == 0 or nrows == 0:
-        return q, np.zeros(nrows, dtype=np.int64)
-    q[:, 0] = 1
-    alive = np.ones(nrows, dtype=bool)
-    died = np.zeros(nrows, dtype=np.int64)
-    rows = np.arange(nrows)
-    for n in range(2, m + 1):
-        prev = q[:, n - 2]
-        bad = alive & ((prev < 1) | (prev > n - 1))
-        if bad.any():
-            died[bad] = n
-            alive &= ~bad
-        k = np.where(alive, n - prev, 1)
-        vals = q[rows, k - 1] + f[:, n - 1]
-        q[:, n - 1] = np.where(alive, vals, 0)
-    return q, died
+    status = np.zeros(len(f), dtype=np.int64)
+    kernels.one_term_rows(f.reshape(-1), q.reshape(-1), status, f.shape[1])
+    over = np.flatnonzero(status < 0)
+    if over.size:
+        row = int(over[0])
+        raise OverflowError(
+            f"row {row}: q({-int(status[row])}) exceeds the 64-bit range")
+    return q, status

@@ -705,14 +705,15 @@ def shift_f(spec: FSpec, k: int) -> FSpec:
     return Shifted(k, spec)
 
 
-def enumerate_slow_prefixes(m: int, cap: int = ENUM_CAP):
+def enumerate_slow_prefixes(m: int):
     """Yield all 2^(m-1) slow zero-start prefixes of length m, as tuples, in
     lexicographic difference-bitstring order: the rows of
-    slow_prefix_matrix, built _ENUM_BLOCK rows at a time."""
+    slow_prefix_matrix, built _ENUM_BLOCK rows at a time.  CapExceeded for
+    m > ENUM_CAP."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > cap:
-        raise CapExceeded(f"enumeration cap is m <= {cap}, got {m}")
+    if m > ENUM_CAP:
+        raise CapExceeded(f"enumeration cap is m <= {ENUM_CAP}, got {m}")
     total = 1 << (m - 1)
     for lo in range(0, total, _ENUM_BLOCK):
         block = slow_prefix_matrix(m, lo, min(lo + _ENUM_BLOCK, total))

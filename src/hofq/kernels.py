@@ -1,7 +1,8 @@
 """Kernel backend selection.
 
-The kernels are the two trace loops and the triangle's prefix-tree walk
-`slow_walk`, in the C source `_kernels.c`.  On first import it is
+The kernels are the two trace loops, `one_term_rows` (the one-term trace
+on each row of a batch) and the triangle's prefix-tree walk `slow_walk`,
+in the C source `_kernels.c`.  On first import it is
 compiled with the C compiler Python was built with into the per-user cache
 `${XDG_CACHE_HOME:-~/.cache}/hofq/kernels-<source hash>.so` and loaded with
 ctypes.  When that fails (no compiler, unwritable cache) the pure-Python
@@ -66,6 +67,9 @@ class CompiledKernels:
         self._one = lib.one_term_trace
         self._one.argtypes = [ptr, ptr, i64]
         self._one.restype = i64
+        self._rows = lib.one_term_rows
+        self._rows.argtypes = [ptr, ptr, ptr, i64, i64]
+        self._rows.restype = None
         self._two = lib.two_term_trace
         self._two.argtypes = [ptr, i64, i64, i64, i64, i64]
         self._two.restype = i64
@@ -78,6 +82,15 @@ class CompiledKernels:
         if len(q) < len(f):
             raise ValueError(f"q holds {len(q)} terms, f has {len(f)}")
         return _status(self._one(pf, pq, len(f)), 0)
+
+    def one_term_rows(self, f, q, status, m):
+        pf, pq = _address(f, "f"), _address(q, "q", write=True)
+        ps = _address(status, "status", write=True)
+        if m < 0 or not len(f) == len(q) == len(status) * m:
+            raise ValueError(f"need m >= 0 and len(f) = len(q) = len(status)"
+                             f" * m; got m = {m}, {len(f)}, {len(q)} and"
+                             f" {len(status)}")
+        self._rows(pf, pq, ps, len(status), m)
 
     def two_term_trace(self, q, n_init, start, d1, d2, outer):
         pq = _address(q, "q", write=True)
@@ -152,5 +165,6 @@ else:
 BACKEND = _impl.IMPLEMENTATION
 
 one_term_trace = _impl.one_term_trace
+one_term_rows = _impl.one_term_rows
 two_term_trace = _impl.two_term_trace
 slow_walk = _impl.slow_walk

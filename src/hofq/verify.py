@@ -71,7 +71,7 @@ def _result(name, n, expected, actual, offset=1, details=None):
 
 def verify_zeros_and_linear(n: int | None = None) -> VerifierResult:
     """Q(zeros) is constant 1 and Q(linear) is the identity."""
-    n = n or DEFAULT_N
+    n = DEFAULT_N if n is None else n
     q0 = compute_q(Zeros(), n)
     q1 = compute_q(Linear(), n)
     ident = np.arange(1, n + 1, dtype=np.int64)
@@ -83,7 +83,7 @@ def verify_zeros_and_linear(n: int | None = None) -> VerifierResult:
 def verify_non_slow_closed_forms(n: int | None = None) -> VerifierResult:
     """Two non-slow drivers with closed-form traces: the even staircase
     2*floor((n-1)/2) gives odd-repeats, and the parity driver gives 1,2,1,2,..."""
-    n = n or DEFAULT_N
+    n = DEFAULT_N if n is None else n
     idx = np.arange(1, n + 1, dtype=np.int64)
     even = (idx % 2 == 0)
     qa = compute_q(FloorRatio(1, 2, shift=-1, scale=2), n)
@@ -98,7 +98,7 @@ def verify_non_slow_closed_forms(n: int | None = None) -> VerifierResult:
 
 def verify_mod_class(n: int | None = None, ms=(1, 2, 3, 5, 7)) -> VerifierResult:
     """Q((n-1) mod m)(n) = ((n-1) mod m) + 1 for each m."""
-    n = n or DEFAULT_N
+    n = DEFAULT_N if n is None else n
     per_m = {}
     mism = None
     for m in ms:
@@ -117,7 +117,7 @@ def verify_shift(n: int | None = None, fspec="floor:1/2",
     """Prepending one zero to f delays the whole trace by one step:
     Q(shift(f))(k) = Q(f)(k-1).  Checked on one long trace and exhaustively
     over every slow prefix of length <= exhaustive_m."""
-    n = n or DEFAULT_N
+    n = DEFAULT_N if n is None else n
     spec = as_fspec(fspec)
     base = compute_q(spec, n)
     shifted = compute_q(shift_f(spec, 1), n)
@@ -163,7 +163,7 @@ def verify_quarter_floor(n: int | None = None, samples: int = 10**4,
                          seed: int = 20260810) -> VerifierResult:
     """Q(floor((n+2)/4))(n) = floor((n+2)/2); plus the real-valued solution
     x/2 + (3 + cos pi x)/4 of the same recurrence, checked on random reals."""
-    n = n or DEFAULT_N
+    n = DEFAULT_N if n is None else n
     trace = compute_q(FloorRatio(1, 4, shift=2), n)
     idx = np.arange(1, n + 1, dtype=np.int64)
     mism = _first_mismatch((idx + 2) // 2, trace.q_values)
@@ -192,7 +192,7 @@ def verify_sqrt_staircase(n: int | None = None) -> VerifierResult:
     """With the one-dip driver (0,1,1,...), the trace is the staircase where
     k occupies indices (k^2-k+2)/2 .. ((k+1)^2-(k+1)+2)/2 - 1; equivalently
     q(n) = floor(1/2 + sqrt(2n - 7/4))."""
-    n = n or DEFAULT_N
+    n = DEFAULT_N if n is None else n
     trace = compute_q(OneMinusDelta(1), n)
     top = int(staircase_value_array(np.array([n]))[0]) + 1
     runs = np.repeat(np.arange(1, top + 1, dtype=np.int64),
@@ -208,7 +208,7 @@ def verify_sqrt_staircase(n: int | None = None) -> VerifierResult:
 
 def verify_golden(n: int | None = None) -> VerifierResult:
     """Q(floor(gamma^2 n))(n) = 1 + floor(gamma (n-1)), all floors exact."""
-    n = n or DEFAULT_N
+    n = DEFAULT_N if n is None else n
     trace = compute_q(GammaSq(), n)
     expected = 1 + floor_gamma_array(np.arange(0, n, dtype=np.int64))
     return _result("golden", n, expected, trace.q_values)
@@ -226,7 +226,7 @@ def verify_golden_identity(n: int | None = None,
     independent integer route.  n = 1 is the lone boundary point, where
     {gamma^2 n} equals gamma^2 exactly.
     """
-    n = n or DEFAULT_N
+    n = DEFAULT_N if n is None else n
     m = np.arange(0, n + 2, dtype=np.int64)
     fsq = floor_gamma_sq_array(m)  # fsq[j] = floor(gamma^2 j), fsq[0] = 0
     term1 = floor_gamma_array(fsq[0:n] + 1)  # floor(gamma*(floor(..)+1))
@@ -287,7 +287,7 @@ def _golden_oracle_check(n: int, samples: int) -> tuple[int, int, int] | None:
 def verify_quasi_polynomial(n: int | None = None) -> VerifierResult:
     """The two-lookup trace with start values at 3..12 follows, past 12, the
     five-way polynomial schedule (2, n-4, 5, n-5, n-6) keyed by n mod 5."""
-    n = n or DEFAULT_N_TWO_TERM
+    n = DEFAULT_N_TWO_TERM if n is None else n
     if n <= 12:
         raise ValueError("need n > 12")
     trace = compute_two_term(quasipolynomial_spec(), n)
@@ -319,7 +319,10 @@ REGISTRY = {
 
 def run_suite(names=None, n: int | None = None,
               threads: int | None = None) -> list[VerifierResult]:
-    """Run verifiers (all by default) in parallel; results in name order."""
+    """Run verifiers (all by default) in parallel; results in name order.
+    n = None gives each verifier its default length."""
+    if n is not None and n < 1:
+        raise ValueError("n_max must be >= 1")
     if names is None:
         names = list(REGISTRY)
     bad = [x for x in names if x not in REGISTRY]

@@ -3,7 +3,9 @@
 Deliberately written as direct, unoptimized recursions from the defining
 equations (python lists/dicts, no numpy, no shared code with the package),
 except oracle_triangle_cells: the triangle builder that preceded the
-prefix-tree walk, on numpy batches of whole prefixes.
+prefix-tree walk, on batches of whole prefixes.  Its batches go through
+compute_q_batch, that is the same one-term kernel as compute_q, so it checks
+the walk against the row-by-row trace, not against a second recurrence.
 """
 
 import numpy as np
@@ -57,8 +59,8 @@ def oracle_inverse_f(q):
 
 def oracle_triangle_cells(n_max):
     """(i, n) -> sorted tuple of the q(n) attained with f(n) = i, from
-    compute_q_batch on every length-n_max slow prefix (itself checked
-    against the scalar kernel), in blocks merged by set union."""
+    compute_q_batch on every length-n_max slow prefix (its rows checked
+    against oracle_q), in blocks merged by set union."""
     total = 1 << (n_max - 1)
     block = 1 << 16
     seen = set()

@@ -89,6 +89,14 @@ def test_verify_oracle_failure_exits_3(capsys, monkeypatch):
     assert len(out.splitlines()) == 1 and "Traceback" not in out
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_verify_nonpositive_n_is_a_usage_error(capsys, n):
+    for lemma in ("zeros-linear", "golden-identity", "all"):
+        code, out, err = run(capsys, "verify", "--lemma", lemma, "--n", n)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["hofq: n_max must be >= 1"]
+
+
 def test_verify_unknown_name(capsys):
     code, _, err = run(capsys, "verify", "--lemma", "nope")
     assert code == 1 and "unknown verifier" in err
@@ -171,6 +179,19 @@ def test_approx_on_dying_trace_exits_2(capsys):
     assert err.splitlines() == ["hofq: sequence died at n = 3 (lookup index 0)"]
 
 
+@pytest.mark.parametrize("model, message", [
+    ("sqrt:1/0", "model 'sqrt:1/0' has a zero denominator"),
+    ("power:1:1/0:1", "model 'power:1:1/0:1' has a zero denominator"),
+    ("cubic:2", "unknown model 'cubic:2'"),
+    ("power:1:2", "power model needs power:A:P:B"),
+])
+def test_approx_bad_model_is_a_usage_error(capsys, model, message):
+    code, out, err = run(capsys, "approx", "--f", "floor:1/2", "--n", "10",
+                         "--model", model)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"hofq: {message}"]
+
+
 def test_approx_text_and_json(capsys):
     code, out, _ = run(capsys, "approx", "--f", "floor:1/2", "--model",
                        "sqrt:1/2", "--n", "4000")
@@ -201,6 +222,15 @@ def test_export_figure_on_dying_trace_exits_2(tmp_path, capsys, which):
                          "prefix:0,2,2", "--n", "3", "--out", str(out_file))
     assert code == 2 and out == "" and not out_file.exists()
     assert err.splitlines() == ["hofq: sequence died at n = 3 (lookup index 0)"]
+
+
+@pytest.mark.parametrize("which", ["trace", "detrended", "perturbation"])
+def test_export_figure_zero_n_is_a_usage_error(tmp_path, capsys, which):
+    out_file = tmp_path / "fig.csv"
+    code, out, err = run(capsys, "export-figure", "--which", which, "--f",
+                         "zeros", "--n", "0", "--out", str(out_file))
+    assert code == 1 and out == "" and not out_file.exists()
+    assert err.splitlines() == ["hofq: n_max must be >= 1"]
 
 
 def test_export_figure_trace_keeps_dying_trace(tmp_path, capsys):

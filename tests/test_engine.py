@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hofq import engine
+from hofq import engine, kernels
 from hofq.engine import (
     compute_c,
     compute_f_from_q,
@@ -249,6 +249,9 @@ def test_batch_matches_scalar_engine():
     for mat in (batch, np.asarray(list(enumerate_slow_prefixes(10))), slow):
         q_mat, died = compute_q_batch(mat)
         for row in range(len(mat)):
+            q_ref, died_ref, _ = oracle_q([int(v) for v in mat[row]])
+            assert q_mat[row, :len(q_ref)].tolist() == q_ref
+            assert died[row] == (died_ref or 0)
             t = compute_q([int(v) for v in mat[row]], mat.shape[1])
             if t.exists:
                 assert died[row] == 0
@@ -257,6 +260,40 @@ def test_batch_matches_scalar_engine():
                 assert died[row] == t.outcome.died_at
                 upto = t.outcome.died_at - 1
                 assert (q_mat[row, :upto] == t.q_values).all()
+
+
+@pytest.fixture
+def batch_backend(kernel_backend, monkeypatch):
+    """compute_q_batch on each kernel backend."""
+    monkeypatch.setattr(kernels, "one_term_rows", kernel_backend.one_term_rows)
+    return kernel_backend
+
+
+def test_batch_overflow_is_loud(batch_backend):
+    with pytest.raises(OverflowError, match=r"row 0: q\(2\) exceeds"):
+        compute_q_batch([[0, 2**63 - 1]])
+    mat = np.zeros((4, 5), dtype=np.int64)
+    mat[2, 1:] = [1, 1, 1, 2**63 - 1]  # q(5) = q(2) + f(5) = 2 + f(5)
+    mat[3, 1] = 2**63 - 1
+    with pytest.raises(OverflowError, match=r"row 2: q\(5\) exceeds"):
+        compute_q_batch(mat)
+
+
+def test_batch_dying_row_keeps_zeros(batch_backend):
+    q_mat, died = compute_q_batch([[0, 2, 2, 2, 2], [0, 1, 1, 1, 1],
+                                   [0, 0, 1, 5, 0]])
+    assert died.tolist() == [3, 0, 5]
+    assert q_mat.tolist() == [[1, 3, 0, 0, 0], [1, 2, 2, 3, 3],
+                              [1, 1, 2, 6, 0]]
+
+
+def test_batch_shapes(batch_backend):
+    for shape in ((0, 6), (4, 0), (0, 0)):
+        q_mat, died = compute_q_batch(np.zeros(shape, dtype=np.int64))
+        assert q_mat.shape == shape and q_mat.dtype == np.int64
+        assert died.tolist() == [0] * shape[0] and died.dtype == np.int64
+    with pytest.raises(ValueError, match="need a 2-D batch"):
+        compute_q_batch([0, 1, 1])
 
 
 def test_existence_outcome_str():

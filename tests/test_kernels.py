@@ -175,6 +175,76 @@ def test_compiled_wrapper_rejects_unsafe_arrays(c_kernels):
             c_kernels.two_term_trace(*args)
 
 
+def run_rows(mod, f_mat):
+    """one_term_rows on the rows of f_mat; (status, q_mat)."""
+    f_mat = np.ascontiguousarray(f_mat, dtype=np.int64)
+    q = np.zeros_like(f_mat)
+    status = np.full(len(f_mat), 7, dtype=np.int64)  # every entry is written
+    mod.one_term_rows(f_mat.reshape(-1), q.reshape(-1), status, f_mat.shape[1])
+    return status, q
+
+
+def test_one_term_rows_small(kernel_backend):
+    status, q = run_rows(kernel_backend, [[0, 1, 1], [0, 2, 2], [0, INT64_MAX, 0]])
+    assert status.tolist() == [0, 3, -2]
+    assert q.tolist() == [[1, 2, 2], [1, 3, 0], [1, 0, 0]]
+    for shape in ((0, 4), (3, 0), (0, 0)):
+        status, q = run_rows(kernel_backend, np.zeros(shape, dtype=np.int64))
+        assert status.tolist() == [0] * shape[0] and q.shape == shape
+
+
+def test_one_term_rows_backends_agree(c_kernels):
+    rng = np.random.default_rng(47)
+    codes = set()
+    for _ in range(60):
+        rows, m = int(rng.integers(0, 40)), int(rng.integers(0, 30))
+        f_mat = extreme_or_small(rng, (rows, m), 3) if rng.random() < 0.3 \
+            else rng.integers(-2, 4, size=(rows, m))
+        if m:
+            f_mat[:, 0] = 0
+        (sc, qc), (sp, qp) = run_rows(c_kernels, f_mat), run_rows(_kernels_py, f_mat)
+        assert np.array_equal(sc, sp) and np.array_equal(qc, qp)
+        for r in range(rows):  # each row is the scalar trace of that row
+            one = run_one_term(_kernels_py, f_mat[r])
+            assert np.array_equal(qp[r], one[2])
+            assert sp[r] == {kernels.OK: 0, kernels.DIED: one[1],
+                             kernels.OVERFLOW: -one[1]}[one[0]]
+        codes.update(np.sign(sc).tolist())
+    assert codes == {-1, 0, 1}  # living, dying and overflowing rows
+
+
+def test_compiled_one_term_rows_rejects_unsafe_arrays(c_kernels, monkeypatch):
+    def no_call(*args):
+        raise AssertionError("the C kernel was called")
+
+    monkeypatch.setattr(c_kernels, "_rows", no_call)
+    f = np.zeros(12, dtype=np.int64)
+    q = np.zeros(12, dtype=np.int64)
+    status = np.zeros(3, dtype=np.int64)
+    readonly = np.zeros(12, dtype=np.int64)
+    readonly.flags.writeable = False
+    bad = [
+        (f.astype(np.float64), q, status, 4),       # dtype
+        (f.astype(np.int32), q, status, 4),
+        (f, q.astype(np.int32), status, 4),
+        (f, q, status.astype(np.float64), 4),
+        (f, readonly, status, 4),                   # q is written
+        (f, q, readonly[:3], 4),                    # status is written
+        (np.zeros(24, dtype=np.int64)[::2], q, status, 4),  # not contiguous
+        (f, np.zeros(24, dtype=np.int64)[::2], status, 4),
+        (f, q, np.zeros(6, dtype=np.int64)[::2], 4),
+        (f, q, status, 3),                          # length mismatch
+        (f, q[:8], status, 4),
+        (f[:8], q, status, 4),
+        (f, q, status[:2], 4),
+        (f[:0], q[:0], status[:0], -1),             # m < 0
+        (f, q, status, -4),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            c_kernels.one_term_rows(*args)
+
+
 def walk(mod, m):
     seen = np.zeros(kernels.walk_size(m), dtype=np.uint8)
     return mod.slow_walk(seen, m), seen
