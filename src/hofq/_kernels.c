@@ -1,17 +1,20 @@
-/* Trace kernels, a batch of one-term traces and the triangle's prefix-tree
- * walk, compiled on first import by hofq/kernels.py and called through
- * ctypes.  With _kernels_py.py, which holds the same loops with the same
- * contracts and is the reference the tests compare against, these are the
- * library's only loops over the recurrences.
+/* Trace kernels, a batch of one-term traces, the triangle's prefix-tree
+ * walk and the table writer's integer rows, compiled on first import by
+ * hofq/kernels.py and called through ctypes.  With _kernels_py.py, which
+ * holds the same loops with the same contracts and is the reference the
+ * tests compare against, these are the library's only loops over the
+ * recurrences.
  *
  * The caller checks every size, dtype and bound before passing pointers.
  * Each trace returns one int64 (one_term_rows stores one per row): 0 when
  * every term was computed, +k when the trace died at k and -k when the
  * term at k leaves the int64 range; a trace array then holds every term
- * before k.  No state is shared between calls, so they may run
- * concurrently with the interpreter lock released.
+ * before k.  format_rows returns the number of bytes it wrote.  No state
+ * is shared between calls, so they may run concurrently with the
+ * interpreter lock released.
  */
 #include <stdint.h>
+#include <string.h>
 
 /* q(1) = 1; q(n) = q(n - q(n-1)) + f(n) for n = 2..n_max; k is the index n. */
 int64_t one_term_trace(const int64_t *f, int64_t *q, int64_t n_max)
@@ -99,4 +102,42 @@ int64_t slow_walk(uint8_t *seen, int64_t m)
         }
     }
     return 0;
+}
+
+/* Rows of integer fields, as Python's `%` fills a row format whose every
+ * field is %d or %<w>d: row r is piece 0, cols[0][r], piece 1, ...,
+ * cols[ncols-1][r], piece ncols, where piece j is lit[ends[j-1]..ends[j])
+ * (ends[-1] taken as 0) and field j is right-justified with spaces to
+ * widths[j] characters (0 for none).  A field takes at most max(20,
+ * widths[j]) bytes, so the caller passes rows * (ends[ncols] + the sum of
+ * those) bytes of out. */
+int64_t format_rows(const int64_t *const *cols, const int64_t *widths,
+                    int64_t ncols, int64_t rows, const uint8_t *lit,
+                    const int64_t *ends, uint8_t *out)
+{
+    uint8_t *p = out;
+    for (int64_t r = 0; r < rows; r++) {
+        memcpy(p, lit, ends[0]);
+        p += ends[0];
+        for (int64_t j = 0; j < ncols; j++) {
+            int64_t v = cols[j][r], pad;
+            /* negate through uint64_t, so that INT64_MIN is exact */
+            uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+            uint8_t digits[20];
+            int k = 20;
+            do {
+                digits[--k] = (uint8_t)('0' + u % 10);
+                u /= 10;
+            } while (u);
+            if (v < 0)
+                digits[--k] = '-';
+            for (pad = widths[j] - (20 - k); pad > 0; pad--)
+                *p++ = ' ';
+            memcpy(p, digits + k, 20 - k);
+            p += 20 - k;
+            memcpy(p, lit + ends[j], ends[j + 1] - ends[j]);
+            p += ends[j + 1] - ends[j];
+        }
+    }
+    return p - out;
 }

@@ -17,6 +17,11 @@ overflow semantics identical to the compiled kernel.
 
 slow_walk differs: it writes a 1-D contiguous uint8 array sized by
 walk_size(m), which also bounds the walk's depth m.
+
+format_rows is the table writer's kernel for rows of integer fields: it
+writes their text into a uint8 array and returns the byte count.  Here it
+is one call to percent_rows, the library's one Python row formatter, which
+hofq.table also runs for the rows that hold float fields.
 """
 
 INT64_MAX = 2**63 - 1
@@ -29,6 +34,8 @@ OVERFLOW = 2
 IMPLEMENTATION = "python"
 
 WALK_MAX_DEPTH = 62  # the C walk keeps its path in fixed arrays of this depth
+
+FORMAT_MAX_WIDTH = 64  # the widest %<w>d field of format_rows
 
 
 def one_term_trace(f, q):
@@ -145,3 +152,46 @@ def slow_walk(seen, m):
                 n -= 1
             bit[n] = 1
     return OK, 0
+
+
+def format_size(rows, lit, widths):
+    """Bytes of format_rows' out array for `rows` rows: an int64 field takes
+    at most 20 characters, or its width.
+
+    Raises ValueError unless every width is in [0, FORMAT_MAX_WIDTH]."""
+    if not all(0 <= w <= FORMAT_MAX_WIDTH for w in widths):
+        raise ValueError(f"field widths {list(widths)} are outside"
+                         f" [0, {FORMAT_MAX_WIDTH}]")
+    return rows * (len(lit) + sum(max(20, w) for w in widths))
+
+
+def percent_rows(template, cols, rows):
+    """`template % row` for the first `rows` rows of cols, concatenated.
+
+    The rows' values are interleaved into one flat list and filled into
+    the template repeated once per row by a single `%`, so no Python code
+    runs per row.  `%d` prints an integer as `str(int(v))`, `%.12g` a float
+    as `format(v, ".12g")` and `%r` a float as `float.__repr__`."""
+    width = len(cols)
+    flat = [None] * (rows * width)
+    for j, col in enumerate(cols):
+        flat[j::width] = col[:rows].tolist()
+    return template * rows % tuple(flat)
+
+
+def format_rows(cols, widths, rows, lit, ends, out):
+    """Write `rows` rows of the int64 columns cols into the uint8 array out
+    and return the number of bytes written.  Row r is piece 0, cols[0][r],
+    piece 1, ..., piece len(cols), where piece j is the bytes
+    lit[ends[j-1]:ends[j]] (from 0 for j = 0); field j is printed as `%d`
+    right-justified to widths[j] characters (0 for none)."""
+    starts = [0, *ends[:-1]]
+    # latin-1 maps bytes to characters one to one, so the pieces come back
+    # byte for byte whatever their encoding
+    pieces = [lit[a:b].decode("latin-1").replace("%", "%%")
+              for a, b in zip(starts, ends)]
+    fields = [f"%{w}d" if w else "%d" for w in widths]
+    template = pieces[0] + "".join(map(str.__add__, fields, pieces[1:]))
+    text = percent_rows(template, cols, rows).encode("latin-1")
+    out[:len(text)] = memoryview(text)
+    return len(text)

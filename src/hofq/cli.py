@@ -194,14 +194,23 @@ def _write_json(fh, doc: dict) -> None:
 def _emit_trace(args, trace: engine.QTrace, fh) -> None:
     has_f = trace.f_values is not None
     if args.format == "json":
-        doc = {"schema": "hofq.trace/1",
-               "fspec": trace.fspec.spec_str() if trace.fspec else None,
-               "start": trace.start,
-               "outcome": _outcome_json(trace.outcome),
-               "q": trace.q_values.tolist()}
+        # the head as json.dumps writes it, then each array as the table
+        # writer's JSON rows, which is how json.dumps spells a list of ints
+        head = json.dumps({"schema": "hofq.trace/1",
+                           "fspec": trace.fspec.spec_str() if trace.fspec
+                           else None,
+                           "start": trace.start,
+                           "outcome": _outcome_json(trace.outcome)},
+                          separators=(",", ":"), default=str)
+        fh.write(head[:-1])
+        arrays = {"q": trace.q_values}
         if has_f:
-            doc["f"] = trace.f_values.tolist()
-        _write_json(fh, doc)
+            arrays["f"] = trace.f_values
+        for key, values in arrays.items():
+            fh.write(f',"{key}":[')
+            write_rows(fh, "%d", (values,), json=True)
+            fh.write("]")
+        fh.write("}\n")
         return
     idx = np.arange(trace.start, trace.n_max + 1, dtype=np.int64)
     if has_f:

@@ -1,9 +1,10 @@
 """Kernel backend selection.
 
 The kernels are the two trace loops, `one_term_rows` (the one-term trace
-on each row of a batch) and the triangle's prefix-tree walk `slow_walk`,
-in the C source `_kernels.c`.  On first import it is
-compiled with the C compiler Python was built with into the per-user cache
+on each row of a batch), the triangle's prefix-tree walk `slow_walk` and
+`format_rows` (the table writer's rows of integer fields), in the C source
+`_kernels.c`.  On first import it is compiled with the C compiler Python
+was built with into the per-user cache
 `${XDG_CACHE_HOME:-~/.cache}/hofq/kernels-<source hash>.so` and loaded with
 ctypes.  When that fails (no compiler, unwritable cache) the pure-Python
 twin `_kernels_py` runs instead; HOFQ_PURE=1 forces it.  BACKEND names the
@@ -24,6 +25,9 @@ OK = _kernels_py.OK
 DIED = _kernels_py.DIED
 OVERFLOW = _kernels_py.OVERFLOW
 walk_size = _kernels_py.walk_size
+format_size = _kernels_py.format_size
+FORMAT_MAX_WIDTH = _kernels_py.FORMAT_MAX_WIDTH
+percent_rows = _kernels_py.percent_rows  # the one Python row formatter
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 
@@ -76,6 +80,9 @@ class CompiledKernels:
         self._walk = lib.slow_walk
         self._walk.argtypes = [ptr, i64]
         self._walk.restype = i64
+        self._fmt = lib.format_rows
+        self._fmt.argtypes = [ptr, ptr, i64, i64, ctypes.c_char_p, ptr, ptr]
+        self._fmt.restype = i64
 
     def one_term_trace(self, f, q):
         pf, pq = _address(f, "f"), _address(q, "q", write=True)
@@ -108,6 +115,28 @@ class CompiledKernels:
             raise ValueError(
                 f"seen holds {len(seen)} bytes, the walk needs {size}")
         return _status(self._walk(ps, m), 0)
+
+    def format_rows(self, cols, widths, rows, lit, ends, out):
+        pcols = [_address(c, f"column {j}") for j, c in enumerate(cols)]
+        if rows < 0 or any(len(c) < rows for c in cols):
+            raise ValueError(f"every column must hold rows = {rows} >= 0"
+                             f" values; got {[len(c) for c in cols]}")
+        if len(widths) != len(cols) or len(ends) != len(cols) + 1:
+            raise ValueError(f"need one width per column and one end per"
+                             f" literal piece; got {len(widths)} and"
+                             f" {len(ends)} for {len(cols)} columns")
+        if ends[-1] != len(lit) or any(b < a for a, b in zip([0, *ends], ends)):
+            raise ValueError(f"ends must rise from 0 to len(lit) ="
+                             f" {len(lit)}; got {list(ends)}")
+        need = format_size(rows, lit, widths)
+        pout = _address(out, "out", write=True, dtype=np.uint8)
+        if len(out) < need:
+            raise ValueError(f"out holds {len(out)} bytes, the rows may"
+                             f" need {need}")
+        n = len(cols)
+        return self._fmt((ctypes.c_void_p * n)(*pcols),
+                         (ctypes.c_int64 * n)(*widths), n, rows, bytes(lit),
+                         (ctypes.c_int64 * (n + 1))(*ends), pout)
 
 
 def _cache_path(source: bytes) -> Path:
@@ -168,3 +197,4 @@ one_term_trace = _impl.one_term_trace
 one_term_rows = _impl.one_term_rows
 two_term_trace = _impl.two_term_trace
 slow_walk = _impl.slow_walk
+format_rows = _impl.format_rows

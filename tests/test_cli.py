@@ -362,6 +362,28 @@ def test_closed_pipe_in_a_pipeline(argv, lines_read, expect_code):
     assert err == (expect_err if expect_code == 2 else b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["compute", "--f", "gamma2", "--n", "100000", "--format", "csv"],
+    ["hofstadter", "--n", "100000", "--format", "csv"],
+    ["export-figure", "--which", "trace", "--f", "gamma2", "--n", "100000",
+     "--format", "json"],
+    ["scan-selfsim", "--f", "floor:1/2", "--n", "20000", "--shift-range",
+     "60:130", "--min-run", "50", "--format", "text"],
+])
+def test_full_disk_is_one_line(argv):
+    """A write that finds the disk full (more than one table chunk, for the
+    first three) ends the command with exit 1 and one line, no traceback,
+    also from the interpreter's exit."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(hofq.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "hofq.cli", *argv,
+                           "--out", "/dev/full"], env=env,
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, b"", b"hofq: [Errno 28] No space left on device\n")
+
+
 def test_runtime_does_not_import_mpmath():
     """mpmath is a test-only oracle: the verifiers and the exact exp
     ceiling (a > 2**52 goes term by term) run on the standard library."""

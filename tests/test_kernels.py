@@ -339,3 +339,87 @@ def test_compiled_kernels_are_thread_safe(c_kernels):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+PIECES = ["", ",", "  ", "; ", "é", "→|", "[", "]\r\n", "%", "ab%%c"]
+
+
+def format_table(mod, cols, widths, pieces, rows=None):
+    """mod.format_rows into an out array of exactly the wrapper's bound."""
+    encoded = [p.encode() for p in pieces]
+    lit, ends = b"".join(encoded), np.cumsum([len(p) for p in encoded]).tolist()
+    rows = len(cols[0]) if rows is None else rows
+    out = np.zeros(rows * (len(lit) + sum(max(20, w) for w in widths)),
+                   dtype=np.uint8)
+    size = mod.format_rows(cols, widths, rows, lit, ends, out)
+    return out[:size].tobytes().decode()
+
+
+def percent_oracle(cols, widths, pieces, rows):
+    """Row by row with `%`, the operator the writer's `%d` fields stand for."""
+    fields = [f"%{w}d" if w else "%d" for w in widths]
+    row_fmt = pieces[0].replace("%", "%%") + "".join(
+        f + p.replace("%", "%%") for f, p in zip(fields, pieces[1:]))
+    return "".join(row_fmt % tuple(int(c[r]) for c in cols)
+                   for r in range(rows))
+
+
+def test_format_rows_small(kernel_backend):
+    col = np.array([INT64_MIN, -1, 0, 7, INT64_MAX], dtype=np.int64)
+    assert format_table(kernel_backend, [col, col[::-1].copy()], [0, 2],
+                        ["<", "|", ">\n"]) == "".join(
+        f"<{a}|{b:>2}>\n" for a, b in zip(col.tolist(), col[::-1].tolist()))
+    assert format_table(kernel_backend, [col], [25], ["", ""]) == "".join(
+        f"{v:>25}" for v in col.tolist())
+    assert format_table(kernel_backend, [col], [0], ["a", "b"], rows=0) == ""
+    assert format_table(kernel_backend, [], [], ["x\n"], rows=3) == "x\n" * 3
+
+
+def test_format_rows_backends_agree(c_kernels):
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        ncols, rows = int(rng.integers(1, 7)), int(rng.integers(0, 50))
+        cols = [extreme_or_small(rng, rows, 10**int(rng.integers(0, 19)))
+                for _ in range(ncols)]
+        for c in cols:  # the extremes themselves, when there is room
+            c[:3] = [INT64_MIN, 0, INT64_MAX][:rows]
+        widths = rng.choice([0, 0, 2, 25], size=ncols).tolist()
+        pieces = rng.choice(PIECES, size=ncols + 1).tolist()
+        text = format_table(c_kernels, cols, widths, pieces)
+        assert text == format_table(_kernels_py, cols, widths, pieces)
+        assert text == percent_oracle(cols, widths, pieces, rows)
+
+
+def test_compiled_format_rows_rejects_unsafe_arrays(c_kernels, monkeypatch):
+    def no_call(*args):
+        raise AssertionError("the C kernel was called")
+
+    monkeypatch.setattr(c_kernels, "_fmt", no_call)
+    col = np.arange(4, dtype=np.int64)
+    lit, ends = b"<,>\n", [1, 2, 4]
+    size = 4 * (len(lit) + 20 + 25)
+    out = np.zeros(size, dtype=np.uint8)
+    readonly = out.copy()
+    readonly.flags.writeable = False
+    bad = [
+        ([col.astype(np.float64), col], [0, 25], lit, ends, out),  # dtype
+        ([col, col.astype(np.int32)], [0, 25], lit, ends, out),
+        ([col, np.arange(8, dtype=np.int64)[::2]], [0, 25], lit, ends, out),
+        ([col, col[:3]], [0, 25], lit, ends, out),               # too short
+        ([col, col], [0, 25], lit, ends, readonly),              # out is written
+        ([col, col], [0, 25], lit, ends, out[:-1]),              # one byte short
+        ([col, col], [0, 25], lit, ends, out.astype(np.int8)),
+        ([col, col], [0, 25], lit, ends, np.zeros(2 * size, np.uint8)[::2]),
+        ([col, col], [-1, 25], lit, ends, out),                  # widths
+        ([col, col], [0, 65], lit, ends, out),
+        ([col, col], [0], lit, ends, out),
+        ([col, col], [0, 25], lit, [1, 2], out),                 # ends
+        ([col, col], [0, 25], lit, [1, 2, 3], out),
+        ([col, col], [0, 25], lit, [2, 1, 4], out),
+        ([col, col], [0, 25], lit, [-1, 2, 4], out),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            c_kernels.format_rows(args[0], args[1], 4, *args[2:])
+    with pytest.raises(ValueError):
+        c_kernels.format_rows([col, col], [0, 25], -1, lit, ends, out)

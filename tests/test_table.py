@@ -10,11 +10,12 @@ import csv
 import io
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from hofq import analysis, cli, engine, table, verify
+from hofq import _kernels_py, analysis, cli, engine, kernels, table, verify
 from hofq.fspec import as_fspec
 
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
@@ -104,6 +105,24 @@ def figure_data(kind, n, fspec=None, alpha=0.5, a=5, at=16, amount=1):
     return ("n", "q", "f"), (i, trace.q_values, trace.f_values[:len(i)])
 
 
+@pytest.fixture
+def each_backend(monkeypatch):
+    """The kernel backends of format_rows, the pure-Python one and, where a
+    C compiler is on PATH, the C one; iterating points kernels.format_rows
+    at each in turn, so a body under `for _ in each_backend` checks the
+    integer rows of both under the test's one id."""
+    mods = [_kernels_py]
+    if shutil.which("cc") is not None:
+        mods.append(kernels.compiled())
+
+    def each():
+        for mod in mods:
+            monkeypatch.setattr(kernels, "format_rows", mod.format_rows)
+            yield mod
+
+    return each()
+
+
 def write(row_fmt, columns, **kw):
     buf = io.StringIO()
     count = table.write_rows(buf, row_fmt, columns, **kw)
@@ -134,6 +153,34 @@ def test_ints_near_int64_limits():
     x = np.full(len(v), 0.25)
     assert write("%d,%.12g\r\n", (v, x))[1] == "".join(
         f"{int(a)},0.25\r\n" for a in v)
+
+
+@pytest.mark.parametrize("dtype,values", [
+    (np.uint64, [0, 1, 2**63 - 1, 2**63, 2**64 - 1]),
+    (np.int32, [-2**31, -1, 0, 2**31 - 1]),
+    (np.uint8, [0, 1, 127, 128, 255]),
+    (np.bool_, [False, True]),
+])
+def test_other_int_dtypes_print_as_percent_d(monkeypatch, kernel_backend,
+                                             dtype, values):
+    """No silent wrap: every integer column prints what `%d` prints, and a
+    uint64 one, which int64 cannot hold, stays on `%` uncast."""
+    calls = []
+
+    def format_rows(cols, *args):
+        calls.append([c.dtype for c in cols])
+        return kernel_backend.format_rows(cols, *args)
+
+    monkeypatch.setattr(kernels, "format_rows", format_rows)
+    col = np.array(values, dtype=dtype)
+    for json_rows in (False, True):
+        text = write("%d;%3d,", (col, col), json=json_rows)[1]
+        sep = "," if json_rows else ""
+        assert text == sep.join("%d;%3d," % (v, v) for v in values)
+    if dtype == np.uint64:
+        assert calls == []
+    else:  # one chunk each for the plain and the JSON rows, cast to int64
+        assert calls == [[np.dtype(np.int64)] * 2] * 2
 
 
 FLOATS = np.array([-2.5, -1e-5, 1e-5, 1e16, -1e16, 0.1 + 0.2, -0.0, 0.0,
@@ -171,6 +218,25 @@ def test_chunk_boundaries(monkeypatch, offset, json_rows):
         assert len(writes) == math.ceil(rows / 4)  # one write per chunk
 
 
+@pytest.mark.parametrize("buffer_bytes", [1, 41, 82, 123])
+def test_wide_rows_take_fewer_rows_per_write(monkeypatch, each_backend,
+                                             buffer_bytes):
+    monkeypatch.setattr(table, "BUFFER_BYTES", buffer_bytes)
+    a = np.array([INT64_MIN, -1, 0, 7, INT64_MAX], dtype=np.int64)
+    per_write = max(1, buffer_bytes // 41)  # "%d,%d" rows: 1 + 2 * 20 bytes
+    for _ in each_backend:
+        writes = []
+
+        class Sink:
+            def write(self, s):
+                writes.append(s)
+
+        assert table.write_rows(Sink(), "%d,%d", (a, a[::-1])) == 5
+        assert "".join(writes) == "".join(
+            f"{x},{y}" for x, y in zip(a.tolist(), a[::-1].tolist()))
+        assert len(writes) == math.ceil(5 / per_write)
+
+
 def test_unequal_columns_raise():
     with pytest.raises(ValueError, match="differ in length"):
         write("%d,%d\n", (np.arange(3), np.arange(2)))
@@ -183,51 +249,55 @@ def test_unequal_columns_raise():
 @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
 @pytest.mark.parametrize("spec,n", [("gamma2", 300), ("floor:1/2", 1),
                                     ("prefix:0,2,2", 3)])
-def test_compute_matches_oracle(capsys, fmt, spec, n):
-    code, out, _ = run(capsys, "compute", "--f", spec, "--n", n, "--format", fmt)
+def test_compute_matches_oracle(capsys, each_backend, fmt, spec, n):
     trace = engine.compute_q(as_fspec(spec), n)
-    assert code == (0 if trace.exists else 2)
-    assert out == trace_oracle(trace, fmt)
+    for _ in each_backend:
+        code, out, _ = run(capsys, "compute", "--f", spec, "--n", n,
+                           "--format", fmt)
+        assert code == (0 if trace.exists else 2)
+        assert out == trace_oracle(trace, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("variant", ["hof", "tanny", "quasipoly"])
-def test_hofstadter_matches_oracle(capsys, fmt, variant):
-    code, out, _ = run(capsys, "hofstadter", "--variant", variant, "--n", 200,
-                       "--format", fmt)
+def test_hofstadter_matches_oracle(capsys, each_backend, fmt, variant):
     trace = engine.compute_two_term(cli._VARIANTS[variant](), 200)
-    assert code == 0 and out == trace_oracle(trace, fmt)
+    for _ in each_backend:
+        code, out, _ = run(capsys, "hofstadter", "--variant", variant, "--n",
+                           200, "--format", fmt)
+        assert code == 0 and out == trace_oracle(trace, fmt)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_trace_across_chunk_boundary(capsys, monkeypatch, offset):
+def test_trace_across_chunk_boundary(capsys, monkeypatch, each_backend, offset):
     monkeypatch.setattr(table, "CHUNK", 8)
-    for fmt in ("csv", "text"):
-        _, out, _ = run(capsys, "compute", "--f", "gamma2", "--n", 8 + offset,
-                        "--format", fmt)
-        assert out == trace_oracle(engine.compute_q(as_fspec("gamma2"), 8 + offset),
-                                   fmt)
+    trace = engine.compute_q(as_fspec("gamma2"), 8 + offset)
+    for _ in each_backend:
+        for fmt in ("csv", "text", "json"):
+            _, out, _ = run(capsys, "compute", "--f", "gamma2", "--n",
+                            8 + offset, "--format", fmt)
+            assert out == trace_oracle(trace, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "text"])
-def test_perturb_matches_oracle(capsys, fmt):
-    code, out, _ = run(capsys, "perturb", "--f", "floor:1/2", "--at", 16,
-                       "--n", 4096, "--format", fmt)
+def test_perturb_matches_oracle(capsys, each_backend, fmt):
     pert = analysis.perturb_compare("floor:1/2", 16, 1, 4096)
-    assert code == 0
     if fmt == "csv":
-        assert out == "n,diff\n" + "".join(
-            f"{j + 1},{d}\n" for j, d in enumerate(pert.diff))
-        return
-    nz = int(np.count_nonzero(pert.diff))
-    expect = [f"base:      {pert.base_outcome}",
-              f"perturbed: {pert.perturbed_outcome}",
-              f"difference is nonzero at {nz} of {len(pert.diff)} indices",
-              f"zero regions ({len(pert.zero_regions)}):"]
-    expect += [f"  [{lo}, {hi}]" for lo, hi in pert.zero_regions[:20]]
-    if len(pert.zero_regions) > 20:
-        expect.append("  ...")
-    assert out == "".join(line + "\n" for line in expect)
+        expect = ["n,diff"] + [f"{j + 1},{d}" for j, d in enumerate(pert.diff)]
+    else:
+        nz = int(np.count_nonzero(pert.diff))
+        expect = [f"base:      {pert.base_outcome}",
+                  f"perturbed: {pert.perturbed_outcome}",
+                  f"difference is nonzero at {nz} of {len(pert.diff)} indices",
+                  f"zero regions ({len(pert.zero_regions)}):"]
+        expect += [f"  [{lo}, {hi}]" for lo, hi in pert.zero_regions[:20]]
+        if len(pert.zero_regions) > 20:
+            expect.append("  ...")
+    for _ in each_backend:
+        code, out, _ = run(capsys, "perturb", "--f", "floor:1/2", "--at", 16,
+                           "--n", 4096, "--format", fmt)
+        assert code == 0
+        assert out == "".join(line + "\n" for line in expect)
 
 
 def test_approx_csv_matches_oracle(capsys):
@@ -243,13 +313,12 @@ def test_approx_csv_matches_oracle(capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "text"])
 @pytest.mark.parametrize("min_run", [50, 10**6])
-def test_scan_matches_oracle(capsys, fmt, min_run):
+def test_scan_matches_oracle(capsys, each_backend, fmt, min_run):
     args = ("--f", "floor:1/2", "--n", 20000, "--shift-range", "60:130",
             "--min-run", min_run)
-    code, out, _ = run(capsys, "scan-selfsim", *args, "--format", fmt)
     trace = engine.compute_q(as_fspec("floor:1/2"), 20000)
     matches = analysis.scan_self_similarity(trace, range(60, 131), min_run)
-    assert code == 0 and (len(matches) > 1) == (min_run == 50)
+    assert (len(matches) > 1) == (min_run == 50)
     if fmt == "csv":
         lines = ["shift,delta,lo,hi"]
         lines += [f"{m.shift},{m.delta},{m.lo},{m.hi}" for m in matches]
@@ -257,7 +326,9 @@ def test_scan_matches_oracle(capsys, fmt, min_run):
         lines = [f"shift {m.shift}: q(i+{m.shift}) - q(i) = {m.delta} "
                  f"for i in [{m.lo}, {m.hi}] (length {m.length})"
                  for m in matches] or ["no matches at this min-run"]
-    assert out == "".join(line + "\n" for line in lines)
+    for _ in each_backend:
+        code, out, _ = run(capsys, "scan-selfsim", *args, "--format", fmt)
+        assert code == 0 and out == "".join(line + "\n" for line in lines)
 
 
 def json_oracle(doc, **kw):
@@ -330,12 +401,16 @@ def test_approx_json_matches_oracle(capsys, model):
     ("trace", 1, {"fspec": "linear"}),
     ("trace", 3, {"fspec": "prefix:0,2,2"}),
 ])
-def test_export_figure_matches_oracle(tmp_path, fmt, kind, n, extra):
+def test_export_figure_matches_oracle(tmp_path, each_backend, fmt, kind, n,
+                                     extra):
     out = tmp_path / f"fig.{fmt}"
-    count = analysis.export_figure_data(kind, out, n_max=n, fmt=fmt, **extra)
     cols, data = figure_data(kind, n, **extra)
-    assert count == len(data[0])
-    assert out.read_bytes() == figure_oracle(kind, cols, data, fmt).encode()
+    for _ in each_backend:
+        count = analysis.export_figure_data(kind, out, n_max=n, fmt=fmt,
+                                            **extra)
+        assert count == len(data[0])
+        assert out.read_bytes() == figure_oracle(kind, cols, data,
+                                                 fmt).encode()
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
