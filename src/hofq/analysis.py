@@ -288,10 +288,9 @@ def export_figure_data(kind: str, out_path, n_max: int | None = None,
     n = _EXPORT_DEFAULT_N[kind] if n_max is None else n_max
     if kind == "detrended":
         spec = as_fspec(fspec) if fspec is not None else FloorRatio(1, 2)
-        trace = _existing_trace(spec, n)
-        idx = np.arange(1, n + 1, dtype=np.int64)
-        det = trace.q_values.astype(np.float64) - math.sqrt(alpha) * idx
-        cols, rows = ("n", "detrended"), (idx, det)
+        report = approx_error(spec, SqrtAlphaModel(alpha), n, keep_trace=True,
+                              stride=1 if full_resolution else None)
+        cols, rows = ("n", "detrended"), report.error_trace
     elif kind == "approach":
         spec = as_fspec(fspec) if fspec is not None else ConstLimit("sqrt", a=a)
         trace = _existing_trace(spec, n)

@@ -53,16 +53,6 @@ class _ConfigParser(_Parser):
         raise ValueError(f"--config: {message}")
 
 
-def _default_threads() -> int | None:
-    env = os.environ.get("HOFQ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return None
-
-
 def build_parser(parser_class: type[_Parser] = _Parser) -> _Parser:
     p = parser_class(prog="hofq", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -88,7 +78,7 @@ def build_parser(parser_class: type[_Parser] = _Parser) -> _Parser:
                     help="override the per-verifier default N")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--out")
-    sp.add_argument("--threads", type=int, default=_default_threads())
+    sp.add_argument("--threads", type=int, help="default: HOFQ_THREADS")
 
     sp = sub.add_parser("triangle", help="exhaustive attained-value triangle")
     sp.add_argument("--n", type=int, default=8)
@@ -244,8 +234,14 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     names = None if args.lemma == "all" else [s.strip() for s in
                                               args.lemma.split(",") if s.strip()]
+    threads, env = args.threads, os.environ.get("HOFQ_THREADS")
+    if threads is None and env:  # read by verify alone
+        if not (env.isdecimal() and int(env) >= 1):
+            raise ValueError(
+                f"HOFQ_THREADS must be an integer >= 1, got {env!r}")
+        threads = int(env)
     try:
-        results = verify.run_suite(names, args.n, args.threads)
+        results = verify.run_suite(names, args.n, threads)
     except KeyError as exc:
         print(f"hofq: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE

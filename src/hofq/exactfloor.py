@@ -142,26 +142,21 @@ def staircase_value_array(n: np.ndarray) -> np.ndarray:
     return (1 + isqrt_array(8 * n - 7)) >> 1
 
 
-def ceil_div_sqrt(a: int, n: int) -> int:
-    """ceil(a / sqrt(n)) exactly, for integers a >= 0, n >= 1."""
-    if a == 0:
-        return 0
-    k = math.isqrt((a * a) // n)  # floor(a / sqrt(n))
-    return k if k * k * n == a * a else k + 1
-
-
 def ceil_div_pow(a: int, n: int, p: int, q: int) -> int:
-    """ceil(a / n**(p/q)) exactly, for integers a >= 0, n >= 1, p, q >= 1.
+    """ceil(a / n**(p/q)) exactly, for integers a >= 0, n >= 1, p, q >= 1;
+    ceil(a / sqrt(n)) is p/q = 1/2.
 
-    Uses the monotone predicate k**q * n**p >= a**q.
+    Uses the monotone predicate k**q * n**p >= a**q from a float64 seed, or,
+    for an `a` beyond float64, from the integer root floor(a / n**(p/q)).
     """
     if a == 0:
         return 0
     target = a**q
     npow = n**p
-    k = int(a / float(n) ** (p / q)) + 1
-    if k < 1:
-        k = 1
+    try:
+        k = int(a / float(n) ** (p / q)) + 1
+    except OverflowError:
+        k = iroot(target // npow, q)[0] + 1
     while k > 1 and (k - 1) ** q * npow >= target:
         k -= 1
     while k**q * npow < target:

@@ -41,13 +41,14 @@ from .errors import CapExceeded, InvalidFSpec
 from .exactfloor import (
     INT64_MAX,
     INT64_MIN,
+    ISQRT_ARRAY_CAP,
     ceil_div_pow,
-    ceil_div_sqrt,
     ceil_exp_decay,
     floor_gamma_sq,
     floor_gamma_sq_array,
     GAMMA_ARRAY_CAP,
     iroot,
+    isqrt_array,
 )
 
 ENUM_CAP = 24  # exhaustive slow-prefix enumeration: at most 2^23 sequences
@@ -141,7 +142,8 @@ class FloorRatio(FSpec):
     """f(n) = scale * floor((num*n + shift) / den).
 
     Plain floor(p*n/q) is the shift=0, scale=1 case; shift covers forms like
-    floor((n+2)/4), scale covers forms like 2*floor((n-1)/2).
+    floor((n+2)/4), scale covers forms like 2*floor((n-1)/2).  Exact past
+    int64 intermediates: only an f(n) beyond int64 is an OverflowError.
     """
 
     num: int
@@ -162,11 +164,8 @@ class FloorRatio(FSpec):
 
     def values(self, n_max):
         self._check_len(n_max)
-        hi = abs(self.num) * n_max + abs(self.shift)
-        if hi * abs(self.scale) > INT64_MAX:
-            raise OverflowError("floor ratio values exceed int64")
-        n = np.arange(1, n_max + 1, dtype=np.int64)
-        return self.scale * ((self.num * n + self.shift) // self.den)
+        return _floor_ratio(np.arange(1, n_max + 1, dtype=np.int64),
+                            self.num, self.den, self.shift, self.scale)
 
     def spec_str(self):
         s = f"floor:{self.num}/{self.den}"
@@ -403,17 +402,31 @@ class Perturbed(FSpec):
 _CONST_LIMIT_FORMS = ("sqrt", "exp", "pow", "clamp")
 
 
+class _CheckedSlow(FSpec):
+    """A family documented slow whose values() check what its
+    _unchecked_values() give and refuse parameters that are not slow."""
+
+    def values(self, n_max):
+        self._check_len(n_max)
+        out = self._unchecked_values(n_max)
+        _require_slow(out, self)
+        return out
+
+    @property
+    def is_slow_family(self):
+        return True
+
+
 @dataclass(frozen=True)
-class ConstLimit(FSpec):
+class ConstLimit(_CheckedSlow):
     """Sequences approaching a constant (or clamped-linear) limit.
 
-    Forms: sqrt  f(n) = floor(a - a/sqrt(n))
+    Forms: sqrt  f(n) = floor(a - a/sqrt(n)): pow with b = 1/2
            exp   f(n) = floor(a - a*exp(-b*n))
            pow   f(n) = floor(a - a/n^b)
            clamp f(n) = floor(alpha*n) for n < n0, else floor(alpha*n0)
 
-    Materializing values() checks the slow/zero-start property of the
-    generated prefix and rejects parameter choices that violate it.
+    clamp evaluates as FloorRatio does, at min(n, n0).
     """
 
     form: str
@@ -436,52 +449,45 @@ class ConstLimit(FSpec):
         else:
             if self.a < 1:
                 raise InvalidFSpec("const-limit: need a >= 1")
-            if self.form in ("exp", "pow"):
-                if self.b is None:
-                    raise InvalidFSpec(f"const-limit {self.form}: need b")
-                object.__setattr__(self, "b", Fraction(self.b))
-                if self.b <= 0:
-                    raise InvalidFSpec("const-limit: need b > 0")
-                if self.form == "pow" and (self.b.numerator > 64
-                                           or self.b.denominator > 64):
-                    raise InvalidFSpec("const-limit pow: b out of range")
+            if self.form == "sqrt":  # evaluated as pow at b = 1/2
+                object.__setattr__(self, "b", Fraction(1, 2))
+            if self.b is None:
+                raise InvalidFSpec(f"const-limit {self.form}: need b")
+            object.__setattr__(self, "b", Fraction(self.b))
+            if self.b <= 0:
+                raise InvalidFSpec("const-limit: need b > 0")
+            if self.form == "pow" and (self.b.numerator > 64
+                                       or self.b.denominator > 64):
+                raise InvalidFSpec("const-limit pow: b out of range")
 
     def value(self, n):
-        if self.form == "sqrt":
-            return self.a - ceil_div_sqrt(self.a, n)
-        if self.form == "pow":
-            return self.a - ceil_div_pow(self.a, n, self.b.numerator,
-                                         self.b.denominator)
+        if self.form == "clamp":
+            m = min(n, self.n0)
+            return (self.alpha.numerator * m) // self.alpha.denominator
         if self.form == "exp":
             return self.a - ceil_exp_decay(self.a, n, self.b.numerator,
                                            self.b.denominator)
-        m = min(n, self.n0)
-        return (self.alpha.numerator * m) // self.alpha.denominator
-
-    def values(self, n_max):
-        self._check_len(n_max)
-        out = self._unchecked_values(n_max)
-        _require_slow(out, self)
-        return out
+        return self.a - ceil_div_pow(self.a, n, self.b.numerator,
+                                     self.b.denominator)
 
     def _unchecked_values(self, n_max):
-        """f(1..n_max) before the slow-property check."""
-        if self.form == "sqrt":
-            return self._sqrt_values(n_max)
+        """f(1..n_max) before the slow-property check: integer square roots
+        at b = 1/2 while isqrt_array takes a^2, else a float64 seed or
+        term by term."""
+        n = np.arange(1, n_max + 1, dtype=np.int64)
         if self.form == "clamp":
-            return self._clamp_values(n_max)
-        if self.a <= _SEED_A_MAX and (self.form == "pow"
+            return _floor_ratio(np.minimum(n, min(n_max, self.n0)),
+                                self.alpha.numerator, self.alpha.denominator)
+        power = self.form != "exp"
+        if power and self.b == Fraction(1, 2) and self.a**2 <= ISQRT_ARRAY_CAP:
+            aa = self.a * self.a
+            k = isqrt_array(aa // n)  # floor(a / sqrt(n))
+            return self.a - k - (k * k * n != aa)
+        if self.a <= _SEED_A_MAX and (power
                                       or _EXP_B_MIN < self.b < _EXP_B_MAX):
             return self.a - self._decay_ceil(n_max)
         return np.fromiter((self.value(n) for n in range(1, n_max + 1)),
                            dtype=np.int64, count=n_max)
-
-    def _clamp_values(self, n_max):
-        n = np.minimum(np.arange(1, n_max + 1, dtype=np.int64), self.n0)
-        p, q = self.alpha.numerator, self.alpha.denominator
-        if max(p * min(n_max, self.n0), q) > INT64_MAX:  # beyond int64
-            return (n.astype(object) * p // q).astype(np.int64)
-        return (p * n) // q
 
     def _decay_ceil(self, n_max):
         """ceil(x) for x = a/n^b (pow) or a*exp(-b*n) (exp), n = 1..n_max,
@@ -505,21 +511,11 @@ class ConstLimit(FSpec):
         clip at 0 in `_certified_round` settles: ceil is 1.
         """
         n = np.arange(1, n_max + 1, dtype=np.float64)
-        t = float(self.b) * (np.log(n) if self.form == "pow" else n)
+        t = float(self.b) * (n if self.form == "exp" else np.log(n))
         x = self.a * np.exp(-t)
         err = x * (16 * t + 16) * 2.0**-53
         return _certified_round(x, err, lambda k: self.a - self.value(k),
                                 ceil=True)
-
-    def _sqrt_values(self, n_max):
-        n = np.arange(1, n_max + 1, dtype=np.int64)
-        aa = self.a * self.a
-        if aa > INT64_MAX:
-            raise OverflowError("const-limit sqrt: a^2 exceeds int64")
-        from .exactfloor import isqrt_array
-        k = isqrt_array(aa // n)
-        exact = k * k * n == aa
-        return self.a - k - (~exact).astype(np.int64)
 
     def spec_str(self):
         if self.form == "clamp":
@@ -528,13 +524,9 @@ class ConstLimit(FSpec):
             return f"const-limit:sqrt:a={self.a}"
         return f"const-limit:{self.form}:a={self.a},b={self.b}"
 
-    @property
-    def is_slow_family(self):
-        return True
-
 
 @dataclass(frozen=True)
-class FracPowerSum(FSpec):
+class FracPowerSum(_CheckedSlow):
     """f(n) = floor(sum of c_i * n^(e_i)) with rational c_i and e_i in [0, 1).
 
     Floors are certified with scaled-integer root brackets: each n^(e_i) is
@@ -605,12 +597,6 @@ class FracPowerSum(FSpec):
             "fracpow: cannot certify floor (value is an exact integer "
             "through irrational cancellation)")
 
-    def values(self, n_max):
-        self._check_len(n_max)
-        out = self._unchecked_values(n_max)
-        _require_slow(out, self)
-        return out
-
     def _unchecked_values(self, n_max):
         """Vectorized evaluation before the slow-property check: float64
         carries a certified error budget, so its floor is trusted except
@@ -640,9 +626,19 @@ class FracPowerSum(FSpec):
             out += p if p.startswith("-") else "+" + p
         return "fracpow:" + out
 
-    @property
-    def is_slow_family(self):
-        return True
+
+def _floor_ratio(n: np.ndarray, num: int, den: int, shift: int = 0,
+                 scale: int = 1) -> np.ndarray:
+    """scale * floor((num*n + shift) / den) for the ascending positive int64
+    indices n, as int64.  In int64 where every intermediate fits, else in
+    exact Python ints; OverflowError only where a value leaves int64."""
+    if ((abs(num) * int(n[-1]) + abs(shift)) * abs(scale) <= INT64_MAX
+            and den <= INT64_MAX):
+        return scale * ((num * n + shift) // den)
+    exact = scale * ((num * n.astype(object) + shift) // den)
+    if not INT64_MIN <= exact.min() <= exact.max() <= INT64_MAX:
+        raise OverflowError("floor ratio values exceed int64")
+    return exact.astype(np.int64)
 
 
 def _certified_round(x: np.ndarray, err, exact,

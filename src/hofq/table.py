@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate
+from json import dumps
 
 import numpy as np
 
@@ -51,17 +52,27 @@ def _int_fields(row_fmt: str, cols):
     return b"".join(encoded), list(accumulate(map(len, encoded))), widths
 
 
+class _JsonFloat(float):
+    """A float whose `%r` is its `json` spelling (NaN, not nan)."""
+
+    __repr__ = dumps
+
+
 def write_rows(fh, row_fmt: str, columns, json: bool = False) -> int:
     """Write `row_fmt % row` for every row of the equal-length columns to
     fh and return the number of rows.  json=True writes the rows as the
     elements of a JSON array: a comma between rows (not after the last),
     and non-finite floats spelled as `json` does (NaN, Infinity,
-    -Infinity), so `%r` fields match `json.dumps`."""
+    -Infinity) in `%r` fields only, so those match `json.dumps`."""
     cols = [np.asarray(c) for c in columns]
     count = len(cols[0]) if cols else 0
     if any(len(c) != count for c in cols):
         raise ValueError("table columns differ in length: "
                          + ", ".join(str(len(c)) for c in cols))
+    if json:  # a float column with a non-finite value, as _JsonFloats
+        cols = [np.array(list(map(_JsonFloat, c.tolist())), dtype=object)
+                if c.dtype.kind == "f" and not np.isfinite(c).all() else c
+                for c in cols]
     template = row_fmt + ("," if json else "")
     ints = _int_fields(template, cols) if count else None
     step = CHUNK
@@ -82,9 +93,5 @@ def write_rows(fh, row_fmt: str, columns, json: bool = False) -> int:
             fh.write(str(out[:size], "utf-8"))
             continue
         text = kernels.percent_rows(template, [c[lo:lo + k] for c in cols], k)
-        if json:
-            if last:
-                text = text[:-1]
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        fh.write(text)
+        fh.write(text[:-1] if json and last else text)
     return count

@@ -323,6 +323,8 @@ def run_suite(names=None, n: int | None = None,
     n = None gives each verifier its default length."""
     if n is not None and n < 1:
         raise ValueError("n_max must be >= 1")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if names is None:
         names = list(REGISTRY)
     bad = [x for x in names if x not in REGISTRY]

@@ -306,6 +306,30 @@ def test_config_yields_to_abbreviated_flag(tmp_path, capsys):
     assert code == 0 and out.splitlines() == ["n,f,q", "1,0,1", "2,0,1"]
 
 
+@pytest.mark.parametrize("flag,env", [
+    ("0", None), ("-1", None), (None, "abc"), (None, "0"), (None, "-2")])
+def test_verify_threads_below_one_is_a_usage_error(capsys, monkeypatch,
+                                                   flag, env):
+    if env is None:
+        monkeypatch.delenv("HOFQ_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HOFQ_THREADS", env)
+    argv = ["verify", "--lemma", "mod", "--n", "100"]
+    code, out, err = run(capsys, *argv, *(["--threads", flag] if flag else []))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("hofq: ")
+
+
+def test_hofq_threads_is_read_by_verify_only(capsys, monkeypatch):
+    monkeypatch.setenv("HOFQ_THREADS", "abc")
+    code, _, err = run(capsys, "compute", "--f", "zeros", "--n", "2")
+    assert code == 0 and err == ""
+    # an explicit flag wins over the variable
+    code, out, _ = run(capsys, "verify", "--lemma", "mod", "--n", "100",
+                       "--threads", "1")
+    assert code == 0 and out.startswith("PASS mod")
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()

@@ -277,7 +277,10 @@ _UNCHECKED_LEAVES = st.one_of(
     st.lists(st.integers(0, 1), max_size=400).map(lambda b: DiffBits(bytes(b))),
     st.builds(lambda alpha, n0: ConstLimit("clamp", alpha=alpha, n0=n0),
               _unit_fractions(), st.integers(1, 500)),
-    st.builds(FloorRatio, st.integers(0, 10), st.integers(1, 10)),
+    st.builds(FloorRatio, st.one_of(st.integers(0, 10), st.integers(0, 2**64)),
+              st.one_of(st.integers(1, 10), st.integers(1, 2**64)),
+              st.one_of(st.just(0), st.integers(-2**64, 2**64)),
+              st.one_of(st.just(1), st.integers(-2**64, 2**64).filter(bool))),
 )
 
 _DRIVER_SPECS = st.one_of(
@@ -288,7 +291,8 @@ _DRIVER_SPECS = st.one_of(
         min_size=1, max_size=3).map(tuple)),
     st.builds(lambda a, b: ConstLimit("pow", a=a, b=b), _CONST_A, _CONST_B),
     st.builds(lambda a, b: ConstLimit("exp", a=a, b=b), _CONST_A, _CONST_B),
-    st.builds(lambda a: ConstLimit("sqrt", a=a), st.integers(1, 2**31)),
+    st.builds(lambda a: ConstLimit("sqrt", a=a),
+              st.one_of(st.integers(1, 2**31), st.integers(1, 2**64))),
     st.recursive(_UNCHECKED_LEAVES, lambda inner: st.one_of(
         st.builds(Shifted, st.integers(1, 20), inner),
         st.builds(Perturbed, inner, st.integers(1, 300), st.one_of(
@@ -307,6 +311,13 @@ _DRIVER_SPECS = st.one_of(
 @example(spec=FracPowerSum(((Fraction(10**20), Fraction(1, 2)),)), n=4)
 # clamp with a denominator beyond int64
 @example(spec=ConstLimit("clamp", alpha=Fraction(1, 2**63), n0=10), n=12)
+# floor ratios whose num*n or den leave int64 while every value fits
+@example(spec=FloorRatio(1, 2**63), n=4)
+@example(spec=FloorRatio(2**62 + 1, 2**63), n=300)
+@example(spec=FloorRatio(1, 4, scale=2**61), n=12)  # scale * n past int64
+@example(spec=FloorRatio(1, 2, scale=2**62), n=8)  # f(4) = 2**63
+# b = 1/2 takes integer square roots for pow and sqrt only
+@example(spec=ConstLimit("exp", a=5, b=Fraction(1, 2)), n=300)
 def test_vectorised_values_match_scalar_value(spec, n):
     # the vectorised evaluator is compared below the slow-property check,
     # so parameters that give a non-slow sequence are compared too
@@ -385,6 +396,40 @@ def test_perturbed_values_overflow_is_loud(capsys):
     assert cli.main(["compute", "--f", text, "--n", "10"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("hofq: overflow: ")
+
+
+def test_floor_ratio_beyond_int64_intermediates(capsys):
+    # every f(n) fits int64 although den (and num*n) does not
+    assert cli.main(["compute", "--f", "floor:1/9223372036854775808",
+                     "--n", "4", "--format", "csv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "n,f,q" and [row.split(",")[1] for row in out[1:]] == [
+        "0"] * 4
+    spec = parse_fspec("floor:4611686018427387905/9223372036854775808")
+    assert spec.values(6).tolist() == [0, 1, 1, 2, 2, 3]
+    # f(2) itself leaves int64: still one overflow line
+    assert cli.main(["compute", "--f", "floor:9223372036854775807/1",
+                     "--n", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("hofq: overflow: ")
+
+
+@pytest.mark.parametrize("isqrt_route", [True, False])
+@pytest.mark.parametrize("a", [1, 5, 100, 10**6, 3037000499, 2**52])
+def test_sqrt_is_pow_at_half(monkeypatch, isqrt_route, a):
+    # sqrt and pow at b = 1/2 share one dispatcher: the isqrt_array route
+    # while a^2 is in its range (forced off here by a zero cap), else the
+    # float seed; both agree with the scalar value()
+    if not isqrt_route:
+        monkeypatch.setattr(fspec, "ISQRT_ARRAY_CAP", 0)
+    sqrt = ConstLimit("sqrt", a=a)
+    power = ConstLimit("pow", a=a, b=Fraction(1, 2))
+    assert sqrt.spec_str() == f"const-limit:sqrt:a={a}"
+    n = 2000
+    want = [power.value(k) for k in range(1, n + 1)]
+    assert [sqrt.value(k) for k in range(1, n + 1)] == want
+    assert sqrt._unchecked_values(n).tolist() == want
+    assert power._unchecked_values(n).tolist() == want
 
 
 def test_as_fspec_coercions():

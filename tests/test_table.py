@@ -200,6 +200,16 @@ def test_floats_json_match_json_dumps():
         [[int(i), float(v)] for i, v in zip(n, FLOATS)], separators=(",", ":"))
 
 
+def test_json_spelling_stays_in_float_fields():
+    # literal text around the fields keeps its "nan" and "inf"
+    v = np.array([1.5, np.nan, np.inf, -np.inf])
+    n = np.arange(len(v), dtype=np.int64)
+    text = write('{"info":%r,"nan":%d,"inf":%r}', (v, n, v), json=True)[1]
+    assert "[" + text + "]" == json.dumps(
+        [{"info": float(x), "nan": int(i), "inf": float(x)}
+         for i, x in zip(n, v)], separators=(",", ":"))
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("json_rows", [False, True])
 def test_chunk_boundaries(monkeypatch, offset, json_rows):

@@ -23,6 +23,9 @@ def test_run_suite_all_and_selection():
     assert [r.name for r in picked] == ["golden", "mod"]
     with pytest.raises(KeyError):
         verify.run_suite(["golden", "bogus"])
+    for threads in (0, -1):  # 0 is not "unset"
+        with pytest.raises(ValueError):
+            verify.run_suite(["mod"], n=100, threads=threads)
 
 
 def test_mod_details():
