@@ -34,7 +34,7 @@ def isqrt_array(x: np.ndarray) -> np.ndarray:
     """Elementwise integer square root of a non-negative int64 array.
 
     A float64 seed is repaired by exact integer correction loops, so the
-    result is correct even where float rounding misses by a few units.
+    result is correct even where float rounding misses by a unit.
     """
     x = np.asarray(x, dtype=np.int64)
     if x.size and int(x.min()) < 0:
@@ -42,9 +42,9 @@ def isqrt_array(x: np.ndarray) -> np.ndarray:
     if x.size and int(x.max()) > ISQRT_ARRAY_CAP:
         raise OverflowError("isqrt_array: input too close to int64 max")
     s = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    s = np.maximum(s - 2, 0)
-    # climb while (s+1)^2 <= x, then descend while s^2 > x; both terminate
-    # in a few passes because the seed is within a few ulps
+    # climb while (s+1)^2 <= x, then descend while s^2 > x.  Below 2**52 the
+    # seed is exact (one check each way); above, the rounding of x to float64
+    # can put it one too high (x = k^2 - 1)
     while True:
         low = (s + 1) * (s + 1) <= x
         if not low.any():
@@ -72,8 +72,13 @@ def iroot(m: int, k: int) -> tuple[int, bool]:
         return r, r**4 == m
     if m < 2:
         return m, True
-    # integer Newton seeded above the root (works for arbitrarily large m)
-    r = 1 << ((m.bit_length() + k - 1) // k)
+    # integer Newton from above the root, seeded in float64 from the top
+    # (at most 512) bits of m: m < (h + 1) * 2**(k*s) for h = m >> (k*s), so
+    # m**(1/k) < (h + 1)**(1/k) * 2**s; 1 + 2**-30 covers the float error,
+    # and the seed keeps 52 fraction bits of that root through the shift
+    s = max(0, -(-(m.bit_length() - 512) // k))
+    est = float((m >> (k * s)) + 1) ** (1 / k) * (1 + 2.0**-30)
+    r = ((int(math.ldexp(est, 52)) + 1) << s >> 52) + 1
     while True:
         t = ((k - 1) * r + m // r ** (k - 1)) // k
         if t >= r:
@@ -146,22 +151,14 @@ def ceil_div_pow(a: int, n: int, p: int, q: int) -> int:
     """ceil(a / n**(p/q)) exactly, for integers a >= 0, n >= 1, p, q >= 1;
     ceil(a / sqrt(n)) is p/q = 1/2.
 
-    Uses the monotone predicate k**q * n**p >= a**q from a float64 seed, or,
-    for an `a` beyond float64, from the integer root floor(a / n**(p/q)).
+    k = floor(a / n**(p/q)) is the largest integer with k**q * n**p <= a**q,
+    i.e. iroot(a**q // n**p, q); the ceiling is k where that is an equality,
+    else k + 1.  Exact for every a, with no float step.
     """
-    if a == 0:
-        return 0
     target = a**q
     npow = n**p
-    try:
-        k = int(a / float(n) ** (p / q)) + 1
-    except OverflowError:
-        k = iroot(target // npow, q)[0] + 1
-    while k > 1 and (k - 1) ** q * npow >= target:
-        k -= 1
-    while k**q * npow < target:
-        k += 1
-    return k
+    k = iroot(target // npow, q)[0]
+    return k if k**q * npow == target else k + 1
 
 
 # working precisions of ceil_exp_decay, in decimal digits

@@ -476,6 +476,7 @@ class ConstLimit(_CheckedSlow):
         term by term."""
         n = np.arange(1, n_max + 1, dtype=np.int64)
         if self.form == "clamp":
+            # n0 may exceed int64, n_max may not: clip n0 before numpy
             return _floor_ratio(np.minimum(n, min(n_max, self.n0)),
                                 self.alpha.numerator, self.alpha.denominator)
         power = self.form != "exp"
@@ -632,7 +633,7 @@ def _floor_ratio(n: np.ndarray, num: int, den: int, shift: int = 0,
     """scale * floor((num*n + shift) / den) for the ascending positive int64
     indices n, as int64.  In int64 where every intermediate fits, else in
     exact Python ints; OverflowError only where a value leaves int64."""
-    if ((abs(num) * int(n[-1]) + abs(shift)) * abs(scale) <= INT64_MAX
+    if (max(abs(num) * int(n[-1]) + abs(shift), 1) * abs(scale) <= INT64_MAX
             and den <= INT64_MAX):
         return scale * ((num * n + shift) // den)
     exact = scale * ((num * n.astype(object) + shift) // den)

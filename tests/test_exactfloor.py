@@ -29,7 +29,10 @@ def test_isqrt_array_matches_math_isqrt():
     squares = np.arange(0, 2000) ** 2
     near = np.concatenate([squares, squares[1:] - 1, squares + 1])
     big = ISQRT_ARRAY_CAP - np.arange(10)
-    for batch in (vals, near, big, np.array([0, 1, 2, 3, 4, 5])):
+    # past 2**52 the float64 seed can miss by one either way
+    k = rng.integers(2**26, math.isqrt(ISQRT_ARRAY_CAP), size=2000)
+    big_near = np.concatenate([k * k - 1, k * k, k * k + 1])
+    for batch in (vals, near, big, big_near, np.array([0, 1, 2, 3, 4, 5])):
         got = isqrt_array(batch)
         expected = np.array([math.isqrt(int(v)) for v in batch])
         assert (got == expected).all()
@@ -42,7 +45,7 @@ def test_isqrt_array_rejects_bad_input():
         isqrt_array(np.array([ISQRT_ARRAY_CAP + 1]))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 63, 64])
 def test_iroot_exact_and_floor(k):
     rng = np.random.default_rng(k)
     for _ in range(300):
@@ -57,6 +60,15 @@ def test_iroot_exact_and_floor(k):
     big = (37**k) << (48 * k)
     r, exact = iroot(big, k)
     assert r**k <= big < (r + 1) ** k
+    # m past 512 bits (the float seed then comes from its top bits), at and
+    # beside perfect powers
+    for bits in (600, 1500, 4000):
+        base = (1 << (bits // k)) + 12345
+        for m in (base**k - 1, base**k, base**k + 1,
+                  int(rng.integers(1, 2**62)) << bits):
+            r, exact = iroot(m, k)
+            assert r**k <= m < (r + 1) ** k
+            assert exact == (r**k == m)
 
 
 def test_gamma_floors_against_high_precision_oracle():
@@ -115,8 +127,7 @@ def test_ceil_div_sqrt_brute():
     assert ceil_div_pow(0, 9, 1, 2) == 0
     assert ceil_div_pow(5, 4, 1, 2) == 3  # 5/2 rounds up
     assert ceil_div_pow(5, 25, 1, 2) == 1  # exact integer quotient
-    # an `a` beyond float64 takes its seed from the integer root
-    a = 10**400
+    a = 10**400  # beyond float64
     for n in (1, 2, 4, 5, 10**6):
         k = math.isqrt(a * a // n)
         assert ceil_div_pow(a, n, 1, 2) == (k if k * k * n == a * a else k + 1)
@@ -132,6 +143,13 @@ def test_ceil_div_pow_brute():
                     if abs(x - mpmath.nint(x)) < mpmath.mpf("1e-40"):
                         want = int(mpmath.nint(x))
                     assert ceil_div_pow(a, n, p, q) == want, (a, n, p, q)
+    # a past float64's exact integers: c is the ceiling iff
+    # (c - 1)^q n^p < a^q <= c^q n^p
+    for a in (2**53 + 1, 2**62 - 1, 2**80, 10**300):
+        for p, q in ((1, 2), (1, 3), (2, 3), (3, 4), (64, 63)):
+            for n in (1, 2, 3, 7, 4096, 10**6):
+                c = ceil_div_pow(a, n, p, q)
+                assert (c - 1) ** q * n**p < a**q <= c**q * n**p, (a, n, p, q)
 
 
 # (a, b = p/q, n range): a > 2**52 is ConstLimit's per-term path; with a =

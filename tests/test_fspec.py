@@ -316,6 +316,11 @@ _DRIVER_SPECS = st.one_of(
 @example(spec=FloorRatio(2**62 + 1, 2**63), n=300)
 @example(spec=FloorRatio(1, 4, scale=2**61), n=12)  # scale * n past int64
 @example(spec=FloorRatio(1, 2, scale=2**62), n=8)  # f(4) = 2**63
+@example(spec=FloorRatio(0, 1, 0, 2**64), n=3)  # all zeros, scale past int64
+@example(spec=ConstLimit("clamp", alpha=Fraction(1, 2), n0=2**70), n=5)
+# a far beyond float64's exact range: the exact integer root, no walk
+@example(spec=ConstLimit("sqrt", a=10**300), n=2)
+@example(spec=ConstLimit("pow", a=2**80, b=Fraction(2, 3)), n=5)
 # b = 1/2 takes integer square roots for pow and sqrt only
 @example(spec=ConstLimit("exp", a=5, b=Fraction(1, 2)), n=300)
 def test_vectorised_values_match_scalar_value(spec, n):
@@ -409,6 +414,16 @@ def test_floor_ratio_beyond_int64_intermediates(capsys):
     assert spec.values(6).tolist() == [0, 1, 1, 2, 2, 3]
     # f(2) itself leaves int64: still one overflow line
     assert cli.main(["compute", "--f", "floor:9223372036854775807/1",
+                     "--n", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("hofq: overflow: ")
+
+
+@pytest.mark.parametrize("a", [2**80, 10**300])
+def test_sqrt_with_huge_a_is_one_overflow_line(capsys, a):
+    # f(2) = a - ceil(a / sqrt(2)) leaves int64; each term is one integer
+    # square root, so the refusal comes at once
+    assert cli.main(["compute", "--f", f"const-limit:sqrt:a={a}",
                      "--n", "2"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("hofq: overflow: ")
