@@ -15,10 +15,16 @@ check their input, make one kernel call and turn its status into a death
 record or an OverflowError, so all arithmetic is 64-bit and no term wraps.
 Indices are 1-based throughout (two-term specs carry their own start
 index, e.g. 0).
+
+compute_q is called thousands of times on short prefixes by the exhaustive
+sweeps, where the Python around its one kernel call costs several times
+the kernel.  So it returns as soon as the kernel reports OK, and every
+trace that exists to n_max holds the same frozen ExistenceOutcome(n_max).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +36,7 @@ from .fspec import FSpec, as_fspec
 INDEX_CAP = 2**31  # full-history storage: 8 bytes/term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExistenceOutcome:
     """Either 'exists up to checked_to' or 'died at died_at' with the
     offending lookup index."""
@@ -97,7 +103,7 @@ def quasipolynomial_spec() -> TwoTermSpec:
                        outer_shift=0, name="quasipoly")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QTrace:
     """A computed trace.  q_values[j] is the term at index start + j;
     the array is truncated at death.  f_values is None for self-driven
@@ -110,9 +116,11 @@ class QTrace:
     start: int = 1
 
     def __post_init__(self):
-        self.q_values.flags.writeable = False
+        # setflags(False) is write=False, passed positionally: a third of
+        # the cost of the keyword or of flags.writeable = False
+        self.q_values.setflags(False)
         if self.f_values is not None:
-            self.f_values.flags.writeable = False
+            self.f_values.setflags(False)
 
     @property
     def n_max(self) -> int:
@@ -143,14 +151,19 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max above the in-memory cap {INDEX_CAP}")
 
 
+# frozen, so every one-term trace that exists to n_max can share one
+_exists_to = functools.lru_cache(maxsize=16, typed=True)(ExistenceOutcome)
+
+
 def compute_q(f, n_max: int) -> QTrace:
     """Trace of q(n) = q(n - q(n-1)) + f(n) with q(1) = 1.
 
     f may be an FSpec, a grammar string, or an explicit integer sequence;
     it must supply n_max terms with f(1) = 0.
     """
-    _check_n_max(n_max)
-    spec = as_fspec(f)
+    if not 1 <= n_max <= INDEX_CAP:
+        _check_n_max(n_max)
+    spec = f if isinstance(f, FSpec) else as_fspec(f)
     try:
         f_arr = spec.values(n_max)
     except OverflowError:
@@ -161,15 +174,13 @@ def compute_q(f, n_max: int) -> QTrace:
             f"{spec.spec_str()!r}: f(1) = {int(f_arr[0])}, but f(1) = 0 is required")
     q_arr = np.zeros(n_max, dtype=np.int64)
     status, where = kernels.one_term_trace(f_arr, q_arr)
+    if status == kernels.OK:
+        return QTrace(q_arr, _exists_to(n_max), f_arr, spec)
     if status == kernels.OVERFLOW:
         raise OverflowError(f"q({where}) exceeds the 64-bit range")
-    if status == kernels.DIED:
-        lookup = where - int(q_arr[where - 2])
-        outcome = ExistenceOutcome(where - 1, died_at=where, lookup_index=lookup)
-        q_arr = q_arr[: where - 1].copy()
-    else:
-        outcome = ExistenceOutcome(n_max)
-    return QTrace(q_arr, outcome, f_values=f_arr, fspec=spec, start=1)
+    lookup = where - int(q_arr[where - 2])
+    outcome = ExistenceOutcome(where - 1, died_at=where, lookup_index=lookup)
+    return QTrace(q_arr[: where - 1].copy(), outcome, f_arr, spec)
 
 
 def compute_two_term(spec: TwoTermSpec, n_max: int) -> QTrace:

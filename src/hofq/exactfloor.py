@@ -79,16 +79,22 @@ def iroot(m: int, k: int) -> tuple[int, bool]:
     s = max(0, -(-(m.bit_length() - 512) // k))
     est = float((m >> (k * s)) + 1) ** (1 / k) * (1 + 2.0**-30)
     r = ((int(math.ldexp(est, 52)) + 1) << s >> 52) + 1
+    # a step t = ((k-1) r + m // r^(k-1)) // k never lands below the floor
+    # root (AM-GM), and descends from every r above it (there r^k > m), so
+    # the loop stops at an r with r^k <= m, and after one step at the floor
+    # root itself.  Only a seed at or below the root needs the climb.
+    stepped = False
     while True:
-        t = ((k - 1) * r + m // r ** (k - 1)) // k
+        rk1 = r ** (k - 1)
+        t = ((k - 1) * r + m // rk1) // k
         if t >= r:
             break
-        r = t
-    while r**k > m:
-        r -= 1
-    while (r + 1) ** k <= m:
-        r += 1
-    return r, r**k == m
+        r, stepped = t, True
+    if not stepped:
+        while (r + 1) ** k <= m:
+            r += 1
+        rk1 = r ** (k - 1)
+    return r, rk1 * r == m
 
 
 def floor_gamma(n: int) -> int:
@@ -155,10 +161,9 @@ def ceil_div_pow(a: int, n: int, p: int, q: int) -> int:
     i.e. iroot(a**q // n**p, q); the ceiling is k where that is an equality,
     else k + 1.  Exact for every a, with no float step.
     """
-    target = a**q
-    npow = n**p
-    k = iroot(target // npow, q)[0]
-    return k if k**q * npow == target else k + 1
+    quot, rem = divmod(a**q, n**p)
+    k, exact = iroot(quot, q)  # k**q * n**p == a**q iff both divisions are exact
+    return k if exact and not rem else k + 1
 
 
 # working precisions of ceil_exp_decay, in decimal digits

@@ -31,6 +31,7 @@ for convenience only).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -255,14 +256,19 @@ class ModM(FSpec):
         return self.m == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Prefix(FSpec):
     """Explicit finite prefix."""
 
     prefix: tuple[int, ...]
 
-    def __post_init__(self):
-        prefix = tuple(map(int, self.prefix))
+    def __init__(self, prefix):
+        if type(prefix) is not tuple:
+            prefix = tuple(prefix)
+        try:  # int(v) for every integer v, at half the cost of int()
+            prefix = tuple(map(operator.index, prefix))
+        except TypeError:
+            prefix = tuple(map(int, prefix))
         if not prefix:
             raise InvalidFSpec("prefix: need at least one value")
         object.__setattr__(self, "prefix", prefix)
@@ -274,7 +280,8 @@ class Prefix(FSpec):
         return self.prefix[n - 1]
 
     def values(self, n_max):
-        self._check_len(n_max)
+        if not 1 <= n_max <= len(self.prefix):
+            self._check_len(n_max)  # raises
         return np.array(self.prefix[:n_max], dtype=np.int64)
 
     def max_len(self):
@@ -408,6 +415,12 @@ class _CheckedSlow(FSpec):
 
     def values(self, n_max):
         self._check_len(n_max)
+        # f(1) and f(2) first: most parameters that are not slow fail there,
+        # before all n_max terms are built.  A head past int64 is left to
+        # _unchecked_values, whose OverflowError it then raises
+        head = [self.value(n) for n in range(1, min(n_max, 2) + 1)]
+        if all(INT64_MIN <= v <= INT64_MAX for v in head):
+            _require_slow(np.array(head, dtype=np.int64), self)
         out = self._unchecked_values(n_max)
         _require_slow(out, self)
         return out

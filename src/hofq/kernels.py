@@ -33,10 +33,21 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 
 
 _BYTES = ctypes.c_char * 0  # a view of any buffer, even an empty one
+_INT64 = np.dtype(np.int64)
+_OK = (OK, 0)
 
 
 def _address(a, name: str, write: bool = False, dtype=np.int64) -> int:
     """Data address of `a` once it is known to be safe to hand to C."""
+    if (dtype is np.int64 and type(a) is np.ndarray and a.ndim == 1
+            and a.dtype is _INT64):  # native int64: the trace kernels' case
+        # from_buffer itself refuses, with TypeError, a buffer that is
+        # read-only or not C-contiguous; those take the full check below,
+        # which keeps every message
+        try:
+            return ctypes.addressof(_BYTES.from_buffer(a))
+        except TypeError:
+            pass
     if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
             and a.flags.c_contiguous and (a.flags.writeable or not write)):
         kind = "writeable " if write else ""
@@ -51,7 +62,7 @@ def _address(a, name: str, write: bool = False, dtype=np.int64) -> int:
 def _status(r: int, start: int) -> tuple[int, int]:
     """(status, where) from a C kernel's return value; k maps to start + k."""
     if r == 0:
-        return OK, 0
+        return _OK
     return (DIED, start + r) if r > 0 else (OVERFLOW, start - r)
 
 
@@ -88,7 +99,8 @@ class CompiledKernels:
         pf, pq = _address(f, "f"), _address(q, "q", write=True)
         if len(q) < len(f):
             raise ValueError(f"q holds {len(q)} terms, f has {len(f)}")
-        return _status(self._one(pf, pq, len(f)), 0)
+        r = self._one(pf, pq, len(f))
+        return _status(r, 0) if r else _OK
 
     def one_term_rows(self, f, q, status, m):
         pf, pq = _address(f, "f"), _address(q, "q", write=True)

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,14 @@ from hofq.engine import (
     TwoTermSpec,
 )
 from hofq.errors import InvalidFSpec, InvalidQ
-from hofq.fspec import DiffBits, ModM, Zeros, enumerate_slow_prefixes
+from hofq.fspec import (
+    DiffBits,
+    FSpec,
+    ModM,
+    Prefix,
+    Zeros,
+    enumerate_slow_prefixes,
+)
 
 from oracle import oracle_inverse_f, oracle_q, oracle_two_term
 
@@ -308,3 +319,94 @@ def test_long_driver_via_diffbits():
     assert t.exists
     n = np.arange(1, 10**4 + 1)
     assert (t.q_values >= 1).all() and (t.q_values <= n).all()
+
+
+class _Returns(FSpec):
+    """A caller's spec whose values() hands back a given array as is."""
+
+    def __init__(self, arr):
+        self.arr = arr
+
+    def values(self, n_max):
+        return self.arr
+
+    def spec_str(self):
+        return "returns"
+
+
+@pytest.fixture
+def trace_backend(kernel_backend, monkeypatch):
+    """compute_q on each kernel backend."""
+    monkeypatch.setattr(kernels, "one_term_trace", kernel_backend.one_term_trace)
+    return kernel_backend
+
+
+def test_compute_q_checks_the_array_a_spec_returns(c_kernels, monkeypatch):
+    # the C wrapper's own checks, reached through compute_q on any backend
+    monkeypatch.setattr(kernels, "one_term_trace", c_kernels.one_term_trace)
+    f = np.array([0, 1, 1, 2, 2, 2, 3, 3], dtype=np.int64)
+    for bad in (f.astype(np.int32), np.repeat(f, 2)[::2], f.reshape(-1, 1)):
+        with pytest.raises(ValueError) as err:
+            compute_q(_Returns(bad), len(f))
+        assert str(err.value) == "f must be a 1-D C-contiguous int64 array"
+
+
+def test_read_only_f_traces_as_a_writeable_one(trace_backend):
+    f = np.array([0, 1, 1, 2, 2, 2, 3, 3, 3, 3], dtype=np.int64)
+    frozen = f.copy()
+    frozen.setflags(write=False)
+    want = compute_q(f.tolist(), len(f))
+    got = compute_q(_Returns(frozen), len(f))
+    assert got.q_values.tolist() == want.q_values.tolist()
+    assert got.f_values is frozen and got.outcome == want.outcome
+
+
+def test_traces_stay_frozen_and_read_only(trace_backend):
+    for t in (compute_q([0, 1, 1, 2, 2], 5), compute_q([0, 2, 2], 3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.outcome = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.outcome.checked_to = 0
+        assert not t.q_values.flags.writeable
+        assert not t.f_values.flags.writeable
+        for copied in (pickle.loads(pickle.dumps(t)), copy.copy(t),
+                       copy.deepcopy(t)):
+            assert copied.outcome == t.outcome and copied.start == t.start
+            assert copied.fspec == t.fspec
+            assert copied.q_values.tolist() == t.q_values.tolist()
+            assert copied.f_values.tolist() == t.f_values.tolist()
+
+
+def test_traces_that_exist_share_an_equal_outcome(trace_backend):
+    a, b = compute_q("zeros", 7), compute_q([0] * 7, 7)
+    assert a.outcome == engine.ExistenceOutcome(7) == b.outcome
+    assert type(a.outcome.checked_to) is int
+    assert compute_q("zeros", 8).outcome == engine.ExistenceOutcome(8)
+
+
+def test_compute_q_makes_one_values_and_one_kernel_call(monkeypatch):
+    # the layers a tracer wraps: Prefix.values through the class and
+    # kernels.one_term_trace through the module
+    calls = []
+    values, kernel = Prefix.values, kernels.one_term_trace
+
+    def counted_values(self, n_max):
+        calls.append(("values", n_max, values(self, n_max)))
+        return calls[-1][2]
+
+    def counted_kernel(f, q):
+        calls.append(("kernel", (f, q), kernel(f, q)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(Prefix, "values", counted_values)
+    monkeypatch.setattr(kernels, "one_term_trace", counted_kernel)
+    for prefix in [*enumerate_slow_prefixes(6), (0, 2, 2, 2, 2, 2)]:
+        calls.clear()
+        t = compute_q(prefix, 6)
+        (_, n_max, f), (_, args, result) = calls
+        assert [c[0] for c in calls] == ["values", "kernel"] and n_max == 6
+        assert args[0] is f is t.f_values and len(args[1]) == 6
+        assert type(result) is tuple and len(result) == 2
+        assert (result == (kernels.OK, 0)) == t.exists
+        if t.exists:
+            assert args[1] is t.q_values

@@ -219,6 +219,27 @@ def test_const_limit_rejects_non_slow_parameters():
         ConstLimit("clamp", alpha=Fraction(3, 2), n0=5)
 
 
+@pytest.mark.parametrize("spec, text", [
+    (ConstLimit("sqrt", a=2**52 + 1),
+     "difference f(2) - f(1) = 1319073791107610 is outside {0, 1}"),
+    (ConstLimit("pow", a=2**52, b=Fraction(1, 64)),
+     "difference f(2) - f(1) = 48512715765651 is outside {0, 1}"),
+    (ConstLimit("exp", a=10, b=Fraction(5)), "f(1) = 9, not 0"),
+    (FracPowerSum(((Fraction(5), Fraction(1, 2)), (Fraction(-5), Fraction(0)))),
+     "difference f(2) - f(1) = 2 is outside {0, 1}"),
+])
+def test_non_slow_parameters_are_refused_before_materialising(
+        monkeypatch, spec, text):
+    # f(1) and f(2) come from value(); the n_max terms are never built
+    def unreachable(self, n_max):
+        raise AssertionError("_unchecked_values ran")
+
+    monkeypatch.setattr(type(spec), "_unchecked_values", unreachable)
+    with pytest.raises(InvalidFSpec) as err:
+        spec.values(200_000)
+    assert str(err.value) == f"{spec.spec_str()!r}: {text}"
+
+
 def test_const_limit_values_against_oracle():
     with mpmath.workdps(60):
         for text, fn in [
@@ -450,6 +471,12 @@ def test_sqrt_is_pow_at_half(monkeypatch, isqrt_route, a):
 def test_as_fspec_coercions():
     assert as_fspec("zeros") == Zeros()
     assert as_fspec([0, 2, 2]) == Prefix((0, 2, 2))
+    # each value is int(v), from any iterable, integer or not
+    for values, want in [([0, 1.9, "2", np.int64(3), True], (0, 1, 2, 3, 1)),
+                         ((v for v in [0, 1, 2.5]), (0, 1, 2)),
+                         (np.array([0, 1, 1]), (0, 1, 1))]:
+        got = as_fspec(values).prefix
+        assert got == want and all(type(v) is int for v in got)
     spec = GammaSq()
     assert as_fspec(spec) is spec
     with pytest.raises(TypeError):
