@@ -4,7 +4,8 @@ Fallback used when the C kernels of `_kernels.c` cannot be built (or when
 HOFQ_PURE=1 forces it), and the reference the tests compare them against.
 Call contracts, shared with the C kernels as hofq.kernels wraps them:
 
-  * arrays are 1-D contiguous int64 numpy arrays
+  * arrays are 1-D contiguous int64 numpy arrays (check_array, which
+    one_term_trace applies here too, so both backends refuse the same f)
   * return value is (status, n) where status is OK / DIED / OVERFLOW and,
     for nonzero status, n is the first index that could not be computed
   * on return the output array holds every term before index n
@@ -24,6 +25,8 @@ is one call to percent_rows, the library's one Python row formatter, which
 hofq.table also runs for the rows that hold float fields.
 """
 
+import numpy as np
+
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
 
@@ -38,8 +41,22 @@ WALK_MAX_DEPTH = 62  # the C walk keeps its path in fixed arrays of this depth
 FORMAT_MAX_WIDTH = 64  # the widest %<w>d field of format_rows
 
 
+def check_array(a, name, write=False, dtype=np.int64):
+    """Raise ValueError unless a is a 1-D C-contiguous numpy array of dtype,
+    writeable with write: what a C kernel may be handed."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
+            and a.flags.c_contiguous and (a.flags.writeable or not write)):
+        kind = "writeable " if write else ""
+        raise ValueError(f"{name} must be a 1-D C-contiguous {kind}"
+                         f"{np.dtype(dtype).name} array")
+
+
 def one_term_trace(f, q):
     """q(1) = 1; q(n) = q(n - q(n-1)) + f(n).  Fills q; f sets the length."""
+    check_array(f, "f")
+    check_array(q, "q", write=True)
+    if len(q) < len(f):
+        raise ValueError(f"q holds {len(q)} terms, f has {len(f)}")
     n_max = len(f)
     if n_max == 0:
         return OK, 0

@@ -169,6 +169,12 @@ def compute_q(f, n_max: int) -> QTrace:
     except OverflowError:
         raise OverflowError(
             f"{spec.spec_str()!r}: f values exceed the 64-bit range") from None
+    # a caller's spec may return any array, and q is sized by n_max
+    if getattr(f_arr, "ndim", 1) != 1 or len(f_arr) != n_max:
+        if np.ndim(f_arr) != 1:
+            raise ValueError("f must be a 1-D C-contiguous int64 array")
+        raise ValueError(f"{spec.spec_str()!r} gave {len(f_arr)} terms"
+                         f" for n_max = {n_max}")
     if f_arr[0] != 0:
         raise InvalidFSpec(
             f"{spec.spec_str()!r}: f(1) = {int(f_arr[0])}, but f(1) = 0 is required")

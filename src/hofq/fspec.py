@@ -26,10 +26,14 @@ Text grammar (parse_fspec / FSpec.spec_str round-trip):
 Rational parameters accept "P/Q" or an integer; a decimal literal is
 converted to the nearest fraction with denominator <= 10^9 (approximate,
 for convenience only).
+
+Each family defines f once, as `_span(lo, hi)`: exact f(lo..hi-1), int64 or,
+past int64, Python ints.  `value` and `values` follow from it in FSpec.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -61,20 +65,34 @@ _FRACPOW_MAX_BITS = 4096
 _SEED_A_MAX = 2**52
 _EXP_B_MIN, _EXP_B_MAX = 2.0**-900, 2.0**900
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive float64
+_INT64 = np.dtype(np.int64)
 
 
 class FSpec:
     """Base class for driving-sequence specs."""
 
-    def value(self, n: int) -> int:
+    def _span(self, lo: int, hi: int) -> np.ndarray:
+        """A new array of the exact f(lo), ..., f(hi-1), for
+        1 <= lo < hi <= max_len() + 1: int64, or an object array of Python
+        ints where a value or an operand leaves int64."""
         raise NotImplementedError
+
+    def value(self, n: int) -> int:
+        """Exact f(n) as a Python int."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self._check_len(n)
+        return int(self._span(n, n + 1)[0])
 
     def values(self, n_max: int) -> np.ndarray:
         """f(1..n_max) as an int64 array; raises InvalidFSpec if the spec
-        cannot produce that many terms."""
-        self._check_len(n_max)
-        out = np.fromiter((self.value(n) for n in range(1, n_max + 1)),
-                          dtype=np.int64, count=n_max)
+        cannot produce that many terms, OverflowError if one leaves int64."""
+        cap = self.max_len()
+        if n_max < 1 or cap is not None and n_max > cap:
+            self._check_len(n_max)  # raises
+        out = self._span(1, n_max + 1)
+        if out.dtype is not _INT64:  # an object array: past int64
+            raise OverflowError(f"{self.spec_str()!r}: f values exceed int64")
         return out
 
     def spec_str(self) -> str:
@@ -104,12 +122,8 @@ class FSpec:
 
 @dataclass(frozen=True)
 class Zeros(FSpec):
-    def value(self, n):
-        return 0
-
-    def values(self, n_max):
-        self._check_len(n_max)
-        return np.zeros(n_max, dtype=np.int64)
+    def _span(self, lo, hi):
+        return np.zeros(hi - lo, dtype=np.int64)
 
     def spec_str(self):
         return "zeros"
@@ -123,12 +137,8 @@ class Zeros(FSpec):
 class Linear(FSpec):
     """f(n) = n - 1."""
 
-    def value(self, n):
-        return n - 1
-
-    def values(self, n_max):
-        self._check_len(n_max)
-        return np.arange(n_max, dtype=np.int64)
+    def _span(self, lo, hi):
+        return _indices(lo - 1, hi - 1)
 
     def spec_str(self):
         return "linear"
@@ -160,13 +170,9 @@ class FloorRatio(FSpec):
         if self.scale == 0:
             raise InvalidFSpec("floor ratio: scale must be nonzero")
 
-    def value(self, n):
-        return self.scale * ((self.num * n + self.shift) // self.den)
-
-    def values(self, n_max):
-        self._check_len(n_max)
-        return _floor_ratio(np.arange(1, n_max + 1, dtype=np.int64),
-                            self.num, self.den, self.shift, self.scale)
+    def _span(self, lo, hi):
+        return _floor_ratio(_indices(lo, hi), self.num, self.den, self.shift,
+                            self.scale)
 
     def spec_str(self):
         s = f"floor:{self.num}/{self.den}"
@@ -186,14 +192,10 @@ class FloorRatio(FSpec):
 class GammaSq(FSpec):
     """f(n) = floor(gamma^2 * n), gamma = (sqrt(5)-1)/2."""
 
-    def value(self, n):
-        return floor_gamma_sq(n)
-
-    def values(self, n_max):
-        self._check_len(n_max)
-        if n_max <= GAMMA_ARRAY_CAP:
-            return floor_gamma_sq_array(np.arange(1, n_max + 1, dtype=np.int64))
-        return super().values(n_max)
+    def _span(self, lo, hi):
+        if hi - 1 <= GAMMA_ARRAY_CAP:
+            return floor_gamma_sq_array(np.arange(lo, hi, dtype=np.int64))
+        return _exact([floor_gamma_sq(n) for n in range(lo, hi)])
 
     def spec_str(self):
         return "gamma2"
@@ -213,14 +215,10 @@ class OneMinusDelta(FSpec):
         if self.n1 < 1:
             raise InvalidFSpec("one-minus-delta: index must be >= 1")
 
-    def value(self, n):
-        return 0 if n == self.n1 else 1
-
-    def values(self, n_max):
-        self._check_len(n_max)
-        out = np.ones(n_max, dtype=np.int64)
-        if self.n1 <= n_max:
-            out[self.n1 - 1] = 0
+    def _span(self, lo, hi):
+        out = np.ones(hi - lo, dtype=np.int64)
+        if lo <= self.n1 < hi:
+            out[self.n1 - lo] = 0
         return out
 
     def spec_str(self):
@@ -241,12 +239,9 @@ class ModM(FSpec):
         if self.m < 1:
             raise InvalidFSpec("mod: modulus must be >= 1")
 
-    def value(self, n):
-        return (n - 1) % self.m
-
-    def values(self, n_max):
-        self._check_len(n_max)
-        return np.arange(n_max, dtype=np.int64) % self.m
+    def _span(self, lo, hi):
+        n = _indices(lo - 1, hi - 1)
+        return (n if self.m <= INT64_MAX else n.astype(object)) % self.m
 
     def spec_str(self):
         return f"mod:{self.m}"
@@ -273,16 +268,11 @@ class Prefix(FSpec):
             raise InvalidFSpec("prefix: need at least one value")
         object.__setattr__(self, "prefix", prefix)
 
-    def value(self, n):
-        if n > len(self.prefix):
-            raise InvalidFSpec(
-                f"prefix spec has {len(self.prefix)} terms, index {n} requested")
-        return self.prefix[n - 1]
-
-    def values(self, n_max):
-        if not 1 <= n_max <= len(self.prefix):
-            self._check_len(n_max)  # raises
-        return np.array(self.prefix[:n_max], dtype=np.int64)
+    def _span(self, lo, hi):
+        try:  # _exact inlined: compute_q on short prefixes runs this most
+            return np.fromiter(self.prefix[lo - 1:hi - 1], np.int64)
+        except OverflowError:
+            return np.array(self.prefix[lo - 1:hi - 1], dtype=object)
 
     def max_len(self):
         return len(self.prefix)
@@ -313,19 +303,12 @@ class DiffBits(FSpec):
             raise InvalidFSpec("bits: differences must be 0 or 1")
         object.__setattr__(self, "bits", raw)
 
-    def value(self, n):
-        if n > len(self.bits) + 1:
-            raise InvalidFSpec(
-                f"bit spec has {len(self.bits) + 1} terms, index {n} requested")
-        return sum(self.bits[: n - 1])
-
-    def values(self, n_max):
-        self._check_len(n_max)
-        out = np.zeros(n_max, dtype=np.int64)
-        if n_max > 1:
-            arr = np.frombuffer(self.bits, dtype=np.uint8)[: n_max - 1]
+    def _span(self, lo, hi):
+        out = np.zeros(hi - 1, dtype=np.int64)  # f(1..hi-1)
+        if hi > 2:
+            arr = np.frombuffer(self.bits, dtype=np.uint8)[: hi - 2]
             np.cumsum(arr, dtype=np.int64, out=out[1:])
-        return out
+        return out[lo - 1:]
 
     def max_len(self):
         return len(self.bits) + 1
@@ -350,15 +333,14 @@ class Shifted(FSpec):
         if self.k < 1:
             raise InvalidFSpec("shift: k must be >= 1")
 
-    def value(self, n):
-        return 0 if n <= self.k else self.inner.value(n - self.k)
-
-    def values(self, n_max):
-        self._check_len(n_max)
-        if n_max <= self.k:
-            return np.zeros(n_max, dtype=np.int64)
-        head = np.zeros(self.k, dtype=np.int64)
-        return np.concatenate([head, self.inner.values(n_max - self.k)])
+    def _span(self, lo, hi):
+        if hi - 1 <= self.k:
+            return np.zeros(hi - lo, dtype=np.int64)
+        tail = self.inner._span(max(lo - self.k, 1), hi - self.k)
+        if lo > self.k:
+            return tail
+        head = np.zeros(self.k - lo + 1, dtype=np.int64)
+        return np.concatenate([head, tail])
 
     def max_len(self):
         cap = self.inner.max_len()
@@ -384,19 +366,14 @@ class Perturbed(FSpec):
         if self.at < 1:
             raise InvalidFSpec("perturb: index must be >= 1")
 
-    def value(self, n):
-        v = self.inner.value(n)
-        return v + self.amount if n == self.at else v
-
-    def values(self, n_max):
-        self._check_len(n_max)
-        out = self.inner.values(n_max)
-        if self.at <= n_max:
+    def _span(self, lo, hi):
+        out = self.inner._span(lo, hi)
+        if lo <= self.at < hi:
             # numpy would wrap the int64 sum; add in Python ints and check
-            v = int(out[self.at - 1]) + self.amount
+            v = int(out[self.at - lo]) + self.amount
             if not INT64_MIN <= v <= INT64_MAX:
-                raise OverflowError(f"perturb: f({self.at}) = {v} exceeds int64")
-            out[self.at - 1] = v
+                out = out.astype(object)
+            out[self.at - lo] = v
         return out
 
     def max_len(self):
@@ -409,21 +386,29 @@ class Perturbed(FSpec):
 _CONST_LIMIT_FORMS = ("sqrt", "exp", "pow", "clamp")
 
 
-class _CheckedSlow(FSpec):
-    """A family documented slow whose values() check what its
-    _unchecked_values() give and refuse parameters that are not slow."""
+def _refuses_non_slow(span):
+    """The _span of a family documented slow, which refuses parameters that
+    are not slow where it builds f from f(1) on: for values(), and under a
+    shift or perturb.  f(1) and f(2) come first, from value(), so most such
+    parameters fail before all terms are built."""
 
-    def values(self, n_max):
-        self._check_len(n_max)
-        # f(1) and f(2) first: most parameters that are not slow fail there,
-        # before all n_max terms are built.  A head past int64 is left to
-        # _unchecked_values, whose OverflowError it then raises
-        head = [self.value(n) for n in range(1, min(n_max, 2) + 1)]
-        if all(INT64_MIN <= v <= INT64_MAX for v in head):
-            _require_slow(np.array(head, dtype=np.int64), self)
-        out = self._unchecked_values(n_max)
-        _require_slow(out, self)
+    @functools.wraps(span)
+    def checked(self, lo, hi):
+        # no head for one term, the span a clamp's value(1) reads
+        if lo == 1 and hi > 2:
+            head = _exact([self.value(1), self.value(2)])
+            if head.dtype is _INT64:  # else the span leaves int64 too
+                _require_slow(head, self)
+        out = span(self, lo, hi)
+        if lo == 1 and out.dtype is _INT64:
+            _require_slow(out, self)
         return out
+
+    return checked
+
+
+class _CheckedSlow(FSpec):
+    """A family documented slow, whose _span is _refuses_non_slow's."""
 
     @property
     def is_slow_family(self):
@@ -439,7 +424,8 @@ class ConstLimit(_CheckedSlow):
            pow   f(n) = floor(a - a/n^b)
            clamp f(n) = floor(alpha*n) for n < n0, else floor(alpha*n0)
 
-    clamp evaluates as FloorRatio does, at min(n, n0).
+    clamp evaluates as FloorRatio does, at min(n, n0).  The other forms
+    keep an exact scalar value(), the certificate for their float seed.
     """
 
     form: str
@@ -475,36 +461,40 @@ class ConstLimit(_CheckedSlow):
 
     def value(self, n):
         if self.form == "clamp":
-            m = min(n, self.n0)
-            return (self.alpha.numerator * m) // self.alpha.denominator
+            return FSpec.value(self, n)
+        if n < 1:
+            raise ValueError("n must be >= 1")
         if self.form == "exp":
             return self.a - ceil_exp_decay(self.a, n, self.b.numerator,
                                            self.b.denominator)
         return self.a - ceil_div_pow(self.a, n, self.b.numerator,
                                      self.b.denominator)
 
-    def _unchecked_values(self, n_max):
-        """f(1..n_max) before the slow-property check: integer square roots
-        at b = 1/2 while isqrt_array takes a^2, else a float64 seed or
-        term by term."""
-        n = np.arange(1, n_max + 1, dtype=np.int64)
+    @_refuses_non_slow
+    def _span(self, lo, hi):
+        """f(lo..hi-1): integer square roots at b = 1/2 while isqrt_array
+        takes a^2, else a float64 seed; value() term by term where neither
+        applies, and for a single term."""
         if self.form == "clamp":
-            # n0 may exceed int64, n_max may not: clip n0 before numpy
-            return _floor_ratio(np.minimum(n, min(n_max, self.n0)),
-                                self.alpha.numerator, self.alpha.denominator)
+            # n0 may exceed int64: clip it to the span before numpy
+            n = np.minimum(_indices(lo, hi), min(hi - 1, self.n0))
+            return _floor_ratio(n, self.alpha.numerator,
+                                self.alpha.denominator)
         power = self.form != "exp"
-        if power and self.b == Fraction(1, 2) and self.a**2 <= ISQRT_ARRAY_CAP:
+        many = hi - lo > 1  # one term is value() itself
+        if (many and power and self.b == Fraction(1, 2)
+                and self.a**2 <= ISQRT_ARRAY_CAP):
             aa = self.a * self.a
+            n = np.arange(lo, hi, dtype=np.int64)
             k = isqrt_array(aa // n)  # floor(a / sqrt(n))
             return self.a - k - (k * k * n != aa)
-        if self.a <= _SEED_A_MAX and (power
-                                      or _EXP_B_MIN < self.b < _EXP_B_MAX):
-            return self.a - self._decay_ceil(n_max)
-        return np.fromiter((self.value(n) for n in range(1, n_max + 1)),
-                           dtype=np.int64, count=n_max)
+        if many and self.a <= _SEED_A_MAX and (
+                power or _EXP_B_MIN < self.b < _EXP_B_MAX):
+            return self.a - self._decay_ceil(lo, hi)
+        return _exact([self.value(n) for n in range(lo, hi)])
 
-    def _decay_ceil(self, n_max):
-        """ceil(x) for x = a/n^b (pow) or a*exp(-b*n) (exp), n = 1..n_max,
+    def _decay_ceil(self, lo, hi):
+        """ceil(x) for x = a/n^b (pow) or a*exp(-b*n) (exp), n = lo..hi-1,
         from a float64 seed.
 
         Error bound, with u = 2**-53 and numpy's log and exp trusted to
@@ -524,11 +514,11 @@ class ConstLimit(_CheckedSlow):
         the true x is below 2**52 * e**-700 < 1 and so is x + err, which the
         clip at 0 in `_certified_round` settles: ceil is 1.
         """
-        n = np.arange(1, n_max + 1, dtype=np.float64)
+        n = np.arange(lo, hi, dtype=np.float64)
         t = float(self.b) * (n if self.form == "exp" else np.log(n))
         x = self.a * np.exp(-t)
         err = x * (16 * t + 16) * 2.0**-53
-        return _certified_round(x, err, lambda k: self.a - self.value(k),
+        return _certified_round(x, err, lambda k: self.a - self.value(k), lo,
                                 ceil=True)
 
     def spec_str(self):
@@ -546,7 +536,8 @@ class FracPowerSum(_CheckedSlow):
     Floors are certified with scaled-integer root brackets: each n^(e_i) is
     bracketed between consecutive multiples of 2^-bits via an integer root,
     exactly when the root is rational.  The bracket is narrowed until both
-    ends share a floor.
+    ends share a floor.  That exact scalar value() is the certificate for
+    the float seed of _span().
     """
 
     terms: tuple[tuple[Fraction, Fraction], ...]
@@ -611,20 +602,24 @@ class FracPowerSum(_CheckedSlow):
             "fracpow: cannot certify floor (value is an exact integer "
             "through irrational cancellation)")
 
-    def _unchecked_values(self, n_max):
-        """Vectorized evaluation before the slow-property check: float64
-        carries a certified error budget, so its floor is trusted except
-        within that budget of an integer, where the exact path decides."""
-        n = np.arange(1, n_max + 1, dtype=np.float64)
-        total = np.zeros(n_max)
-        magnitude = np.zeros(n_max)
+    @_refuses_non_slow
+    def _span(self, lo, hi):
+        """Vectorized evaluation: float64 carries a certified error budget,
+        so its floor is trusted except within that budget of an integer,
+        where the exact path decides.  OverflowError where the float sum
+        leaves int64; one term is value() itself."""
+        if hi - lo == 1:
+            return _exact([self.value(lo)])
+        n = np.arange(lo, hi, dtype=np.float64)
+        total = np.zeros(hi - lo)
+        magnitude = np.zeros(hi - lo)
         for c, e in self.terms:
             term = float(c) * n ** float(e)
             total += term
             magnitude += np.abs(term)
         # per-term float64 error is a few ulp; 1e-13 relative is ~450 ulp
         err = 1e-13 * magnitude + 1e-12
-        return _certified_round(total, err, self.value)
+        return _certified_round(total, err, self.value, lo)
 
     def spec_str(self):
         parts = []
@@ -641,21 +636,31 @@ class FracPowerSum(_CheckedSlow):
         return "fracpow:" + out
 
 
+def _indices(lo: int, hi: int) -> np.ndarray:
+    """lo, ..., hi-1 as int64, or as Python ints where hi leaves int64."""
+    return np.arange(lo, hi, dtype=np.int64 if hi <= INT64_MAX else object)
+
+
+def _exact(vals) -> np.ndarray:
+    """The Python ints vals as int64 where all fit, else as objects."""
+    try:  # fromiter: 10-15% faster than np.array from 3 values on
+        return np.fromiter(vals, np.int64)
+    except OverflowError:
+        return np.array(vals, dtype=object)
+
+
 def _floor_ratio(n: np.ndarray, num: int, den: int, shift: int = 0,
                  scale: int = 1) -> np.ndarray:
-    """scale * floor((num*n + shift) / den) for the ascending positive int64
-    indices n, as int64.  In int64 where every intermediate fits, else in
-    exact Python ints; OverflowError only where a value leaves int64."""
+    """scale * floor((num*n + shift) / den) for the ascending positive
+    indices n.  In int64 where every intermediate fits, else in exact Python
+    ints, which stay objects where a value leaves int64."""
     if (max(abs(num) * int(n[-1]) + abs(shift), 1) * abs(scale) <= INT64_MAX
             and den <= INT64_MAX):
         return scale * ((num * n + shift) // den)
-    exact = scale * ((num * n.astype(object) + shift) // den)
-    if not INT64_MIN <= exact.min() <= exact.max() <= INT64_MAX:
-        raise OverflowError("floor ratio values exceed int64")
-    return exact.astype(np.int64)
+    return _exact(scale * ((num * n.astype(object) + shift) // den))
 
 
-def _certified_round(x: np.ndarray, err, exact,
+def _certified_round(x: np.ndarray, err, exact, first: int,
                      ceil: bool = False) -> np.ndarray:
     """int64 floors of the reals that the float64 array `x` approximates to
     within the proven absolute error `err`; with `ceil`, ceilings of reals
@@ -664,7 +669,7 @@ def _certified_round(x: np.ndarray, err, exact,
 
     Where every real in [x - err, x + err] rounds to the same integer, that
     integer is the answer; elsewhere, i.e. where x lies within err of an
-    integer, `exact(n)` gives it for n = index + 1.
+    integer, `exact(n)` gives it for n = index + first.
     """
     if not (np.abs(x) < 2.0**62).all():  # the int64 cast is undefined there
         raise OverflowError("values exceed int64")
@@ -675,7 +680,7 @@ def _certified_round(x: np.ndarray, err, exact,
     r_lo = rnd(lo)
     out = r_lo.astype(np.int64)
     for i in np.flatnonzero(r_lo != rnd(hi)):
-        out[i] = exact(int(i) + 1)
+        out[i] = exact(int(i) + first)
     return out
 
 
@@ -699,8 +704,6 @@ def _require_slow(values: np.ndarray, spec: FSpec) -> None:
 
 def eval_f(spec: FSpec, n: int) -> int:
     """Exact f(n) for a spec (n >= 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return spec.value(n)
 
 

@@ -48,11 +48,7 @@ def _address(a, name: str, write: bool = False, dtype=np.int64) -> int:
             return ctypes.addressof(_BYTES.from_buffer(a))
         except TypeError:
             pass
-    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
-            and a.flags.c_contiguous and (a.flags.writeable or not write)):
-        kind = "writeable " if write else ""
-        raise ValueError(f"{name} must be a 1-D C-contiguous {kind}"
-                         f"{np.dtype(dtype).name} array")
+    _kernels_py.check_array(a, name, write, dtype)
     if not a.flags.writeable:  # from_buffer takes writeable buffers only
         return a.ctypes.data
     # a third of the cost of a.ctypes.data, which builds a Python object

@@ -6,12 +6,18 @@ except oracle_triangle_cells: the triangle builder that preceded the
 prefix-tree walk, on batches of whole prefixes.  Its batches go through
 compute_q_batch, that is the same one-term kernel as compute_q, so it checks
 the walk against the row-by-row trace, not against a second recurrence.
+oracle_f reads the fields of a spec, and takes the terms of const-limit
+(but clamp) and fracpow from their exact scalar value().
 """
+
+import math
 
 import numpy as np
 
 from hofq.engine import compute_q_batch
-from hofq.fspec import slow_prefix_matrix
+from hofq.fspec import (ConstLimit, DiffBits, FloorRatio, FracPowerSum,
+                        GammaSq, Linear, ModM, OneMinusDelta, Perturbed,
+                        Prefix, Shifted, Zeros, slow_prefix_matrix)
 
 
 def oracle_q(f, n_max=None):
@@ -29,6 +35,37 @@ def oracle_q(f, n_max=None):
             return q[: n - 1], n, k
         q.append(q[k - 1] + f[n - 1])
     return q, None, None
+
+
+def oracle_f(spec, n):
+    """f(n) of an f-spec in Python ints, from the grammar's formula for its
+    family (n >= 1, and n <= max_len())."""
+    if isinstance(spec, Zeros):
+        return 0
+    if isinstance(spec, Linear):
+        return n - 1
+    if isinstance(spec, FloorRatio):
+        return spec.scale * ((spec.num * n + spec.shift) // spec.den)
+    if isinstance(spec, GammaSq):  # floor(gamma^2 n) = n - 1 - floor(gamma n)
+        return n - 1 - (math.isqrt(5 * n * n) - n) // 2
+    if isinstance(spec, OneMinusDelta):
+        return 0 if n == spec.n1 else 1
+    if isinstance(spec, ModM):
+        return (n - 1) % spec.m
+    if isinstance(spec, Prefix):
+        return spec.prefix[n - 1]
+    if isinstance(spec, DiffBits):
+        return sum(spec.bits[:n - 1])
+    if isinstance(spec, Shifted):
+        return 0 if n <= spec.k else oracle_f(spec.inner, n - spec.k)
+    if isinstance(spec, Perturbed):
+        return oracle_f(spec.inner, n) + (spec.amount if n == spec.at else 0)
+    if isinstance(spec, ConstLimit) and spec.form == "clamp":
+        alpha = spec.alpha
+        return alpha.numerator * min(n, spec.n0) // alpha.denominator
+    if isinstance(spec, (ConstLimit, FracPowerSum)):
+        return spec.value(n)
+    raise TypeError(f"no oracle for {spec!r}")
 
 
 def oracle_two_term(offsets, init, start, outer, n_max):

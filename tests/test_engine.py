@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from hofq import engine, kernels
+from hofq import _kernels_py, engine, kernels
 from hofq.engine import (
     compute_c,
     compute_f_from_q,
@@ -342,13 +342,22 @@ def trace_backend(kernel_backend, monkeypatch):
 
 
 def test_compute_q_checks_the_array_a_spec_returns(c_kernels, monkeypatch):
-    # the C wrapper's own checks, reached through compute_q on any backend
-    monkeypatch.setattr(kernels, "one_term_trace", c_kernels.one_term_trace)
+    # the C wrapper's checks, which the pure kernel and compute_q share
     f = np.array([0, 1, 1, 2, 2, 2, 3, 3], dtype=np.int64)
-    for bad in (f.astype(np.int32), np.repeat(f, 2)[::2], f.reshape(-1, 1)):
-        with pytest.raises(ValueError) as err:
-            compute_q(_Returns(bad), len(f))
-        assert str(err.value) == "f must be a 1-D C-contiguous int64 array"
+    for backend in (_kernels_py, c_kernels):
+        monkeypatch.setattr(kernels, "one_term_trace", backend.one_term_trace)
+        for bad in (f.astype(np.int32), f.astype(np.float64),
+                    np.repeat(f, 2)[::2], f.reshape(-1, 1),
+                    np.stack([f, f], axis=1), f.tolist()):
+            with pytest.raises(ValueError) as err:
+                compute_q(_Returns(bad), len(f))
+            assert str(err.value) == "f must be a 1-D C-contiguous int64 array"
+        # a q sized by n_max would trace q(n) = 0 past a short f
+        for bad in (f[:5], np.append(f, 4)):
+            with pytest.raises(ValueError) as err:
+                compute_q(_Returns(bad), len(f))
+            assert str(err.value) == (f"'returns' gave {len(bad)} terms"
+                                      " for n_max = 8")
 
 
 def test_read_only_f_traces_as_a_writeable_one(trace_backend):

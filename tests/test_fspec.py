@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import mpmath
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import oracle_f
 
 from hofq import cli, fspec
 from hofq.engine import compute_q
@@ -15,6 +17,7 @@ from hofq.fspec import (
     DiffBits,
     FloorRatio,
     FracPowerSum,
+    FSpec,
     GammaSq,
     Linear,
     ModM,
@@ -96,8 +99,55 @@ def test_values_match_scalar_eval():
         cap = spec.max_len()
         n = min(cap or 50, 50)
         arr = spec.values(n)
+        want = [oracle_f(spec, k) for k in range(1, n + 1)]
         assert arr.dtype == np.int64
-        assert list(arr) == [spec.value(k) for k in range(1, n + 1)]
+        assert arr.tolist() == want
+        assert [spec.value(k) for k in range(1, n + 1)] == want
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP)
+def test_value_below_one_is_refused(text):
+    spec = parse_fspec(text)
+    for n in (0, -1, -(2**70)):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            spec.value(n)
+
+
+def test_value_past_int64_is_exact():
+    clamp = ConstLimit("clamp", alpha=Fraction(1, 2), n0=2**70)
+    assert Linear().value(2**64) == 2**64 - 1
+    assert FloorRatio(1, 2).value(2**70) == 2**69
+    assert Prefix((0, 2**70)).value(2) == 2**70
+    assert ModM(7).value(2**65) == 3
+    assert Shifted(3, Linear()).value(2**64) == 2**64 - 4
+    assert clamp.value(2**66) == 2**65
+    # under shift/perturb, a const-limit or fracpow term is its value()
+    big = FracPowerSum(((Fraction(10**20), Fraction(1, 2)),))
+    assert Perturbed(big, 1, 0).value(4) == 2 * 10**20
+    for spec in (Linear(), FloorRatio(1, 2), Prefix((0, 2**70)), ModM(7),
+                 Shifted(3, Linear()), clamp, Shifted(2, big),
+                 Perturbed(ConstLimit("sqrt", a=5), 3, 1)):
+        for n in (2, 2**63, 2**64, 2**65, 2**66, 2**70):
+            n = min(n, spec.max_len() or n)
+            got = spec.value(n)
+            assert type(got) is int and got == oracle_f(spec, n)
+
+
+def test_each_family_defines_f_once():
+    # f is written once per family, in _span: value() and values() follow
+    # in FSpec, and only the two certificates keep a scalar value()
+    families, todo = [], [FSpec]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        families.append(cls)
+    families = [c for c in families if c.__module__ == fspec.__name__]
+    concrete = [c for c in families if c not in (FSpec, fspec._CheckedSlow)]
+    assert len(concrete) == 12
+    assert all("_span" in vars(c) for c in concrete)
+    assert [c for c in families if "values" in vars(c)] == [FSpec]
+    assert {c for c in families if "value" in vars(c)} == {
+        FSpec, ConstLimit, FracPowerSum}
 
 
 def test_even_staircase_spec():
@@ -231,13 +281,40 @@ def test_const_limit_rejects_non_slow_parameters():
 def test_non_slow_parameters_are_refused_before_materialising(
         monkeypatch, spec, text):
     # f(1) and f(2) come from value(); the n_max terms are never built
-    def unreachable(self, n_max):
-        raise AssertionError("_unchecked_values ran")
-
-    monkeypatch.setattr(type(spec), "_unchecked_values", unreachable)
+    asked = _spy_on_span(monkeypatch, type(spec))
     with pytest.raises(InvalidFSpec) as err:
         spec.values(200_000)
     assert str(err.value) == f"{spec.spec_str()!r}: {text}"
+    assert all(hi <= 3 for lo, hi in asked)
+
+
+def _spy_on_span(monkeypatch, cls):
+    """Record the (lo, hi) of each call of cls's _span below its check."""
+    span, asked = inspect.unwrap(cls._span), []
+
+    def spy(self, lo, hi):
+        asked.append((lo, hi))
+        return span(self, lo, hi)
+
+    monkeypatch.setattr(cls, "_span", fspec._refuses_non_slow(spy))
+    return asked
+
+
+@pytest.mark.parametrize("outer", [
+    lambda s: Shifted(3, s), lambda s: Perturbed(s, 2, 1),
+    lambda s: Shifted(1, Perturbed(s, 7, -1))])
+def test_shift_and_perturb_keep_the_refusal_of_their_inner_spec(
+        monkeypatch, outer):
+    inner = ConstLimit("pow", a=2**52, b=Fraction(1, 64))
+    spec = outer(inner)
+    asked = _spy_on_span(monkeypatch, ConstLimit)
+    with pytest.raises(InvalidFSpec) as err:
+        spec.values(200_000)
+    assert str(err.value) == (f"{inner.spec_str()!r}: difference f(2) - f(1)"
+                              " = 48512715765651 is outside {0, 1}")
+    assert asked == []
+    # a term past the first is no refusal: value() of the inner, exactly
+    assert spec.value(5) == oracle_f(spec, 5)
 
 
 def test_const_limit_values_against_oracle():
@@ -272,7 +349,7 @@ def test_const_limit_pow_margin_decides_float_near_misses():
     # evaluates to 3.0000000000000004), so a ceiling taken without the
     # certified margin is one too high.  Not slow, hence below the check.
     spec = ConstLimit("pow", a=30, b=Fraction(1, 3))
-    got = spec._unchecked_values(1000)
+    got = inspect.unwrap(ConstLimit._span)(spec, 1, 1001)
     assert [int(got[k**3 - 1]) for k in range(1, 11)] == [
         30 - -(-30 // k) for k in range(1, 11)]
     assert got.tolist() == [spec.value(n) for n in range(1, 1001)]
@@ -345,21 +422,31 @@ _DRIVER_SPECS = st.one_of(
 # b = 1/2 takes integer square roots for pow and sqrt only
 @example(spec=ConstLimit("exp", a=5, b=Fraction(1, 2)), n=300)
 def test_vectorised_values_match_scalar_value(spec, n):
-    # the vectorised evaluator is compared below the slow-property check,
-    # so parameters that give a non-slow sequence are compared too
+    # _span is compared below the slow-property check, so parameters that
+    # give a non-slow sequence are compared too
     n = min(n, spec.max_len() or n)
-    evaluate = getattr(spec, "_unchecked_values", spec.values)
+    span = inspect.unwrap(type(spec)._span)
     try:
-        want = [spec.value(k) for k in range(1, n + 1)]
+        want = [oracle_f(spec, k) for k in range(1, n + 1)]
     except InvalidFSpec:  # fracpow: an exact integer through cancellation
         with pytest.raises(InvalidFSpec):
-            evaluate(n)
+            span(spec, 1, n + 1)
         return
+    assert [spec.value(k) for k in range(1, n + 1)] == want
     if not all(INT64_MIN <= v <= INT64_MAX for v in want):
-        with pytest.raises(OverflowError):
-            evaluate(n)
+        # exact Python ints, or OverflowError from fracpow's float seed
+        try:
+            got = span(spec, 1, n + 1)
+        except OverflowError:
+            assert isinstance(spec, FracPowerSum)
+            return
+        assert got.dtype == object
+        assert got.tolist() == want
+        if not isinstance(spec, fspec._CheckedSlow):
+            with pytest.raises(OverflowError):
+                spec.values(n)
         return
-    got = evaluate(n)
+    got = span(spec, 1, n + 1)
     assert got.dtype == np.int64
     assert got.tolist() == want
 
@@ -464,8 +551,9 @@ def test_sqrt_is_pow_at_half(monkeypatch, isqrt_route, a):
     n = 2000
     want = [power.value(k) for k in range(1, n + 1)]
     assert [sqrt.value(k) for k in range(1, n + 1)] == want
-    assert sqrt._unchecked_values(n).tolist() == want
-    assert power._unchecked_values(n).tolist() == want
+    span = inspect.unwrap(ConstLimit._span)  # a = 2**52 is not slow
+    assert span(sqrt, 1, n + 1).tolist() == want
+    assert span(power, 1, n + 1).tolist() == want
 
 
 def test_as_fspec_coercions():

@@ -175,6 +175,28 @@ def test_compiled_wrapper_rejects_unsafe_arrays(c_kernels):
             c_kernels.two_term_trace(*args)
 
 
+def test_one_term_trace_refuses_alike_on_both_backends(kernel_backend):
+    f = np.zeros(8, dtype=np.int64)
+    q = np.zeros(8, dtype=np.int64)
+    readonly = np.zeros(8, dtype=np.int64)
+    readonly.flags.writeable = False
+    f_message = "f must be a 1-D C-contiguous int64 array"
+    q_message = "q must be a 1-D C-contiguous writeable int64 array"
+    for ff, qq, message in [
+            (f.astype(np.int32), q, f_message),
+            (f.astype(np.float64), q, f_message),
+            (np.zeros(16, dtype=np.int64)[::2], q, f_message),
+            (f.reshape(-1, 1), q, f_message),
+            (list(f), q, f_message),
+            (f, readonly, q_message),
+            (f, q.astype(np.int32), q_message),
+            (f, q[:7], "q holds 7 terms, f has 8")]:
+        with pytest.raises(ValueError) as err:
+            kernel_backend.one_term_trace(ff, qq)
+        assert str(err.value) == message
+    assert kernel_backend.one_term_trace(readonly, q) == (kernels.OK, 0)
+
+
 def run_rows(mod, f_mat):
     """one_term_rows on the rows of f_mat; (status, q_mat)."""
     f_mat = np.ascontiguousarray(f_mat, dtype=np.int64)
