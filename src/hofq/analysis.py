@@ -9,7 +9,6 @@ is ample because the compared errors are far above rounding scale.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ import numpy as np
 from .engine import QTrace, compute_q
 from .errors import SequenceDied
 from .fspec import ConstLimit, FloorRatio, Perturbed, as_fspec
-from .table import write_rows
+from .table import write_json, write_rows
 
 GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_EXPORT_ROWS = 10**6
@@ -320,11 +319,8 @@ def export_figure_data(kind: str, out_path, n_max: int | None = None,
     if fmt == "json":
         row_fmt = "[" + ",".join("%d" if col.dtype.kind in "iu" else "%r"
                                  for col in data) + "]"
-        head = json.dumps({"schema": "hofq.figure/1", "kind": kind,
-                           "columns": list(cols)}, separators=(",", ":"))
         with open(out_path, "w", newline="") as fh:
-            fh.write(head[:-1] + ',"rows":[')
-            count = write_rows(fh, row_fmt, data, json=True)
-            fh.write("]}\n")
-        return count
+            return write_json(fh, {"schema": "hofq.figure/1", "kind": kind,
+                                   "columns": list(cols)},
+                              {"rows": (row_fmt, data)})
     raise ValueError(f"unknown format {fmt!r}")

@@ -27,7 +27,7 @@ import numpy as np
 from . import analysis, engine, triangle, verify
 from .errors import CapExceeded, InvalidFSpec, InvalidQ, SequenceDied
 from .fspec import parse_fspec
-from .table import write_rows
+from .table import write_json, write_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,33 +174,17 @@ def _outcome_json(outcome: engine.ExistenceOutcome) -> dict:
             "lookup_index": outcome.lookup_index}
 
 
-def _write_json(fh, doc: dict) -> None:
-    """doc as compact JSON plus a newline, encoded in one C-level call and
-    written at once (json.dump runs the pure-Python encoder, a write per
-    token); what json cannot encode is written as its str()."""
-    fh.write(json.dumps(doc, separators=(",", ":"), default=str) + "\n")
-
-
 def _emit_trace(args, trace: engine.QTrace, fh) -> None:
     has_f = trace.f_values is not None
     if args.format == "json":
-        # the head as json.dumps writes it, then each array as the table
-        # writer's JSON rows, which is how json.dumps spells a list of ints
-        head = json.dumps({"schema": "hofq.trace/1",
-                           "fspec": trace.fspec.spec_str() if trace.fspec
-                           else None,
-                           "start": trace.start,
-                           "outcome": _outcome_json(trace.outcome)},
-                          separators=(",", ":"), default=str)
-        fh.write(head[:-1])
-        arrays = {"q": trace.q_values}
+        arrays = {"q": ("%d", (trace.q_values,))}
         if has_f:
-            arrays["f"] = trace.f_values
-        for key, values in arrays.items():
-            fh.write(f',"{key}":[')
-            write_rows(fh, "%d", (values,), json=True)
-            fh.write("]")
-        fh.write("}\n")
+            arrays["f"] = ("%d", (trace.f_values,))
+        write_json(fh, {"schema": "hofq.trace/1",
+                        "fspec": trace.fspec.spec_str() if trace.fspec
+                        else None,
+                        "start": trace.start,
+                        "outcome": _outcome_json(trace.outcome)}, arrays)
         return
     idx = np.arange(trace.start, trace.n_max + 1, dtype=np.int64)
     if has_f:
@@ -253,7 +237,7 @@ def _cmd_verify(args) -> int:
                                 "first_counterexample": r.first_counterexample,
                                 "details": r.details} for r in results],
                    "ok": all(r.ok for r in results)}
-            _write_json(fh, doc)
+            write_json(fh, doc)
         else:
             for r in results:
                 print(r, file=fh)
@@ -307,7 +291,7 @@ def _cmd_scan(args) -> int:
                    "n": args.n, "min_run": args.min_run,
                    "matches": [{"shift": m.shift, "delta": m.delta,
                                 "lo": m.lo, "hi": m.hi} for m in matches]}
-            _write_json(fh, doc)
+            write_json(fh, doc)
         else:
             shift, delta, lo, hi = np.array(
                 [(m.shift, m.delta, m.lo, m.hi) for m in matches],
@@ -334,7 +318,7 @@ def _cmd_perturb(args) -> int:
                    "base_outcome": pert.base_outcome,
                    "perturbed_outcome": pert.perturbed_outcome,
                    "zero_regions": [list(z) for z in pert.zero_regions]}
-            _write_json(fh, doc)
+            write_json(fh, doc)
         elif args.format == "csv":
             fh.write("n,diff\n")
             write_rows(fh, "%d,%d\n",
@@ -364,7 +348,7 @@ def _cmd_approx(args) -> int:
                    "max_abs_error": report.max_abs_error,
                    "min_signed_error": report.min_signed_error,
                    "max_signed_error": report.max_signed_error}
-            _write_json(fh, doc)
+            write_json(fh, doc)
         elif args.format == "csv":
             fh.write("n,error\n")
             write_rows(fh, "%d,%.12g\n", report.error_trace)

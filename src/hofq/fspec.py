@@ -241,6 +241,8 @@ class ModM(FSpec):
 
     def _span(self, lo, hi):
         n = _indices(lo - 1, hi - 1)
+        if hi - 1 <= self.m:  # every n - 1 < m: mod is the identity
+            return n
         return (n if self.m <= INT64_MAX else n.astype(object)) % self.m
 
     def spec_str(self):

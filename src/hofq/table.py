@@ -1,4 +1,4 @@
-"""The one table writer behind every CSV, text and JSON-rows output.
+"""The one table writer behind every CSV, text and JSON output.
 
 Rows are written a chunk at a time, each chunk as one `fh.write`, in one of
 two ways.  When every field of `row_fmt` is `%d` or `%<w>d` and every column
@@ -12,7 +12,8 @@ no Python code runs per row.  Either way `%d` prints an integer as
 `float.__repr__`, which is how `json` spells finite floats.  Float fields
 stay on `%`: measured, libc's `%.12g` was slower than Python's, and `%r`
 (the shortest repr) has no libc equivalent.  A uint64 column stays on `%`
-too, since its values may not fit int64.
+too, since its values may not fit int64.  write_json writes a JSON
+document whose arrays of rows come from write_rows.
 """
 
 from __future__ import annotations
@@ -94,4 +95,22 @@ def write_rows(fh, row_fmt: str, columns, json: bool = False) -> int:
             continue
         text = kernels.percent_rows(template, [c[lo:lo + k] for c in cols], k)
         fh.write(text[:-1] if json and last else text)
+    return count
+
+
+def write_json(fh, doc: dict, arrays=None) -> int:
+    """Write doc as compact JSON and a newline, with the entries of arrays,
+    {key: (row_fmt, columns)}, after doc's own: each the JSON array of the
+    rows that write_rows(fh, row_fmt, columns, json=True) writes.  What json
+    cannot encode is written as its str().  Returns the number of rows.
+
+    doc itself is one C-level json.dumps written at once (json.dump runs
+    the pure-Python encoder, a write per token)."""
+    text, count = dumps(doc, separators=(",", ":"), default=str)[:-1], 0
+    for key, (row_fmt, columns) in (arrays or {}).items():
+        # a comma before each key, except in front of an empty doc's first
+        fh.write(f"{text}{',' if text != '{' else ''}{dumps(key)}:[")
+        count += write_rows(fh, row_fmt, columns, json=True)
+        text = "]"
+    fh.write(text + "}\n")
     return count

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracle helpers
 
-from hofq import _kernels_py, kernels
+from hofq import kernels
 
 
 @pytest.fixture
@@ -20,7 +20,8 @@ def c_kernels():
 
 @pytest.fixture(params=["python", "c"])
 def kernel_backend(request):
-    """Both kernel implementations: the pure-Python reference and the C one."""
+    """Both checked kernel backends: the pure-Python reference and the C
+    one."""
     if request.param == "python":
-        return _kernels_py
+        return kernels.PURE
     return request.getfixturevalue("c_kernels")

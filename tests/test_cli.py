@@ -46,6 +46,14 @@ def test_compute_json_schema(capsys):
     assert doc["outcome"]["status"] == "exists"
 
 
+def test_compute_mod_past_int64_is_the_linear_trace(capsys):
+    mod = run(capsys, "compute", "--f", "mod:9223372036854775808", "--n", "5",
+              "--format", "csv")
+    assert mod == (0, run(capsys, "compute", "--f", "linear", "--n", "5",
+                          "--format", "csv")[1], "")
+    assert mod[1].splitlines()[-1] == "5,4,5"
+
+
 def test_compute_bad_fspec_is_usage_error(capsys):
     code, _, err = run(capsys, "compute", "--f", "wat:7", "--n", "4")
     assert code == 1 and "hofq" in err

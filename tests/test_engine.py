@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from hofq import _kernels_py, engine, kernels
+from hofq import engine, kernels
 from hofq.engine import (
     compute_c,
     compute_f_from_q,
@@ -344,7 +344,7 @@ def trace_backend(kernel_backend, monkeypatch):
 def test_compute_q_checks_the_array_a_spec_returns(c_kernels, monkeypatch):
     # the C wrapper's checks, which the pure kernel and compute_q share
     f = np.array([0, 1, 1, 2, 2, 2, 3, 3], dtype=np.int64)
-    for backend in (_kernels_py, c_kernels):
+    for backend in (kernels.PURE, c_kernels):
         monkeypatch.setattr(kernels, "one_term_trace", backend.one_term_trace)
         for bad in (f.astype(np.int32), f.astype(np.float64),
                     np.repeat(f, 2)[::2], f.reshape(-1, 1),

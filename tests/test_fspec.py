@@ -133,6 +133,16 @@ def test_value_past_int64_is_exact():
             assert type(got) is int and got == oracle_f(spec, n)
 
 
+def test_mod_past_int64_is_the_identity_below_the_modulus():
+    # f(n) = n - 1 while n <= m, which fits int64 although m does not
+    assert ModM(2**63).values(5).tolist() == Linear().values(5).tolist()
+    assert ModM(2**63).values(5).dtype == np.int64
+    assert ModM(2**64).value(2**65) == 2**64 - 1
+    assert ModM(2**64).value(2**64) == 2**64 - 1
+    assert ModM(2**64).value(2**64 + 1) == 0
+    assert ModM(7).value(2**65) == 3
+
+
 def test_each_family_defines_f_once():
     # f is written once per family, in _span: value() and values() follow
     # in FSpec, and only the two certificates keep a scalar value()

@@ -1,18 +1,29 @@
 """Both kernel backends must agree bit-for-bit, including on the edge
 semantics (death reporting, overflow)."""
 
+import inspect
 import os
+import re
 import shutil
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import hofq
 from hofq import _kernels_py, kernels
+
+PURE = kernels.PURE
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
+
+
+def no_call(*args):
+    """Stands in for a raw kernel that a refused call must never reach."""
+    raise AssertionError("the kernel was called")
 
 
 def run_one_term(mod, f):
@@ -118,7 +129,7 @@ def test_backends_agree_on_random_input(c_kernels):
         f = extreme_or_small(rng, m, 4) if rng.random() < 0.3 \
             else rng.integers(-4, 5, size=m)
         f[0] = 0
-        ra, rb = run_one_term(c_kernels, f), run_one_term(_kernels_py, f)
+        ra, rb = run_one_term(c_kernels, f), run_one_term(PURE, f)
         assert ra[:2] == rb[:2] and (ra[2] == rb[2]).all()
         seen.add(("one", ra[0]))
     for _ in range(600):
@@ -129,7 +140,7 @@ def test_backends_agree_on_random_input(c_kernels):
         init = extreme_or_small(rng, n_init, 6) if rng.random() < 0.3 \
             else rng.integers(-1, 7, size=n_init)
         args = (init, n_init + int(rng.integers(0, 60)), start, d1, d2, outer)
-        ra, rb = run_two_term(c_kernels, *args), run_two_term(_kernels_py, *args)
+        ra, rb = run_two_term(c_kernels, *args), run_two_term(PURE, *args)
         assert ra[:2] == rb[:2] and (ra[2] == rb[2]).all()
         seen.add(("two", ra[0]))
     # the random inputs reach every status of both kernels
@@ -143,7 +154,47 @@ def test_compiled_backend_is_active():
     assert kernels.BACKEND == ("python" if pure else "c")
 
 
-def test_compiled_wrapper_rejects_unsafe_arrays(c_kernels):
+def test_hofq_pure_selects_the_pure_backend():
+    """HOFQ_PURE=1 selects the pure kernels when hofq is imported, and the
+    CLI writes the same bytes on either backend."""
+    script = ("import sys, hofq, hofq.cli\n"
+              "print(hofq.BACKEND, file=sys.stderr)\n"
+              "sys.exit(hofq.cli.main(sys.argv[1:]))\n")
+    argv = ["compute", "--f", "gamma2", "--n", "2000", "--format", "csv"]
+    env = {k: v for k, v in os.environ.items() if k != "HOFQ_PURE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hofq.__file__))
+    runs = {}
+    for pure in ("1", None):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              env=dict(env, HOFQ_PURE=pure) if pure else env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[proc.stderr.decode().strip()] = proc.stdout
+    default = "python" if shutil.which("cc") is None else "c"
+    assert set(runs) == {"python", default}
+    assert runs["python"] == runs[default]
+    assert runs["python"].startswith(b"n,f,q\n1,0,1\n2,0,1\n")
+
+
+def test_pure_kernels_are_the_c_functions_twins():
+    """SIGNATURES lists every function of _kernels.c with its arguments, and
+    _kernels_py defines a twin of each, with as many parameters, and no
+    other kernel."""
+    source = kernels.SOURCE.read_text()
+    c_functions = {name: len(params.split(",")) for name, params in
+                   re.findall(r"^\w+ (\w+)\(([^)]*)\)\s*\{", source, re.M)}
+    assert c_functions == {name: len(argtypes) for name, (argtypes, _)
+                           in kernels.SIGNATURES.items()}
+    twins = {name: fn for name, fn in
+             inspect.getmembers(_kernels_py, inspect.isfunction)
+             if fn.__module__ == _kernels_py.__name__}
+    assert set(twins) == {*kernels.SIGNATURES, "percent_rows"}
+    for name, (argtypes, _) in kernels.SIGNATURES.items():
+        assert len(inspect.signature(twins[name]).parameters) == len(argtypes)
+
+
+def test_wrapper_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+    monkeypatch.setattr(kernel_backend, "_two", no_call)
     f = np.zeros(8, dtype=np.int64)
     q = np.zeros(8, dtype=np.int64)
     readonly = np.zeros(8, dtype=np.int64)
@@ -158,9 +209,10 @@ def test_compiled_wrapper_rejects_unsafe_arrays(c_kernels):
     ]
     for ff, qq in bad_one_term:
         with pytest.raises(ValueError):
-            c_kernels.one_term_trace(ff, qq)
-    assert c_kernels.one_term_trace(readonly, q) == (kernels.OK, 0)  # f is only read
-    assert c_kernels.one_term_trace(f[:0], q[:0]) == (kernels.OK, 0)  # empty
+            kernel_backend.one_term_trace(ff, qq)
+    # f is only read
+    assert kernel_backend.one_term_trace(readonly, q) == (kernels.OK, 0)
+    assert kernel_backend.one_term_trace(f[:0], q[:0]) == (kernels.OK, 0)
     bad_two_term = [
         (q.astype(np.float64), 2, 1, 1, 2, 0),
         (np.zeros(16, dtype=np.int64)[::2], 2, 1, 1, 2, 0),
@@ -172,7 +224,7 @@ def test_compiled_wrapper_rejects_unsafe_arrays(c_kernels):
     ]
     for args in bad_two_term:
         with pytest.raises(ValueError):
-            c_kernels.two_term_trace(*args)
+            kernel_backend.two_term_trace(*args)
 
 
 def test_one_term_trace_refuses_alike_on_both_backends(kernel_backend):
@@ -224,10 +276,10 @@ def test_one_term_rows_backends_agree(c_kernels):
             else rng.integers(-2, 4, size=(rows, m))
         if m:
             f_mat[:, 0] = 0
-        (sc, qc), (sp, qp) = run_rows(c_kernels, f_mat), run_rows(_kernels_py, f_mat)
+        (sc, qc), (sp, qp) = run_rows(c_kernels, f_mat), run_rows(PURE, f_mat)
         assert np.array_equal(sc, sp) and np.array_equal(qc, qp)
         for r in range(rows):  # each row is the scalar trace of that row
-            one = run_one_term(_kernels_py, f_mat[r])
+            one = run_one_term(PURE, f_mat[r])
             assert np.array_equal(qp[r], one[2])
             assert sp[r] == {kernels.OK: 0, kernels.DIED: one[1],
                              kernels.OVERFLOW: -one[1]}[one[0]]
@@ -235,11 +287,8 @@ def test_one_term_rows_backends_agree(c_kernels):
     assert codes == {-1, 0, 1}  # living, dying and overflowing rows
 
 
-def test_compiled_one_term_rows_rejects_unsafe_arrays(c_kernels, monkeypatch):
-    def no_call(*args):
-        raise AssertionError("the C kernel was called")
-
-    monkeypatch.setattr(c_kernels, "_rows", no_call)
+def test_one_term_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+    monkeypatch.setattr(kernel_backend, "_rows", no_call)
     f = np.zeros(12, dtype=np.int64)
     q = np.zeros(12, dtype=np.int64)
     status = np.zeros(3, dtype=np.int64)
@@ -250,6 +299,7 @@ def test_compiled_one_term_rows_rejects_unsafe_arrays(c_kernels, monkeypatch):
         (f.astype(np.int32), q, status, 4),
         (f, q.astype(np.int32), status, 4),
         (f, q, status.astype(np.float64), 4),
+        (f, q, status.astype(np.int32), 4),
         (f, readonly, status, 4),                   # q is written
         (f, q, readonly[:3], 4),                    # status is written
         (np.zeros(24, dtype=np.int64)[::2], q, status, 4),  # not contiguous
@@ -264,7 +314,7 @@ def test_compiled_one_term_rows_rejects_unsafe_arrays(c_kernels, monkeypatch):
     ]
     for args in bad:
         with pytest.raises(ValueError):
-            c_kernels.one_term_rows(*args)
+            kernel_backend.one_term_rows(*args)
 
 
 def walk(mod, m):
@@ -284,7 +334,7 @@ def test_slow_walk_small(kernel_backend):
 
 def test_slow_walk_backends_agree(c_kernels):
     for m in range(1, 15):
-        (sc, c), (sp, p) = walk(c_kernels, m), walk(_kernels_py, m)
+        (sc, c), (sp, p) = walk(c_kernels, m), walk(PURE, m)
         assert sc == sp == (kernels.OK, 0)
         assert np.array_equal(c, p), m
 
@@ -298,7 +348,8 @@ def test_slow_walk_depth_is_bounded(kernel_backend):
     assert kernels.walk_size(62) == 62 * 62 * 63
 
 
-def test_compiled_slow_walk_rejects_unsafe_arrays(c_kernels):
+def test_slow_walk_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+    monkeypatch.setattr(kernel_backend, "_walk", no_call)
     size = kernels.walk_size(4)
     readonly = np.zeros(size, dtype=np.uint8)
     readonly.flags.writeable = False
@@ -313,7 +364,7 @@ def test_compiled_slow_walk_rejects_unsafe_arrays(c_kernels):
     ]
     for seen in bad:
         with pytest.raises(ValueError):
-            c_kernels.slow_walk(seen, 4)
+            kernel_backend.slow_walk(seen, 4)
 
 
 def test_compiled_kernels_are_thread_safe(c_kernels):
@@ -334,7 +385,7 @@ def test_compiled_kernels_are_thread_safe(c_kernels):
         return (run_one_term(mod, *args) if kind == "one"
                 else run_two_term(mod, *args))[:2]
 
-    expected = [call(_kernels_py, *case) for case in cases]
+    expected = [call(PURE, *case) for case in cases]
     assert {e[0] for e in expected} == {kernels.OK, kernels.DIED,
                                         kernels.OVERFLOW}
     errors = []
@@ -408,15 +459,12 @@ def test_format_rows_backends_agree(c_kernels):
         widths = rng.choice([0, 0, 2, 25], size=ncols).tolist()
         pieces = rng.choice(PIECES, size=ncols + 1).tolist()
         text = format_table(c_kernels, cols, widths, pieces)
-        assert text == format_table(_kernels_py, cols, widths, pieces)
+        assert text == format_table(PURE, cols, widths, pieces)
         assert text == percent_oracle(cols, widths, pieces, rows)
 
 
-def test_compiled_format_rows_rejects_unsafe_arrays(c_kernels, monkeypatch):
-    def no_call(*args):
-        raise AssertionError("the C kernel was called")
-
-    monkeypatch.setattr(c_kernels, "_fmt", no_call)
+def test_format_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+    monkeypatch.setattr(kernel_backend, "_fmt", no_call)
     col = np.arange(4, dtype=np.int64)
     lit, ends = b"<,>\n", [1, 2, 4]
     size = 4 * (len(lit) + 20 + 25)
@@ -442,6 +490,6 @@ def test_compiled_format_rows_rejects_unsafe_arrays(c_kernels, monkeypatch):
     ]
     for args in bad:
         with pytest.raises(ValueError):
-            c_kernels.format_rows(args[0], args[1], 4, *args[2:])
+            kernel_backend.format_rows(args[0], args[1], 4, *args[2:])
     with pytest.raises(ValueError):
-        c_kernels.format_rows([col, col], [0, 25], -1, lit, ends, out)
+        kernel_backend.format_rows([col, col], [0, 25], -1, lit, ends, out)

@@ -15,7 +15,7 @@ import shutil
 import numpy as np
 import pytest
 
-from hofq import _kernels_py, analysis, cli, engine, kernels, table, verify
+from hofq import analysis, cli, engine, kernels, table, verify
 from hofq.fspec import as_fspec
 
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
@@ -111,7 +111,7 @@ def each_backend(monkeypatch):
     C compiler is on PATH, the C one; iterating points kernels.format_rows
     at each in turn, so a body under `for _ in each_backend` checks the
     integer rows of both under the test's one id."""
-    mods = [_kernels_py]
+    mods = [kernels.PURE]
     if shutil.which("cc") is not None:
         mods.append(kernels.compiled())
 
@@ -245,6 +245,29 @@ def test_wide_rows_take_fewer_rows_per_write(monkeypatch, each_backend,
         assert "".join(writes) == "".join(
             f"{x},{y}" for x, y in zip(a.tolist(), a[::-1].tolist()))
         assert len(writes) == math.ceil(5 / per_write)
+
+
+def test_write_json_matches_json_dumps():
+    a = np.array([INT64_MIN, 0, INT64_MAX], dtype=np.int64)
+    x = np.array([0.5, math.nan, -math.inf])
+    head = {"schema": "s", "none": None, "odd": 1j}  # 1j is written as str
+    rows = [[int(i), float(v)] for i, v in zip(a, x)]
+    for doc in ({}, head):
+        for arrays, values in [
+                ({}, {}),
+                ({"q": ("%d", (a,))}, {"q": a.tolist()}),
+                ({"e": ("%d", (a[:0],))}, {"e": []}),
+                ({"q": ("%d", (a,)), "rows": ("[%d,%r]", (a, x))},
+                 {"q": a.tolist(), "rows": rows})]:
+            buf = io.StringIO()
+            count = table.write_json(buf, doc, arrays)
+            assert buf.getvalue() == json.dumps(
+                {**doc, **values}, separators=(",", ":"), default=str) + "\n"
+            assert count == sum(map(len, values.values()))
+    buf = io.StringIO()
+    assert table.write_json(buf, head) == 0
+    assert buf.getvalue() == json.dumps(head, separators=(",", ":"),
+                                        default=str) + "\n"
 
 
 def test_unequal_columns_raise():
