@@ -18,7 +18,7 @@ import numpy as np
 from .engine import QTrace, compute_q
 from .errors import SequenceDied
 from .fspec import ConstLimit, FloorRatio, Perturbed, as_fspec
-from .table import write_json, write_rows
+from .table import write
 
 GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_EXPORT_ROWS = 10**6
@@ -33,6 +33,11 @@ class SqrtAlphaModel:
     """q(n) ~ sqrt(alpha) * n, the large-n heuristic for f(n) = floor(alpha n)."""
 
     alpha: float
+
+    def __post_init__(self):
+        if not self.alpha >= 0:  # NaN too
+            raise ValueError(f"sqrt model needs alpha >= 0, got alpha = "
+                             f"{self.alpha!r}")
 
     @property
     def label(self) -> str:
@@ -310,17 +315,15 @@ def export_figure_data(kind: str, out_path, n_max: int | None = None,
         rows = (idx, trace.q_values, trace.f_values[:len(idx)])
     step = 1 if full_resolution else max(1, math.ceil(len(rows[0]) / MAX_EXPORT_ROWS))
     data = [col[::step] for col in rows]
-    if fmt == "csv":
-        row_fmt = ",".join("%d" if col.dtype.kind in "iu" else "%.12g"
-                           for col in data) + "\r\n"
-        with open(out_path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\r\n")  # csv.writer's line ending
-            return write_rows(fh, row_fmt, data)
-    if fmt == "json":
-        row_fmt = "[" + ",".join("%d" if col.dtype.kind in "iu" else "%r"
-                                 for col in data) + "]"
-        with open(out_path, "w", newline="") as fh:
-            return write_json(fh, {"schema": "hofq.figure/1", "kind": kind,
-                                   "columns": list(cols)},
-                              {"rows": (row_fmt, data)})
-    raise ValueError(f"unknown format {fmt!r}")
+    ints = [col.dtype.kind in "iu" for col in data]
+    if fmt == "csv":  # csv.writer's line ending
+        row_fmt = ",".join("%d" if i else "%.12g" for i in ints) + "\r\n"
+        pieces = [",".join(cols) + "\r\n", (row_fmt, data)]
+    elif fmt == "json":
+        row_fmt = "[" + ",".join("%d" if i else "%r" for i in ints) + "]"
+        pieces = [({"schema": "hofq.figure/1", "kind": kind,
+                    "columns": list(cols)}, {"rows": (row_fmt, data)})]
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    with open(out_path, "w", newline="") as fh:
+        return write(fh, pieces)

@@ -18,31 +18,31 @@ flag, `false` as nothing), and flags typed on the command line win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from . import analysis, engine, triangle, verify
+from . import analysis, engine, table, triangle, verify
 from .errors import CapExceeded, InvalidFSpec, InvalidQ, SequenceDied
 from .fspec import parse_fspec
-from .table import write_json, write_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DIED = 2
 EXIT_VERIFY_FAILED = 3
 
+_FORMATS = ("text", "csv", "json")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_usage(message))
-
-    def exit_code_usage(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 class _ConfigParser(_Parser):
@@ -59,16 +59,15 @@ def build_parser(parser_class: type[_Parser] = _Parser) -> _Parser:
     p.add_argument("--config", help="JSON file with default flag values")
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=parser_class)
 
-    def add_common(sp, fmt=("text", "csv", "json"), n_default=None, f_flag=False):
-        if f_flag:
-            sp.add_argument("--f", dest="fspec", required=f_flag == "required",
-                            help="driving-sequence spec (see grammar)")
+    def add_common(sp, n_default):
+        sp.add_argument("--f", dest="fspec", required=True,
+                        help="driving-sequence spec (see grammar)")
         sp.add_argument("--n", type=int, default=n_default, help="trace length")
-        sp.add_argument("--format", choices=fmt, default=fmt[0])
+        sp.add_argument("--format", choices=_FORMATS, default="text")
         sp.add_argument("--out", help="write data here instead of stdout")
 
     sp = sub.add_parser("compute", help="trace q for a driving sequence")
-    add_common(sp, n_default=16, f_flag="required")
+    add_common(sp, 16)
 
     sp = sub.add_parser("verify", help="run closed-form verifiers")
     sp.add_argument("--lemma", default="all",
@@ -87,7 +86,7 @@ def build_parser(parser_class: type[_Parser] = _Parser) -> _Parser:
     sp.add_argument("--out")
 
     sp = sub.add_parser("scan-selfsim", help="find exact self-similar intervals")
-    add_common(sp, fmt=("text", "csv", "json"), n_default=160000, f_flag="required")
+    add_common(sp, 160000)
     sp.add_argument("--shifts", help="comma-separated shift candidates")
     sp.add_argument("--shift-range", help="LO:HI[:STEP] candidate range")
     sp.add_argument("--min-run", type=int, default=1000)
@@ -95,12 +94,12 @@ def build_parser(parser_class: type[_Parser] = _Parser) -> _Parser:
                     help="propose candidate shifts from repeated patterns")
 
     sp = sub.add_parser("perturb", help="compare a trace against a one-index bump")
-    add_common(sp, n_default=2**19, f_flag="required")
+    add_common(sp, 2**19)
     sp.add_argument("--at", type=int, default=16)
     sp.add_argument("--amount", type=int, default=1)
 
     sp = sub.add_parser("approx", help="error of an asymptotic model")
-    add_common(sp, fmt=("text", "csv", "json"), n_default=160000, f_flag="required")
+    add_common(sp, 160000)
     sp.add_argument("--model", required=True,
                     help="sqrt:ALPHA | sqrt:gamma2 | const:A | power:A:P:B")
 
@@ -119,10 +118,9 @@ def build_parser(parser_class: type[_Parser] = _Parser) -> _Parser:
     sp.add_argument("--amount", type=int, default=1)
 
     sp = sub.add_parser("hofstadter", help="two-nested-lookup traces")
-    sp.add_argument("--variant", choices=("hof", "tanny", "v", "quasipoly"),
-                    default="hof")
+    sp.add_argument("--variant", choices=_VARIANTS, default="hof")
     sp.add_argument("--n", type=int, default=10**5)
-    sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    sp.add_argument("--format", choices=_FORMATS, default="text")
     sp.add_argument("--out")
     return p
 
@@ -153,66 +151,51 @@ def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
     return argv[:i + 1] + tokens + argv[i + 1:]
 
 
-class _Out:
-    def __init__(self, path):
-        self.path = path
-        self.fh = open(path, "w") if path else sys.stdout
-
-    def __enter__(self):
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.path:
-            self.fh.close()
-        return False
+def _write(args, **formats) -> None:
+    """Write the pieces of args.format to --out, or to stdout.  Each format
+    maps to a function that builds its list of pieces for table.write, so
+    only the chosen one is built."""
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        table.write(fh, formats[args.format]())
 
 
-def _outcome_json(outcome: engine.ExistenceOutcome) -> dict:
-    return {"status": "exists" if outcome.exists else "died",
-            "checked_to": outcome.checked_to,
-            "died_at": outcome.died_at,
-            "lookup_index": outcome.lookup_index}
+def _write_trace(args, trace: engine.QTrace, text=None) -> int:
+    """Write a trace as JSON, CSV or (unless text builds other pieces) a
+    table with its outcome; SequenceDied after it if the trace died."""
+    outcome, f = trace.outcome, trace.f_values
+    names = ("n", "q") if f is None else ("n", "f", "q")
+    arrays = {"q": ("%d", (trace.q_values,))}
+    if f is not None:
+        arrays["f"] = ("%d", (f,))
 
+    def columns():
+        idx = np.arange(trace.start, trace.n_max + 1, dtype=np.int64)
+        if f is None:
+            return idx, trace.q_values
+        return idx, f[:len(idx)], trace.q_values
 
-def _emit_trace(args, trace: engine.QTrace, fh) -> None:
-    has_f = trace.f_values is not None
-    if args.format == "json":
-        arrays = {"q": ("%d", (trace.q_values,))}
-        if has_f:
-            arrays["f"] = ("%d", (trace.f_values,))
-        write_json(fh, {"schema": "hofq.trace/1",
-                        "fspec": trace.fspec.spec_str() if trace.fspec
-                        else None,
-                        "start": trace.start,
-                        "outcome": _outcome_json(trace.outcome)}, arrays)
-        return
-    idx = np.arange(trace.start, trace.n_max + 1, dtype=np.int64)
-    if has_f:
-        cols = (idx, trace.f_values[:len(idx)], trace.q_values)
-    else:
-        cols = (idx, trace.q_values)
-    if args.format == "csv":
-        fh.write("n,f,q\n" if has_f else "n,q\n")
-        write_rows(fh, "%d,%d,%d\n" if has_f else "%d,%d\n", cols)
-    else:
-        fh.write(" n  f  q\n" if has_f else " n  q\n")
-        write_rows(fh, "%2d  %d  %d\n" if has_f else "%2d  %d\n", cols)
-        fh.write(f"outcome: {trace.outcome}\n")
-
-
-def _report_died(outcome: engine.ExistenceOutcome) -> int:
-    print(f"hofq: sequence died at n = {outcome.died_at} "
-          f"(lookup index {outcome.lookup_index})", file=sys.stderr)
-    return EXIT_DIED
+    _write(args,
+           json=lambda: [({"schema": "hofq.trace/1",
+                           "fspec": trace.fspec.spec_str() if trace.fspec
+                           else None,
+                           "start": trace.start,
+                           "outcome": {"status": "exists" if outcome.exists
+                                       else "died", **asdict(outcome)}},
+                          arrays)],
+           csv=lambda: [",".join(names) + "\n",
+                        (",".join(["%d"] * len(names)) + "\n", columns())],
+           text=text or (lambda: [
+               " " + "  ".join(names) + "\n",
+               ("%2d" + "  %d" * (len(names) - 1) + "\n", columns()),
+               f"outcome: {outcome}\n"]))
+    if not outcome.exists:
+        raise SequenceDied(outcome)
+    return EXIT_OK
 
 
 def _cmd_compute(args) -> int:
-    trace = engine.compute_q(parse_fspec(args.fspec), args.n)
-    with _Out(args.out) as fh:
-        _emit_trace(args, trace, fh)
-    if not trace.exists:
-        return _report_died(trace.outcome)
-    return EXIT_OK
+    return _write_trace(args, engine.compute_q(parse_fspec(args.fspec), args.n))
 
 
 def _cmd_verify(args) -> int:
@@ -227,113 +210,94 @@ def _cmd_verify(args) -> int:
     try:
         results = verify.run_suite(names, args.n, threads)
     except KeyError as exc:
-        print(f"hofq: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    with _Out(args.out) as fh:
-        if args.format == "json":
-            doc = {"schema": "hofq.verify/1",
-                   "results": [{"name": r.name, "ok": r.ok,
-                                "checked_up_to": r.checked_up_to,
-                                "first_counterexample": r.first_counterexample,
-                                "details": r.details} for r in results],
-                   "ok": all(r.ok for r in results)}
-            write_json(fh, doc)
-        else:
-            for r in results:
-                print(r, file=fh)
-    return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
+        raise ValueError(exc.args[0]) from None
+    ok = all(r.ok for r in results)
+    _write(args,
+           json=lambda: [({"schema": "hofq.verify/1",
+                           "results": [{"name": r.name, "ok": r.ok,
+                                        "checked_up_to": r.checked_up_to,
+                                        "first_counterexample":
+                                            r.first_counterexample,
+                                        "details": r.details}
+                                       for r in results],
+                           "ok": ok}, {})],
+           text=lambda: [f"{r}\n" for r in results])
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 def _cmd_triangle(args) -> int:
-    table = triangle.build_triangle(args.n, cap=args.cap)
-    with _Out(args.out) as fh:
-        if args.format == "json":
-            fh.write(triangle.triangle_json(table))
-            fh.write("\n")
-        else:
-            print(table.to_text(), file=fh)
+    cells = triangle.build_triangle(args.n, cap=args.cap)
+    _write(args, json=lambda: [triangle.triangle_json(cells), "\n"],
+           text=lambda: [cells.to_text(), "\n"])
     return EXIT_OK
-
-
-def _parse_shift_args(args, trace) -> list[int]:
-    shifts: list[int] = []
-    if args.shifts:
-        shifts.extend(int(s) for s in args.shifts.split(","))
-    if args.shift_range:
-        parts = [int(v) for v in args.shift_range.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            lo, hi, step = parts
-        else:
-            raise ValueError("shift range must be LO:HI[:STEP]")
-        shifts.extend(range(lo, hi + 1, step))
-    if args.discover:
-        found = analysis.propose_shifts(trace, min_run=args.min_run)
-        print(f"hofq: discovery proposed shifts {found}", file=sys.stderr)
-        shifts.extend(found)
-    return shifts
 
 
 def _cmd_scan(args) -> int:
     trace = engine.compute_q(parse_fspec(args.fspec), args.n)
     if not trace.exists:
-        return _report_died(trace.outcome)
-    shifts = _parse_shift_args(args, trace)
+        raise SequenceDied(trace.outcome)
+    shifts: list[int] = []
+    if args.shifts:
+        shifts.extend(int(s) for s in args.shifts.split(","))
+    if args.shift_range:
+        parts = [int(v) for v in args.shift_range.split(":")]
+        if len(parts) not in (2, 3):
+            raise ValueError("shift range must be LO:HI[:STEP]")
+        lo, hi, step = (parts + [1])[:3]
+        if step == 0:
+            raise ValueError(f"--shift-range {args.shift_range}: "
+                             "STEP must not be 0")
+        shifts.extend(range(lo, hi + 1, step))
+    if args.discover:
+        found = analysis.propose_shifts(trace, min_run=args.min_run)
+        print(f"hofq: discovery proposed shifts {found}", file=sys.stderr)
+        shifts.extend(found)
     if not shifts:
-        print("hofq: no shifts given (use --shifts, --shift-range or --discover)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(
+            "no shifts given (use --shifts, --shift-range or --discover)")
     matches = analysis.scan_self_similarity(trace, shifts, args.min_run)
-    with _Out(args.out) as fh:
-        if args.format == "json":
-            doc = {"schema": "hofq.selfsim/1", "fspec": trace.fspec.spec_str(),
-                   "n": args.n, "min_run": args.min_run,
-                   "matches": [{"shift": m.shift, "delta": m.delta,
-                                "lo": m.lo, "hi": m.hi} for m in matches]}
-            write_json(fh, doc)
-        else:
-            shift, delta, lo, hi = np.array(
-                [(m.shift, m.delta, m.lo, m.hi) for m in matches],
-                dtype=np.int64).reshape(-1, 4).T
-            if args.format == "csv":
-                fh.write("shift,delta,lo,hi\n")
-                write_rows(fh, "%d,%d,%d,%d\n", (shift, delta, lo, hi))
-            else:
-                write_rows(fh, "shift %d: q(i+%d) - q(i) = %d "
-                               "for i in [%d, %d] (length %d)\n",
-                           (shift, shift, delta, lo, hi, hi - lo + 1))
-                if not matches:
-                    fh.write("no matches at this min-run\n")
+
+    def columns():
+        return np.array([(m.shift, m.delta, m.lo, m.hi) for m in matches],
+                        dtype=np.int64).reshape(-1, 4).T
+
+    def text():
+        shift, delta, lo, hi = columns()
+        return [("shift %d: q(i+%d) - q(i) = %d for i in [%d, %d] "
+                 "(length %d)\n", (shift, shift, delta, lo, hi, hi - lo + 1)),
+                "" if matches else "no matches at this min-run\n"]
+
+    _write(args,
+           json=lambda: [({"schema": "hofq.selfsim/1",
+                           "fspec": trace.fspec.spec_str(), "n": args.n,
+                           "min_run": args.min_run,
+                           "matches": [asdict(m) for m in matches]}, {})],
+           csv=lambda: ["shift,delta,lo,hi\n", ("%d,%d,%d,%d\n", columns())],
+           text=text)
     return EXIT_OK
 
 
 def _cmd_perturb(args) -> int:
     pert = analysis.perturb_compare(parse_fspec(args.fspec), args.at,
                                     args.amount, args.n)
-    with _Out(args.out) as fh:
-        if args.format == "json":
-            doc = {"schema": "hofq.perturb/1", "fspec": pert.fspec,
-                   "at": pert.at, "amount": pert.amount,
-                   "base_outcome": pert.base_outcome,
-                   "perturbed_outcome": pert.perturbed_outcome,
-                   "zero_regions": [list(z) for z in pert.zero_regions]}
-            write_json(fh, doc)
-        elif args.format == "csv":
-            fh.write("n,diff\n")
-            write_rows(fh, "%d,%d\n",
-                       (np.arange(1, len(pert.diff) + 1), pert.diff))
-        else:
-            print(f"base:      {pert.base_outcome}", file=fh)
-            print(f"perturbed: {pert.perturbed_outcome}", file=fh)
-            nz = int(np.count_nonzero(pert.diff))
-            print(f"difference is nonzero at {nz} of {len(pert.diff)} indices",
-                  file=fh)
-            print(f"zero regions ({len(pert.zero_regions)}):", file=fh)
-            shown = np.array(pert.zero_regions[:20], dtype=np.int64)
-            write_rows(fh, "  [%d, %d]\n", shown.reshape(-1, 2).T)
-            if len(pert.zero_regions) > 20:
-                print("  ...", file=fh)
+    regions = pert.zero_regions
+    _write(args,
+           json=lambda: [({"schema": "hofq.perturb/1", "fspec": pert.fspec,
+                           "at": pert.at, "amount": pert.amount,
+                           "base_outcome": pert.base_outcome,
+                           "perturbed_outcome": pert.perturbed_outcome,
+                           "zero_regions": [list(z) for z in regions]}, {})],
+           csv=lambda: ["n,diff\n", ("%d,%d\n", (np.arange(
+               1, len(pert.diff) + 1), pert.diff))],
+           text=lambda: [
+               f"base:      {pert.base_outcome}\n"
+               f"perturbed: {pert.perturbed_outcome}\n"
+               f"difference is nonzero at {np.count_nonzero(pert.diff)} "
+               f"of {len(pert.diff)} indices\n"
+               f"zero regions ({len(regions)}):\n",
+               ("  [%d, %d]\n",
+                np.array(regions[:20], dtype=np.int64).reshape(-1, 2).T),
+               "  ...\n" if len(regions) > 20 else ""])
     return EXIT_OK
 
 
@@ -341,24 +305,20 @@ def _cmd_approx(args) -> int:
     model = analysis.parse_model(args.model)
     report = analysis.approx_error(parse_fspec(args.fspec), model, args.n,
                                    keep_trace=args.format == "csv")
-    with _Out(args.out) as fh:
-        if args.format == "json":
-            doc = {"schema": "hofq.approx/1", "fspec": report.fspec,
-                   "model": report.model, "n": report.n_max,
-                   "max_abs_error": report.max_abs_error,
-                   "min_signed_error": report.min_signed_error,
-                   "max_signed_error": report.max_signed_error}
-            write_json(fh, doc)
-        elif args.format == "csv":
-            fh.write("n,error\n")
-            write_rows(fh, "%d,%.12g\n", report.error_trace)
-        else:
-            print(f"fspec:  {report.fspec}", file=fh)
-            print(f"model:  {report.model}", file=fh)
-            print(f"n:      {report.n_max}", file=fh)
-            print(f"max |error|:  {report.max_abs_error:.6f}", file=fh)
-            print(f"signed range: [{report.min_signed_error:.6f}, "
-                  f"{report.max_signed_error:.6f}]", file=fh)
+    _write(args,
+           json=lambda: [({"schema": "hofq.approx/1", "fspec": report.fspec,
+                           "model": report.model, "n": report.n_max,
+                           "max_abs_error": report.max_abs_error,
+                           "min_signed_error": report.min_signed_error,
+                           "max_signed_error": report.max_signed_error}, {})],
+           csv=lambda: ["n,error\n", ("%d,%.12g\n", report.error_trace)],
+           text=lambda: [
+               f"fspec:  {report.fspec}\n"
+               f"model:  {report.model}\n"
+               f"n:      {report.n_max}\n"
+               f"max |error|:  {report.max_abs_error:.6f}\n"
+               f"signed range: [{report.min_signed_error:.6f}, "
+               f"{report.max_signed_error:.6f}]\n"])
     return EXIT_OK
 
 
@@ -378,33 +338,13 @@ _VARIANTS = {"hof": engine.hofstadter_spec, "tanny": engine.tanny_spec,
 def _cmd_hofstadter(args) -> int:
     spec = _VARIANTS[args.variant]()
     trace = engine.compute_two_term(spec, args.n)
-    with _Out(args.out) as fh:
-        if args.format == "text":
-            q = trace.q_values
-            print(f"variant: {spec.name}", file=fh)
-            print(f"outcome: {trace.outcome}", file=fh)
-            print(f"first terms (from index {trace.start}): "
-                  + ", ".join(str(v) for v in q[:12]), file=fh)
-            if len(q):
-                print(f"max value: {int(q.max())}", file=fh)
-        else:
-            _emit_trace(args, trace, fh)
-    if not trace.exists:
-        return _report_died(trace.outcome)
-    return EXIT_OK
-
-
-def _discard_stdout() -> None:
-    """Point stdout's file descriptor at the null device, so the
-    interpreter's last flush of what is still buffered for a closed pipe
-    raises nothing at exit."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError, ValueError):  # no descriptor (captured)
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
+    q = trace.q_values
+    return _write_trace(args, trace, text=lambda: [
+        f"variant: {spec.name}\n"
+        f"outcome: {trace.outcome}\n"
+        f"first terms (from index {trace.start}): "
+        + ", ".join(str(v) for v in q[:12]) + "\n",
+        f"max value: {int(q.max())}\n" if len(q) else ""])
 
 
 _COMMANDS = {
@@ -424,7 +364,15 @@ def main(argv=None) -> int:
     try:
         sys.stdout.flush()  # a closed pipe shows here, not at exit
     except BrokenPipeError:
-        _discard_stdout()
+        # point stdout's descriptor at the null device, so the interpreter's
+        # last flush of what is still buffered raises nothing at exit
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # no descriptor
+            return code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
     return code
 
 
@@ -438,7 +386,9 @@ def _run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse: --help, or a usage error reported
         return int(exc.code or 0)
     except SequenceDied as exc:
-        return _report_died(exc.outcome)
+        print(f"hofq: sequence died at n = {exc.outcome.died_at} "
+              f"(lookup index {exc.outcome.lookup_index})", file=sys.stderr)
+        return EXIT_DIED
     except BrokenPipeError:  # the reader stopped early: not an error
         return EXIT_OK
     except (InvalidFSpec, InvalidQ, CapExceeded, ValueError) as exc:

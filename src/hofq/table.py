@@ -13,7 +13,9 @@ no Python code runs per row.  Either way `%d` prints an integer as
 stay on `%`: measured, libc's `%.12g` was slower than Python's, and `%r`
 (the shortest repr) has no libc equivalent.  A uint64 column stays on `%`
 too, since its values may not fit int64.  write_json writes a JSON
-document whose arrays of rows come from write_rows.
+document whose arrays of rows come from write_rows.  write writes a list of
+text, tables and documents: every output of the command line and of
+analysis.export_figure_data is one call to it.
 """
 
 from __future__ import annotations
@@ -113,4 +115,19 @@ def write_json(fh, doc: dict, arrays=None) -> int:
         count += write_rows(fh, row_fmt, columns, json=True)
         text = "]"
     fh.write(text + "}\n")
+    return count
+
+
+def write(fh, pieces) -> int:
+    """Write pieces to fh in order and return the number of table rows.  A
+    piece is a str, written as is; a (row_fmt, columns) table, written by
+    write_rows; or a (doc, arrays) document, written by write_json."""
+    count = 0
+    for piece in pieces:
+        if isinstance(piece, str):
+            fh.write(piece)
+        elif isinstance(piece[0], dict):
+            count += write_json(fh, *piece)
+        else:
+            count += write_rows(fh, *piece)
     return count

@@ -327,6 +327,9 @@ def run_suite(names=None, n: int | None = None,
         raise ValueError(f"threads must be >= 1, got {threads}")
     if names is None:
         names = list(REGISTRY)
+    if not names:
+        raise ValueError("no verifier selected; known names: "
+                         + ", ".join(REGISTRY))
     bad = [x for x in names if x not in REGISTRY]
     if bad:
         raise KeyError(f"unknown verifier(s): {', '.join(bad)}")

@@ -58,6 +58,16 @@ def test_approx_error_on_dying_trace():
         approx_error([0, 2, 2], SqrtAlphaModel(0.5), 3)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, -1e-300, math.nan, -math.inf])
+def test_sqrt_model_refuses_negative_or_nan_alpha(tmp_path, alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        SqrtAlphaModel(alpha)
+    out = tmp_path / "fig.csv"
+    with pytest.raises(ValueError, match="alpha"):
+        export_figure_data("detrended", out, n_max=10, alpha=alpha)
+    assert not out.exists()
+
+
 def test_parse_model():
     m = parse_model("sqrt:1/2")
     assert isinstance(m, SqrtAlphaModel) and m.alpha == 0.5

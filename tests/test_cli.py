@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import hofq
-from hofq import cli
+from hofq import cli, verify
 from hofq.triangle import build_triangle
 
 
@@ -110,6 +110,15 @@ def test_verify_unknown_name(capsys):
     assert code == 1 and "unknown verifier" in err
 
 
+@pytest.mark.parametrize("lemma", [",", "", " , "])
+def test_verify_empty_selection_is_a_usage_error(capsys, lemma):
+    code, out, err = run(capsys, "verify", "--lemma", lemma, "--format",
+                         "json")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["hofq: no verifier selected; known names: "
+                                + ", ".join(verify.REGISTRY)]
+
+
 def test_triangle_text_matches_library(capsys):
     code, out, _ = run(capsys, "triangle", "--n", "8", "--format", "text")
     assert code == 0
@@ -160,6 +169,15 @@ def test_scan_selfsim_shift_range(capsys):
     assert [m["shift"] for m in doc["matches"]] == [2, 4, 6]
 
 
+@pytest.mark.parametrize("shift_range", ["1:5:0", "5:1:0"])
+def test_scan_selfsim_zero_step_is_a_usage_error(capsys, shift_range):
+    code, out, err = run(capsys, "scan-selfsim", "--f", "zeros", "--n", "100",
+                         "--shift-range", shift_range)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"hofq: --shift-range {shift_range}: STEP must not be 0"]
+
+
 def test_perturb_text_and_csv(capsys):
     code, out, _ = run(capsys, "perturb", "--f", "floor:1/2", "--at", "16",
                        "--amount", "1", "--n", "512")
@@ -171,6 +189,16 @@ def test_perturb_text_and_csv(capsys):
     assert rows[0] == "n,diff"
     assert rows[1] == "1,0"
     assert rows[16] == "16,-1"
+
+
+@pytest.mark.parametrize("n, regions", [(196, 20), (197, 21)])
+def test_perturb_text_shows_the_first_20_zero_regions(capsys, n, regions):
+    code, out, _ = run(capsys, "perturb", "--f", "floor:1/2", "--at", "5",
+                       "--amount", "2", "--n", str(n))
+    lines = out.splitlines()
+    shown = lines[lines.index(f"zero regions ({regions}):") + 1:]
+    assert code == 0 and all(line.startswith("  [") for line in shown[:20])
+    assert shown[20:] == (["  ..."] if regions > 20 else [])
 
 
 def test_perturb_on_dying_base_trace_exits_2(capsys):
@@ -198,6 +226,24 @@ def test_approx_bad_model_is_a_usage_error(capsys, model, message):
                          "--model", model)
     assert code == 1 and out == ""
     assert err.splitlines() == [f"hofq: {message}"]
+
+
+def test_approx_negative_alpha_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "approx", "--f", "floor:1/2", "--n", "10",
+                         "--model", "sqrt:-1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["hofq: sqrt model needs alpha >= 0, "
+                                "got alpha = -1.0"]
+
+
+@pytest.mark.parametrize("alpha", ["-1", "nan"])
+def test_export_figure_bad_alpha_is_a_usage_error(tmp_path, capsys, alpha):
+    out_file = tmp_path / "fig.csv"
+    code, out, err = run(capsys, "export-figure", "--which", "detrended",
+                         "--n", "10", "--alpha", alpha, "--out", str(out_file))
+    assert (code, out) == (1, "") and not out_file.exists()
+    assert err.splitlines() == ["hofq: sqrt model needs alpha >= 0, "
+                                f"got alpha = {float(alpha)!r}"]
 
 
 def test_approx_text_and_json(capsys):

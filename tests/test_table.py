@@ -270,6 +270,24 @@ def test_write_json_matches_json_dumps():
                                         default=str) + "\n"
 
 
+def test_write_runs_each_piece_through_its_writer():
+    a = np.array([INT64_MIN, 0, INT64_MAX], dtype=np.int64)
+    x = np.array([0.5, math.nan, -math.inf])
+    doc, arrays = {"schema": "s"}, {"q": ("%d", (a,))}
+    pieces = ["head\n", ("%d,%.12g\n", (a, x)), (doc, arrays), "",
+              ("%d\n", (a[:0],)), (doc, {}), "tail"]
+    expect = io.StringIO()
+    expect.write("head\n")
+    table.write_rows(expect, "%d,%.12g\n", (a, x))
+    table.write_json(expect, doc, arrays)
+    table.write_json(expect, doc)
+    expect.write("tail")
+    buf = io.StringIO()
+    assert table.write(buf, pieces) == 6
+    assert buf.getvalue() == expect.getvalue()
+    assert table.write(buf, []) == 0
+
+
 def test_unequal_columns_raise():
     with pytest.raises(ValueError, match="differ in length"):
         write("%d,%d\n", (np.arange(3), np.arange(2)))
@@ -426,7 +444,7 @@ def test_approx_json_matches_oracle(capsys, model):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("kind,n,extra", [
     ("detrended", 500, {}),
-    ("detrended", 40, {"alpha": math.nan}),
+    ("detrended", 40, {"alpha": 0.0}),  # NaN alpha is refused
     ("detrended", 40, {"alpha": math.inf}),
     ("approach", 500, {}),
     ("perturbation", 1024, {}),

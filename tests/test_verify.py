@@ -28,6 +28,12 @@ def test_run_suite_all_and_selection():
             verify.run_suite(["mod"], n=100, threads=threads)
 
 
+@pytest.mark.parametrize("names", [[], ()])
+def test_run_suite_refuses_an_empty_selection(names):
+    with pytest.raises(ValueError, match="no verifier selected"):
+        verify.run_suite(names, n=100)
+
+
 def test_mod_details():
     res = verify.verify_mod_class(3000, ms=(1, 2, 3, 5, 7))
     assert res.ok and res.details["per_modulus_ok"] == {m: True for m in (1, 2, 3, 5, 7)}
