@@ -35,9 +35,9 @@ class SqrtAlphaModel:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha >= 0:  # NaN too
-            raise ValueError(f"sqrt model needs alpha >= 0, got alpha = "
-                             f"{self.alpha!r}")
+        if not 0 <= self.alpha < math.inf:  # NaN too
+            raise ValueError(f"sqrt model needs a finite alpha >= 0, got "
+                             f"alpha = {self.alpha!r}")
 
     @property
     def label(self) -> str:
@@ -52,6 +52,11 @@ class ConstLimitModel:
     """q(n) ~ sqrt(2 a n) - a/2 when f approaches the constant a."""
 
     a: int
+
+    def __post_init__(self):
+        if self.a < 0:
+            raise ValueError(f"const-limit model needs a >= 0, got a = "
+                             f"{self.a!r}")
 
     @property
     def label(self) -> str:
@@ -297,10 +302,11 @@ def export_figure_data(kind: str, out_path, n_max: int | None = None,
         cols, rows = ("n", "detrended"), report.error_trace
     elif kind == "approach":
         spec = as_fspec(fspec) if fspec is not None else ConstLimit("sqrt", a=a)
+        model = ConstLimitModel(a - 1)  # refuses a < 1 before the trace
         trace = _existing_trace(spec, n)
         idx = np.arange(1, n + 1, dtype=np.int64)
-        model = ConstLimitModel(a - 1).values(idx)
-        cols, rows = ("n", "q", "model"), (idx, trace.q_values, model)
+        cols, rows = ("n", "q", "model"), (idx, trace.q_values,
+                                           model.values(idx))
     elif kind == "perturbation":
         spec = as_fspec(fspec) if fspec is not None else FloorRatio(1, 2)
         pert = perturb_compare(spec, at, amount, n)

@@ -77,7 +77,8 @@ def build_parser(parser_class: type[_Parser] = _Parser) -> _Parser:
                     help="override the per-verifier default N")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--out")
-    sp.add_argument("--threads", type=int, help="default: HOFQ_THREADS")
+    sp.add_argument("--threads", type=int, help="default: one per verifier, "
+                    "at most one per CPU this process may use")
 
     sp = sub.add_parser("triangle", help="exhaustive attained-value triangle")
     sp.add_argument("--n", type=int, default=8)
@@ -201,14 +202,8 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     names = None if args.lemma == "all" else [s.strip() for s in
                                               args.lemma.split(",") if s.strip()]
-    threads, env = args.threads, os.environ.get("HOFQ_THREADS")
-    if threads is None and env:  # read by verify alone
-        if not (env.isdecimal() and int(env) >= 1):
-            raise ValueError(
-                f"HOFQ_THREADS must be an integer >= 1, got {env!r}")
-        threads = int(env)
     try:
-        results = verify.run_suite(names, args.n, threads)
+        results = verify.run_suite(names, args.n, args.threads)
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
     ok = all(r.ok for r in results)

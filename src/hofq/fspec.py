@@ -68,6 +68,10 @@ _TINY = np.nextafter(0.0, 1.0)  # smallest positive float64
 _INT64 = np.dtype(np.int64)
 
 
+def _past_int64(spec: FSpec) -> OverflowError:
+    return OverflowError(f"{spec.spec_str()!r}: f values exceed int64")
+
+
 class FSpec:
     """Base class for driving-sequence specs."""
 
@@ -92,7 +96,7 @@ class FSpec:
             self._check_len(n_max)  # raises
         out = self._span(1, n_max + 1)
         if out.dtype is not _INT64:  # an object array: past int64
-            raise OverflowError(f"{self.spec_str()!r}: f values exceed int64")
+            raise _past_int64(self)
         return out
 
     def spec_str(self) -> str:
@@ -392,15 +396,17 @@ def _refuses_non_slow(span):
     """The _span of a family documented slow, which refuses parameters that
     are not slow where it builds f from f(1) on: for values(), and under a
     shift or perturb.  f(1) and f(2) come first, from value(), so most such
-    parameters fail before all terms are built."""
+    parameters fail before all terms are built, and a head past int64 is an
+    OverflowError at once: values() refuses the span that holds it."""
 
     @functools.wraps(span)
     def checked(self, lo, hi):
         # no head for one term, the span a clamp's value(1) reads
         if lo == 1 and hi > 2:
             head = _exact([self.value(1), self.value(2)])
-            if head.dtype is _INT64:  # else the span leaves int64 too
-                _require_slow(head, self)
+            if head.dtype is not _INT64:
+                raise _past_int64(self)
+            _require_slow(head, self)
         out = span(self, lo, hi)
         if lo == 1 and out.dtype is _INT64:
             _require_slow(out, self)

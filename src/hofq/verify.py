@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -320,7 +321,8 @@ REGISTRY = {
 def run_suite(names=None, n: int | None = None,
               threads: int | None = None) -> list[VerifierResult]:
     """Run verifiers (all by default) in parallel; results in name order.
-    n = None gives each verifier its default length."""
+    n = None gives each verifier its default length; threads = None gives
+    one worker per verifier, at most one per CPU this process may use."""
     if n is not None and n < 1:
         raise ValueError("n_max must be >= 1")
     if threads is not None and threads < 1:
@@ -333,7 +335,9 @@ def run_suite(names=None, n: int | None = None,
     bad = [x for x in names if x not in REGISTRY]
     if bad:
         raise KeyError(f"unknown verifier(s): {', '.join(bad)}")
-    workers = threads or min(len(names), 8)
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = threads or min(len(names), cpus)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(REGISTRY[name], n) for name in names]
         return [f.result() for f in futures]

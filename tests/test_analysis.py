@@ -58,13 +58,36 @@ def test_approx_error_on_dying_trace():
         approx_error([0, 2, 2], SqrtAlphaModel(0.5), 3)
 
 
-@pytest.mark.parametrize("alpha", [-1.0, -1e-300, math.nan, -math.inf])
+@pytest.mark.parametrize("alpha", [-1.0, -1e-300, math.nan, -math.inf,
+                                   math.inf])
 def test_sqrt_model_refuses_negative_or_nan_alpha(tmp_path, alpha):
     with pytest.raises(ValueError, match="alpha"):
         SqrtAlphaModel(alpha)
     out = tmp_path / "fig.csv"
     with pytest.raises(ValueError, match="alpha"):
         export_figure_data("detrended", out, n_max=10, alpha=alpha)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a", [-1, -2**70])
+def test_const_model_refuses_negative_a(a):
+    with pytest.raises(ValueError, match=r"a >= 0, got a = "):
+        ConstLimitModel(a)
+    with pytest.raises(ValueError, match=r"a >= 0, got a = "):
+        parse_model(f"const:{a}")
+
+
+def test_const_model_at_zero_and_approach_export_at_a_one(tmp_path):
+    assert (ConstLimitModel(0).values(np.arange(1, 4)) == 0).all()
+    out = tmp_path / "fig.csv"
+    assert export_figure_data("approach", out, n_max=3, fspec="floor:1/2",
+                              a=1) == 3
+
+
+def test_approach_export_refuses_a_below_one(tmp_path):
+    out = tmp_path / "fig.csv"
+    with pytest.raises(ValueError, match=r"a >= 0, got a = -1"):
+        export_figure_data("approach", out, n_max=3, fspec="floor:1/2", a=0)
     assert not out.exists()
 
 

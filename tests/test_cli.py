@@ -232,18 +232,36 @@ def test_approx_negative_alpha_is_a_usage_error(capsys):
     code, out, err = run(capsys, "approx", "--f", "floor:1/2", "--n", "10",
                          "--model", "sqrt:-1")
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["hofq: sqrt model needs alpha >= 0, "
+    assert err.splitlines() == ["hofq: sqrt model needs a finite alpha >= 0, "
                                 "got alpha = -1.0"]
 
 
-@pytest.mark.parametrize("alpha", ["-1", "nan"])
+@pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
 def test_export_figure_bad_alpha_is_a_usage_error(tmp_path, capsys, alpha):
     out_file = tmp_path / "fig.csv"
     code, out, err = run(capsys, "export-figure", "--which", "detrended",
                          "--n", "10", "--alpha", alpha, "--out", str(out_file))
     assert (code, out) == (1, "") and not out_file.exists()
-    assert err.splitlines() == ["hofq: sqrt model needs alpha >= 0, "
+    assert err.splitlines() == ["hofq: sqrt model needs a finite alpha >= 0, "
                                 f"got alpha = {float(alpha)!r}"]
+
+
+def test_approx_negative_const_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "approx", "--f", "floor:1/2", "--n", "5",
+                         "--model", "const:-1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["hofq: const-limit model needs a >= 0, "
+                                "got a = -1"]
+
+
+def test_export_approach_a_below_one_is_a_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "fig.csv"
+    code, out, err = run(capsys, "export-figure", "--which", "approach",
+                         "--f", "floor:1/2", "--n", "3", "--a", "0",
+                         "--out", str(out_file))
+    assert (code, out) == (1, "") and not out_file.exists()
+    assert err.splitlines() == ["hofq: const-limit model needs a >= 0, "
+                                "got a = -1"]
 
 
 def test_approx_text_and_json(capsys):
@@ -360,28 +378,30 @@ def test_config_yields_to_abbreviated_flag(tmp_path, capsys):
     assert code == 0 and out.splitlines() == ["n,f,q", "1,0,1", "2,0,1"]
 
 
-@pytest.mark.parametrize("flag,env", [
-    ("0", None), ("-1", None), (None, "abc"), (None, "0"), (None, "-2")])
-def test_verify_threads_below_one_is_a_usage_error(capsys, monkeypatch,
-                                                   flag, env):
-    if env is None:
-        monkeypatch.delenv("HOFQ_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("HOFQ_THREADS", env)
+@pytest.mark.parametrize("flag,config", [("0", None), ("-1", None),
+                                         (None, -3)])
+def test_verify_threads_below_one_is_a_usage_error(capsys, tmp_path, flag,
+                                                   config):
     argv = ["verify", "--lemma", "mod", "--n", "100"]
-    code, out, err = run(capsys, *argv, *(["--threads", flag] if flag else []))
+    if flag is not None:
+        argv += ["--threads", flag]
+    else:  # the --config key is typed in as the flag
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"threads": config}))
+        argv = ["--config", str(path)] + argv
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("hofq: ")
 
 
-def test_hofq_threads_is_read_by_verify_only(capsys, monkeypatch):
-    monkeypatch.setenv("HOFQ_THREADS", "abc")
-    code, _, err = run(capsys, "compute", "--f", "zeros", "--n", "2")
-    assert code == 0 and err == ""
-    # an explicit flag wins over the variable
-    code, out, _ = run(capsys, "verify", "--lemma", "mod", "--n", "100",
-                       "--threads", "1")
-    assert code == 0 and out.startswith("PASS mod")
+def test_verify_json_is_the_same_for_any_thread_count(capsys):
+    argv = ["verify", "--lemma", "all", "--format", "json", "--n", "2000"]
+    outs = set()
+    for extra in (["--threads", "1"], ["--threads", "2"], []):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        outs.add(out)
+    assert len(outs) == 1
 
 
 def test_help_exits_zero(capsys):

@@ -165,7 +165,7 @@ def run_case(argv, tmp) -> dict:
     out_path = os.path.join(tmp, "out.dat")
     argv = [a.replace("{out}", out_path).replace("{tmp}", tmp) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with _environ(COLUMNS="80", HOFQ_THREADS=None), \
+    with _environ(COLUMNS="80"), \
             contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
         code = cli.main(argv)

@@ -298,6 +298,27 @@ def test_non_slow_parameters_are_refused_before_materialising(
     assert all(hi <= 3 for lo, hi in asked)
 
 
+@pytest.mark.parametrize("spec", [
+    ConstLimit("pow", a=2**70, b=Fraction(1, 2)),
+    ConstLimit("exp", a=2**70, b=Fraction(1, 8)),
+    FracPowerSum(((Fraction(2**70), Fraction(1, 2)),
+                  (Fraction(-2**70), Fraction(0)))),
+])
+@pytest.mark.parametrize("outer", [lambda s: s, lambda s: Shifted(2, s)],
+                         ids=["bare", "shifted"])
+def test_head_past_int64_is_refused_before_materialising(monkeypatch, spec,
+                                                         outer):
+    # f(1) = 0 but f(2) leaves int64: values() refuses after value(1) and
+    # value(2), not after computing every term
+    calls = []
+    value = type(spec).value
+    monkeypatch.setattr(type(spec), "value",
+                        lambda self, n: calls.append(n) or value(self, n))
+    with pytest.raises(OverflowError, match="f values exceed int64"):
+        outer(spec).values(20_000)
+    assert calls == [1, 2]
+
+
 def _spy_on_span(monkeypatch, cls):
     """Record the (lo, hi) of each call of cls's _span below its check."""
     span, asked = inspect.unwrap(cls._span), []

@@ -445,7 +445,7 @@ def test_approx_json_matches_oracle(capsys, model):
 @pytest.mark.parametrize("kind,n,extra", [
     ("detrended", 500, {}),
     ("detrended", 40, {"alpha": 0.0}),  # NaN alpha is refused
-    ("detrended", 40, {"alpha": math.inf}),
+    ("detrended", 40, {"alpha": np.finfo(np.float64).max}),  # inf: refused
     ("approach", 500, {}),
     ("perturbation", 1024, {}),
     ("trace", 500, {"fspec": "gamma2"}),

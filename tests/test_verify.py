@@ -28,6 +28,38 @@ def test_run_suite_all_and_selection():
             verify.run_suite(["mod"], n=100, threads=threads)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool run_suite opens."""
+    sizes = []
+
+    class Pool(verify.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+def test_run_suite_pool_defaults_to_usable_cpus(monkeypatch, pool_sizes, cpus):
+    monkeypatch.setattr(verify.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    names = ["mod", "golden", "shift", "quarter"]
+    verify.run_suite(names, n=200)
+    verify.run_suite(names, n=200, threads=3)  # an explicit count wins
+    assert pool_sizes == [min(len(names), cpus), 3]
+
+
+def test_run_suite_pool_without_sched_getaffinity(monkeypatch, pool_sizes):
+    monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+    for count in (3, None):  # cpu_count() may not know: one worker
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: count)
+        verify.run_suite(["mod", "golden", "shift", "quarter"], n=200)
+    assert pool_sizes == [3, 1]
+
+
 @pytest.mark.parametrize("names", [[], ()])
 def test_run_suite_refuses_an_empty_selection(names):
     with pytest.raises(ValueError, match="no verifier selected"):
