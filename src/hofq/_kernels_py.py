@@ -4,7 +4,7 @@ no checks.
 Each function here takes the arguments of its namesake in `_kernels.c`,
 with a numpy array wherever C takes a pointer, and returns what C returns:
 0 when every term was computed, +k when the trace died at k and -k when
-the term at k leaves the int64 range (format_rows: the bytes written).  On
+the term at k leaves the int64 range (format_rows: the rows written).  On
 return a trace array holds every term before k.  Like the C source, the
 module checks nothing: hofq.kernels.Kernels checks every call on either
 backend and decodes the codes.  It runs when the C kernels cannot be built
@@ -13,12 +13,15 @@ backend and decodes the codes.  It runs when the C kernels cannot be built
 Python ints do not wrap, so the int64 range is enforced explicitly to keep
 overflow semantics identical to the compiled kernels.
 
-percent_rows is the library's one Python row formatter: format_rows here
-is one call to it, and hofq.table runs it for the rows with float fields.
+percent_rows is the library's one Python row formatter and the formatter
+of record: format_rows here is one call to it, and hofq.table runs it for
+the rows of every other row format and for each row at which the C
+format_rows stops, a `%.12g` value it cannot certify.
 """
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
+FORMAT_G12 = -1  # format_rows' field code of %.12g on a float64 column
 
 
 def one_term_trace(f, q, n_max):
@@ -115,7 +118,12 @@ def percent_rows(template, cols, rows):
     The rows' values are interleaved into one flat list and filled into
     the template repeated once per row by a single `%`, so no Python code
     runs per row.  `%d` prints an integer as `str(int(v))`, `%.12g` a float
-    as `format(v, ".12g")` and `%r` a float as `float.__repr__`."""
+    as `format(v, ".12g")` and `%r` a float as `float.__repr__`.  The C
+    format_rows prints `%d` and `%.12g` fields byte for byte as this does,
+    except that it stops before a row whose `%.12g` value it cannot
+    certify (a near-tie, a zero, a value that is not finite or one that
+    %g prints in exponent form); the table writer prints those rows
+    here."""
     width = len(cols)
     flat = [None] * (rows * width)
     for j, col in enumerate(cols):
@@ -123,19 +131,23 @@ def percent_rows(template, cols, rows):
     return template * rows % tuple(flat)
 
 
-def format_rows(cols, widths, ncols, rows, lit, ends, out):
-    """Write `rows` rows of the ncols int64 columns cols into the uint8
-    array out and return the number of bytes written.  Row r is piece 0,
-    cols[0][r], piece 1, ..., piece ncols, where piece j is the bytes
-    lit[ends[j-1]:ends[j]] (from 0 for j = 0); field j is printed as `%d`
-    right-justified to widths[j] characters (0 for none)."""
+def format_rows(cols, fields, ncols, rows, lit, ends, out, size):
+    """Write `rows` rows of the ncols columns cols into the uint8 array out,
+    store the number of bytes written in size[0] and return rows: this
+    twin prints every row with `%`, so it never stops early.  Row r is
+    piece 0, cols[0][r], piece 1, ..., piece ncols, where piece j is the
+    bytes lit[ends[j-1]:ends[j]] (from 0 for j = 0); field j is printed as
+    `%.12g` when fields[j] is FORMAT_G12, else as `%d` right-justified to
+    fields[j] characters (0 for none)."""
     starts = [0, *ends[:ncols]]
     # latin-1 maps bytes to characters one to one, so the pieces come back
     # byte for byte whatever their encoding
     pieces = [lit[a:b].decode("latin-1").replace("%", "%%")
               for a, b in zip(starts, ends)]
-    fields = [f"%{w}d" if w else "%d" for w in widths]
-    template = pieces[0] + "".join(map(str.__add__, fields, pieces[1:]))
+    specs = ["%.12g" if w == FORMAT_G12 else f"%{w}d" if w else "%d"
+             for w in fields]
+    template = pieces[0] + "".join(map(str.__add__, specs, pieces[1:]))
     text = percent_rows(template, cols, rows).encode("latin-1")
     out[:len(text)] = memoryview(text)
-    return len(text)
+    size[0] = len(text)
+    return rows

@@ -10,6 +10,7 @@ is ample because the compared errors are far above rounding scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,13 +58,18 @@ class ConstLimitModel:
         if self.a < 0:
             raise ValueError(f"const-limit model needs a >= 0, got a = "
                              f"{self.a!r}")
+        if self.a > sys.float_info.max:
+            raise ValueError("const-limit model needs an a that float64"
+                             " holds")
 
     @property
     def label(self) -> str:
         return f"const-limit:{self.a}"
 
     def values(self, n: np.ndarray) -> np.ndarray:
-        return np.sqrt(2.0 * self.a * n) - self.a / 2.0
+        with np.errstate(over="ignore"):
+            v = np.sqrt(2.0 * self.a * n) - self.a / 2.0
+        return _finite(self, v)
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,17 @@ class PowerAnsatzModel:
         return f"power:{self.a:.12g}:{self.p:.12g}:{self.b:.12g}"
 
     def values(self, n: np.ndarray) -> np.ndarray:
-        return self.a * np.power(n.astype(np.float64), self.p) + self.b
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = self.a * np.power(n.astype(np.float64), self.p) + self.b
+        return _finite(self, v)
+
+
+def _finite(model, values: np.ndarray) -> np.ndarray:
+    """values, unless the model leaves float64 at one of them."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"model {model.label} leaves float64 for some n in"
+                         f" 1..{len(values)}")
+    return values
 
 
 def parse_model(text: str):
@@ -101,6 +117,9 @@ def parse_model(text: str):
             return PowerAnsatzModel(a, p, b)
     except ZeroDivisionError:
         raise ValueError(f"model {text!r} has a zero denominator") from None
+    except OverflowError:
+        raise ValueError(f"model {text!r} has a parameter that float64 does"
+                         f" not hold") from None
     raise ValueError(f"unknown model {text!r}")
 
 

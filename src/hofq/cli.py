@@ -243,13 +243,14 @@ def _cmd_scan(args) -> int:
             raise ValueError(f"--shift-range {args.shift_range}: "
                              "STEP must not be 0")
         shifts.extend(range(lo, hi + 1, step))
+    found = None
     if args.discover:
         found = analysis.propose_shifts(trace, min_run=args.min_run)
-        print(f"hofq: discovery proposed shifts {found}", file=sys.stderr)
         shifts.extend(found)
     if not shifts:
-        raise ValueError(
-            "no shifts given (use --shifts, --shift-range or --discover)")
+        raise ValueError("discovery proposed no shifts, and none were given"
+                         if args.discover else "no shifts given (use "
+                         "--shifts, --shift-range or --discover)")
     matches = analysis.scan_self_similarity(trace, shifts, args.min_run)
 
     def columns():
@@ -269,6 +270,8 @@ def _cmd_scan(args) -> int:
                            "matches": [asdict(m) for m in matches]}, {})],
            csv=lambda: ["shift,delta,lo,hi\n", ("%d,%d,%d,%d\n", columns())],
            text=text)
+    if found is not None:  # after any error, which is then the one line
+        print(f"hofq: discovery proposed shifts {found}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -2,9 +2,13 @@
 
 The kernels are the two trace loops, `one_term_rows` (the one-term trace
 on each row of a batch), the triangle's prefix-tree walk `slow_walk` and
-`format_rows` (the table writer's rows of integer fields), in the C source
-`_kernels.c`.  Neither it nor its pure-Python twin `_kernels_py`, which
-takes the same arguments and returns the same codes, checks anything.
+`format_rows` (the table writer's rows of `%d` and `%.12g` fields), in the
+C source `_kernels.c`.  Neither it nor its pure-Python twin `_kernels_py`,
+which takes the same arguments and returns the same codes, checks
+anything.  The C `format_rows` prints a `%.12g` value only where it
+certifies the 12 digits and %g's fixed notation, and stops before a row it
+cannot certify, which the caller prints with `percent_rows`; the twin
+prints every row with `percent_rows`.
 This module compiles, caches and loads the C source: on first import it
 is compiled with the C compiler Python was built with into the per-user
 cache `${XDG_CACHE_HOME:-~/.cache}/hofq/kernels-<source hash>.so` and
@@ -27,6 +31,7 @@ from . import _kernels_py
 OK, DIED, OVERFLOW = 0, 1, 2  # a trace's status
 WALK_MAX_DEPTH = 62  # the C walk keeps its path in fixed arrays of this depth
 FORMAT_MAX_WIDTH = 64  # the widest %<w>d field of format_rows
+FORMAT_G12 = _kernels_py.FORMAT_G12  # format_rows' field code of %.12g
 percent_rows = _kernels_py.percent_rows  # the one Python row formatter
 
 SOURCE = Path(__file__).with_name("_kernels.c")
@@ -39,8 +44,8 @@ SIGNATURES = {
     "one_term_rows": ([_PTR, _PTR, _PTR, _I64, _I64], None),
     "two_term_trace": ([_PTR, _I64, _I64, _I64, _I64, _I64], _I64),
     "slow_walk": ([_PTR, _I64], _I64),
-    "format_rows": ([_PTR, _PTR, _I64, _I64, ctypes.c_char_p, _PTR, _PTR],
-                    _I64),
+    "format_rows": ([_PTR, _PTR, _I64, _I64, ctypes.c_char_p, _PTR, _PTR,
+                     _PTR], _I64),
 }
 
 
@@ -65,15 +70,17 @@ def walk_size(m):
     return m * m * (m + 1)
 
 
-def format_size(rows, lit, widths):
-    """Bytes of format_rows' out array for `rows` rows: an int64 field takes
-    at most 20 characters, or its width.
+def format_size(rows, lit, fields):
+    """Bytes of format_rows' out array for `rows` rows: a field takes at
+    most 20 characters, or its width.
 
-    Raises ValueError unless every width is in [0, FORMAT_MAX_WIDTH]."""
-    if not all(0 <= w <= FORMAT_MAX_WIDTH for w in widths):
-        raise ValueError(f"field widths {list(widths)} are outside"
-                         f" [0, {FORMAT_MAX_WIDTH}]")
-    return rows * (len(lit) + sum(max(20, w) for w in widths))
+    Raises ValueError unless every field is FORMAT_G12 or a width in [0,
+    FORMAT_MAX_WIDTH]."""
+    if not all(0 <= w <= FORMAT_MAX_WIDTH or w == FORMAT_G12
+               for w in fields):
+        raise ValueError(f"fields {list(fields)} are neither {FORMAT_G12}"
+                         f" (%.12g) nor widths in [0, {FORMAT_MAX_WIDTH}]")
+    return rows * (len(lit) + sum(max(20, w) for w in fields))
 
 
 _BYTES = ctypes.c_char * 0  # a view of any buffer, even an empty one
@@ -117,7 +124,7 @@ class Kernels:
 
     `raw` holds the unchecked functions named in SIGNATURES, `arg(a, name,
     write, dtype)` checks an array and returns what they take in its place,
-    and `vector(ctype, values)` builds format_rows' pointer and width
+    and `vector(ctype, values)` builds format_rows' pointer and field
     arrays.  Each trace returns (status, where): (OK, 0), or DIED or
     OVERFLOW with the first index that could not be computed.  The C
     kernels run with the interpreter lock released; the numpy arrays stay
@@ -167,27 +174,36 @@ class Kernels:
                 f"seen holds {len(seen)} bytes, the walk needs {size}")
         return _status(self._walk(ps, m), 0)
 
-    def format_rows(self, cols, widths, rows, lit, ends, out):
-        """Writes rows of the int64 cols into out; returns the bytes."""
-        pcols = [self._arg(c, f"column {j}") for j, c in enumerate(cols)]
+    def format_rows(self, cols, fields, rows, lit, ends, out):
+        """Writes rows into out, field j printing cols[j] as %<w>d for a
+        width w = fields[j] >= 0 (an int64 column) or as %.12g for
+        FORMAT_G12 (a float64 column); returns (rows written, bytes).  The
+        C kernel stops before a row whose %.12g digits it cannot certify;
+        the pure one writes every row."""
+        if len(fields) != len(cols) or len(ends) != len(cols) + 1:
+            raise ValueError(f"need one field per column and one end per"
+                             f" literal piece; got {len(fields)} and"
+                             f" {len(ends)} for {len(cols)} columns")
+        need = format_size(rows, lit, fields)
+        pcols = [self._arg(c, f"column {j}", False, np.float64
+                           if w == FORMAT_G12 else np.int64)
+                 for j, (c, w) in enumerate(zip(cols, fields))]
         if rows < 0 or any(len(c) < rows for c in cols):
             raise ValueError(f"every column must hold rows = {rows} >= 0"
                              f" values; got {[len(c) for c in cols]}")
-        if len(widths) != len(cols) or len(ends) != len(cols) + 1:
-            raise ValueError(f"need one width per column and one end per"
-                             f" literal piece; got {len(widths)} and"
-                             f" {len(ends)} for {len(cols)} columns")
         if ends[-1] != len(lit) or any(b < a for a, b in zip([0, *ends], ends)):
             raise ValueError(f"ends must rise from 0 to len(lit) ="
                              f" {len(lit)}; got {list(ends)}")
-        need = format_size(rows, lit, widths)
         pout = self._arg(out, "out", True, np.uint8)
         if len(out) < need:
             raise ValueError(f"out holds {len(out)} bytes, the rows may"
                              f" need {need}")
+        size = np.zeros(1, dtype=np.int64)
         vec = self._vector
-        return self._fmt(vec(_PTR, pcols), vec(_I64, widths), len(cols), rows,
-                         bytes(lit), vec(_I64, ends), pout)
+        done = self._fmt(vec(_PTR, pcols), vec(_I64, fields), len(cols),
+                         rows, bytes(lit), vec(_I64, ends), pout,
+                         self._arg(size, "size", True))
+        return done, int(size[0])
 
 
 def _cache_path(source: bytes) -> Path:

@@ -103,6 +103,32 @@ def test_parse_model():
         parse_model("banana:1")
 
 
+@pytest.mark.parametrize("text", ["sqrt:1e400", "power:1e400:1:0",
+                                  "power:1:-1e400:0", "power:1:1:1e400",
+                                  f"const:{10**400}"])
+def test_parse_model_refuses_parameters_outside_float64(text):
+    with pytest.raises(ValueError, match="float64"):
+        parse_model(text)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", [
+    PowerAnsatzModel(1, 1000, 0),          # n^p overflows
+    PowerAnsatzModel(1e308, 1, -1e308),    # a * n^p overflows
+    PowerAnsatzModel(0, 1000, 0),          # 0 * inf
+    PowerAnsatzModel(math.inf, 1, 0),
+    ConstLimitModel(2**1022),              # 2 a n overflows
+])
+def test_models_refuse_to_leave_float64(model):
+    n = np.arange(1, 4)
+    with pytest.raises(ValueError, match=r"leaves float64 for some n in 1..3"):
+        model.values(n)
+    with pytest.raises(ValueError, match="leaves float64"):
+        approx_error("floor:1/2", model, 3)
+    if math.isfinite(model.a):  # n = 1 stays inside
+        assert np.isfinite(model.values(n[:1])).all()
+
+
 def test_scan_constant_trace():
     t = compute_q("zeros", 500)
     matches = scan_self_similarity(t, [1, 7, 100], min_run=10)

@@ -228,6 +228,24 @@ def test_approx_bad_model_is_a_usage_error(capsys, model, message):
     assert err.splitlines() == [f"hofq: {message}"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, message", [
+    ("power:1:1000:0", "model power:1:1000:0 leaves float64 for some n in"
+                       " 1..3"),
+    ("sqrt:1e400", "model 'sqrt:1e400' has a parameter that float64 does"
+                   " not hold"),
+    ("power:1e400:1:0", "model 'power:1e400:1:0' has a parameter that"
+                        " float64 does not hold"),
+    (f"const:{2**1024}", "const-limit model needs an a that float64 holds"),
+])
+def test_approx_model_outside_float64_is_a_usage_error(capsys, model,
+                                                       message):
+    code, out, err = run(capsys, "approx", "--f", "floor:1/2", "--n", "3",
+                         "--model", model)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"hofq: {message}"]
+
+
 def test_approx_negative_alpha_is_a_usage_error(capsys):
     code, out, err = run(capsys, "approx", "--f", "floor:1/2", "--n", "10",
                          "--model", "sqrt:-1")

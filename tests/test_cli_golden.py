@@ -92,6 +92,13 @@ def _cases():
                                            "const-limit:sqrt:a=5", "--n",
                                            "1000", "--model", "const:4"],
                           TEXT_CSV_JSON)
+    # f = zeros gives q = 1, so these error columns cross 0, the 1e-4 and
+    # 1e12 edges of %.12g's fixed notation, and hold an exact 0.0
+    for name, model in [("approx-zero-crossing", "power:1/100000:1:99/100"),
+                        ("approx-exponent-form", "power:1000000000:1:0"),
+                        ("approx-exact-zero", "power:0:1:1")]:
+        yield from _formatted(name, ["approx", "--f", "zeros", "--n", "3000",
+                                     "--model", model], ("csv",))
     yield "approx-bad-model", approx + ["--model", "wat:1"]
     yield "approx-dies", ["approx", "--f", "prefix:0,2,2", "--n", "3",
                           "--model", "sqrt:1/2"]
@@ -107,6 +114,10 @@ def _cases():
         argv = ["export-figure", "--which", which.split("-")[0], *extra]
         yield from _formatted(f"export-{which}", argv, ("csv", "json"),
                               dests=("out",))
+    for which in ("detrended", "approach", "perturbation"):  # two chunks
+        yield f"export-{which}-70000", ["export-figure", "--which", which,
+                                        "--n", "70000", "--format", "csv",
+                                        "--out", "{out}"]
     yield "export-unknown-kind", ["export-figure", "--which", "wat",
                                   "--out", "{out}"]
     yield "export-trace-no-spec", ["export-figure", "--which", "trace",

@@ -14,6 +14,7 @@ import pytest
 
 import hofq
 from hofq import _kernels_py, kernels
+from test_table import g12_values
 
 PURE = kernels.PURE
 
@@ -417,14 +418,16 @@ def test_compiled_kernels_are_thread_safe(c_kernels):
 PIECES = ["", ",", "  ", "; ", "é", "→|", "[", "]\r\n", "%", "ab%%c"]
 
 
-def format_table(mod, cols, widths, pieces, rows=None):
-    """mod.format_rows into an out array of exactly the wrapper's bound."""
+def format_table(mod, cols, widths, pieces, rows=None, written=None):
+    """mod.format_rows into an out array of exactly the wrapper's bound;
+    every row is written unless `written` says how many."""
     encoded = [p.encode() for p in pieces]
     lit, ends = b"".join(encoded), np.cumsum([len(p) for p in encoded]).tolist()
     rows = len(cols[0]) if rows is None else rows
     out = np.zeros(rows * (len(lit) + sum(max(20, w) for w in widths)),
                    dtype=np.uint8)
-    size = mod.format_rows(cols, widths, rows, lit, ends, out)
+    done, size = mod.format_rows(cols, widths, rows, lit, ends, out)
+    assert done == (rows if written is None else written)
     return out[:size].tobytes().decode()
 
 
@@ -448,6 +451,45 @@ def test_format_rows_small(kernel_backend):
     assert format_table(kernel_backend, [], [], ["x\n"], rows=3) == "x\n" * 3
 
 
+G12 = kernels.FORMAT_G12
+
+
+def test_format_rows_g12_stops_before_uncertain_rows(kernel_backend):
+    """The C kernel writes the rows before the first %.12g value it cannot
+    certify and stops there; the pure one, the reference, writes every
+    row with `%`."""
+    n = np.arange(6, dtype=np.int64)
+    certain = [0.1, -2.5, 1 / 3, 1e-4, -999999999999.0, 123456.789]
+    expect = "".join(f"[{i:>3}|{format(x, '.12g')}]\n"
+                     for i, x in enumerate(certain))
+    x = np.array(certain)
+    assert format_table(kernel_backend, [n, x], [3, G12],
+                        ["[", "|", "]\n"]) == expect
+    for bad in [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 9e-5, 1e12,
+                999999999999.5, 123456789012.5]:
+        x[3] = bad
+        written = 6 if kernel_backend is PURE else 3
+        text = format_table(kernel_backend, [n, x], [3, G12],
+                            ["[", "|", "]\n"], written=written)
+        assert text == "".join(f"[{i:>3}|{format(v, '.12g')}]\n"
+                               for i, v in enumerate(x[:written].tolist()))
+
+
+def test_format_rows_g12_prints_only_what_format_prints(c_kernels):
+    """Every value of the writer's %.12g test set, one row each: the C
+    kernel prints it as format(v, ".12g") or stops before it."""
+    x = g12_values()
+    out = np.zeros(21 * len(x), dtype=np.uint8)
+    r, printed = 0, 0
+    while r < len(x):
+        done, size = c_kernels.format_rows([x[r:]], [G12], len(x) - r,
+                                           b"\n", [0, 1], out)
+        assert out[:size].tobytes().decode() == "".join(
+            format(v, ".12g") + "\n" for v in x[r:r + done].tolist())
+        r, printed = r + done + 1, printed + done
+    assert printed > len(x) // 2
+
+
 def test_format_rows_backends_agree(c_kernels):
     rng = np.random.default_rng(20261018)
     for _ in range(300):
@@ -466,6 +508,7 @@ def test_format_rows_backends_agree(c_kernels):
 def test_format_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
     monkeypatch.setattr(kernel_backend, "_fmt", no_call)
     col = np.arange(4, dtype=np.int64)
+    x = col.astype(np.float64)
     lit, ends = b"<,>\n", [1, 2, 4]
     size = 4 * (len(lit) + 20 + 25)
     out = np.zeros(size, dtype=np.uint8)
@@ -480,13 +523,22 @@ def test_format_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         ([col, col], [0, 25], lit, ends, out[:-1]),              # one byte short
         ([col, col], [0, 25], lit, ends, out.astype(np.int8)),
         ([col, col], [0, 25], lit, ends, np.zeros(2 * size, np.uint8)[::2]),
-        ([col, col], [-1, 25], lit, ends, out),                  # widths
+        ([col, col], [G12, 25], lit, ends, out),                 # fields
         ([col, col], [0, 65], lit, ends, out),
+        ([col, col], [0, -2], lit, ends, out),
         ([col, col], [0], lit, ends, out),
         ([col, col], [0, 25], lit, [1, 2], out),                 # ends
         ([col, col], [0, 25], lit, [1, 2, 3], out),
         ([col, col], [0, 25], lit, [2, 1, 4], out),
         ([col, col], [0, 25], lit, [-1, 2, 4], out),
+        # a %.12g field takes a float64 column, whole and contiguous
+        ([col, x.astype(np.float32)], [0, G12], lit, ends, out),
+        ([x, x], [0, G12], lit, ends, out),
+        ([col, np.arange(8, dtype=np.float64)[::2]], [0, G12], lit, ends,
+         out),
+        ([col, x[:3]], [0, G12], lit, ends, out),
+        ([col, x.reshape(2, 2)], [0, G12], lit, ends, out),
+        ([col, list(x)], [0, G12], lit, ends, out),
     ]
     for args in bad:
         with pytest.raises(ValueError):

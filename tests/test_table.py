@@ -110,7 +110,7 @@ def each_backend(monkeypatch):
     """The kernel backends of format_rows, the pure-Python one and, where a
     C compiler is on PATH, the C one; iterating points kernels.format_rows
     at each in turn, so a body under `for _ in each_backend` checks the
-    integer rows of both under the test's one id."""
+    kernel rows of both under the test's one id."""
     mods = [kernels.PURE]
     if shutil.which("cc") is not None:
         mods.append(kernels.compiled())
@@ -191,6 +191,108 @@ FLOATS = np.array([-2.5, -1e-5, 1e-5, 1e16, -1e16, 0.1 + 0.2, -0.0, 0.0,
 def test_floats_csv_match_format_12g():
     assert write("%.12g\n", (FLOATS,))[1] == "".join(
         format(float(v), ".12g") + "\n" for v in FLOATS)
+
+
+def g12_values():
+    """Seeded doubles for the %.12g rows: random ones from every binade in
+    [1e-6, 1e14], exact ties at the 12th digit, both sides of 1e-4, 1e12
+    and every power of ten that 12-digit rounding reaches from below, the
+    zeros, subnormals, NaN and the infinities, each with both signs."""
+    rng = np.random.default_rng(20261019)
+    lo, hi = math.frexp(1e-6)[1] - 1, math.frexp(1e14)[1]
+    binades = [np.ldexp(rng.uniform(0.5, 1, 200), k) for k in range(lo, hi)]
+    # m / 2^(j+1) with m odd times 10^j is m * 5^j / 2, a half-integer: in
+    # [1e11, 1e12) it is a tie between two 12-digit roundings
+    ties = [(2 * rng.integers(10**11 // 5**j, 10**12 // 5**j, 50) + 1)
+            / 2.0**(j + 1) for j in range(16)]
+    edges = [1e-4, 1e12, 9.99999999999995, 999999999999.5, 0.5, 1 / 3]
+    edges += [float(f"9.99999999999995e{k}") for k in range(-6, 15)]
+    edges += [10.0**k for k in range(-6, 15)]
+    edges += [float(f"{d}5e{k - 12}") for k in range(-5, 14)
+              for d in (123456789012, 999999999999)]
+    odd = [0.0, 5e-324, 2.2250738585072014e-308, 1e-310, np.nan, np.inf]
+    x = np.concatenate([*binades, *ties, edges])
+    x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+    x = np.concatenate([x, odd])
+    return np.concatenate([x, -x])
+
+
+def test_g12_rows_match_format_on_both_backends(each_backend):
+    x = g12_values()
+    i = np.arange(len(x), dtype=np.int64) - len(x) // 2
+    expect = "".join(f"{format(v, '.12g')},{n}\r\n"
+                     for v, n in zip(x.tolist(), i.tolist()))
+    for _ in each_backend:
+        assert write("%.12g,%d\r\n", (x, i)) == (len(x), expect)
+
+
+@pytest.mark.parametrize("dtype,values", [
+    (np.float32, [1e-38, 3.4e38, 2**-23, 0.1, -2.5, 0.0, np.inf]),
+    (np.float16, [6.1e-5, 65504, 2**-10, 0.1, -2.5, -0.0, np.nan]),
+    (np.int32, [-2**31, -1, 0, 1, 2**31 - 1]),
+    (np.bool_, [False, True]),
+])
+def test_g12_columns_cast_exactly(each_backend, dtype, values):
+    """A column that float64 holds exactly prints what `%` prints of its
+    own values; one it does not (int64) stays on `%`."""
+    col = np.array(values, dtype=dtype)
+    for _ in each_backend:
+        assert write("%.12g;", (col,))[1] == "".join(
+            "%.12g;" % v for v in col.tolist())
+    big = np.array([2**53 + 1, -2**63], dtype=np.int64)
+    assert table._kernel_fields("%.12g", [big]) is None
+    assert write("%.12g", (big,))[1] == "%.12g%.12g" % tuple(big.tolist())
+
+
+@pytest.mark.parametrize("at", [[0, 4], [3, 7], [0, 3, 4, 7, 8]])
+def test_g12_fallback_rows_at_chunk_edges(monkeypatch, each_backend, at):
+    """A row the kernel cannot certify, first or last in its chunk, goes
+    through `%` inside that chunk's one write; on C `%` prints those rows
+    and no other."""
+    monkeypatch.setattr(table, "CHUNK", 4)
+    x = np.linspace(0.5, 9.5, 10)
+    x[at] = [0.0, 1e-9, -np.inf, 1e15, np.nan][:len(at)]
+    n = np.arange(10, dtype=np.int64)
+    percent = []
+
+    def percent_rows(template, cols, rows):
+        percent.append(rows)
+        return kernels.percent_rows.__wrapped__(template, cols, rows)
+
+    percent_rows.__wrapped__ = kernels.percent_rows
+    monkeypatch.setattr(kernels, "percent_rows", percent_rows)
+    for mod in each_backend:
+        writes = []
+
+        class Sink:
+            def write(self, s):
+                writes.append(s)
+
+        percent.clear()
+        assert table.write_rows(Sink(), "%d:%.12g\n", (n, x)) == 10
+        assert "".join(writes) == "".join(
+            f"{a}:{format(b, '.12g')}\n" for a, b in zip(n, x.tolist()))
+        assert len(writes) == 3  # one per chunk of 4 rows
+        if mod is not kernels.PURE:
+            assert percent == [1] * len(at)
+
+
+def test_g12_runs_of_fallback_rows_take_few_kernel_calls(monkeypatch,
+                                                          each_backend):
+    x = np.zeros(3000)
+    x[::7] = 0.25  # certain, but never more than a row before a zero
+    calls = []
+    for mod in each_backend:
+        calls.clear()
+
+        def format_rows(*args):
+            calls.append(args[2])
+            return mod.format_rows(*args)
+
+        monkeypatch.setattr(kernels, "format_rows", format_rows)
+        assert write("%.12g\n", (x,))[1] == "".join(
+            format(v, ".12g") + "\n" for v in x.tolist())
+        assert len(calls) <= (1 if mod is kernels.PURE else 12)
 
 
 def test_floats_json_match_json_dumps():
