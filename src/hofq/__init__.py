@@ -15,7 +15,6 @@ from .engine import (
     compute_q_batch,
     compute_two_term,
     hofstadter_spec,
-    is_slow,
     quasipolynomial_spec,
     tanny_spec,
     v_variant_spec,
@@ -37,7 +36,6 @@ from .fspec import (
     Zeros,
     as_fspec,
     enumerate_slow_prefixes,
-    eval_f,
     floor_alpha_interval,
     parse_fspec,
     shift_f,

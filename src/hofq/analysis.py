@@ -102,18 +102,27 @@ def parse_model(text: str):
     """Model grammar for the CLI: sqrt:ALPHA | sqrt:gamma2 | const:A | power:A:P:B
     (rationals allowed in numeric slots)."""
     head, _, rest = text.strip().partition(":")
+
+    def number(field, kind=Fraction):
+        try:
+            return kind(field)
+        except ValueError:
+            raise ValueError(f"model {text!r}: {field!r} is not "
+                             f"{'an integer' if kind is int else 'a number'}"
+                             ) from None
+
     try:
         if head == "sqrt":
             if rest == "gamma2":
                 return SqrtAlphaModel(GAMMA * GAMMA)
-            return SqrtAlphaModel(float(Fraction(rest)))
+            return SqrtAlphaModel(float(number(rest)))
         if head == "const":
-            return ConstLimitModel(int(rest))
+            return ConstLimitModel(number(rest, int))
         if head == "power":
             parts = rest.split(":")
             if len(parts) != 3:
                 raise ValueError("power model needs power:A:P:B")
-            a, p, b = (float(Fraction(x)) for x in parts)
+            a, p, b = (float(number(x)) for x in parts)
             return PowerAnsatzModel(a, p, b)
     except ZeroDivisionError:
         raise ValueError(f"model {text!r} has a zero denominator") from None

@@ -232,22 +232,17 @@ def _cmd_scan(args) -> int:
     if not trace.exists:
         raise SequenceDied(trace.outcome)
     shifts: list[int] = []
+    ranged = False  # --shift-range has members, in [1, n - 1] or not
     if args.shifts:
-        shifts.extend(int(s) for s in args.shifts.split(","))
+        shifts.extend(_ints("--shifts", args.shifts, ","))
     if args.shift_range:
-        parts = [int(v) for v in args.shift_range.split(":")]
-        if len(parts) not in (2, 3):
-            raise ValueError("shift range must be LO:HI[:STEP]")
-        lo, hi, step = (parts + [1])[:3]
-        if step == 0:
-            raise ValueError(f"--shift-range {args.shift_range}: "
-                             "STEP must not be 0")
-        shifts.extend(range(lo, hi + 1, step))
+        in_window, ranged = _shift_range(args.shift_range, args.n - 1)
+        shifts.extend(in_window)
     found = None
     if args.discover:
         found = analysis.propose_shifts(trace, min_run=args.min_run)
         shifts.extend(found)
-    if not shifts:
+    if not (shifts or ranged):
         raise ValueError("discovery proposed no shifts, and none were given"
                          if args.discover else "no shifts given (use "
                          "--shifts, --shift-range or --discover)")
@@ -273,6 +268,37 @@ def _cmd_scan(args) -> int:
     if found is not None:  # after any error, which is then the one line
         print(f"hofq: discovery proposed shifts {found}", file=sys.stderr)
     return EXIT_OK
+
+
+def _ints(flag: str, text: str, sep: str) -> list[int]:
+    """The integers of `text`, split at `sep`; a ValueError naming `flag`
+    for a field that is not one."""
+    out = []
+    for field in text.split(sep):
+        try:
+            out.append(int(field))
+        except ValueError:
+            raise ValueError(f"{flag} {text}: {field!r} is not an integer"
+                             ) from None
+    return out
+
+
+def _shift_range(text: str, last: int) -> tuple[range, bool]:
+    """The shifts of `--shift-range LO:HI[:STEP]` that lie in [1, last], HI
+    included for either sign of STEP, as an ascending range found without
+    building the whole one; and whether the whole one has any member."""
+    parts = _ints("--shift-range", text, ":")
+    if len(parts) not in (2, 3):
+        raise ValueError("shift range must be LO:HI[:STEP]")
+    lo, hi, step = (parts + [1])[:3]
+    if step == 0:
+        raise ValueError(f"--shift-range {text}: STEP must not be 0")
+    if step < 0:  # the same members, from the smallest up to LO
+        step = -step
+        lo, hi = lo - (lo - hi) // step * step, lo
+    members = lo <= hi
+    lo += max(0, (step - lo) // step) * step  # the first member >= 1
+    return range(lo, min(hi, last) + 1, step), members
 
 
 def _cmd_perturb(args) -> int:

@@ -254,20 +254,6 @@ def compute_f_from_q(q_values) -> np.ndarray:
     return f
 
 
-def is_slow(seq, zero_start: bool = False) -> bool:
-    """True iff successive differences are all in {0, 1} (and the first term
-    is 0 when zero_start is set)."""
-    a = np.asarray(seq, dtype=np.int64)
-    if a.ndim != 1 or len(a) == 0:
-        raise ValueError("need a non-empty 1-D sequence")
-    if zero_start and a[0] != 0:
-        return False
-    if len(a) == 1:
-        return True
-    d = np.diff(a)
-    return bool(((d == 0) | (d == 1)).all())
-
-
 def compute_q_batch(f_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Traces for a batch of driving sequences (rows of f_mat), one
     kernels.one_term_rows call.

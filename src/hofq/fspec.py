@@ -105,12 +105,6 @@ class FSpec:
     def max_len(self) -> int | None:
         return None
 
-    @property
-    def is_slow_family(self) -> bool:
-        """True when the spec is documented to produce a slow (property-D)
-        zero-start sequence for every n."""
-        return False
-
     def _check_len(self, n_max: int) -> None:
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
@@ -132,10 +126,6 @@ class Zeros(FSpec):
     def spec_str(self):
         return "zeros"
 
-    @property
-    def is_slow_family(self):
-        return True
-
 
 @dataclass(frozen=True)
 class Linear(FSpec):
@@ -146,10 +136,6 @@ class Linear(FSpec):
 
     def spec_str(self):
         return "linear"
-
-    @property
-    def is_slow_family(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -186,11 +172,6 @@ class FloorRatio(FSpec):
             s += f":scale={self.scale}"
         return s
 
-    @property
-    def is_slow_family(self):
-        return (0 <= self.num <= self.den and self.scale == 1
-                and self.value(1) == 0)
-
 
 @dataclass(frozen=True)
 class GammaSq(FSpec):
@@ -203,10 +184,6 @@ class GammaSq(FSpec):
 
     def spec_str(self):
         return "gamma2"
-
-    @property
-    def is_slow_family(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -228,10 +205,6 @@ class OneMinusDelta(FSpec):
     def spec_str(self):
         return f"one-minus-delta:{self.n1}"
 
-    @property
-    def is_slow_family(self):
-        return self.n1 == 1
-
 
 @dataclass(frozen=True)
 class ModM(FSpec):
@@ -251,10 +224,6 @@ class ModM(FSpec):
 
     def spec_str(self):
         return f"mod:{self.m}"
-
-    @property
-    def is_slow_family(self):
-        return self.m == 1
 
 
 @dataclass(frozen=True, init=False)
@@ -323,10 +292,6 @@ class DiffBits(FSpec):
         return "bits:" + (np.frombuffer(self.bits, dtype=np.uint8)
                           + np.uint8(ord("0"))).tobytes().decode()
 
-    @property
-    def is_slow_family(self):
-        return True
-
 
 @dataclass(frozen=True)
 class Shifted(FSpec):
@@ -354,10 +319,6 @@ class Shifted(FSpec):
 
     def spec_str(self):
         return f"shift:{self.k}:({self.inner.spec_str()})"
-
-    @property
-    def is_slow_family(self):
-        return self.inner.is_slow_family
 
 
 @dataclass(frozen=True)
@@ -415,16 +376,8 @@ def _refuses_non_slow(span):
     return checked
 
 
-class _CheckedSlow(FSpec):
-    """A family documented slow, whose _span is _refuses_non_slow's."""
-
-    @property
-    def is_slow_family(self):
-        return True
-
-
 @dataclass(frozen=True)
-class ConstLimit(_CheckedSlow):
+class ConstLimit(FSpec):
     """Sequences approaching a constant (or clamped-linear) limit.
 
     Forms: sqrt  f(n) = floor(a - a/sqrt(n)): pow with b = 1/2
@@ -538,7 +491,7 @@ class ConstLimit(_CheckedSlow):
 
 
 @dataclass(frozen=True)
-class FracPowerSum(_CheckedSlow):
+class FracPowerSum(FSpec):
     """f(n) = floor(sum of c_i * n^(e_i)) with rational c_i and e_i in [0, 1).
 
     Floors are certified with scaled-integer root brackets: each n^(e_i) is
@@ -708,11 +661,6 @@ def _require_slow(values: np.ndarray, spec: FSpec) -> None:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def eval_f(spec: FSpec, n: int) -> int:
-    """Exact f(n) for a spec (n >= 1)."""
-    return spec.value(n)
 
 
 def shift_f(spec: FSpec, k: int) -> FSpec:

@@ -111,6 +111,21 @@ def test_parse_model_refuses_parameters_outside_float64(text):
         parse_model(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("const:1e400", "model 'const:1e400': '1e400' is not an integer"),
+    ("const:", "model 'const:': '' is not an integer"),
+    ("const:2.5", "model 'const:2.5': '2.5' is not an integer"),
+    ("sqrt:abc", "model 'sqrt:abc': 'abc' is not a number"),
+    ("sqrt:", "model 'sqrt:': '' is not a number"),
+    ("power:1:x:0", "model 'power:1:x:0': 'x' is not a number"),
+    ("power:1/:1:0", "model 'power:1/:1:0': '1/' is not a number"),
+])
+def test_parse_model_names_the_model_of_a_bad_number(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_model(text)
+    assert str(info.value) == message
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model", [
     PowerAnsatzModel(1, 1000, 0),          # n^p overflows

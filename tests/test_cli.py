@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -178,6 +179,65 @@ def test_scan_selfsim_zero_step_is_a_usage_error(capsys, shift_range):
         f"hofq: --shift-range {shift_range}: STEP must not be 0"]
 
 
+def test_scan_selfsim_descending_range_includes_hi(capsys):
+    scan = ("scan-selfsim", "--f", "floor:1/2", "--n", "100", "--min-run",
+            "2")
+    ascending = run(capsys, *scan, "--shift-range", "1:4")
+    assert ascending[0] == 0
+    assert {line.split(":")[0] for line in ascending[1].splitlines()} == {
+        "shift 1", "shift 2", "shift 3", "shift 4"}
+    assert run(capsys, *scan, "--shift-range", "4:1:-1") == ascending
+    assert run(capsys, *scan, "--shift-range", "10:1:-3") == run(
+        capsys, *scan, "--shifts", "1,4,7,10")
+
+
+@pytest.mark.parametrize("shift_range", [
+    "1:9223372036854775807", "-9223372036854775808:9223372036854775807",
+    "9223372036854775807:-9223372036854775808:-1"])
+def test_scan_selfsim_huge_range_is_clipped_before_it_is_built(
+        capsys, shift_range):
+    scan = ("scan-selfsim", "--f", "floor:1/2", "--n", "3000", "--min-run",
+            "40")
+    want = run(capsys, *scan, "--shift-range", "1:2999")
+    assert want[0] == 0 and want[1].count("\n") > 50
+    start = time.perf_counter()
+    got = run(capsys, *scan, f"--shift-range={shift_range}")
+    assert time.perf_counter() - start < 1.0
+    assert got == want
+
+
+@pytest.mark.parametrize("shift_range", [
+    "200:300", "-9:0", "9223372036854775000:9223372036854775807:5",
+    "0:-9223372036854775808:-1"])
+def test_scan_selfsim_range_outside_the_trace_scans_nothing(capsys,
+                                                            shift_range):
+    # a range with members, none of them in [1, n - 1]: as --shifts 200
+    code, out, err = run(capsys, "scan-selfsim", "--f", "zeros", "--n", "100",
+                         f"--shift-range={shift_range}", "--min-run", "2")
+    assert (code, out, err) == (0, "no matches at this min-run\n", "")
+
+
+@pytest.mark.parametrize("shift_range", ["5:1", "1:4:-1", "1:2:-5"])
+def test_scan_selfsim_empty_range_gives_no_shifts(capsys, shift_range):
+    code, out, err = run(capsys, "scan-selfsim", "--f", "zeros", "--n", "100",
+                         "--shift-range", shift_range)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "hofq: no shifts given (use --shifts, --shift-range or --discover)"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--shifts", "1,,2"), ("--shift-range", "1:x"),
+    ("--shift-range", "1:2:3:x")])
+def test_scan_selfsim_bad_number_names_its_flag(capsys, flag, value):
+    code, out, err = run(capsys, "scan-selfsim", "--f", "zeros", "--n", "10",
+                         flag, value)
+    assert (code, out) == (1, "")
+    bad = "''" if value == "1,,2" else "'x'"
+    assert err.splitlines() == [f"hofq: {flag} {value}: {bad} is not an "
+                                "integer"]
+
+
 def test_perturb_text_and_csv(capsys):
     code, out, _ = run(capsys, "perturb", "--f", "floor:1/2", "--at", "16",
                        "--amount", "1", "--n", "512")
@@ -220,6 +280,9 @@ def test_approx_on_dying_trace_exits_2(capsys):
     ("power:1:1/0:1", "model 'power:1:1/0:1' has a zero denominator"),
     ("cubic:2", "unknown model 'cubic:2'"),
     ("power:1:2", "power model needs power:A:P:B"),
+    ("const:1e400", "model 'const:1e400': '1e400' is not an integer"),
+    ("const:", "model 'const:': '' is not an integer"),
+    ("sqrt:abc", "model 'sqrt:abc': 'abc' is not a number"),
 ])
 def test_approx_bad_model_is_a_usage_error(capsys, model, message):
     code, out, err = run(capsys, "approx", "--f", "floor:1/2", "--n", "10",

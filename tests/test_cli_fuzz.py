@@ -30,6 +30,8 @@ ODD_NUMBERS += ["1e400", "-1e400", "1e-400", "nan", "inf", "-inf", "-0.0",
 numbers = st.one_of(st.integers(-20, 2000).map(str),
                     st.sampled_from(ODD_NUMBERS))
 rationals = st.one_of(numbers, st.builds("{}/{}".format, numbers, numbers))
+shift_bounds = st.one_of(st.integers(-5, 300),
+                         st.integers(-INT64_MAX - 2, INT64_MAX + 1))
 lengths = st.one_of(st.integers(-3, 2000).map(str),  # every valid one small
                     st.sampled_from(["", "x", "2.5", "1e3", "nan", "-0"]))
 
@@ -99,12 +101,12 @@ argvs = st.one_of(
     _command("scan-selfsim", ("--f", specs), ("--n", lengths),
              options=(("--shifts", st.lists(numbers, min_size=1,
                                             max_size=6).map(",".join)),
-                      # at most a few hundred shifts, which keeps it quick
                       ("--shift-range", st.one_of(
-                          st.builds("{}:{}{}".format, st.integers(-5, 300),
-                                    st.integers(-5, 300), st.sampled_from(
-                                        ["", ":1", ":7", ":0", ":-3",
-                                         f":{INT64_MAX}"])),
+                          st.builds("{}:{}{}".format, shift_bounds,
+                                    shift_bounds, st.sampled_from(
+                                        ["", ":1", ":7", ":0", ":-3", ":-1",
+                                         f":{INT64_MAX}",
+                                         f":{-INT64_MAX - 1}"])),
                           st.sampled_from([f"{INT64_MAX}:5", "1:2:3:4",
                                            "a:b", "", "5"]))),
                       ("--min-run", numbers),
@@ -145,6 +147,9 @@ def _after_usage(lines):
                                  HealthCheck.function_scoped_fixture])
 @example(["approx", "--f", "floor:1/2", "--n", "3", "--model",
           "power:1:1000:0"])
+@example(["approx", "--f", "floor:1/2", "--n", "3", "--model", "const:1e400"])
+@example(["scan-selfsim", "--f", "zeros", "--n", "2000", "--shift-range",
+          f"{-INT64_MAX - 1}:{INT64_MAX}"])
 @given(argvs)
 def test_any_argv_ends_in_a_documented_exit(tmp_path, argv):
     out_path = os.path.join(tmp_path, "out.dat")
@@ -164,3 +169,4 @@ def test_any_argv_ends_in_a_documented_exit(tmp_path, argv):
     hofq_lines = [line for line in _after_usage(err.splitlines())
                   if line.startswith("hofq")]
     assert len(hofq_lines) <= 1, (argv, err)
+    assert "invalid literal" not in err, (argv, err)

@@ -13,7 +13,6 @@ from hofq.engine import (
     compute_q_batch,
     compute_two_term,
     hofstadter_spec,
-    is_slow,
     quasipolynomial_spec,
     tanny_spec,
     v_variant_spec,
@@ -238,16 +237,6 @@ def test_conclusion_sequence_prefix():
     assert ((d < 0) | (d > 1)).any()  # a step outside {0, 1} by n = 13
     q_h = compute_two_term(hofstadter_spec(), 15)
     assert c.max() <= q_h.q_values.max()
-
-
-def test_is_slow():
-    assert is_slow([0, 0, 1, 2], zero_start=True)
-    assert not is_slow([0, 1, 0, 1])
-    assert is_slow([1, 2, 2, 3])
-    assert not is_slow([1, 2, 2, 3], zero_start=True)
-    assert is_slow([5])
-    with pytest.raises(ValueError):
-        is_slow([])
 
 
 def test_batch_matches_scalar_engine():

@@ -28,7 +28,6 @@ from hofq.fspec import (
     Zeros,
     as_fspec,
     enumerate_slow_prefixes,
-    eval_f,
     floor_alpha_interval,
     parse_fspec,
     shift_f,
@@ -84,13 +83,13 @@ def test_parse_errors(bad):
 
 
 def test_eval_examples():
-    assert eval_f(FloorRatio(1, 2), 7) == 3
-    assert [eval_f(GammaSq(), n) for n in range(1, 6)] == [0, 0, 1, 1, 1]
-    assert [eval_f(OneMinusDelta(1), n) for n in (1, 2, 3)] == [0, 1, 1]
-    assert [eval_f(ModM(3), n) for n in range(1, 7)] == [0, 1, 2, 0, 1, 2]
-    assert [eval_f(Linear(), n) for n in (1, 2, 5)] == [0, 1, 4]
+    assert FloorRatio(1, 2).value(7) == 3
+    assert [GammaSq().value(n) for n in range(1, 6)] == [0, 0, 1, 1, 1]
+    assert [OneMinusDelta(1).value(n) for n in (1, 2, 3)] == [0, 1, 1]
+    assert [ModM(3).value(n) for n in range(1, 7)] == [0, 1, 2, 0, 1, 2]
+    assert [Linear().value(n) for n in (1, 2, 5)] == [0, 1, 4]
     with pytest.raises(ValueError):
-        eval_f(Zeros(), 0)
+        Zeros().value(0)
 
 
 def test_values_match_scalar_eval():
@@ -152,7 +151,7 @@ def test_each_family_defines_f_once():
         todo.extend(cls.__subclasses__())
         families.append(cls)
     families = [c for c in families if c.__module__ == fspec.__name__]
-    concrete = [c for c in families if c not in (FSpec, fspec._CheckedSlow)]
+    concrete = [c for c in families if c is not FSpec]
     assert len(concrete) == 12
     assert all("_span" in vars(c) for c in concrete)
     assert [c for c in families if "values" in vars(c)] == [FSpec]
@@ -164,7 +163,6 @@ def test_even_staircase_spec():
     # 2*floor((n-1)/2) = (0, 0, 2, 2, 4, 4, ...)
     spec = FloorRatio(1, 2, shift=-1, scale=2)
     assert list(spec.values(8)) == [0, 0, 2, 2, 4, 4, 6, 6]
-    assert not spec.is_slow_family
 
 
 @pytest.mark.parametrize("bad", ["012", "0a", "0\x01", "01 ", "é",
@@ -240,7 +238,7 @@ def test_floor_ratio_slow_whenever_num_le_den():
             d = np.diff(vals)
             assert ((d == 0) | (d == 1)).all(), (num, den)
             # zero start needs num < den; num == den gives f(1) = 1
-            assert FloorRatio(num, den).is_slow_family == (num < den)
+            assert (FloorRatio(num, den).values(1)[0] == 0) == (num < den)
 
 
 def test_alpha_interval_witness():
@@ -263,7 +261,6 @@ def test_slow_family_claims_hold_on_long_prefixes():
                       (Fraction(5, 128), Fraction(0)))),
     ]
     for spec in claimed:
-        assert spec.is_slow_family, spec.spec_str()
         n = min(spec.max_len() or 10**5, 10**5)
         vals = spec.values(n)
         d = np.diff(vals)
@@ -473,7 +470,7 @@ def test_vectorised_values_match_scalar_value(spec, n):
             return
         assert got.dtype == object
         assert got.tolist() == want
-        if not isinstance(spec, fspec._CheckedSlow):
+        if not isinstance(spec, (ConstLimit, FracPowerSum)):
             with pytest.raises(OverflowError):
                 spec.values(n)
         return
