@@ -15,6 +15,7 @@
  * Python's `%`, the formatter of record.  No state is shared between
  * calls, so they may run concurrently with the interpreter lock released.
  */
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -110,24 +111,84 @@ int64_t slow_walk(uint8_t *seen, int64_t m)
  * plain %d), or FORMAT_G12, which is %.12g on a float64 column. */
 #define FORMAT_G12 (-1)
 
+/* the two digits of each n in 0..99 at PAIRS[2n], "00" to "99": the
+ * formatters take a number's digits two per division by 100 */
+static const char PAIRS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* 10^k, exact as uint64 for k = 0..19 */
+static const uint64_t POW10_U64[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL,
+    10000000ULL, 100000000ULL, 1000000000ULL, 10000000000ULL,
+    100000000000ULL, 1000000000000ULL, 10000000000000ULL,
+    100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL,
+    10000000000000000000ULL};
+
+/* The number of decimal digits of u <= 2^63, 1 for 0.  With w = u | 1,
+ * which has as many digits as u, and b its bit length, t = floor(b *
+ * 1233 / 4096) is the digit count of w or one less (1233 / 4096 lies just
+ * below log10(2)), and t <= 19. */
+static inline int digit_count(uint64_t u)
+{
+    uint64_t w = u | 1;
+    int t = ((64 - __builtin_clzll(w)) * 1233) >> 12;
+    return t + (w >= POW10_U64[t]);
+}
+
+/* the len decimal digits of u < 10^len at p..p+len, two per step from
+ * the last; returns p + len */
+static inline uint8_t *put_digits(uint64_t u, int len, uint8_t *p)
+{
+    uint8_t *end = p + len;
+    for (p = end; len >= 2; len -= 2, u /= 100) {
+        p -= 2;
+        memcpy(p, PAIRS + 2 * (u % 100), 2);
+    }
+    if (len)
+        *--p = (uint8_t)('0' + u);
+    return end;
+}
+
+/* n bytes of src at p; returns p + n.  Each copy has a constant size, so
+ * it compiles to a move or two: the pieces are mostly a few bytes, and a
+ * memcpy of n bytes, or a byte loop, which the compiler turns into one,
+ * would be a library call each. */
+static inline uint8_t *put_bytes(const uint8_t *src, int64_t n, uint8_t *p)
+{
+    uint8_t *end = p + n;
+    if (n >= 8) {  /* 8 at a time, the last 8 overlapping what went before */
+        for (; n > 8; n -= 8, src += 8, p += 8)
+            memcpy(p, src, 8);
+        memcpy(end - 8, src + n - 8, 8);
+    } else if (n >= 4) {  /* the first 4 and the last 4, overlapping */
+        memcpy(p, src, 4);
+        memcpy(end - 4, src + n - 4, 4);
+    } else if (n >= 2) {
+        memcpy(p, src, 2);
+        memcpy(end - 2, src + n - 2, 2);
+    } else if (n) {
+        *p = *src;
+    }
+    return end;
+}
+
 /* v as `%<width>d` prints it, right-justified with spaces; returns the
  * end of what it wrote, at most max(20, width) bytes. */
 static uint8_t *put_int(int64_t v, int64_t width, uint8_t *p)
 {
     /* negate through uint64_t, so that INT64_MIN is exact */
     uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
-    uint8_t digits[20];
-    int k = 20;
-    do {
-        digits[--k] = (uint8_t)('0' + u % 10);
-        u /= 10;
-    } while (u);
-    if (v < 0)
-        digits[--k] = '-';
-    for (width -= 20 - k; width > 0; width--)
+    int len = digit_count(u);
+    for (width -= len + (v < 0); width > 0; width--)
         *p++ = ' ';
-    memcpy(p, digits + k, 20 - k);
-    return p + (20 - k);
+    if (v < 0)
+        *p++ = '-';
+    return put_digits(u, len, p);
 }
 
 /* 10^k, exact as doubles for k = 0..15 */
@@ -153,52 +214,53 @@ static const double DECADE[16] = {1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2,
  * 1/2, y's nearest integer D is the exact product's: the 12 digits of a,
  * correctly rounded, with decimal exponent e (e + 1 when D = 10^12, whose
  * digits are those of 10^11).  The digits then go out as %g places them,
- * trailing zeros and a bare point stripped. */
+ * trailing zeros and a bare point stripped.
+ *
+ * The decade comes from a binary search of DECADE, four comparisons, and
+ * D's 12 digits from PAIRS, two per step.  The near-tie test compares
+ * |frac - 1/2| once, so that nothing branches on which side of 1/2 the
+ * fraction lies, which no predictor guesses. */
 static uint8_t *put_g12(double x, uint8_t *p)
 {
-    double a = x < 0 ? -x : x, y, frac;
-    int e = 11, last, k;
+    double a = __builtin_fabs(x), y, frac;
+    int e = 0, k, last;
     int64_t d;
     uint8_t digits[12];
     if (!(a >= 1e-4 && a < 1e12))  /* NaN too */
         return NULL;
-    while (a < DECADE[e + 4])
-        e--;
+    /* the greatest index e with DECADE[e] <= a, then the exponent */
+    for (k = 8; k; k >>= 1)
+        if (a >= DECADE[e + k])
+            e += k;
+    e -= 4;
     y = a * POW10[11 - e];
     if (!(y >= 1e11 && y <= 1e12))
         return NULL;
     d = (int64_t)y;
     frac = y - (double)d;  /* exact, as y < 2^40 */
-    if (frac - 0.5 <= 0x1p-14 && 0.5 - frac <= 0x1p-14)
+    if (__builtin_fabs(frac - 0.5) <= 0x1p-14)
         return NULL;
-    if (frac > 0.5)
-        d++;
+    d += frac > 0.5;
     if (d == 1000000000000) {  /* rounded up into the next decade */
         d = 100000000000;
         if (++e == 12)  /* %g's exponent form */
             return NULL;
     }
-    for (k = 11; k >= 0; k--, d /= 10)
-        digits[k] = (uint8_t)('0' + d % 10);
+    put_digits((uint64_t)d, 12, digits);
     for (last = 11; digits[last] == '0'; last--)
         ;
-    if (x < 0)
-        *p++ = '-';
+    *p = '-';  /* kept for x < 0 only, with no branch on the sign */
+    p += x < 0;
     if (e >= 0) {  /* e + 1 integer digits, then the fraction if any */
-        memcpy(p, digits, e + 1);
-        p += e + 1;
+        p = put_bytes(digits, e + 1, p);
         if (last > e) {
             *p++ = '.';
-            memcpy(p, digits + e + 1, last - e);
-            p += last - e;
+            p = put_bytes(digits + e + 1, last - e, p);
         }
-    } else {  /* 0. and -e-1 zeros before the digits */
-        *p++ = '0';
-        *p++ = '.';
-        for (k = e; k < -1; k++)
-            *p++ = '0';
-        memcpy(p, digits, last + 1);
-        p += last + 1;
+    } else {  /* 0. and -e-1 zeros before the digits, which overwrite
+                 the zeros they do not need */
+        memcpy(p, "0.000", 5);
+        p = put_bytes(digits, last + 1, p + 1 - e);
     }
     return p;
 }
@@ -219,16 +281,13 @@ int64_t format_rows(const void *const *cols, const int64_t *fields,
     uint8_t *p = out;
     int64_t r;
     for (r = 0; r < rows; r++) {
-        uint8_t *q = p + ends[0];
-        memcpy(p, lit, ends[0]);
+        uint8_t *q = put_bytes(lit, ends[0], p);
         for (int64_t j = 0; j < ncols && q; j++) {
             q = fields[j] == FORMAT_G12
                 ? put_g12(((const double *)cols[j])[r], q)
                 : put_int(((const int64_t *)cols[j])[r], fields[j], q);
-            if (q) {
-                memcpy(q, lit + ends[j], ends[j + 1] - ends[j]);
-                q += ends[j + 1] - ends[j];
-            }
+            if (q)
+                q = put_bytes(lit + ends[j], ends[j + 1] - ends[j], q);
         }
         if (!q)
             break;

@@ -18,7 +18,8 @@ import numpy as np
 
 from .engine import QTrace, compute_q
 from .errors import SequenceDied
-from .fspec import ConstLimit, FloorRatio, Perturbed, as_fspec
+from .fspec import (ConstLimit, FloorRatio, Perturbed, as_fspec, brief,
+                    int_literal)
 from .table import write
 
 GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -105,11 +106,10 @@ def parse_model(text: str):
 
     def number(field, kind=Fraction):
         try:
-            return kind(field)
-        except ValueError:
-            raise ValueError(f"model {text!r}: {field!r} is not "
-                             f"{'an integer' if kind is int else 'a number'}"
-                             ) from None
+            return int_literal(field) if kind is int else kind(field)
+        except ValueError as exc:
+            why = exc if kind is int else f"{brief(field)} is not a number"
+            raise ValueError(f"model {brief(text)}: {why}") from None
 
     try:
         if head == "sqrt":
@@ -125,11 +125,12 @@ def parse_model(text: str):
             a, p, b = (float(number(x)) for x in parts)
             return PowerAnsatzModel(a, p, b)
     except ZeroDivisionError:
-        raise ValueError(f"model {text!r} has a zero denominator") from None
+        raise ValueError(f"model {brief(text)} has a zero denominator"
+                         ) from None
     except OverflowError:
-        raise ValueError(f"model {text!r} has a parameter that float64 does"
-                         f" not hold") from None
-    raise ValueError(f"unknown model {text!r}")
+        raise ValueError(f"model {brief(text)} has a parameter that float64"
+                         f" does not hold") from None
+    raise ValueError(f"unknown model {brief(text)}")
 
 
 @dataclass(frozen=True)
@@ -283,13 +284,12 @@ def perturb_compare(base, at: int, amount: int, n_max: int) -> PerturbationTrace
     pert_trace = compute_q(Perturbed(spec, at, amount), n_max)
     m = min(len(base_trace.q_values), len(pert_trace.q_values))
     diff = (base_trace.q_values[:m] - pert_trace.q_values[:m]).copy()
-    zero = []
-    if m:
+    zero = ()
+    if m:  # the runs of diff == 0 that are runs of zeros, 1-based
         starts, ends = _runs(diff == 0)
-        for a, b in zip(starts, ends):
-            if diff[a] == 0:
-                zero.append((int(a) + 1, int(b) + 1))
-    return PerturbationTrace(spec.spec_str(), at, amount, diff, tuple(zero),
+        z = diff[starts] == 0
+        zero = tuple(zip((starts[z] + 1).tolist(), (ends[z] + 1).tolist()))
+    return PerturbationTrace(spec.spec_str(), at, amount, diff, zero,
                              str(base_trace.outcome), str(pert_trace.outcome))
 
 

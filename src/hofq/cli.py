@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import analysis, engine, table, triangle, verify
 from .errors import CapExceeded, InvalidFSpec, InvalidQ, SequenceDied
-from .fspec import parse_fspec
+from .fspec import brief, int_literal, parse_fspec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,7 +54,13 @@ class _ConfigParser(_Parser):
         raise ValueError(f"--config: {message}")
 
 
+@functools.cache
 def build_parser(parser_class: type[_Parser] = _Parser) -> _Parser:
+    """The parser of every subcommand, built once per process for each
+    parser class: building it took most of the time of a short command.
+    Reuse is safe, as parse_args leaves the parser as it found it: each
+    call fills a new Namespace, and no action has a mutable default or
+    appends."""
     p = parser_class(prog="hofq", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", help="JSON file with default flag values")
@@ -276,10 +283,9 @@ def _ints(flag: str, text: str, sep: str) -> list[int]:
     out = []
     for field in text.split(sep):
         try:
-            out.append(int(field))
-        except ValueError:
-            raise ValueError(f"{flag} {text}: {field!r} is not an integer"
-                             ) from None
+            out.append(int_literal(field))
+        except ValueError as exc:
+            raise ValueError(f"{flag} {brief(text, str)}: {exc}") from None
     return out
 
 

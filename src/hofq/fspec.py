@@ -37,6 +37,7 @@ import functools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -742,6 +743,32 @@ def as_fspec(obj) -> FSpec:
         raise TypeError(f"cannot interpret {obj!r} as an f-spec") from None
 
 
+_BRIEF = 24  # brief() quotes at most this many characters of a text
+_INT_LITERAL = re.compile(r"\s*[+-]?\d(?:_?\d)*\s*")  # what int() reads
+
+
+def brief(text: str, spell=repr) -> str:
+    """spell(text), or for a text over _BRIEF characters spell of its
+    first _BRIEF, '...' and the text's length: a message that quotes a
+    text stays one short line."""
+    if len(text) <= _BRIEF:
+        return spell(text)
+    return f"{spell(text[:_BRIEF])}... ({len(text)} characters)"
+
+
+def int_literal(text: str) -> int:
+    """int(text), or a ValueError that quotes text by brief and says why
+    not: it is not an integer, or it is one with more digits than int()
+    reads (sys.get_int_max_str_digits(), 4300 unless set otherwise)."""
+    try:
+        return int(text)
+    except ValueError:
+        why = (f"is longer than Python's {sys.get_int_max_str_digits()}"
+               "-digit integer limit" if _INT_LITERAL.fullmatch(text)
+               else "is not an integer")
+        raise ValueError(f"{brief(text)} {why}") from None
+
+
 def _parse_rational(text: str) -> Fraction:
     text = text.strip()
     try:
@@ -752,14 +779,14 @@ def _parse_rational(text: str) -> Fraction:
             return Fraction(text).limit_denominator(_ALPHA_DENOM_CAP)
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidFSpec(f"bad rational {text!r}") from exc
+        raise InvalidFSpec(f"bad rational {brief(text)}") from exc
 
 
 def _parse_int(text: str) -> int:
     try:
-        return int(text)
+        return int_literal(text)
     except ValueError as exc:
-        raise InvalidFSpec(f"bad integer {text!r}") from exc
+        raise InvalidFSpec(str(exc)) from None
 
 
 def _split_inner(text: str, head: str) -> tuple[list[str], str]:

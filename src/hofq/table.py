@@ -10,7 +10,9 @@ export, and five sixths of that of the perturbation figure, whose log2 n
 column is `%.12g`.
 The C kernel prints a `%.12g` value only when it can certify its 12 digits
 and %g prints it in fixed notation; it stops before any other row, which
-`%` prints inside the same chunk, and the kernel resumes after it.
+`%` prints inside the same chunk, and the kernel resumes after it.  It
+writes digits two at a time from a table of "00".."99" and finds a
+`%.12g` value's decade by a binary search.
 Otherwise `kernels.percent_rows` fills CHUNK rows' values into `row_fmt`
 repeated once per row by a single `%`, so no Python code runs per row.
 Either way `%d` prints an integer as `str(int(v))`; `%.12g` prints a float

@@ -68,6 +68,22 @@ def oracle_f(spec, n):
     raise TypeError(f"no oracle for {spec!r}")
 
 
+def oracle_zero_regions(diff):
+    """The maximal runs of zeros of diff as 1-based inclusive (lo, hi)
+    pairs, by a walk over its values one at a time: the rule of
+    perturb_compare's zero regions, which it finds by array passes."""
+    regions, lo = [], None
+    for i, v in enumerate(diff, start=1):
+        if v == 0 and lo is None:
+            lo = i
+        elif v != 0 and lo is not None:
+            regions.append((lo, i - 1))
+            lo = None
+    if lo is not None:
+        regions.append((lo, len(diff)))
+    return tuple(regions)
+
+
 def oracle_two_term(offsets, init, start, outer, n_max):
     """Direct recursion with two nested lookups.
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hofq.analysis import (
 )
 from hofq.engine import compute_q
 from hofq.errors import SequenceDied
+from oracle import oracle_zero_regions
 
 
 def test_approx_report_basics():
@@ -196,6 +198,50 @@ def test_perturb_basics():
             assert p.diff[lo - 2] != 0
         if hi < len(p.diff):
             assert p.diff[hi] != 0
+
+
+def zero_diff_arrays():
+    """Seeded difference arrays: empty, of length 1, all zero, never zero,
+    and mixed at several densities of zeros, runs of one included."""
+    rng = np.random.default_rng(20261019)
+    out = {"empty": [], "one-zero": [0], "one-nonzero": [-3],
+           "all-zero": [0] * 50, "never-zero": rng.choice([-2, -1, 1, 5], 50)}
+    for p in (0.1, 0.5, 0.9):
+        for n in (2, 3, 17, 1000):
+            runs = rng.geometric(0.3, n)  # alternating runs of zeros or not
+            vals = np.repeat(np.arange(n) % 2 * rng.integers(1, 4, n), runs)
+            start = int(rng.random() < p)  # start on a zero run or not
+            out[f"mixed-{p}-{n}"] = vals[start:] * rng.choice([-1, 1])
+            out[f"random-{p}-{n}"] = (rng.random(n) > p) * rng.integers(
+                -9, 10, n)
+    return out
+
+
+@pytest.mark.parametrize("name, diff", zero_diff_arrays().items())
+def test_zero_regions_match_a_scalar_walk(monkeypatch, name, diff):
+    """perturb_compare's zero regions, from one array pass, are the ones a
+    walk over the values finds, on a difference planted through its two
+    traces."""
+    diff = np.asarray(diff, dtype=np.int64)
+    pert = np.full(len(diff), 7, dtype=np.int64)
+
+    def trace(q):
+        return SimpleNamespace(q_values=q, outcome="exists")
+
+    monkeypatch.setattr(analysis, "_existing_trace",
+                        lambda spec, n: trace(pert + diff))
+    monkeypatch.setattr(analysis, "compute_q", lambda spec, n: trace(pert))
+    p = perturb_compare("zeros", 1, 1, len(diff))
+    assert p.diff.tolist() == diff.tolist()
+    assert p.zero_regions == oracle_zero_regions(diff.tolist())
+    assert all(type(v) is int for z in p.zero_regions for v in z)
+
+
+@pytest.mark.parametrize("at, amount, n", [(16, 1, 4000), (16, 0, 300),
+                                           (3, 2, 2**16), (1000, -1, 5000)])
+def test_zero_regions_of_floor_half_match_a_scalar_walk(at, amount, n):
+    p = perturb_compare("floor:1/2", at, amount, n)
+    assert p.zero_regions == oracle_zero_regions(p.diff.tolist())
 
 
 def test_perturb_zero_amount():

@@ -427,6 +427,66 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 4  # explicit flag wins
 
 
+def test_cached_parser_keeps_nothing_between_calls(tmp_path, capsys):
+    """The parser is built once and reused: a flag, a usage error or a
+    --config file of one call leaves nothing behind for the next."""
+    plain = ("compute", "--f", "zeros", "--format", "csv")
+    cli.build_parser.cache_clear()
+    fresh = run(capsys, *plain)
+    assert fresh[0] == 0 and len(fresh[1].splitlines()) == 17  # --n 16
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"n": 5, "format": "text"}))
+    for before in [(*plain, "--n", "7"), ("compute", "--n", "x"),
+                   (*plain, "--format", "xml"), ("hofstadter", "--n", "9"),
+                   ("--config", str(conf), "compute", "--f", "zeros"),
+                   ("--config", str(conf), *plain, "--n", "bad")]:
+        run(capsys, *before)
+        assert run(capsys, *plain) == fresh
+
+
+def test_parser_is_built_once_per_parser_class(monkeypatch, tmp_path,
+                                               capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"n": 5}))
+    for _ in range(5):
+        run(capsys, "compute", "--f", "zeros")
+        run(capsys, "--config", str(conf), "compute", "--f", "zeros")
+        run(capsys, "compute", "--n", "x")
+    # one top-level parser and one per subcommand, for each class
+    per_build = 1 + len(cli._COMMANDS)
+    assert built.count(cli._Parser) == per_build
+    assert built.count(cli._ConfigParser) == per_build
+    assert len(built) == 2 * per_build
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="int() reads integers of any length here")
+@pytest.mark.parametrize("argv", [
+    ["compute", "--f", "mod:{}"],
+    ["approx", "--f", "floor:1/2", "--n", "10", "--model", "const:{}"],
+    ["scan-selfsim", "--f", "floor:1/2", "--n", "100", "--shifts", "1,{}"],
+])
+def test_overlong_integer_literal_gets_one_short_true_line(capsys, argv):
+    """A literal of more digits than int() reads is called that, not "not
+    an integer", on one line that quotes it in brief, with its length."""
+    limit = sys.get_int_max_str_digits()
+    literal = "1" * (limit + 700)
+    code, out, err = run(capsys, *(a.format(literal) for a in argv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert (f"'{literal[:24]}'... ({len(literal)} characters) is longer than"
+            f" Python's {limit}-digit integer limit\n") in err
+
+
 @pytest.mark.parametrize("conf", ["[5, 3]", '{"n": "abc"}', '{"n": 2.5}',
                                   '{"format": "xml"}', "{", '{"n": [5]}',
                                   '{"n": true}', '{"unknown": 1}'])

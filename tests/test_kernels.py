@@ -453,6 +453,39 @@ def test_format_rows_small(kernel_backend):
 
 G12 = kernels.FORMAT_G12
 
+# each digit count's edges: +-(10^k - 1), +-10^k and their neighbours,
+# the int64 extremes, and 0
+DIGIT_EDGES = sorted({s * (10**k + d) for k in range(19) for d in (-1, 0, 1)
+                      for s in (1, -1)} | {INT64_MIN, INT64_MIN + 1,
+                                           INT64_MAX - 1, INT64_MAX})
+
+
+def test_format_rows_ints_at_every_digit_count(kernel_backend):
+    """The two-digits-per-step path against `%`: every digit count, both
+    signs, and widths below, at and above each value's printed length."""
+    col = np.array(DIGIT_EDGES, dtype=np.int64)
+    assert format_table(kernel_backend, [col], [0], ["", "\n"]) == "".join(
+        "%d\n" % v for v in DIGIT_EDGES)
+    for w in range(1, 22):  # the printed lengths are 1..20
+        assert format_table(kernel_backend, [col], [w], ["|", ""]) == "".join(
+            "|%*d" % (w, v) for v in DIGIT_EDGES)
+
+
+def test_format_rows_literal_pieces_of_every_length(kernel_backend):
+    """Pieces of 0 to 20 bytes, around int and %.12g fields, copy as `%`
+    writes them: every size class of the piece copy, and more than one
+    step of 8 bytes."""
+    ints = np.array([INT64_MIN, -7, 0, 42, INT64_MAX], dtype=np.int64)
+    x = np.array([0.1, -2.5, 1 / 3, 1e-4, 123456.789])
+    for k in range(21):
+        piece = "".join(chr(ord("a") + i) for i in range(k))
+        pieces = [piece, piece[::-1], piece.upper()]
+        expect = "".join(f"{pieces[0]}{a}{pieces[1]}{format(b, '.12g')}"
+                         f"{pieces[2]}" for a, b in zip(ints.tolist(),
+                                                        x.tolist()))
+        assert format_table(kernel_backend, [ints, x], [0, G12],
+                            pieces) == expect
+
 
 def test_format_rows_g12_stops_before_uncertain_rows(kernel_backend):
     """The C kernel writes the rows before the first %.12g value it cannot
