@@ -19,7 +19,7 @@ import numpy as np
 from .engine import QTrace, compute_q
 from .errors import SequenceDied
 from .fspec import (ConstLimit, FloorRatio, Perturbed, as_fspec, brief,
-                    int_literal)
+                    fraction_literal, int_literal)
 from .table import write
 
 GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -106,10 +106,9 @@ def parse_model(text: str):
 
     def number(field, kind=Fraction):
         try:
-            return int_literal(field) if kind is int else kind(field)
+            return (int_literal if kind is int else fraction_literal)(field)
         except ValueError as exc:
-            why = exc if kind is int else f"{brief(field)} is not a number"
-            raise ValueError(f"model {brief(text)}: {why}") from None
+            raise ValueError(f"model {brief(text)}: {exc}") from None
 
     try:
         if head == "sqrt":

@@ -37,14 +37,24 @@ def isqrt_array(x: np.ndarray) -> np.ndarray:
     result is correct even where float rounding misses by a unit.
     """
     x = np.asarray(x, dtype=np.int64)
+    top = int(x.max()) if x.size else 0
     if x.size and int(x.min()) < 0:
         raise ValueError("isqrt_array: negative input")
-    if x.size and int(x.max()) > ISQRT_ARRAY_CAP:
+    if top > ISQRT_ARRAY_CAP:
         raise OverflowError("isqrt_array: input too close to int64 max")
-    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    # climb while (s+1)^2 <= x, then descend while s^2 > x.  Below 2**52 the
-    # seed is exact (one check each way); above, the rounding of x to float64
-    # can put it one too high (x = k^2 - 1)
+    s = x.astype(np.float64)
+    s = np.sqrt(s, out=s).astype(np.int64)
+    # Below 2**52 the truncated seed is r = floor(sqrt(x)) itself.  x is
+    # exact in float64, and r^2 <= x < (r+1)^2 gives
+    #   r <= sqrt(x) <= sqrt((r+1)^2 - 1) < r + 1 - 1/(2(r+1)).
+    # The correctly rounded root is >= r (r is a double) and < r + 1: with
+    # r + 1 <= 2**26 in (2**k, 2**(k+1)], k <= 25, the doubles just under
+    # r + 1 are 2**(k-52) apart, so only a root within 2**(k-53) of r + 1
+    # rounds up to it, and 2**(k-53) < 2**(-k-2) <= 1/(2(r+1)).
+    if top < 2**52:
+        return s
+    # climb while (s+1)^2 <= x, then descend while s^2 > x: above 2**52 the
+    # rounding of x to float64 can put the seed one too high (x = k^2 - 1)
     while True:
         low = (s + 1) * (s + 1) <= x
         if not low.any():
@@ -120,14 +130,23 @@ def floor_gamma_array(n: np.ndarray) -> np.ndarray:
         raise ValueError("floor_gamma_array: negative index")
     if int(n.max()) > GAMMA_ARRAY_CAP:
         raise OverflowError("floor_gamma_array: 5*n^2 exceeds int64")
-    return (isqrt_array(5 * n * n) - n) >> 1
+    out = n * n
+    out *= 5
+    out = isqrt_array(out)
+    out -= n
+    out >>= 1
+    return out
 
 
 def floor_gamma_sq_array(n: np.ndarray) -> np.ndarray:
     """Vectorized floor(gamma^2 * n); n = 0 handled as 0."""
     n = np.asarray(n, dtype=np.int64)
-    out = n - 1 - floor_gamma_array(n)
-    return np.where(n == 0, 0, out)
+    out = floor_gamma_array(n)
+    np.subtract(n, out, out=out)
+    out -= 1  # n - 1 - floor(gamma n): -1 at n = 0 alone, >= 0 elsewhere
+    if n.size and out.min() < 0:
+        np.maximum(out, 0, out=out)
+    return out
 
 
 def staircase_start(k: int) -> int:

@@ -28,7 +28,11 @@ converted to the nearest fraction with denominator <= 10^9 (approximate,
 for convenience only).
 
 Each family defines f once, as `_span(lo, hi)`: exact f(lo..hi-1), int64 or,
-past int64, Python ints.  `value` and `values` follow from it in FSpec.
+past int64, Python ints.  `value` and `values` follow from it in FSpec, and
+`values` writes f into its one output _BLOCK terms at a time, so that what a
+span allocates on the way is small enough to be reused rather than faulted
+in fresh: a third of the page faults on perfbench's `drivers` workload, and
+a peak near the output itself (see _BLOCK).
 """
 
 from __future__ import annotations
@@ -67,6 +71,14 @@ _SEED_A_MAX = 2**52
 _EXP_B_MIN, _EXP_B_MAX = 2.0**-900, 2.0**900
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive float64
 _INT64 = np.dtype(np.int64)
+# values() asks _span for at most this many terms at once.  Each temporary
+# of a span is then 64 KiB, which the heap hands back from block to block
+# and L2 holds; one span of all n terms faulted in a dozen fresh full-length
+# arrays instead.  Measured on a 2-core x86-64 VM, with perfbench's
+# reference loop run before each call: values() took 4,714 page faults per
+# round of the `drivers` workload as one span, 1,465 in blocks (about 2 us
+# each), and at 10^6 terms peaked at 5 to 10 times its output, now 1.05.
+_BLOCK = 8192
 
 
 def _past_int64(spec: FSpec) -> OverflowError:
@@ -91,13 +103,31 @@ class FSpec:
 
     def values(self, n_max: int) -> np.ndarray:
         """f(1..n_max) as an int64 array; raises InvalidFSpec if the spec
-        cannot produce that many terms, OverflowError if one leaves int64."""
+        cannot produce that many terms, OverflowError if one leaves int64.
+
+        Past _BLOCK terms f is written into the output a span of at most
+        _BLOCK terms at a time.  No span after the first is a lone term,
+        whose step from the term before no slowness check would see."""
         cap = self.max_len()
         if n_max < 1 or cap is not None and n_max > cap:
             self._check_len(n_max)  # raises
-        out = self._span(1, n_max + 1)
-        if out.dtype is not _INT64:  # an object array: past int64
-            raise _past_int64(self)
+        if n_max <= _BLOCK:
+            out = self._span(1, n_max + 1)
+            if out.dtype is not _INT64:  # an object array: past int64
+                raise _past_int64(self)
+            return out
+        out = np.empty(n_max, dtype=np.int64)
+        lo = 1
+        while lo <= n_max:
+            hi = min(lo + _BLOCK, n_max + 1)
+            if hi == n_max:  # the last span takes two terms, not one
+                hi -= 1
+            block = self._span(lo, hi)
+            if block.dtype is not _INT64:
+                raise _past_int64(self)
+            out[lo - 1:hi - 1] = block
+            del block  # so that the next span reuses its memory
+            lo = hi
         return out
 
     def spec_str(self) -> str:
@@ -257,6 +287,13 @@ class Prefix(FSpec):
         return "prefix:" + ",".join(str(v) for v in self.prefix)
 
 
+# DiffBits' byte tables: from the digits '0' and '1', or from the bits 0
+# and 1, to the bits, and every other byte to 2; and from the bits to digits
+_FROM_DIGITS = b"\2" * 48 + b"\0\1" + b"\2" * 206
+_FROM_BITS = b"\0\1" + b"\2" * 254
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 @dataclass(frozen=True)
 class DiffBits(FSpec):
     """The unique slow zero-start sequence whose difference string is `bits`.
@@ -268,30 +305,52 @@ class DiffBits(FSpec):
     bits: bytes
 
     def __post_init__(self):
-        raw = self.bits
+        raw, table = self.bits, _FROM_BITS
         if isinstance(raw, str):
-            # '0' and '1' map to 0 and 1; every other byte wraps above 1
-            raw = (np.frombuffer(raw.encode(), dtype=np.uint8)
-                   - np.uint8(ord("0"))).tobytes()
+            raw, table = raw.encode(), _FROM_DIGITS
         elif not isinstance(raw, bytes):
             raw = bytes(int(b) for b in raw)
-        if raw and np.frombuffer(raw, dtype=np.uint8).max() > 1:
+        raw = raw.translate(table)
+        if 2 in raw:
             raise InvalidFSpec("bits: differences must be 0 or 1")
         object.__setattr__(self, "bits", raw)
 
+    def _ones_before(self, m: int) -> int:
+        """The ones among bits[:m], in O(_BLOCK) from _marks, the counts at
+        the multiples of _BLOCK, so that a span costs O(hi - lo + _BLOCK),
+        not O(hi).  The marks grow by counting only as far as a span asks;
+        a span that ends on the next multiple records it (see _span), so
+        values() counts no bit twice and none at all past the first span."""
+        arr = np.frombuffer(self.bits, np.uint8)
+        j = m // _BLOCK
+        marks = self.__dict__.get("_marks", [0])
+        if len(marks) <= j:  # extend a copy: a racing thread's stays right
+            marks = list(marks)
+            while len(marks) <= j:
+                end = len(marks) * _BLOCK
+                marks.append(marks[-1] + int(np.count_nonzero(
+                    arr[end - _BLOCK:end])))
+            object.__setattr__(self, "_marks", marks)
+        if m == j * _BLOCK:
+            return marks[j]
+        return marks[j] + int(np.count_nonzero(arr[j * _BLOCK:m]))
+
     def _span(self, lo, hi):
-        out = np.zeros(hi - 1, dtype=np.int64)  # f(1..hi-1)
-        if hi > 2:
-            arr = np.frombuffer(self.bits, dtype=np.uint8)[: hi - 2]
-            np.cumsum(arr, dtype=np.int64, out=out[1:])
-        return out[lo - 1:]
+        out = np.empty(hi - lo, dtype=np.int64)
+        out[0] = self._ones_before(lo - 1)
+        out[1:] = np.frombuffer(self.bits, np.uint8, hi - lo - 1, lo - 1)
+        np.cumsum(out, out=out)  # in place: faster than a cast
+        marks = self.__dict__.get("_marks", [0])
+        if hi - 1 == len(marks) * _BLOCK:  # f(hi), the next mark
+            object.__setattr__(self, "_marks",
+                               [*marks, int(out[-1]) + self.bits[hi - 2]])
+        return out
 
     def max_len(self):
         return len(self.bits) + 1
 
     def spec_str(self):
-        return "bits:" + (np.frombuffer(self.bits, dtype=np.uint8)
-                          + np.uint8(ord("0"))).tobytes().decode()
+        return "bits:" + self.bits.translate(_TO_DIGITS).decode()
 
 
 @dataclass(frozen=True)
@@ -356,21 +415,30 @@ _CONST_LIMIT_FORMS = ("sqrt", "exp", "pow", "clamp")
 
 def _refuses_non_slow(span):
     """The _span of a family documented slow, which refuses parameters that
-    are not slow where it builds f from f(1) on: for values(), and under a
-    shift or perturb.  f(1) and f(2) come first, from value(), so most such
-    parameters fail before all terms are built, and a head past int64 is an
-    OverflowError at once: values() refuses the span that holds it."""
+    are not slow in every span of more than one term and in every span from
+    f(1) on: for values(), and under a shift or perturb.  A span from lo > 1
+    is built from lo - 1, so that its first step, from the last term of the
+    span before, is checked too.  f(1) and f(2) come first, from value(), so
+    most such parameters fail before a span is built, and a head past int64
+    is an OverflowError at once: values() refuses the span that holds it."""
 
     @functools.wraps(span)
     def checked(self, lo, hi):
+        if lo > 1:
+            if hi - lo == 1:  # a lone term, as value() reads it: unchecked
+                return span(self, lo, hi)
+            out = span(self, lo - 1, hi)
+            if out.dtype is _INT64:
+                _require_slow(out, self, lo - 1)
+            return out[1:]
         # no head for one term, the span a clamp's value(1) reads
-        if lo == 1 and hi > 2:
+        if hi > 2:
             head = _exact([self.value(1), self.value(2)])
             if head.dtype is not _INT64:
                 raise _past_int64(self)
             _require_slow(head, self)
         out = span(self, lo, hi)
-        if lo == 1 and out.dtype is _INT64:
+        if out.dtype is _INT64:
             _require_slow(out, self)
         return out
 
@@ -432,16 +500,42 @@ class ConstLimit(FSpec):
         return self.a - ceil_div_pow(self.a, n, self.b.numerator,
                                      self.b.denominator)
 
+    @functools.cached_property
+    def _saturated_from(self) -> int:
+        """An N with f(n) = a - 1 for every n >= N (not clamp): the decaying
+        term x has ceiling 1 exactly where 0 < x <= 1.  For pow, the least:
+        a / n^(p/q) <= 1 iff n^p >= a^q, so N = ceil(a^(q/p)).  For exp,
+        ceil_exp_decay's own test, n >= L q / p with L = a.bit_length()."""
+        p, q = self.b.numerator, self.b.denominator
+        if self.form == "exp":
+            return -(-self.a.bit_length() * q // p)
+        root, exact = iroot(self.a**q, p)
+        return root if exact else root + 1
+
     @_refuses_non_slow
     def _span(self, lo, hi):
-        """f(lo..hi-1): integer square roots at b = 1/2 while isqrt_array
-        takes a^2, else a float64 seed; value() term by term where neither
-        applies, and for a single term."""
+        """f(lo..hi-1): a - 1 from _saturated_from on; before it integer
+        square roots at b = 1/2 while isqrt_array takes a^2, else a float64
+        seed; value() term by term where neither applies, and for a single
+        term."""
         if self.form == "clamp":
             # n0 may exceed int64: clip it to the span before numpy
             n = np.minimum(_indices(lo, hi), min(hi - 1, self.n0))
             return _floor_ratio(n, self.alpha.numerator,
                                 self.alpha.denominator)
+        if hi - lo == 1:  # one term is value() itself
+            return _exact([self.value(lo)])
+        cut = min(max(lo, self._saturated_from), hi)
+        if cut == hi:
+            return self._decaying(lo, hi)
+        limit = np.full(hi - cut, self.a - 1,
+                        dtype=np.int64 if self.a <= INT64_MAX else object)
+        if cut == lo:
+            return limit
+        return np.concatenate([self._decaying(lo, cut), limit])
+
+    def _decaying(self, lo, hi):
+        """f(lo..hi-1) where the decaying term is evaluated."""
         power = self.form != "exp"
         many = hi - lo > 1  # one term is value() itself
         if (many and power and self.b == Fraction(1, 2)
@@ -449,10 +543,16 @@ class ConstLimit(FSpec):
             aa = self.a * self.a
             n = np.arange(lo, hi, dtype=np.int64)
             k = isqrt_array(aa // n)  # floor(a / sqrt(n))
-            return self.a - k - (k * k * n != aa)
+            inexact = k * k
+            inexact *= n
+            inexact = inexact != aa
+            np.subtract(self.a, k, out=k)
+            k -= inexact
+            return k
         if many and self.a <= _SEED_A_MAX and (
                 power or _EXP_B_MIN < self.b < _EXP_B_MAX):
-            return self.a - self._decay_ceil(lo, hi)
+            out = self._decay_ceil(lo, hi)
+            return np.subtract(self.a, out, out=out)
         return _exact([self.value(n) for n in range(lo, hi)])
 
     def _decay_ceil(self, lo, hi):
@@ -476,10 +576,18 @@ class ConstLimit(FSpec):
         the true x is below 2**52 * e**-700 < 1 and so is x + err, which the
         clip at 0 in `_certified_round` settles: ceil is 1.
         """
-        n = np.arange(lo, hi, dtype=np.float64)
-        t = float(self.b) * (n if self.form == "exp" else np.log(n))
-        x = self.a * np.exp(-t)
-        err = x * (16 * t + 16) * 2.0**-53
+        t = np.arange(lo, hi, dtype=np.float64)
+        if self.form != "exp":
+            np.log(t, out=t)
+        t *= float(self.b)
+        x = np.negative(t)
+        np.exp(x, out=x)
+        x *= self.a
+        err = t  # x (16 t + 16) 2**-53, in place of t
+        err *= 16
+        err += 16
+        err *= x
+        err *= 2.0**-53
         return _certified_round(x, err, lambda k: self.a - self.value(k), lo,
                                 ceil=True)
 
@@ -574,13 +682,25 @@ class FracPowerSum(FSpec):
             return _exact([self.value(lo)])
         n = np.arange(lo, hi, dtype=np.float64)
         total = np.zeros(hi - lo)
-        magnitude = np.zeros(hi - lo)
+        # the sum of |c_i n^e_i|, which is total itself when no c_i < 0
+        magnitude = (np.zeros(hi - lo) if any(c < 0 for c, _ in self.terms)
+                     else total)
+        root = None  # sqrt(n), for n^(1/2) and n^(1/4) alike
         for c, e in self.terms:
-            term = float(c) * n ** float(e)
+            # sqrt is correctly rounded, and two of them err by under 2 ulp
+            if e.numerator == 1 and e.denominator in (2, 4):
+                if root is None:
+                    root = np.sqrt(n)
+                power = root if e.denominator == 2 else np.sqrt(root)
+            else:
+                power = n ** float(e)
+            term = power * float(c)
             total += term
-            magnitude += np.abs(term)
+            if magnitude is not total:
+                magnitude += np.abs(term, out=term)
         # per-term float64 error is a few ulp; 1e-13 relative is ~450 ulp
-        err = 1e-13 * magnitude + 1e-12
+        err = 1e-13 * magnitude
+        err += 1e-12
         return _certified_round(total, err, self.value, lo)
 
     def spec_str(self):
@@ -618,46 +738,60 @@ def _floor_ratio(n: np.ndarray, num: int, den: int, shift: int = 0,
     ints, which stay objects where a value leaves int64."""
     if (max(abs(num) * int(n[-1]) + abs(shift), 1) * abs(scale) <= INT64_MAX
             and den <= INT64_MAX):
-        return scale * ((num * n + shift) // den)
+        out = n * num
+        if shift:
+            out += shift
+        out //= den
+        if scale != 1:
+            out *= scale
+        return out
     return _exact(scale * ((num * n.astype(object) + shift) // den))
 
 
 def _certified_round(x: np.ndarray, err, exact, first: int,
                      ceil: bool = False) -> np.ndarray:
     """int64 floors of the reals that the float64 array `x` approximates to
-    within the proven absolute error `err`; with `ceil`, ceilings of reals
-    known to be > 0 (the one caller is a decaying positive term), so the
-    bracket is clipped at 0 from below and a term under 1 has ceiling 1.
+    within the proven absolute error `err`, a float64 array this overwrites;
+    with `ceil`, ceilings of reals known to be > 0 (the one caller is a
+    decaying positive term), so the bracket is clipped at 0 from below and a
+    term under 1 has ceiling 1.
 
     Where every real in [x - err, x + err] rounds to the same integer, that
     integer is the answer; elsewhere, i.e. where x lies within err of an
     integer, `exact(n)` gives it for n = index + first.
     """
-    if not (np.abs(x) < 2.0**62).all():  # the int64 cast is undefined there
+    # the int64 cast is undefined from 2**63 on (NaN fails both tests)
+    if not (-2.0**62 < x.min() and x.max() < 2.0**62):
         raise OverflowError("values exceed int64")
-    lo, hi = x - err, x + err
-    if ceil:
-        lo, hi = np.maximum(lo, _TINY), np.maximum(hi, _TINY)
+    lo = x - err
+    hi = np.add(x, err, out=err)
     rnd = np.ceil if ceil else np.floor
-    r_lo = rnd(lo)
-    out = r_lo.astype(np.int64)
-    for i in np.flatnonzero(r_lo != rnd(hi)):
-        out[i] = exact(int(i) + first)
+    for end in (lo, hi):
+        if ceil:
+            np.maximum(end, _TINY, out=end)
+        rnd(end, out=end)
+    out = lo.astype(np.int64)
+    near = lo != hi
+    if near.any():
+        for i in np.flatnonzero(near):
+            out[i] = exact(int(i) + first)
     return out
 
 
-def _require_slow(values: np.ndarray, spec: FSpec) -> None:
-    """Generation-time check for specs documented as slow zero-start."""
-    if values[0] != 0:
+def _require_slow(values: np.ndarray, spec: FSpec, first: int = 1) -> None:
+    """Generation-time check for specs documented as slow zero-start, on
+    the int64 values f(first), f(first + 1), ...; f(1) = 0 when first = 1."""
+    if first == 1 and values[0] != 0:
         raise InvalidFSpec(f"{spec.spec_str()!r}: f(1) = {values[0]}, not 0")
     if len(values) > 1:
         d = np.diff(values)
-        bad = np.flatnonzero((d < 0) | (d > 1))
-        if bad.size:
-            i = int(bad[0]) + 1
+        # a step outside {0, 1} is one above 1 as uint64, negative ones too
+        bad = d.view(np.uint64) > 1
+        if bad.any():
+            k = int(bad.argmax())
             raise InvalidFSpec(
-                f"{spec.spec_str()!r}: difference f({i + 1}) - f({i}) = "
-                f"{int(d[bad[0]])} is outside {{0, 1}}")
+                f"{spec.spec_str()!r}: difference f({k + first + 1}) - "
+                f"f({k + first}) = {int(d[k])} is outside {{0, 1}}")
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +879,11 @@ def as_fspec(obj) -> FSpec:
 
 _BRIEF = 24  # brief() quotes at most this many characters of a text
 _INT_LITERAL = re.compile(r"\s*[+-]?\d(?:_?\d)*\s*")  # what int() reads
+# what Fraction() or _parse_rational reads, P/Q or a decimal with an
+# exponent; compiled by re's cache on the first error that needs it
+_NUMBER_LITERAL = (r"\s*[+-]?(?:\d(?:_?\d)*\s*/\s*[+-]?\d(?:_?\d)*"
+                   r"|(?:\d(?:_?\d)*(?:\.(?:\d(?:_?\d)*)?)?|\.\d(?:_?\d)*)"
+                   r"(?:[eE][+-]?\d(?:_?\d)*)?)\s*")
 
 
 def brief(text: str, spell=repr) -> str:
@@ -756,6 +895,17 @@ def brief(text: str, spell=repr) -> str:
     return f"{spell(text[:_BRIEF])}... ({len(text)} characters)"
 
 
+def _over_digit_limit(text: str, literal) -> str | None:
+    """'is longer than Python's N-digit integer limit' for a text that
+    `literal` reads and that is longer than the N digits int() reads
+    (sys.get_int_max_str_digits(), 4300 unless set otherwise): the one
+    reason left why int() or Fraction() refuses it.  None otherwise."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(text) and re.fullmatch(literal, text):
+        return f"is longer than Python's {limit}-digit integer limit"
+    return None
+
+
 def int_literal(text: str) -> int:
     """int(text), or a ValueError that quotes text by brief and says why
     not: it is not an integer, or it is one with more digits than int()
@@ -763,9 +913,18 @@ def int_literal(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        why = (f"is longer than Python's {sys.get_int_max_str_digits()}"
-               "-digit integer limit" if _INT_LITERAL.fullmatch(text)
-               else "is not an integer")
+        why = _over_digit_limit(text, _INT_LITERAL) or "is not an integer"
+        raise ValueError(f"{brief(text)} {why}") from None
+
+
+def fraction_literal(text: str) -> Fraction:
+    """Fraction(text), or a ValueError that quotes text by brief and says
+    why not, as int_literal does: it is not a number, or it is one with a
+    part of more digits than int() reads."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        why = _over_digit_limit(text, _NUMBER_LITERAL) or "is not a number"
         raise ValueError(f"{brief(text)} {why}") from None
 
 
@@ -779,6 +938,9 @@ def _parse_rational(text: str) -> Fraction:
             return Fraction(text).limit_denominator(_ALPHA_DENOM_CAP)
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
+        why = _over_digit_limit(text, _NUMBER_LITERAL)
+        if why:
+            raise InvalidFSpec(f"rational {brief(text)} {why}") from None
         raise InvalidFSpec(f"bad rational {brief(text)}") from exc
 
 
@@ -875,9 +1037,10 @@ def parse_fspec(text: str) -> FSpec:
             raise InvalidFSpec("prefix: expected comma-separated values")
         return Prefix(tuple(_parse_int(v) for v in rest.split(",")))
     if head == "bits":
-        if not re.fullmatch(r"[01]*", rest):
-            raise InvalidFSpec("bits: expected a string of 0/1")
-        return DiffBits(rest)
+        try:
+            return DiffBits(rest)
+        except InvalidFSpec:
+            raise InvalidFSpec("bits: expected a string of 0/1") from None
     if head == "shift":
         fields, inner = _split_inner(rest, "shift")
         if len(fields) != 1:

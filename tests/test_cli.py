@@ -487,6 +487,36 @@ def test_overlong_integer_literal_gets_one_short_true_line(capsys, argv):
             f" Python's {limit}-digit integer limit\n") in err
 
 
+_DIGITS_5000 = "1" * 5000
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="int() reads integers of any length here")
+@pytest.mark.parametrize("argv, quoted", [
+    (["approx", "--model", "sqrt:{}"], "model 'sqrt:{}"),
+    (["approx", "--model", "sqrt:0.{}"], "model 'sqrt:0.{}"),
+    (["approx", "--model", "sqrt:1e{}"], "model 'sqrt:1e{}"),
+    (["approx", "--model", "power:1:1:1/{}"], "model 'power:1:1:1/{}"),
+    (["compute", "--f", "floor:{}/2"], "rational '{}"),
+    (["compute", "--f", "floor:0.{}"], "rational '0.{}"),
+    (["compute", "--f", "const-limit:exp:a=5,b=1e-{}"], "rational '1e-{}"),
+])
+def test_overlong_decimal_literal_gets_one_short_true_line(capsys, argv,
+                                                           quoted):
+    """A rational or decimal literal with a part of more digits than int()
+    reads is called that, not "not a number" or a "bad rational", on one
+    short line."""
+    if argv[0] == "approx":
+        argv = [*argv, "--f", "floor:1/2", "--n", "10"]
+    code, out, err = run(capsys, *(a.format(_DIGITS_5000) for a in argv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 250
+    assert err.startswith("hofq: " + quoted.format(_DIGITS_5000)[:30])
+    assert err.endswith(" is longer than Python's"
+                        f" {sys.get_int_max_str_digits()}-digit integer"
+                        " limit\n")
+
+
 @pytest.mark.parametrize("conf", ["[5, 3]", '{"n": "abc"}', '{"n": 2.5}',
                                   '{"format": "xml"}', "{", '{"n": [5]}',
                                   '{"n": true}', '{"unknown": 1}'])

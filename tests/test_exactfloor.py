@@ -196,3 +196,19 @@ def test_ceil_exp_decay_bracket_at_low_precision(monkeypatch):
     monkeypatch.setattr(exactfloor, "EXP_PRECISIONS", (12, 40, 160))
     for a, n, p, q, want in _exp_terms():
         assert ceil_exp_decay(a, n, p, q) == want, (a, n, p, q)
+
+
+def test_isqrt_array_at_the_edge_of_the_float_seed():
+    # below 2**52 the float64 seed is returned as it is: the largest roots
+    # there, beside squares, against 2**52 itself and just past it, where
+    # the seed of k^2 - 1 is k
+    edge = [k * k + d for k in (2**26 - 1, 2**26, 2**26 + 1)
+            for d in (-1, 0, 1)]
+    edge += [2**52 - 1, 2**52, 2**52 + 1]
+    batches = [[x] for x in edge] + [edge]
+    for k in (np.arange(2**26 - 3000, 2**26, dtype=np.int64),
+              np.arange(2**26 + 1, 2**26 + 3000, dtype=np.int64)):
+        batches.append(np.concatenate([k * k - 1, k * k, k * k + 1]).tolist())
+    for batch in batches:
+        got = isqrt_array(np.array(batch, dtype=np.int64))
+        assert got.tolist() == [math.isqrt(x) for x in batch]

@@ -1,4 +1,6 @@
 import inspect
+import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -597,3 +599,166 @@ def test_as_fspec_coercions():
     assert as_fspec(spec) is spec
     with pytest.raises(TypeError):
         as_fspec(b"\x00\x01")
+
+
+# ---------------------------------------------------------------------------
+# values() in spans of at most _BLOCK terms
+
+B = fspec._BLOCK
+BLOCK_EDGES = [B - 1, B, B + 1, 2 * B, 3 * B + 7]
+_LONG_BITS = (np.random.default_rng(21).integers(0, 2, 3 * B + 6, np.uint8)
+              + ord("0")).tobytes().decode()
+# the finite families, long enough for every edge
+BLOCK_SPECS = ROUND_TRIP + [
+    "bits:" + _LONG_BITS,
+    "prefix:" + ",".join(map(str, np.arange(3 * B + 7) // 3)),
+    f"shift:{B - 2}:(fracpow:1/2*n^1/2-1/8*n^1/4)",
+]
+
+
+@pytest.mark.parametrize("text", BLOCK_SPECS, ids=lambda t: t[:40])
+def test_blocked_values_equal_value_and_one_span(text):
+    spec = parse_fspec(text)
+    cap = spec.max_len() or BLOCK_EDGES[-1]
+    top = min(cap, BLOCK_EDGES[-1])
+    whole = spec._span(1, top + 1)  # the one span values() made before
+    assert whole.tolist() == [spec.value(k) for k in range(1, top + 1)]
+    for n in sorted({min(n, cap) for n in BLOCK_EDGES}):
+        got = spec.values(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == whole[:n].tolist(), n
+
+
+@dataclass(frozen=True)
+class _RiseAt(FSpec):
+    """A test family under the slowness check: 0 before `at`, then 2."""
+
+    at: int
+
+    @fspec._refuses_non_slow
+    def _span(self, lo, hi):
+        return 2 * (np.arange(lo, hi, dtype=np.int64) >= self.at)
+
+    def spec_str(self):
+        return f"rise-at:{self.at}"
+
+
+@pytest.mark.parametrize("at", [B + 1, B + 5])
+@pytest.mark.parametrize("outer", [lambda s: s, lambda s: Shifted(3, s)],
+                         ids=["bare", "shifted"])
+def test_slowness_is_checked_across_blocks(at, outer):
+    inner = _RiseAt(at)
+    spec = outer(inner)
+    message = (f"{inner.spec_str()!r}: difference f({at}) - f({at - 1}) = 2"
+               " is outside {0, 1}")
+    # from the first n that holds the rise: bare with at = B + 1, that n
+    # would leave f(B + 1) alone in the last span
+    first = at + (spec.k if isinstance(spec, Shifted) else 0)
+    for n in (first, first + 1, 2 * B, 3 * B + 7):
+        with pytest.raises(InvalidFSpec) as one:
+            spec._span(1, n + 1)
+        with pytest.raises(InvalidFSpec) as blocked:
+            spec.values(n)
+        assert str(blocked.value) == str(one.value) == message
+    # a lone term, as value() reads it, is not checked
+    assert spec.value(at + 3) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    Perturbed(FloorRatio(1, 2), B + 5, 2**63),
+    Prefix([0] * (2 * B + 2) + [2**64]),
+    Shifted(B, Perturbed(Zeros(), 3, -2**63 - 1)),
+])
+def test_value_past_int64_in_a_later_block_overflows(spec):
+    n = min(3 * B, spec.max_len() or 3 * B)
+    assert spec._span(1, n + 1).dtype == object  # the one span of before
+    with pytest.raises(OverflowError) as err:
+        spec.values(n)
+    assert str(err.value) == f"{spec.spec_str()!r}: f values exceed int64"
+
+
+def _count_spans(monkeypatch):
+    """Record the length of every array a family's _span returns."""
+    sizes, todo = [], [FSpec]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if "_span" in vars(cls) and cls is not FSpec:
+            def counted(self, lo, hi, _span=vars(cls)["_span"]):
+                out = _span(self, lo, hi)
+                sizes.append(len(out))
+                return out
+            monkeypatch.setattr(cls, "_span", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("text", BLOCK_SPECS + ["bits:" + "01" * (2 * B + 1)],
+                         ids=lambda t: t[:40])
+def test_no_span_of_values_is_longer_than_a_block(monkeypatch, text):
+    spec = parse_fspec(text)
+    n = min(4 * B + 3, spec.max_len() or 4 * B + 3)
+    want = spec.values(n).tolist()
+    sizes = _count_spans(monkeypatch)
+    assert spec.values(n).tolist() == want
+    assert sizes and max(sizes) <= B
+
+
+@pytest.mark.parametrize("text", [
+    "fracpow:3/4*n^1/2+3/32*n^1/4+5/128",
+    "gamma2",
+    "const-limit:sqrt:a=5",
+    "const-limit:pow:a=5,b=1/2",
+    "const-limit:exp:a=5,b=1/1000",
+])
+def test_values_peak_memory_is_near_its_output(text):
+    spec = parse_fspec(text)
+    spec.values(1000)  # imports and caches outside the measurement
+    n = 10**6
+    tracemalloc.start()
+    try:
+        spec.values(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n
+
+
+@pytest.mark.parametrize("form, a, b, start", [
+    ("pow", 5, Fraction(1, 2), 25),
+    ("sqrt", 5, None, 25),
+    ("pow", 7, Fraction(2, 3), 19),  # 7^(3/2) = 18.52...
+    ("pow", 2**52 - 1, Fraction(1, 2), (2**52 - 1)**2),
+    ("pow", 4, Fraction(2, 1), 2),  # 4 / n^2 <= 1 from n = 2 on
+    # exp: from L q / p on, L = a.bit_length(), ceil_exp_decay's own test
+    ("exp", 5, Fraction(1, 1000), 3000),
+    ("exp", 1000, Fraction(3, 7), 24),
+])
+def test_const_limit_saturates_exactly_where_value_does(form, a, b, start):
+    spec = ConstLimit(form, a=a, b=b)
+    assert spec._saturated_from == start
+    if form != "exp" and start > 1:  # the least such index for pow
+        assert spec.value(start - 1) < a - 1
+    span = inspect.unwrap(ConstLimit._span)
+    for lo in (start - 1, start, start + 1):
+        if lo >= 1:
+            got = span(spec, lo, start + 3).tolist()
+            assert got == [spec.value(k) for k in range(lo, start + 3)]
+    if start < 10**5:  # below the check: not all of these are slow
+        assert span(spec, 1, start + 2).tolist() == [
+            spec.value(k) for k in range(1, start + 2)]
+
+
+def test_diffbits_counts_each_bit_once(monkeypatch):
+    # f(lo) comes from the ones counted at each multiple of _BLOCK below it,
+    # so a span late in a long string counts one block, not all before it
+    spec = DiffBits("0111" * (4 * B))
+    counted, count = [], np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero",
+                        lambda a: counted.append(len(a)) or count(a))
+    assert spec.values(16 * B)[-1] == 12 * B - 1
+    assert sum(counted) <= 16 * B
+    counted.clear()
+    assert spec.value(16 * B) == 12 * B - 1
+    assert spec._span(15 * B + 9, 15 * B + 11).tolist() == [
+        spec.value(15 * B + 9), spec.value(15 * B + 10)]
+    assert sum(counted) <= 3 * B

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import shutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,6 +225,48 @@ def test_g12_rows_match_format_on_both_backends(each_backend):
                      for v, n in zip(x.tolist(), i.tolist()))
     for _ in each_backend:
         assert write("%.12g,%d\r\n", (x, i)) == (len(x), expect)
+
+
+def g12_near_ties():
+    """Doubles x whose exact scaled product x * 10^(11-e), with e the
+    decade of x, lies within 2^-14 of a half-integer D + 1/2 and not on
+    it, checked in exact rationals: a few ulps about (D + 1/2) / 10^(11-e)
+    for 12-digit D < 2^37 in each decade 10^-4..10^11, whose product
+    rounds by at most 2^-17, kept within 2^-14 - 2^-17 of D + 1/2; and
+    D + 1/2 +- 2^-14 itself, exact in [2^38, 2^39).  Each must fall
+    inside put_g12's near-tie margin."""
+    rng = np.random.default_rng(20261020)
+    out = []
+    for e in range(-4, 12):
+        scale = Fraction(10) ** (11 - e)
+        for d in rng.integers(10**11, 2**37, 30).tolist():
+            half = Fraction(2 * d + 1, 2)
+            x = float(half / scale)
+            for step in range(-4, 5):
+                y = x
+                for _ in range(abs(step)):
+                    y = math.nextafter(y, math.copysign(math.inf, step))
+                off = abs(Fraction(y) * scale - half)
+                if 0 < off <= Fraction(1, 2**14) - Fraction(1, 2**17):
+                    out.append(y)
+    for d in rng.integers(2**38, 2**39, 30).tolist():
+        out += [d + 0.5 - 2.0**-14, d + 0.5 + 2.0**-14]
+    return np.array(out + [-v for v in out])
+
+
+def test_g12_near_ties_stop_the_kernel_and_print_as_percent(each_backend):
+    x = g12_near_ties()
+    assert len(x) > 500
+    expect = "".join(format(v, ".12g") + "\n" for v in x.tolist())
+    for mod in each_backend:
+        assert write("%.12g\n", (x,)) == (len(x), expect)
+        if mod is kernels.PURE:
+            continue
+        # the C kernel certifies none of them: it stops before each row
+        fields = [kernels.FORMAT_G12]
+        out = np.empty(kernels.format_size(1, b"\n", fields), np.uint8)
+        assert [mod.format_rows([x[i:]], fields, 1, b"\n", [0, 1], out)[0]
+                for i in range(len(x))] == [0] * len(x)
 
 
 @pytest.mark.parametrize("dtype,values", [
