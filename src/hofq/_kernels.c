@@ -1,26 +1,36 @@
 /* Trace kernels, a batch of one-term traces, the triangle's prefix-tree
  * walk and the table writer's rows of %d and %.12g fields, compiled on
- * first import by hofq/kernels.py and called through ctypes.  With
- * _kernels_py.py, which holds the same loops with the same contracts and
- * is the reference the tests compare against, these are the library's
- * only loops over the recurrences.
+ * first import by hofq/kernels.py into the CPython extension module
+ * `_kernels`.  With _kernels_py.py, which holds the same loops with the
+ * same contracts and is the reference the tests compare against, these
+ * are the library's only loops over the recurrences.
  *
- * The caller checks every size, dtype and bound before passing pointers.
+ * Each loop is a static C function over raw pointers that checks nothing.
+ * Each is called by one entry point of the module's method table, which
+ * takes the numpy arrays themselves, with the arguments of its twin in
+ * _kernels_py.py.  An entry point takes every array's buffer, checks its
+ * type, dtype, dimensions and length and every scalar bound, and raises
+ * ValueError, having written nothing, when one fails; hofq.kernels then
+ * says which one.  Only then does it run the loop, with the interpreter
+ * lock released: no state is shared between calls, and the buffers it
+ * holds keep every array in place, so calls may run concurrently.
+ *
  * Each trace returns one int64 (one_term_rows stores one per row): 0 when
  * every term was computed, +k when the trace died at k and -k when the
  * term at k leaves the int64 range; a trace array then holds every term
  * before k.  format_rows returns the number of rows it wrote: it prints a
  * %.12g value only when it can certify the digits Python would print, and
  * stops before the first row it cannot, which the caller prints with
- * Python's `%`, the formatter of record.  No state is shared between
- * calls, so they may run concurrently with the interpreter lock released.
+ * Python's `%`, the formatter of record.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
 /* q(1) = 1; q(n) = q(n - q(n-1)) + f(n) for n = 2..n_max; k is the index n. */
-int64_t one_term_trace(const int64_t *f, int64_t *q, int64_t n_max)
+static int64_t one_term_trace(const int64_t *f, int64_t *q, int64_t n_max)
 {
     if (n_max == 0)
         return 0;
@@ -40,8 +50,8 @@ int64_t one_term_trace(const int64_t *f, int64_t *q, int64_t n_max)
 /* one_term_trace on each of `rows` rows of length m, laid end to end in f
  * and q; status[r] receives row r's return value (the rows are the
  * exhaustive sweeps' batches of whole prefixes). */
-void one_term_rows(const int64_t *f, int64_t *q, int64_t *status,
-                   int64_t rows, int64_t m)
+static void one_term_rows(const int64_t *f, int64_t *q, int64_t *status,
+                          int64_t rows, int64_t m)
 {
     for (int64_t r = 0; r < rows; r++)
         status[r] = one_term_trace(f + r * m, q + r * m, m);
@@ -51,8 +61,8 @@ void one_term_rows(const int64_t *f, int64_t *q, int64_t *status,
  * holds the term at index start + j and q[0..n_init-1] are the initial
  * values.  Every index is an array offset, so start never enters the loop;
  * k is the offset j of the failing term, and j >= n_init >= 1. */
-int64_t two_term_trace(int64_t *q, int64_t total, int64_t n_init,
-                       int64_t d1, int64_t d2, int64_t outer)
+static int64_t two_term_trace(int64_t *q, int64_t total, int64_t n_init,
+                              int64_t d1, int64_t d2, int64_t outer)
 {
     for (int64_t j = n_init; j < total; j++) {
         int64_t v1 = q[j - d1], v2 = q[j - d2], val;
@@ -71,12 +81,13 @@ int64_t two_term_trace(int64_t *q, int64_t total, int64_t n_init,
 
 /* Depth-first walk over every slow zero-start prefix f(1..m): f(1) = 0 and
  * f(n) = f(n-1) + bit[n], bit[n] in {0, 1}.  Each node n extends q by one
- * term and marks seen[((n-1)*m + f(n))*(m+1) + q(n)], so the caller passes
- * m*m*(m+1) bytes and keeps m in [1, WALK_MAX_DEPTH].  k is the depth n;
- * -k also reports a q(n) outside [1, n], which would leave the array. */
+ * term and marks seen[((n-1)*m + f(n))*(m+1) + q(n)], so its entry point
+ * checks m in [1, WALK_MAX_DEPTH] and m*m*(m+1) bytes of seen.  k is the
+ * depth n; -k also reports a q(n) outside [1, n], which would leave the
+ * array. */
 #define WALK_MAX_DEPTH 62
 
-int64_t slow_walk(uint8_t *seen, int64_t m)
+static int64_t slow_walk(uint8_t *seen, int64_t m)
 {
     int64_t q[WALK_MAX_DEPTH + 1], f[WALK_MAX_DEPTH + 1];  /* 1-based */
     unsigned char bit[WALK_MAX_DEPTH + 1];                /* the path */
@@ -107,9 +118,11 @@ int64_t slow_walk(uint8_t *seen, int64_t m)
     return 0;
 }
 
-/* A field of format_rows is %<w>d on an int64 column, w >= 0 (0 for
- * plain %d), or FORMAT_G12, which is %.12g on a float64 column. */
+/* A field of format_rows is %<w>d on an int64 column, 0 <= w <=
+ * FORMAT_MAX_WIDTH (0 for plain %d), or FORMAT_G12, which is %.12g on a
+ * float64 column. */
 #define FORMAT_G12 (-1)
+#define FORMAT_MAX_WIDTH 64
 
 /* the two digits of each n in 0..99 at PAIRS[2n], "00" to "99": the
  * formatters take a number's digits two per division by 100 */
@@ -269,14 +282,14 @@ static uint8_t *put_g12(double x, uint8_t *p)
  * %<w>d or %.12g: row r is piece 0, field 0 of row r, piece 1, ..., field
  * ncols-1, piece ncols, where piece j is lit[ends[j-1]..ends[j]) (ends[-1]
  * taken as 0) and field j prints cols[j][r] as fields[j] says.  A field
- * takes at most max(20, fields[j]) bytes, so the caller passes rows *
- * (ends[ncols] + the sum of those) bytes of out.  The kernel stops before
- * the first row with a %.12g value put_g12 cannot certify, which the
- * caller prints with `%`.  Returns the number of rows written and stores
+ * takes at most max(20, fields[j]) bytes, so the entry point checks for
+ * rows * (ends[ncols] + the sum of those) bytes of out.  The kernel stops
+ * before the first row with a %.12g value put_g12 cannot certify, which
+ * the caller prints with `%`.  Returns the number of rows written and stores
  * their bytes in *size. */
-int64_t format_rows(const void *const *cols, const int64_t *fields,
-                    int64_t ncols, int64_t rows, const uint8_t *lit,
-                    const int64_t *ends, uint8_t *out, int64_t *size)
+static int64_t format_rows(const void *const *cols, const int64_t *fields,
+                           int64_t ncols, int64_t rows, const uint8_t *lit,
+                           const int64_t *ends, uint8_t *out, int64_t *size)
 {
     uint8_t *p = out;
     int64_t r;
@@ -295,4 +308,336 @@ int64_t format_rows(const void *const *cols, const int64_t *fields,
     }
     *size = p - out;
     return r;
+}
+
+/* ------------------------------------------------------------------ */
+/* The module: one entry point per loop, in the method table below.  An
+ * entry point takes what its twin in _kernels_py.py takes and returns
+ * what that returns.  It refuses, by ValueError and before it writes
+ * anything, every argument its loop could not take safely. */
+
+/* numpy.ndarray: every array argument is an instance of it */
+static PyTypeObject *ndarray;
+
+enum kind { INT64, FLOAT64, UINT8 };
+
+/* whether a buffer holds items of kind in native byte order */
+static int has_kind(const Py_buffer *v, enum kind kind)
+{
+    const char *f = v->format;
+    if (*f == '@' || *f == '=' || *f == (PY_LITTLE_ENDIAN ? '<' : '>'))
+        f++;
+    switch (kind) {
+    case INT64:
+        return v->itemsize == 8 && (!strcmp(f, "l") || !strcmp(f, "q"));
+    case FLOAT64:
+        return v->itemsize == 8 && !strcmp(f, "d");
+    default:
+        return v->itemsize == 1 && !strcmp(f, "B");
+    }
+}
+
+/* a's length, its buffer held in v, when a is a 1-D C-contiguous numpy
+ * array of kind, writeable if write is set; else -1, with nothing held
+ * and no exception set */
+static Py_ssize_t take(PyObject *a, Py_buffer *v, enum kind kind, int write)
+{
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT;
+    if (!PyObject_TypeCheck(a, ndarray))
+        return -1;
+    if (PyObject_GetBuffer(a, v, write ? flags | PyBUF_WRITABLE : flags)) {
+        PyErr_Clear();
+        return -1;
+    }
+    if (v->ndim == 1 && has_kind(v, kind))
+        return v->shape[0];
+    PyBuffer_Release(v);
+    return -1;
+}
+
+/* *v = o when o is an int in the int64 range: 0, else -1 with no
+ * exception set */
+static int scalar(PyObject *o, int64_t *v)
+{
+    long long x = PyLong_AsLongLong(o);
+    if (x == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return -1;
+    }
+    *v = x;
+    return 0;
+}
+
+static int arity(const char *name, Py_ssize_t nargs, Py_ssize_t n)
+{
+    if (nargs == n)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                 name, n, nargs);
+    return 0;
+}
+
+/* NULL, with ValueError set unless an exception (MemoryError) is */
+static PyObject *refuse(const char *name)
+{
+    if (!PyErr_Occurred())
+        PyErr_Format(PyExc_ValueError, "%s refused its arguments", name);
+    return NULL;
+}
+
+PyDoc_STRVAR(one_term_trace_doc,
+"one_term_trace($module, f, q, /)\n--\n\n"
+"The one-term trace of the len(f) terms of f into q, both int64, q\n"
+"writeable and no shorter: 0, n (died at n) or -n (overflow at n).");
+
+static PyObject *py_one_term_trace(PyObject *mod, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    Py_buffer f, q;
+    Py_ssize_t n, nq;
+    int64_t r;
+    if (!arity("one_term_trace", nargs, 2))
+        return NULL;
+    if ((n = take(args[0], &f, INT64, 0)) < 0)
+        return refuse("one_term_trace");
+    if ((nq = take(args[1], &q, INT64, 1)) < n) {
+        if (nq >= 0)
+            PyBuffer_Release(&q);
+        PyBuffer_Release(&f);
+        return refuse("one_term_trace");
+    }
+    Py_BEGIN_ALLOW_THREADS
+    r = one_term_trace(f.buf, q.buf, n);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&q);
+    PyBuffer_Release(&f);
+    return PyLong_FromLongLong(r);
+}
+
+PyDoc_STRVAR(one_term_rows_doc,
+"one_term_rows($module, f, q, status, m, /)\n--\n\n"
+"The one-term trace of each of the len(status) rows of length m >= 0 of\n"
+"f into q, all three int64, q and status writeable, len(f) = len(q) =\n"
+"len(status) * m; status[r] receives row r's code.");
+
+static PyObject *py_one_term_rows(PyObject *mod, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    Py_buffer f, q, s;
+    Py_ssize_t nf, nq = -1, ns = -1;
+    int64_t m, len;
+    PyObject *ret = NULL;
+    if (!arity("one_term_rows", nargs, 4))
+        return NULL;
+    if ((nf = take(args[0], &f, INT64, 0)) < 0)
+        return refuse("one_term_rows");
+    if ((nq = take(args[1], &q, INT64, 1)) < 0
+            || (ns = take(args[2], &s, INT64, 1)) < 0
+            || scalar(args[3], &m) || m < 0
+            || __builtin_mul_overflow((int64_t)ns, m, &len)
+            || nf != len || nq != len)
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    one_term_rows(f.buf, q.buf, s.buf, ns, m);
+    Py_END_ALLOW_THREADS
+    Py_INCREF(Py_None);
+    ret = Py_None;
+done:
+    if (ns >= 0)
+        PyBuffer_Release(&s);
+    if (nq >= 0)
+        PyBuffer_Release(&q);
+    PyBuffer_Release(&f);
+    return ret ? ret : refuse("one_term_rows");
+}
+
+PyDoc_STRVAR(two_term_trace_doc,
+"two_term_trace($module, q, n_init, d1, d2, outer, /)\n--\n\n"
+"The two-term trace extending the writeable int64 array q past its\n"
+"n_init initial values to its end, for d1, d2 >= 1, outer 0 or 1 and\n"
+"max(d1, d2) <= n_init <= len(q): 0, j (died at offset j) or -j.");
+
+static PyObject *py_two_term_trace(PyObject *mod, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    Py_buffer q;
+    Py_ssize_t total;
+    int64_t n_init, d1, d2, outer, r;
+    if (!arity("two_term_trace", nargs, 5))
+        return NULL;
+    if ((total = take(args[0], &q, INT64, 1)) < 0)
+        return refuse("two_term_trace");
+    if (scalar(args[1], &n_init) || scalar(args[2], &d1)
+            || scalar(args[3], &d2) || scalar(args[4], &outer)
+            || d1 < 1 || d2 < 1 || (outer != 0 && outer != 1)
+            || n_init < d1 || n_init < d2 || n_init > total) {
+        PyBuffer_Release(&q);
+        return refuse("two_term_trace");
+    }
+    Py_BEGIN_ALLOW_THREADS
+    r = two_term_trace(q.buf, total, n_init, d1, d2, outer);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&q);
+    return PyLong_FromLongLong(r);
+}
+
+PyDoc_STRVAR(slow_walk_doc,
+"slow_walk($module, seen, m, /)\n--\n\n"
+"The walk over every slow zero-start prefix of length m, 1 <= m <=\n"
+"WALK_MAX_DEPTH, marking the writeable uint8 array seen of at least\n"
+"m*m*(m+1) bytes: 0, n (died at depth n) or -n.");
+
+static PyObject *py_slow_walk(PyObject *mod, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    Py_buffer seen;
+    Py_ssize_t len;
+    int64_t m, r;
+    if (!arity("slow_walk", nargs, 2))
+        return NULL;
+    if ((len = take(args[0], &seen, UINT8, 1)) < 0)
+        return refuse("slow_walk");
+    if (scalar(args[1], &m) || m < 1 || m > WALK_MAX_DEPTH
+            || len < m * m * (m + 1)) {
+        PyBuffer_Release(&seen);
+        return refuse("slow_walk");
+    }
+    Py_BEGIN_ALLOW_THREADS
+    r = slow_walk(seen.buf, m);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&seen);
+    return PyLong_FromLongLong(r);
+}
+
+PyDoc_STRVAR(format_rows_doc,
+"format_rows($module, cols, fields, rows, lit, ends, out, /)\n--\n\n"
+"Rows 0..rows-1 of the columns cols, field j printing cols[j] as %<w>d\n"
+"for a width w = fields[j] in [0, FORMAT_MAX_WIDTH] (an int64 column)\n"
+"or as %.12g for FORMAT_G12 (a float64 column), between the pieces of\n"
+"the bytes lit that end at ends, written into the writeable uint8 array\n"
+"out of at least rows * (len(lit) + the sum of max(20, w)) bytes;\n"
+"returns (rows written, bytes written).  It stops before a row whose\n"
+"%.12g digits it cannot certify.");
+
+static PyObject *py_format_rows(PyObject *mod, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    PyObject *cols = NULL, *fields = NULL, *ends = NULL, *ret = NULL;
+    Py_buffer lit, out, *views = NULL;
+    Py_ssize_t ncols = 0, j, taken = 0, have_lit = 0, nout = -1;
+    int64_t rows, per_row, need, written, size, *fw = NULL, *ew;
+    const void **ptrs = NULL;
+    if (!arity("format_rows", nargs, 6))
+        return NULL;
+    if (!(cols = PySequence_Fast(args[0], ""))
+            || !(fields = PySequence_Fast(args[1], ""))
+            || !(ends = PySequence_Fast(args[4], ""))) {
+        PyErr_Clear();
+        goto done;
+    }
+    ncols = PySequence_Fast_GET_SIZE(cols);
+    if (PySequence_Fast_GET_SIZE(fields) != ncols
+            || PySequence_Fast_GET_SIZE(ends) != ncols + 1
+            || scalar(args[2], &rows) || rows < 0)
+        goto done;
+    if (PyObject_GetBuffer(args[3], &lit, PyBUF_SIMPLE)) {
+        PyErr_Clear();
+        goto done;
+    }
+    have_lit = 1;
+    fw = PyMem_Malloc((2 * ncols + 1) * sizeof *fw);
+    ptrs = PyMem_Malloc((ncols + 1) * sizeof *ptrs);
+    views = PyMem_Malloc((ncols + 1) * sizeof *views);
+    if (!fw || !ptrs || !views) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    ew = fw + ncols;
+    for (j = 0; j <= ncols; j++)
+        if (scalar(PySequence_Fast_GET_ITEM(ends, j), &ew[j])
+                || ew[j] < (j ? ew[j - 1] : 0))
+            goto done;
+    if (ew[ncols] != lit.len)
+        goto done;
+    per_row = lit.len;
+    for (j = 0; j < ncols; j++) {
+        int64_t w;
+        if (scalar(PySequence_Fast_GET_ITEM(fields, j), &w)
+                || !(w == FORMAT_G12 || (w >= 0 && w <= FORMAT_MAX_WIDTH))
+                || take(PySequence_Fast_GET_ITEM(cols, j), &views[j],
+                        w == FORMAT_G12 ? FLOAT64 : INT64, 0) < 0)
+            goto done;
+        taken++;
+        if (views[j].shape[0] < rows)
+            goto done;
+        fw[j] = w;
+        ptrs[j] = views[j].buf;
+        per_row += w > 20 ? w : 20;
+    }
+    if ((nout = take(args[5], &out, UINT8, 1)) < 0
+            || __builtin_mul_overflow(rows, per_row, &need) || nout < need)
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    written = format_rows(ptrs, fw, ncols, rows, lit.buf, ew, out.buf,
+                          &size);
+    Py_END_ALLOW_THREADS
+    ret = Py_BuildValue("(LL)", (long long)written, (long long)size);
+done:
+    if (nout >= 0)
+        PyBuffer_Release(&out);
+    while (taken)
+        PyBuffer_Release(&views[--taken]);
+    if (have_lit)
+        PyBuffer_Release(&lit);
+    PyMem_Free(views);
+    PyMem_Free(ptrs);
+    PyMem_Free(fw);
+    Py_XDECREF(ends);
+    Py_XDECREF(fields);
+    Py_XDECREF(cols);
+    return ret ? ret : refuse("format_rows");
+}
+
+#define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, \
+                     METH_FASTCALL, name##_doc}
+
+static PyMethodDef methods[] = {
+    ENTRY(one_term_trace),
+    ENTRY(one_term_rows),
+    ENTRY(two_term_trace),
+    ENTRY(slow_walk),
+    ENTRY(format_rows),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_kernels",
+    "The C kernels of hofq; hofq.kernels builds, loads and checks them.",
+    -1, methods, NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__kernels(void)
+{
+    PyObject *numpy = PyImport_ImportModule("numpy"), *m;
+    if (numpy == NULL)
+        return NULL;
+    Py_XDECREF(ndarray);
+    ndarray = (PyTypeObject *)PyObject_GetAttrString(numpy, "ndarray");
+    Py_DECREF(numpy);
+    if (ndarray == NULL)
+        return NULL;
+    if (!PyType_Check(ndarray)) {
+        PyErr_SetString(PyExc_TypeError, "numpy.ndarray is not a type");
+        return NULL;
+    }
+    m = PyModule_Create(&module);
+    if (m == NULL
+            || PyModule_AddIntConstant(m, "WALK_MAX_DEPTH", WALK_MAX_DEPTH)
+            || PyModule_AddIntConstant(m, "FORMAT_MAX_WIDTH",
+                                       FORMAT_MAX_WIDTH)
+            || PyModule_AddIntConstant(m, "FORMAT_G12", FORMAT_G12)) {
+        Py_XDECREF(m);
+        return NULL;
+    }
+    return m;
 }

@@ -1,14 +1,16 @@
-"""The C functions' pure-Python twins: same arguments, same return codes,
+"""The C kernels' pure-Python twins: same arguments, same return codes,
 no checks.
 
-Each function here takes the arguments of its namesake in `_kernels.c`,
-with a numpy array wherever C takes a pointer, and returns what C returns:
-0 when every term was computed, +k when the trace died at k and -k when
-the term at k leaves the int64 range (format_rows: the rows written).  On
-return a trace array holds every term before k.  Like the C source, the
-module checks nothing: hofq.kernels.Kernels checks every call on either
-backend and decodes the codes.  It runs when the C kernels cannot be built
-(or when HOFQ_PURE=1 forces it), and the tests compare the two.
+Each function here takes the arguments of its namesake in the extension
+module that `_kernels.c` is compiled into, numpy arrays and ints, and
+returns what that returns: 0 when every term was computed, +k when the
+trace died at k and -k when the term at k leaves the int64 range
+(format_rows: the rows and the bytes written).  On return a trace array
+holds every term before k.  Unlike the C entry points, which refuse what
+their loops could not take, this module checks nothing:
+hofq.kernels.Kernels checks every call to it first, and decodes the codes
+of either backend.  It runs when the C kernels cannot be built (or when
+HOFQ_PURE=1 forces it), and the tests compare the two.
 
 Python ints do not wrap, so the int64 range is enforced explicitly to keep
 overflow semantics identical to the compiled kernels.
@@ -24,11 +26,13 @@ INT64_MIN = -(2**63)
 FORMAT_G12 = -1  # format_rows' field code of %.12g on a float64 column
 
 
-def one_term_trace(f, q, n_max):
-    """q(1) = 1; q(n) = q(n - q(n-1)) + f(n) for n = 2..n_max; k is n."""
+def one_term_trace(f, q):
+    """q(1) = 1; q(n) = q(n - q(n-1)) + f(n) for n = 2..n_max, n_max =
+    len(f); k is n."""
+    n_max = len(f)
     if n_max == 0:
         return 0
-    fl = f[:n_max].tolist()
+    fl = f.tolist()
     ql = [0] * n_max
     ql[0] = 1
     code = 0
@@ -48,19 +52,21 @@ def one_term_trace(f, q, n_max):
     return code
 
 
-def one_term_rows(f, q, status, rows, m):
-    """one_term_trace on each of `rows` rows of length m, laid end to end
-    in f and q; status[r] receives row r's return value."""
-    for r in range(rows):
+def one_term_rows(f, q, status, m):
+    """one_term_trace on each of the len(status) rows of length m, laid
+    end to end in f and q; status[r] receives row r's return value."""
+    for r in range(len(status)):
         row = slice(r * m, (r + 1) * m)
-        status[r] = one_term_trace(f[row], q[row], m)
+        status[r] = one_term_trace(f[row], q[row])
 
 
-def two_term_trace(q, total, n_init, d1, d2, outer):
+def two_term_trace(q, n_init, d1, d2, outer):
     """q(n) = q(n - outer*d1 - q(n-d1)) + q(n - outer*d2 - q(n-d2)), where
     q[j] holds the term at index start + j and q[0..n_init-1] are the
-    initial values; k is the offset j of the failing term."""
-    ql = q[:total].tolist()
+    initial values, up to the end of q; k is the offset j of the failing
+    term."""
+    total = len(q)
+    ql = q.tolist()
     code = 0
     for j in range(n_init, total):
         v1, v2 = ql[j - d1], ql[j - d2]
@@ -131,15 +137,15 @@ def percent_rows(template, cols, rows):
     return template * rows % tuple(flat)
 
 
-def format_rows(cols, fields, ncols, rows, lit, ends, out, size):
-    """Write `rows` rows of the ncols columns cols into the uint8 array out,
-    store the number of bytes written in size[0] and return rows: this
-    twin prints every row with `%`, so it never stops early.  Row r is
-    piece 0, cols[0][r], piece 1, ..., piece ncols, where piece j is the
+def format_rows(cols, fields, rows, lit, ends, out):
+    """Write `rows` rows of the columns cols into the uint8 array out and
+    return (rows, the number of bytes written): this twin prints every row
+    with `%`, so it never stops early.  Row r is
+    piece 0, cols[0][r], piece 1, ..., piece len(cols), where piece j is the
     bytes lit[ends[j-1]:ends[j]] (from 0 for j = 0); field j is printed as
     `%.12g` when fields[j] is FORMAT_G12, else as `%d` right-justified to
     fields[j] characters (0 for none)."""
-    starts = [0, *ends[:ncols]]
+    starts = [0, *ends[:-1]]
     # latin-1 maps bytes to characters one to one, so the pieces come back
     # byte for byte whatever their encoding
     pieces = [lit[a:b].decode("latin-1").replace("%", "%%")
@@ -149,5 +155,4 @@ def format_rows(cols, fields, ncols, rows, lit, ends, out, size):
     template = pieces[0] + "".join(map(str.__add__, specs, pieces[1:]))
     text = percent_rows(template, cols, rows).encode("latin-1")
     out[:len(text)] = memoryview(text)
-    size[0] = len(text)
-    return rows
+    return rows, len(text)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidFSpec, InvalidQ
-from .fspec import FSpec, as_fspec
+from .fspec import FSpec, as_fspec, brief_spec
 
 INDEX_CAP = 2**31  # full-history storage: 8 bytes/term
 
@@ -168,17 +168,19 @@ def compute_q(f, n_max: int) -> QTrace:
         f_arr = spec.values(n_max)
     except OverflowError:
         raise OverflowError(
-            f"{spec.spec_str()!r}: f values exceed the 64-bit range") from None
+            f"{brief_spec(spec)}: f values exceed the 64-bit range") from None
     # a caller's spec may return any array, and q is sized by n_max
     if getattr(f_arr, "ndim", 1) != 1 or len(f_arr) != n_max:
         if np.ndim(f_arr) != 1:
             raise ValueError("f must be a 1-D C-contiguous int64 array")
-        raise ValueError(f"{spec.spec_str()!r} gave {len(f_arr)} terms"
+        raise ValueError(f"{brief_spec(spec)} gave {len(f_arr)} terms"
                          f" for n_max = {n_max}")
     if f_arr[0] != 0:
         raise InvalidFSpec(
-            f"{spec.spec_str()!r}: f(1) = {int(f_arr[0])}, but f(1) = 0 is required")
-    q_arr = np.zeros(n_max, dtype=np.int64)
+            f"{brief_spec(spec)}: f(1) = {int(f_arr[0])}, but f(1) = 0"
+            f" is required")
+    # every term the trace keeps is written, so q need not be zeroed
+    q_arr = np.empty(n_max, dtype=np.int64)
     status, where = kernels.one_term_trace(f_arr, q_arr)
     if status == kernels.OK:
         return QTrace(q_arr, _exists_to(n_max), f_arr, spec)

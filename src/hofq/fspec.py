@@ -25,7 +25,10 @@ Text grammar (parse_fspec / FSpec.spec_str round-trip):
 
 Rational parameters accept "P/Q" or an integer; a decimal literal is
 converted to the nearest fraction with denominator <= 10^9 (approximate,
-for convenience only).
+for convenience only).  Its exponent is never expanded into a power of
+ten beyond what that needs: a literal that rounds to 0 is 0 at once
+(floor:1e-9999999 is floor:0/1), and one whose integer part has more
+digits than int() reads is refused.
 
 Each family defines f once, as `_span(lo, hi)`: exact f(lo..hi-1), int64 or,
 past int64, Python ints.  `value` and `values` follow from it in FSpec, and
@@ -82,7 +85,7 @@ _BLOCK = 8192
 
 
 def _past_int64(spec: FSpec) -> OverflowError:
-    return OverflowError(f"{spec.spec_str()!r}: f values exceed int64")
+    return OverflowError(f"{brief_spec(spec)}: f values exceed int64")
 
 
 class FSpec:
@@ -142,7 +145,7 @@ class FSpec:
         cap = self.max_len()
         if cap is not None and n_max > cap:
             raise InvalidFSpec(
-                f"{self.spec_str()!r} yields at most {cap} terms, "
+                f"{brief_spec(self)} yields at most {cap} terms, "
                 f"{n_max} requested")
 
     def __str__(self) -> str:
@@ -782,7 +785,8 @@ def _require_slow(values: np.ndarray, spec: FSpec, first: int = 1) -> None:
     """Generation-time check for specs documented as slow zero-start, on
     the int64 values f(first), f(first + 1), ...; f(1) = 0 when first = 1."""
     if first == 1 and values[0] != 0:
-        raise InvalidFSpec(f"{spec.spec_str()!r}: f(1) = {values[0]}, not 0")
+        raise InvalidFSpec(
+            f"{brief_spec(spec)}: f(1) = {values[0]}, not 0")
     if len(values) > 1:
         d = np.diff(values)
         # a step outside {0, 1} is one above 1 as uint64, negative ones too
@@ -790,7 +794,7 @@ def _require_slow(values: np.ndarray, spec: FSpec, first: int = 1) -> None:
         if bad.any():
             k = int(bad.argmax())
             raise InvalidFSpec(
-                f"{spec.spec_str()!r}: difference f({k + first + 1}) - "
+                f"{brief_spec(spec)}: difference f({k + first + 1}) - "
                 f"f({k + first}) = {int(d[k])} is outside {{0, 1}}")
 
 
@@ -878,6 +882,7 @@ def as_fspec(obj) -> FSpec:
 
 
 _BRIEF = 24  # brief() quotes at most this many characters of a text
+_BRIEF_SPEC = 64  # and brief_spec() this many of a spec's text
 _INT_LITERAL = re.compile(r"\s*[+-]?\d(?:_?\d)*\s*")  # what int() reads
 # what Fraction() or _parse_rational reads, P/Q or a decimal with an
 # exponent; compiled by re's cache on the first error that needs it
@@ -886,13 +891,19 @@ _NUMBER_LITERAL = (r"\s*[+-]?(?:\d(?:_?\d)*\s*/\s*[+-]?\d(?:_?\d)*"
                    r"(?:[eE][+-]?\d(?:_?\d)*)?)\s*")
 
 
-def brief(text: str, spell=repr) -> str:
-    """spell(text), or for a text over _BRIEF characters spell of its
-    first _BRIEF, '...' and the text's length: a message that quotes a
+def brief(text: str, spell=repr, limit: int = _BRIEF) -> str:
+    """spell(text), or for a text over `limit` characters spell of its
+    first `limit`, '...' and the text's length: a message that quotes a
     text stays one short line."""
-    if len(text) <= _BRIEF:
+    if len(text) <= limit:
         return spell(text)
-    return f"{spell(text[:_BRIEF])}... ({len(text)} characters)"
+    return f"{spell(text[:limit])}... ({len(text)} characters)"
+
+
+def brief_spec(spec: FSpec) -> str:
+    """spec's text as a message quotes it: brief, but whole up to
+    _BRIEF_SPEC characters, which most specs' texts are."""
+    return brief(spec.spec_str(), limit=_BRIEF_SPEC)
 
 
 def _over_digit_limit(text: str, literal) -> str | None:
@@ -917,10 +928,52 @@ def int_literal(text: str) -> int:
         raise ValueError(f"{brief(text)} {why}") from None
 
 
+def _decimal(text: str):
+    """The decimal literal text (a P/Q is not one) as a decimal.Decimal,
+    whose exponent stays symbolic however large, where Fraction(text)
+    would expand it into 10**exponent.  An exponent past even Decimal's
+    range reads as an infinity, or as the least nonzero Decimal of the
+    literal's sign.  None when text is not such a literal."""
+    if "/" in text or not re.fullmatch(_NUMBER_LITERAL, text):
+        return None
+    import decimal  # on this path only, so that import does no new work
+
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              Emin=decimal.MIN_EMIN, traps=[])
+    value = context.create_decimal(text.strip().replace("_", ""))
+    if context.flags[decimal.Underflow]:  # nonzero, yet rounded to 0
+        return decimal.Decimal((value.is_signed(), (1,), context.Etiny()))
+    return value
+
+
+def _past_digit_limit(text: str, value, denominator: bool) -> str | None:
+    """'is longer than Python's N-digit integer limit' when the decimal
+    literal text, read as the Decimal value, is longer than the N digits
+    int() reads (sys.get_int_max_str_digits(), 4300 unless set
+    otherwise), or its value is nonzero and would have, as a Fraction, an
+    integer part or (with denominator) a denominator of more than N
+    digits; None otherwise."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit and (len(text) > limit or value and not (
+            value.is_finite() and value.adjusted() < limit
+            and (not denominator or -value.as_tuple().exponent <= limit))):
+        return f"is longer than Python's {limit}-digit integer limit"
+    return None
+
+
 def fraction_literal(text: str) -> Fraction:
     """Fraction(text), or a ValueError that quotes text by brief and says
     why not, as int_literal does: it is not a number, or it is one with a
-    part of more digits than int() reads."""
+    part of more digits than int() reads, or that would have an integer
+    part or a denominator of that many digits (such as 1e-9999999, which
+    is read without expanding its exponent)."""
+    exact = _decimal(text) if "e" in text.lower() else None
+    if exact is not None:
+        why = _past_digit_limit(text, exact, denominator=True)
+        if why:
+            raise ValueError(f"{brief(text)} {why}")
+        if not exact:  # 0, whose exponent Fraction would expand too
+            return Fraction(0)
     try:
         return Fraction(text)
     except ValueError:
@@ -928,8 +981,26 @@ def fraction_literal(text: str) -> Fraction:
         raise ValueError(f"{brief(text)} {why}") from None
 
 
+# a decimal of magnitude below 10^_NEAR_ZERO lies nearer 0 than
+# 1/_ALPHA_DENOM_CAP does, so that _parse_rational rounds it to 0
+_NEAR_ZERO = -len(str(2 * _ALPHA_DENOM_CAP))
+
+
 def _parse_rational(text: str) -> Fraction:
+    """P/Q or an integer exactly; a decimal literal as the nearest fraction
+    with denominator <= _ALPHA_DENOM_CAP.  A decimal's exponent is read
+    symbolically: one so small that the value rounds to 0 gives 0 at once,
+    and an integer part of more digits than int() reads is refused, so
+    that no literal of a few characters expands into 10**exponent."""
     text = text.strip()
+    if "/" not in text and ("." in text or "e" in text.lower()):
+        exact = _decimal(text)
+        if exact is not None:
+            why = _past_digit_limit(text, exact, denominator=False)
+            if why:
+                raise InvalidFSpec(f"rational {brief(text)} {why}")
+            if not exact or exact.adjusted() < _NEAR_ZERO:
+                return Fraction(0)
     try:
         if "/" in text:
             num, den = text.split("/", 1)
@@ -1058,8 +1129,13 @@ def parse_fspec(text: str) -> FSpec:
         if form == "sqrt":
             return ConstLimit("sqrt", a=_parse_int(kv.pop("a", "0")))
         if form in ("exp", "pow"):
-            return ConstLimit(form, a=_parse_int(kv.pop("a", "0")),
-                              b=_parse_rational(kv.pop("b", "0")))
+            a, b_text = _parse_int(kv.pop("a", "0")), kv.pop("b", "0")
+            b = _parse_rational(b_text)
+            if b == 0 and (_decimal(b_text) or 0) > 0:
+                raise InvalidFSpec(
+                    f"const-limit {form}: b = {brief(b_text)} rounds to 0"
+                    f" at the 10^9 denominator cap; need b > 0")
+            return ConstLimit(form, a=a, b=b)
         if form == "clamp":
             return ConstLimit("clamp", alpha=_parse_rational(kv.pop("alpha", "0")),
                               n0=_parse_int(kv.pop("n0", "0")))

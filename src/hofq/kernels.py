@@ -1,27 +1,39 @@
-"""Kernel backends, and the one checked layer over them.
+"""Kernel backends, and the one layer that says why a call is refused.
 
 The kernels are the two trace loops, `one_term_rows` (the one-term trace
 on each row of a batch), the triangle's prefix-tree walk `slow_walk` and
 `format_rows` (the table writer's rows of `%d` and `%.12g` fields), in the
-C source `_kernels.c`.  Neither it nor its pure-Python twin `_kernels_py`,
-which takes the same arguments and returns the same codes, checks
-anything.  The C `format_rows` prints a `%.12g` value only where it
-certifies the 12 digits and %g's fixed notation, and stops before a row it
-cannot certify, which the caller prints with `percent_rows`; the twin
-prints every row with `percent_rows`.
-This module compiles, caches and loads the C source: on first import it
-is compiled with the C compiler Python was built with into the per-user
-cache `${XDG_CACHE_HOME:-~/.cache}/hofq/kernels-<source hash>.so` and
-loaded with ctypes.  `Kernels` checks and decodes every call on either
-backend.  When the C kernels cannot be built (no compiler, unwritable
-cache) the pure-Python twin runs instead; HOFQ_PURE=1 forces it.  BACKEND
-names the one in use: "c" or "python".
+C source `_kernels.c`.  Its pure-Python twin `_kernels_py` takes the same
+arguments and returns the same codes.  The C `format_rows` prints a
+`%.12g` value only where it certifies the 12 digits and %g's fixed
+notation, and stops before a row it cannot certify, which the caller
+prints with `percent_rows`; the twin prints every row with `percent_rows`.
+
+This module compiles, caches and imports the C source as the CPython
+extension module `hofq._kernels`: on first import it is compiled with the
+C compiler Python was built with, against this interpreter's headers, into
+the per-user cache, as
+`${XDG_CACHE_HOME:-~/.cache}/hofq/kernels-<hash><EXT_SUFFIX>`, the hash
+covering the source and the compile command.  Each of its entry
+points takes the numpy arrays themselves and refuses, having written
+nothing, any array or bound its loop could not take safely; the twins
+check nothing.  `Kernels` gives both backends one contract and one set of
+refusal messages: on the pure backend it runs the checks below before the
+twin, and on the C backend, where the entry point is the check, it runs
+them only to say why the entry point refused.  When the extension cannot
+be built (no compiler, no Python.h, unwritable cache) the pure-Python
+twin runs instead, and BUILD_ERROR holds the first line of the failure;
+HOFQ_PURE=1 forces the twin.  BACKEND names the one in use: "c" or
+"python".
 """
 
-import ctypes
 import functools
+import importlib.machinery
 import importlib.util
 import os
+import shlex
+import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -35,18 +47,9 @@ FORMAT_G12 = _kernels_py.FORMAT_G12  # format_rows' field code of %.12g
 percent_rows = _kernels_py.percent_rows  # the one Python row formatter
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-
-_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
-
-# name: (argtypes, restype) of each function of _kernels.c, and of its twin
-SIGNATURES = {
-    "one_term_trace": ([_PTR, _PTR, _I64], _I64),
-    "one_term_rows": ([_PTR, _PTR, _PTR, _I64, _I64], None),
-    "two_term_trace": ([_PTR, _I64, _I64, _I64, _I64, _I64], _I64),
-    "slow_walk": ([_PTR, _I64], _I64),
-    "format_rows": ([_PTR, _PTR, _I64, _I64, ctypes.c_char_p, _PTR, _PTR,
-                     _PTR], _I64),
-}
+# the kernels, by their names in both backends
+KERNELS = ("one_term_trace", "one_term_rows", "two_term_trace", "slow_walk",
+           "format_rows")
 
 
 def check_array(a, name, write=False, dtype=np.int64):
@@ -83,33 +86,7 @@ def format_size(rows, lit, fields):
     return rows * (len(lit) + sum(max(20, w) for w in fields))
 
 
-_BYTES = ctypes.c_char * 0  # a view of any buffer, even an empty one
-_INT64 = np.dtype(np.int64)
 _OK = (OK, 0)
-
-
-def _address(a, name: str, write: bool = False, dtype=np.int64) -> int:
-    """Data address of `a` once it is known to be safe to hand to C."""
-    if (dtype is np.int64 and type(a) is np.ndarray and a.ndim == 1
-            and a.dtype is _INT64):  # native int64: the trace kernels' case
-        # from_buffer itself refuses, with TypeError, a buffer that is
-        # read-only or not C-contiguous; those take the full check below,
-        # which keeps every message
-        try:
-            return ctypes.addressof(_BYTES.from_buffer(a))
-        except TypeError:
-            pass
-    check_array(a, name, write, dtype)
-    if not a.flags.writeable:  # from_buffer takes writeable buffers only
-        return a.ctypes.data
-    # a third of the cost of a.ctypes.data, which builds a Python object
-    return ctypes.addressof(_BYTES.from_buffer(a))
-
-
-def _checked(a, name: str, write: bool = False, dtype=np.int64):
-    """`a` itself once it is known to be safe to hand to a pure kernel."""
-    check_array(a, name, write, dtype)
-    return a
 
 
 def _status(r: int, start: int) -> tuple[int, int]:
@@ -119,60 +96,133 @@ def _status(r: int, start: int) -> tuple[int, int]:
     return (DIED, start + r) if r > 0 else (OVERFLOW, start - r)
 
 
+# The checks of each kernel's arguments, which raise the ValueError of
+# record; each takes the kernel's arguments.
+
+
+def _check_one_term_trace(f, q):
+    check_array(f, "f")
+    check_array(q, "q", True)
+    if len(q) < len(f):
+        raise ValueError(f"q holds {len(q)} terms, f has {len(f)}")
+
+
+def _check_one_term_rows(f, q, status, m):
+    check_array(f, "f")
+    check_array(q, "q", True)
+    check_array(status, "status", True)
+    if m < 0 or not len(f) == len(q) == len(status) * m:
+        raise ValueError(f"need m >= 0 and len(f) = len(q) = len(status)"
+                         f" * m; got m = {m}, {len(f)}, {len(q)} and"
+                         f" {len(status)}")
+
+
+def _check_two_term_trace(q, n_init, d1, d2, outer):
+    check_array(q, "q", True)
+    if d1 < 1 or d2 < 1 or outer not in (0, 1):
+        raise ValueError("offsets must be positive and outer 0 or 1")
+    if not max(d1, d2) <= n_init <= len(q):
+        raise ValueError(
+            f"n_init = {n_init} is outside [max(d1, d2), len(q)]")
+
+
+def _check_slow_walk(seen, m):
+    size = walk_size(m)
+    check_array(seen, "seen", True, np.uint8)
+    if len(seen) < size:
+        raise ValueError(
+            f"seen holds {len(seen)} bytes, the walk needs {size}")
+
+
+def _check_format_rows(cols, fields, rows, lit, ends, out):
+    if len(fields) != len(cols) or len(ends) != len(cols) + 1:
+        raise ValueError(f"need one field per column and one end per"
+                         f" literal piece; got {len(fields)} and"
+                         f" {len(ends)} for {len(cols)} columns")
+    need = format_size(rows, lit, fields)
+    for j, (c, w) in enumerate(zip(cols, fields)):
+        check_array(c, f"column {j}", False,
+                    np.float64 if w == FORMAT_G12 else np.int64)
+    if rows < 0 or any(len(c) < rows for c in cols):
+        raise ValueError(f"every column must hold rows = {rows} >= 0"
+                         f" values; got {[len(c) for c in cols]}")
+    if ends[-1] != len(lit) or any(b < a for a, b in zip([0, *ends], ends)):
+        raise ValueError(f"ends must rise from 0 to len(lit) ="
+                         f" {len(lit)}; got {list(ends)}")
+    check_array(out, "out", True, np.uint8)
+    if len(out) < need:
+        raise ValueError(f"out holds {len(out)} bytes, the rows may"
+                         f" need {need}")
+
+
+def _reason(refusal: ValueError, check, *args) -> ValueError:
+    """The ValueError of record for arguments that a kernel refused: the
+    one `check` raises, or the refusal itself should `check` pass them."""
+    try:
+        check(*args)
+    except ValueError as reason:
+        return reason
+    return refusal
+
+
 class Kernels:
     """The kernels of one backend, each call checked and its code decoded.
 
-    `raw` holds the unchecked functions named in SIGNATURES, `arg(a, name,
-    write, dtype)` checks an array and returns what they take in its place,
-    and `vector(ctype, values)` builds format_rows' pointer and field
-    arrays.  Each trace returns (status, where): (OK, 0), or DIED or
-    OVERFLOW with the first index that could not be computed.  The C
-    kernels run with the interpreter lock released; the numpy arrays stay
-    referenced by the caller's frame until the call returns.
+    `raw` holds the functions named in KERNELS; `checked` says whether
+    they refuse, by ValueError, whatever their loops could not take, as
+    the C entry points do.  Where they do not, as with the pure twins,
+    each call is checked first.  Either way a refused call raises the
+    ValueError of its check, so both backends refuse alike.  Each trace
+    returns (status, where): (OK, 0), or DIED or OVERFLOW with the first
+    index that could not be computed.
     """
 
-    def __init__(self, implementation: str, raw, arg, vector):
+    def __init__(self, implementation: str, raw, checked: bool):
         self.implementation = implementation
-        self._arg, self._vector = arg, vector
+        self._check_first = not checked
         self._one, self._rows, self._two, self._walk, self._fmt = (
-            getattr(raw, name) for name in SIGNATURES)
+            getattr(raw, name) for name in KERNELS)
 
     def one_term_trace(self, f, q):
         """q(1) = 1; q(n) = q(n - q(n-1)) + f(n); f sets the length."""
-        pf, pq = self._arg(f, "f"), self._arg(q, "q", True)
-        if len(q) < len(f):
-            raise ValueError(f"q holds {len(q)} terms, f has {len(f)}")
-        r = self._one(pf, pq, len(f))
+        if self._check_first:
+            _check_one_term_trace(f, q)
+        try:
+            r = self._one(f, q)
+        except ValueError as refusal:
+            raise _reason(refusal, _check_one_term_trace, f, q) from None
         return _status(r, 0) if r else _OK
 
     def one_term_rows(self, f, q, status, m):
         """status[r] = 0, n (died at n) or -n (overflow at n) for row r."""
-        pf, pq = self._arg(f, "f"), self._arg(q, "q", True)
-        ps = self._arg(status, "status", True)
-        if m < 0 or not len(f) == len(q) == len(status) * m:
-            raise ValueError(f"need m >= 0 and len(f) = len(q) = len(status)"
-                             f" * m; got m = {m}, {len(f)}, {len(q)} and"
-                             f" {len(status)}")
-        self._rows(pf, pq, ps, len(status), m)
+        if self._check_first:
+            _check_one_term_rows(f, q, status, m)
+        try:
+            self._rows(f, q, status, m)
+        except ValueError as refusal:
+            raise _reason(refusal, _check_one_term_rows, f, q, status,
+                          m) from None
 
     def two_term_trace(self, q, n_init, start, d1, d2, outer):
         """Extends q, whose q[j] is q(start + j), past its n_init terms."""
-        pq = self._arg(q, "q", True)
-        if d1 < 1 or d2 < 1 or outer not in (0, 1):
-            raise ValueError("offsets must be positive and outer 0 or 1")
-        if not max(d1, d2) <= n_init <= len(q):
-            raise ValueError(
-                f"n_init = {n_init} is outside [max(d1, d2), len(q)]")
-        return _status(self._two(pq, len(q), n_init, d1, d2, outer), start)
+        args = (q, n_init, d1, d2, outer)
+        if self._check_first:
+            _check_two_term_trace(*args)
+        try:
+            r = self._two(*args)
+        except ValueError as refusal:
+            raise _reason(refusal, _check_two_term_trace, *args) from None
+        return _status(r, start)
 
     def slow_walk(self, seen, m):
         """Marks seen, walk_size(m) bytes, for every slow prefix f(1..m)."""
-        size = walk_size(m)
-        ps = self._arg(seen, "seen", True, np.uint8)
-        if len(seen) < size:
-            raise ValueError(
-                f"seen holds {len(seen)} bytes, the walk needs {size}")
-        return _status(self._walk(ps, m), 0)
+        if self._check_first:
+            _check_slow_walk(seen, m)
+        try:
+            r = self._walk(seen, m)
+        except ValueError as refusal:
+            raise _reason(refusal, _check_slow_walk, seen, m) from None
+        return _status(r, 0)
 
     def format_rows(self, cols, fields, rows, lit, ends, out):
         """Writes rows into out, field j printing cols[j] as %<w>d for a
@@ -180,91 +230,100 @@ class Kernels:
         FORMAT_G12 (a float64 column); returns (rows written, bytes).  The
         C kernel stops before a row whose %.12g digits it cannot certify;
         the pure one writes every row."""
-        if len(fields) != len(cols) or len(ends) != len(cols) + 1:
-            raise ValueError(f"need one field per column and one end per"
-                             f" literal piece; got {len(fields)} and"
-                             f" {len(ends)} for {len(cols)} columns")
-        need = format_size(rows, lit, fields)
-        pcols = [self._arg(c, f"column {j}", False, np.float64
-                           if w == FORMAT_G12 else np.int64)
-                 for j, (c, w) in enumerate(zip(cols, fields))]
-        if rows < 0 or any(len(c) < rows for c in cols):
-            raise ValueError(f"every column must hold rows = {rows} >= 0"
-                             f" values; got {[len(c) for c in cols]}")
-        if ends[-1] != len(lit) or any(b < a for a, b in zip([0, *ends], ends)):
-            raise ValueError(f"ends must rise from 0 to len(lit) ="
-                             f" {len(lit)}; got {list(ends)}")
-        pout = self._arg(out, "out", True, np.uint8)
-        if len(out) < need:
-            raise ValueError(f"out holds {len(out)} bytes, the rows may"
-                             f" need {need}")
-        size = np.zeros(1, dtype=np.int64)
-        vec = self._vector
-        done = self._fmt(vec(_PTR, pcols), vec(_I64, fields), len(cols),
-                         rows, bytes(lit), vec(_I64, ends), pout,
-                         self._arg(size, "size", True))
-        return done, int(size[0])
+        args = (cols, fields, rows, lit, ends, out)
+        if self._check_first:
+            _check_format_rows(*args)
+        try:
+            return self._fmt(*args)
+        except ValueError as refusal:
+            raise _reason(refusal, _check_format_rows, *args) from None
 
 
-def _cache_path(source: bytes) -> Path:
+_FLAGS = ("-O3", "-shared", "-fPIC")
+
+
+def _command() -> list[str]:
+    """The command that compiles SOURCE, less `-o OUT SOURCE`: the C
+    compiler Python was built with, against this interpreter's headers."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    return [*cc, *_FLAGS, "-I" + sysconfig.get_paths()["include"]]
+
+
+def _cache_path(source: bytes, command: list[str]) -> Path:
+    """The cached extension of this source and compile command, named for
+    the interpreter's ABI (EXT_SUFFIX), so that no other interpreter
+    loads it."""
     # the interpreter's own 64-bit source hash, which importing hashlib
     # would not beat by enough to pay for its ~4 ms on every import
+    recipe = b"\0".join([source, *(arg.encode() for arg in command)])
+    digest = importlib.util.source_hash(recipe).hex()
+    suffix = (sysconfig.get_config_var("EXT_SUFFIX")
+              or importlib.machinery.EXTENSION_SUFFIXES[0])
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    digest = importlib.util.source_hash(source).hex()
-    return Path(cache) / "hofq" / f"kernels-{digest}.so"
+    return Path(cache) / "hofq" / f"kernels-{digest}{suffix}"
 
 
-def _build(so: Path) -> None:
-    """Compile SOURCE to `so` through a temporary file, so that a process
-    never loads a partly written library; raises OSError on failure."""
-    import shlex
+def _build(path: Path, command: list[str]) -> None:
+    """Compile SOURCE to `path` through a temporary file, so that a process
+    never loads a partly written module; raises OSError on failure."""
     import subprocess
-    import sysconfig
     import tempfile
 
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    so.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=so.parent)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=path.suffix, dir=path.parent)
     os.close(fd)
     try:
-        proc = subprocess.run(
-            [*cc, "-O3", "-shared", "-fPIC", "-o", tmp, str(SOURCE)],
-            capture_output=True, text=True)
+        proc = subprocess.run([*command, "-o", tmp, str(SOURCE)],
+                              capture_output=True, text=True)
         if proc.returncode != 0:
-            raise OSError(f"compiling {SOURCE.name} failed: {proc.stderr}")
-        os.replace(tmp, so)
+            raise OSError(f"compiling {SOURCE.name} failed:"
+                          f" {proc.stderr.strip() or proc.returncode}")
+        os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
 @functools.cache
-def compiled() -> Kernels:
-    """The C kernels, compiled into the cache unless already there.
+def extension():
+    """The extension module `hofq._kernels`, compiled into the cache
+    unless already there.
 
-    Raises OSError when they cannot be built or loaded.
+    Raises OSError when it cannot be built or imported.
     """
-    so = _cache_path(SOURCE.read_bytes())
-    if not so.exists():
-        _build(so)
-    lib = ctypes.CDLL(str(so))
-    for name, (argtypes, restype) in SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, restype
-    return Kernels("c", lib, _address,
-                   lambda ctype, values: (ctype * len(values))(*values))
+    command = _command()
+    path = _cache_path(SOURCE.read_bytes(), command)
+    if not path.exists():
+        _build(path, command)
+    name = f"{__package__}._kernels"
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    try:
+        module = importlib.util.module_from_spec(spec)
+    except ImportError as exc:
+        raise OSError(f"importing {path.name} failed: {exc}") from exc
+    sys.modules[name] = module
+    return module
 
 
-PURE = Kernels("python", _kernels_py, _checked,
-               lambda ctype, values: list(values))
+@functools.cache
+def compiled() -> Kernels:
+    """The C kernels; raises OSError when they cannot be built or
+    imported."""
+    return Kernels("c", extension(), checked=True)
 
+
+PURE = Kernels("python", _kernels_py, checked=False)
+
+BUILD_ERROR = None  # the first line of why the C kernels were not built
 if os.environ.get("HOFQ_PURE"):
     _impl = PURE
 else:
     try:
         _impl = compiled()
-    except OSError:
+    except OSError as exc:
         _impl = PURE
+        BUILD_ERROR = str(exc).splitlines()[0]
 
 BACKEND = _impl.implementation
 

@@ -517,6 +517,65 @@ def test_overlong_decimal_literal_gets_one_short_true_line(capsys, argv,
                         " limit\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--f", "floor:1e-9999999"],
+    ["compute", "--f", "floor:-1e-99999999999999999999999"],
+    ["compute", "--f", "floor:0e-9999999"],
+    ["compute", "--f", "floor:1e9999999"],
+    ["compute", "--f", "floor:1e99999999999999999999999"],
+    ["compute", "--f", "const-limit:pow:a=5,b=1e-9999999"],
+    ["approx", "--model", "sqrt:1e-9999999", "--f", "floor:1/2"],
+    ["approx", "--model", "sqrt:1e9999999", "--f", "floor:1/2"],
+    ["approx", "--model", "power:1:1e-99999999999999999999999:1",
+     "--f", "floor:1/2"],
+])
+def test_decimal_exponent_is_bounded_before_it_is_expanded(capsys, argv):
+    """A literal of a few characters whose exponent would expand into a
+    number of millions of digits is read without expanding it: it finishes
+    at once, with at most one line on stderr."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--n", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1) and len(err.splitlines()) <= 1, err
+    if code:
+        assert out == "" and err.startswith("hofq: ") and len(err) < 200
+
+
+def test_decimal_below_the_cap_gives_the_rows_of_zero(capsys):
+    """A decimal that the 10^9 denominator cap rounds to 0 is 0, however
+    small its exponent: the rows of floor:1e-30, which are those of
+    floor:0."""
+    texts = [run(capsys, "compute", "--f", spec, "--n", "40", "--format",
+                 "csv") for spec in ("floor:1e-30", "floor:1e-9999999",
+                                     "floor:-1e-99999999999999999999",
+                                     "floor:0/1")]
+    assert texts[0][0] == 0 and all(t == texts[0] for t in texts)
+
+
+@pytest.mark.parametrize("literal", ["1e-30", "1e-9999999", "0.0000000000001"])
+def test_positive_b_that_rounds_to_zero_is_called_that(capsys, literal):
+    code, out, err = run(capsys, "compute", "--f",
+                         f"const-limit:exp:a=5,b={literal}", "--n", "3")
+    assert code == 1 and out == ""
+    assert err == (f"hofq: const-limit exp: b = {literal!r} rounds to 0 at"
+                   " the 10^9 denominator cap; need b > 0\n")
+    # a b of 0, or below, is no positive literal
+    for b in ("0", "0.0", "-1e-30"):
+        code, out, err = run(capsys, "compute", "--f",
+                             f"const-limit:exp:a=5,b={b}", "--n", "3")
+        assert code == 1 and err == "hofq: const-limit: need b > 0\n"
+
+
+def test_messages_quote_a_long_spec_briefly(capsys):
+    """A message that quotes a spec of thousands of characters stays one
+    short line."""
+    code, out, err = run(capsys, "compute", "--f", "floor:1e3000", "--n", "3")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert err.startswith("hofq: overflow: 'floor:1000") and (
+        "(3009 characters): f values exceed the 64-bit range" in err)
+
+
 @pytest.mark.parametrize("conf", ["[5, 3]", '{"n": "abc"}', '{"n": 2.5}',
                                   '{"format": "xml"}', "{", '{"n": [5]}',
                                   '{"n": true}', '{"unknown": 1}'])

@@ -1,4 +1,5 @@
 import inspect
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from hofq.fspec import (
     Shifted,
     Zeros,
     as_fspec,
+    brief_spec,
     enumerate_slow_prefixes,
     floor_alpha_interval,
     parse_fspec,
@@ -674,7 +676,7 @@ def test_value_past_int64_in_a_later_block_overflows(spec):
     assert spec._span(1, n + 1).dtype == object  # the one span of before
     with pytest.raises(OverflowError) as err:
         spec.values(n)
-    assert str(err.value) == f"{spec.spec_str()!r}: f values exceed int64"
+    assert str(err.value) == f"{brief_spec(spec)}: f values exceed int64"
 
 
 def _count_spans(monkeypatch):
@@ -762,3 +764,51 @@ def test_diffbits_counts_each_bit_once(monkeypatch):
     assert spec._span(15 * B + 9, 15 * B + 11).tolist() == [
         spec.value(15 * B + 9), spec.value(15 * B + 10)]
     assert sum(counted) <= 3 * B
+
+
+@pytest.mark.parametrize("exp", range(-15, -5))
+def test_decimal_read_symbolically_rounds_as_limit_denominator(exp):
+    """Where _parse_rational gives 0 without expanding the exponent, the
+    nearest fraction with denominator <= 10^9 is 0 too, and elsewhere it
+    is that fraction: on each side of 1/(2 * 10^9)."""
+    for mantissa in ("1", "4.999", "5", "5.001", "9.999", "-5.001", "0"):
+        text = f"{mantissa}e{exp}"
+        assert fspec._parse_rational(text) == Fraction(
+            text).limit_denominator(10**9), text
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e-9999999", 0), ("-1e-9999999", 0), ("0e9999999", 0),
+    ("1e-99999999999999999999999", 0), ("2.5e-1", Fraction(1, 4)),
+    ("1_0e-1", 1), (" 3e2 ", 300)])
+def test_parse_rational_reads_any_exponent_at_once(text, value):
+    assert fspec._parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e9999999", "-1e4300",
+                                  "1e99999999999999999999999"])
+def test_parse_rational_refuses_an_integer_part_past_the_digit_limit(text):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InvalidFSpec) as err:
+        fspec._parse_rational(text)
+    assert str(err.value) == (f"rational {fspec.brief(text)} is longer"
+                              f" than Python's"
+                              f" {limit}-digit integer limit")
+    assert fspec._parse_rational("1e4299") == 10**4299
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0e-9999999", 0), ("-0e99999999999999999999999", 0),
+    ("2.5e-3", Fraction(1, 400)), ("1e4299", 10**4299),
+    ("1e-4300", Fraction(1, 10**4300))])
+def test_fraction_literal_is_exact_where_it_is_bounded(text, value):
+    assert fspec.fraction_literal(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e-9999999", "1e9999999", "1e-4301",
+                                  "-1e-99999999999999999999999"])
+def test_fraction_literal_refuses_a_part_past_the_digit_limit(text):
+    """Exact, so a literal whose denominator or integer part would have
+    more digits than int() reads is refused, not expanded."""
+    with pytest.raises(ValueError, match="-digit integer limit$"):
+        fspec.fraction_literal(text)

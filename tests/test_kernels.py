@@ -1,13 +1,17 @@
 """Both kernel backends must agree bit-for-bit, including on the edge
 semantics (death reporting, overflow)."""
 
+import importlib.util
 import inspect
+import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -25,6 +29,29 @@ INT64_MIN = -(2**63)
 def no_call(*args):
     """Stands in for a raw kernel that a refused call must never reach."""
     raise AssertionError("the kernel was called")
+
+
+def arrays_in(args):
+    """The numpy arrays among args and in the lists among them."""
+    return [a for x in args for a in (x if isinstance(x, list) else [x])
+            if isinstance(a, np.ndarray)]
+
+
+def assert_refused(backend, monkeypatch, raw, method, cases):
+    """backend.method(*args) raises, for the arguments args of each case,
+    the ValueError that the pure backend raises before its twin `raw`,
+    which no_call stands in for.  On the C backend the entry point itself
+    is the check: it must refuse each call before writing anything, so
+    every array passed in is byte-identical afterwards."""
+    monkeypatch.setattr(PURE, raw, no_call)
+    for args in cases:
+        with pytest.raises(ValueError) as expected:
+            getattr(PURE, method)(*args)
+        before = [a.tobytes() for a in arrays_in(args)]
+        with pytest.raises(ValueError) as err:
+            getattr(backend, method)(*args)
+        assert str(err.value) == str(expected.value), args
+        assert [a.tobytes() for a in arrays_in(args)] == before, args
 
 
 def run_one_term(mod, f):
@@ -153,6 +180,9 @@ def test_compiled_backend_is_active():
     # a broken build must not silently leave tier-1 on the fallback alone
     pure = os.environ.get("HOFQ_PURE") or shutil.which("cc") is None
     assert kernels.BACKEND == ("python" if pure else "c")
+    # and a build that was not tried, or worked, has no error to report
+    assert (kernels.BUILD_ERROR is None) == (
+        kernels.BACKEND == "c" or bool(os.environ.get("HOFQ_PURE")))
 
 
 def test_hofq_pure_selects_the_pure_backend():
@@ -177,25 +207,66 @@ def test_hofq_pure_selects_the_pure_backend():
     assert runs["python"].startswith(b"n,f,q\n1,0,1\n2,0,1\n")
 
 
-def test_pure_kernels_are_the_c_functions_twins():
-    """SIGNATURES lists every function of _kernels.c with its arguments, and
-    _kernels_py defines a twin of each, with as many parameters, and no
-    other kernel."""
-    source = kernels.SOURCE.read_text()
-    c_functions = {name: len(params.split(",")) for name, params in
-                   re.findall(r"^\w+ (\w+)\(([^)]*)\)\s*\{", source, re.M)}
-    assert c_functions == {name: len(argtypes) for name, (argtypes, _)
-                           in kernels.SIGNATURES.items()}
+def test_failed_build_falls_back_and_says_why(tmp_path):
+    """A build that fails leaves the pure backend in use, with BUILD_ERROR
+    the first line of the failure, and leaves no file in the cache; the
+    cache name holds the interpreter's EXT_SUFFIX, so that a ctypes-era
+    kernels-<hash>.so is never taken for the extension.  Runs in a
+    subprocess whose compiler is a stub that fails and whose cache is its
+    own, so that the real cache is never touched."""
+    stub = tmp_path / "stub-cc"
+    stub.write_text("#!/bin/sh\necho 'stub-cc: no compiler here' >&2\n"
+                    "echo 'a second line' >&2\nexit 1\n")
+    stub.chmod(0o755)
+    cache = tmp_path / "cache" / "hofq"
+    cache.mkdir(parents=True)
+    # a ctypes-era library of this source, which must not be loaded
+    old = importlib.util.source_hash(kernels.SOURCE.read_bytes()).hex()
+    (cache / f"kernels-{old}.so").write_bytes(b"not a library")
+    script = ("import json, sysconfig\n"
+              "real = sysconfig.get_config_var\n"
+              f"sysconfig.get_config_var = lambda name: ({str(stub)!r}"
+              " if name == 'CC' else real(name))\n"
+              "from hofq import kernels\n"
+              "path = kernels._cache_path(b'', kernels._command())\n"
+              "print(json.dumps([kernels.BACKEND, kernels.BUILD_ERROR,"
+              " path.name]))\n")
+    env = {k: v for k, v in os.environ.items() if k != "HOFQ_PURE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hofq.__file__))
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    backend, error, name = json.loads(proc.stdout)
+    assert backend == "python"
+    assert error == "compiling _kernels.c failed: stub-cc: no compiler here"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    assert re.fullmatch(r"kernels-[0-9a-f]{16}" + re.escape(suffix), name)
+    assert suffix != ".so"
+    assert os.listdir(cache) == [f"kernels-{old}.so"]
+
+
+def test_pure_kernels_are_the_c_functions_twins(c_kernels):
+    """The extension's method table holds the KERNELS, and _kernels_py
+    defines a twin of each, with the same parameters, and no other
+    kernel; the extension's bounds are the ones kernels.py checks."""
+    ext = kernels.extension()
+    entries = {name: fn for name, fn in vars(ext).items()
+               if isinstance(fn, types.BuiltinFunctionType)}
+    assert set(entries) == set(kernels.KERNELS)
     twins = {name: fn for name, fn in
              inspect.getmembers(_kernels_py, inspect.isfunction)
              if fn.__module__ == _kernels_py.__name__}
-    assert set(twins) == {*kernels.SIGNATURES, "percent_rows"}
-    for name, (argtypes, _) in kernels.SIGNATURES.items():
-        assert len(inspect.signature(twins[name]).parameters) == len(argtypes)
+    assert set(twins) == {*kernels.KERNELS, "percent_rows"}
+    for name, entry in entries.items():
+        assert list(inspect.signature(entry).parameters) == list(
+            inspect.signature(twins[name]).parameters), name
+    assert (ext.WALK_MAX_DEPTH, ext.FORMAT_MAX_WIDTH, ext.FORMAT_G12) == (
+        kernels.WALK_MAX_DEPTH, kernels.FORMAT_MAX_WIDTH, kernels.FORMAT_G12)
 
 
 def test_wrapper_rejects_unsafe_arrays(kernel_backend, monkeypatch):
-    monkeypatch.setattr(kernel_backend, "_two", no_call)
     f = np.zeros(8, dtype=np.int64)
     q = np.zeros(8, dtype=np.int64)
     readonly = np.zeros(8, dtype=np.int64)
@@ -223,9 +294,8 @@ def test_wrapper_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         (q, 2, 1, 0, 2, 0),          # offsets must be positive
         (q, 2, 1, 1, 2, 2),          # outer is 0 or 1
     ]
-    for args in bad_two_term:
-        with pytest.raises(ValueError):
-            kernel_backend.two_term_trace(*args)
+    assert_refused(kernel_backend, monkeypatch, "_two", "two_term_trace",
+                   bad_two_term)
 
 
 def test_one_term_trace_refuses_alike_on_both_backends(kernel_backend):
@@ -289,10 +359,9 @@ def test_one_term_rows_backends_agree(c_kernels):
 
 
 def test_one_term_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
-    monkeypatch.setattr(kernel_backend, "_rows", no_call)
     f = np.zeros(12, dtype=np.int64)
     q = np.zeros(12, dtype=np.int64)
-    status = np.zeros(3, dtype=np.int64)
+    status = np.full(3, 7, dtype=np.int64)  # a run would write 0s here
     readonly = np.zeros(12, dtype=np.int64)
     readonly.flags.writeable = False
     bad = [
@@ -313,9 +382,8 @@ def test_one_term_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         (f[:0], q[:0], status[:0], -1),             # m < 0
         (f, q, status, -4),
     ]
-    for args in bad:
-        with pytest.raises(ValueError):
-            kernel_backend.one_term_rows(*args)
+    assert_refused(kernel_backend, monkeypatch, "_rows", "one_term_rows",
+                   bad)
 
 
 def walk(mod, m):
@@ -350,7 +418,6 @@ def test_slow_walk_depth_is_bounded(kernel_backend):
 
 
 def test_slow_walk_rejects_unsafe_arrays(kernel_backend, monkeypatch):
-    monkeypatch.setattr(kernel_backend, "_walk", no_call)
     size = kernels.walk_size(4)
     readonly = np.zeros(size, dtype=np.uint8)
     readonly.flags.writeable = False
@@ -363,9 +430,8 @@ def test_slow_walk_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         np.zeros((4, 4, 5), dtype=np.uint8),  # not 1-D
         bytearray(size),                      # not an array
     ]
-    for seen in bad:
-        with pytest.raises(ValueError):
-            kernel_backend.slow_walk(seen, 4)
+    assert_refused(kernel_backend, monkeypatch, "_walk", "slow_walk",
+                   [(seen, 4) for seen in bad])
 
 
 def test_compiled_kernels_are_thread_safe(c_kernels):
@@ -539,7 +605,6 @@ def test_format_rows_backends_agree(c_kernels):
 
 
 def test_format_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
-    monkeypatch.setattr(kernel_backend, "_fmt", no_call)
     col = np.arange(4, dtype=np.int64)
     x = col.astype(np.float64)
     lit, ends = b"<,>\n", [1, 2, 4]
@@ -573,8 +638,6 @@ def test_format_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         ([col, x.reshape(2, 2)], [0, G12], lit, ends, out),
         ([col, list(x)], [0, G12], lit, ends, out),
     ]
-    for args in bad:
-        with pytest.raises(ValueError):
-            kernel_backend.format_rows(args[0], args[1], 4, *args[2:])
-    with pytest.raises(ValueError):
-        kernel_backend.format_rows([col, col], [0, 25], -1, lit, ends, out)
+    assert_refused(kernel_backend, monkeypatch, "_fmt", "format_rows",
+                   [(args[0], args[1], 4, *args[2:]) for args in bad]
+                   + [([col, col], [0, 25], -1, lit, ends, out)])
