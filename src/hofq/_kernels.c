@@ -1,9 +1,10 @@
 /* Trace kernels, a batch of one-term traces, the triangle's prefix-tree
- * walk and the table writer's rows of %d and %.12g fields, compiled on
- * first import by hofq/kernels.py into the CPython extension module
- * `_kernels`.  With _kernels_py.py, which holds the same loops with the
- * same contracts and is the reference the tests compare against, these
- * are the library's only loops over the recurrences.
+ * walk, the running sums of a step string (a bits: driver's f) and the
+ * table writer's rows of %d and %.12g fields, compiled on first import by
+ * hofq/kernels.py into the CPython extension module `_kernels`.  With
+ * _kernels_py.py, which holds the same loops with the same contracts and
+ * is the reference the tests compare against, these are the library's
+ * only loops over the recurrences.
  *
  * Each loop is a static C function over raw pointers that checks nothing.
  * Each is called by one entry point of the module's method table, which
@@ -18,10 +19,11 @@
  * Each trace returns one int64 (one_term_rows stores one per row): 0 when
  * every term was computed, +k when the trace died at k and -k when the
  * term at k leaves the int64 range; a trace array then holds every term
- * before k.  format_rows returns the number of rows it wrote: it prints a
- * %.12g value only when it can certify the digits Python would print, and
- * stops before the first row it cannot, which the caller prints with
- * Python's `%`, the formatter of record.
+ * before k.  step_sum returns nothing: its entry point has checked that
+ * no sum leaves the int64 range.  format_rows returns the number of rows
+ * it wrote: it prints a %.12g value only when it can certify the digits
+ * Python would print, and stops before the first row it cannot, which the
+ * caller prints with Python's `%`, the formatter of record.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -116,6 +118,23 @@ static int64_t slow_walk(uint8_t *seen, int64_t m)
         }
     }
     return 0;
+}
+
+/* out[0] = first, out[i] = out[i-1] + steps[i-1] for i < n: f of a bits:
+ * driver from its difference bits, where numpy's accumulate takes several
+ * times as long per term.  A step is at most STEP_MAX, so its entry point
+ * checks that first + STEP_MAX * (n - 1) fits int64. */
+#define STEP_MAX 255
+
+static void step_sum(const uint8_t *steps, int64_t first, int64_t *out,
+                     int64_t n)
+{
+    int64_t v = first;
+    if (n == 0)
+        return;
+    out[0] = v;
+    for (int64_t i = 1; i < n; i++)
+        out[i] = v += steps[i - 1];
 }
 
 /* A field of format_rows is %<w>d on an int64 column, 0 <= w <=
@@ -509,6 +528,40 @@ static PyObject *py_slow_walk(PyObject *mod, PyObject *const *args,
     return PyLong_FromLongLong(r);
 }
 
+PyDoc_STRVAR(step_sum_doc,
+"step_sum($module, steps, first, out, /)\n--\n\n"
+"The running sums out[0] = first, out[i] = out[i-1] + steps[i-1] into\n"
+"the writeable int64 array out, from the uint8 array steps of at least\n"
+"len(out) - 1 values, for first + STEP_MAX * (len(out) - 1) <= INT64_MAX.");
+
+static PyObject *py_step_sum(PyObject *mod, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    Py_buffer steps, out;
+    Py_ssize_t ns, n = -1;
+    int64_t first, top;
+    if (!arity("step_sum", nargs, 3))
+        return NULL;
+    if ((ns = take(args[0], &steps, UINT8, 0)) < 0)
+        return refuse("step_sum");
+    if (scalar(args[1], &first) || (n = take(args[2], &out, INT64, 1)) < 0
+            || (n > 0 && (ns < n - 1
+                          || __builtin_mul_overflow((int64_t)(n - 1),
+                                                    (int64_t)STEP_MAX, &top)
+                          || __builtin_add_overflow(first, top, &top)))) {
+        if (n >= 0)
+            PyBuffer_Release(&out);
+        PyBuffer_Release(&steps);
+        return refuse("step_sum");
+    }
+    Py_BEGIN_ALLOW_THREADS
+    step_sum(steps.buf, first, out.buf, n);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&steps);
+    Py_RETURN_NONE;
+}
+
 PyDoc_STRVAR(format_rows_doc,
 "format_rows($module, cols, fields, rows, lit, ends, out, /)\n--\n\n"
 "Rows 0..rows-1 of the columns cols, field j printing cols[j] as %<w>d\n"
@@ -606,6 +659,7 @@ static PyMethodDef methods[] = {
     ENTRY(one_term_rows),
     ENTRY(two_term_trace),
     ENTRY(slow_walk),
+    ENTRY(step_sum),
     ENTRY(format_rows),
     {NULL, NULL, 0, NULL},
 };
@@ -633,6 +687,7 @@ PyMODINIT_FUNC PyInit__kernels(void)
     m = PyModule_Create(&module);
     if (m == NULL
             || PyModule_AddIntConstant(m, "WALK_MAX_DEPTH", WALK_MAX_DEPTH)
+            || PyModule_AddIntConstant(m, "STEP_MAX", STEP_MAX)
             || PyModule_AddIntConstant(m, "FORMAT_MAX_WIDTH",
                                        FORMAT_MAX_WIDTH)
             || PyModule_AddIntConstant(m, "FORMAT_G12", FORMAT_G12)) {

@@ -5,12 +5,12 @@ Each function here takes the arguments of its namesake in the extension
 module that `_kernels.c` is compiled into, numpy arrays and ints, and
 returns what that returns: 0 when every term was computed, +k when the
 trace died at k and -k when the term at k leaves the int64 range
-(format_rows: the rows and the bytes written).  On return a trace array
-holds every term before k.  Unlike the C entry points, which refuse what
-their loops could not take, this module checks nothing:
-hofq.kernels.Kernels checks every call to it first, and decodes the codes
-of either backend.  It runs when the C kernels cannot be built (or when
-HOFQ_PURE=1 forces it), and the tests compare the two.
+(step_sum: nothing; format_rows: the rows and the bytes written).  On
+return a trace array holds every term before k.  Unlike the C entry
+points, which refuse what their loops could not take, this module checks
+nothing: hofq.kernels.Kernels checks every call to it first, and decodes
+the codes of either backend.  It runs when the C kernels cannot be
+built (or when HOFQ_PURE=1 forces it), and the tests compare the two.
 
 Python ints do not wrap, so the int64 range is enforced explicitly to keep
 overflow semantics identical to the compiled kernels.
@@ -21,8 +21,11 @@ the rows of every other row format and for each row at which the C
 format_rows stops, a `%.12g` value it cannot certify.
 """
 
+import numpy as np
+
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
+STEP_MAX = 255  # step_sum's greatest step, a uint8
 FORMAT_G12 = -1  # format_rows' field code of %.12g on a float64 column
 
 
@@ -116,6 +119,16 @@ def slow_walk(seen, m):
                 n -= 1
             bit[n] = 1
     return 0
+
+
+def step_sum(steps, first, out):
+    """out[0] = first, out[i] = out[i-1] + steps[i-1] for i < len(out):
+    numpy's accumulate, in place in out."""
+    n = len(out)
+    if n:
+        out[0] = first
+        out[1:] = steps[:n - 1]
+        np.cumsum(out, out=out)
 
 
 def percent_rows(template, cols, rows):

@@ -50,6 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import kernels
 from .errors import CapExceeded, InvalidFSpec
 from .exactfloor import (
     INT64_MAX,
@@ -290,11 +291,7 @@ class Prefix(FSpec):
         return "prefix:" + ",".join(str(v) for v in self.prefix)
 
 
-# DiffBits' byte tables: from the digits '0' and '1', or from the bits 0
-# and 1, to the bits, and every other byte to 2; and from the bits to digits
-_FROM_DIGITS = b"\2" * 48 + b"\0\1" + b"\2" * 206
-_FROM_BITS = b"\0\1" + b"\2" * 254
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")  # DiffBits' bits to digits
 
 
 @dataclass(frozen=True)
@@ -302,19 +299,26 @@ class DiffBits(FSpec):
     """The unique slow zero-start sequence whose difference string is `bits`.
 
     bits are stored as a bytes object of 0/1 values; a length-m prefix needs
-    m-1 bits.
+    m-1 bits.  Given as a string of the digits 0 and 1, they are the
+    string's bytes less ord('0'), in which every other byte, a multi-byte
+    character's included, wraps above 1; given as bytes or a sequence of
+    ints, they are the values themselves.  Either way one uint8 max over
+    the array checks them.  f is their running sum, kernels.step_sum, a
+    span at a time.
     """
 
     bits: bytes
 
     def __post_init__(self):
-        raw, table = self.bits, _FROM_BITS
+        raw = self.bits
         if isinstance(raw, str):
-            raw, table = raw.encode(), _FROM_DIGITS
-        elif not isinstance(raw, bytes):
-            raw = bytes(int(b) for b in raw)
-        raw = raw.translate(table)
-        if 2 in raw:
+            arr = np.frombuffer(raw.encode(), np.uint8) - ord("0")
+            raw = arr.tobytes()
+        else:
+            if not isinstance(raw, bytes):
+                raw = bytes(int(b) for b in raw)
+            arr = np.frombuffer(raw, np.uint8)
+        if arr.max(initial=0) > 1:
             raise InvalidFSpec("bits: differences must be 0 or 1")
         object.__setattr__(self, "bits", raw)
 
@@ -340,9 +344,8 @@ class DiffBits(FSpec):
 
     def _span(self, lo, hi):
         out = np.empty(hi - lo, dtype=np.int64)
-        out[0] = self._ones_before(lo - 1)
-        out[1:] = np.frombuffer(self.bits, np.uint8, hi - lo - 1, lo - 1)
-        np.cumsum(out, out=out)  # in place: faster than a cast
+        steps = np.frombuffer(self.bits, np.uint8, hi - lo - 1, lo - 1)
+        kernels.step_sum(steps, self._ones_before(lo - 1), out)
         marks = self.__dict__.get("_marks", [0])
         if hi - 1 == len(marks) * _BLOCK:  # f(hi), the next mark
             object.__setattr__(self, "_marks",
@@ -1036,7 +1039,8 @@ def _parse_kv(text: str, head: str) -> dict[str, str]:
     out = {}
     for part in text.split(","):
         if "=" not in part:
-            raise InvalidFSpec(f"{head}: expected key=value, got {part!r}")
+            raise InvalidFSpec(
+                f"{head}: expected key=value, got {brief(part)}")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()
     return out
@@ -1051,15 +1055,15 @@ def _parse_fracpow(expr: str) -> FracPowerSum:
     compact = expr.replace(" ", "")
     tokens = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(tokens) != compact:
-        raise InvalidFSpec(f"fracpow: cannot parse {expr!r}")
+        raise InvalidFSpec(f"fracpow: cannot parse {brief(expr)}")
     terms = []
     for tok in tokens:
         m = _FRACPOW_TERM.match(tok)
         if not m or (not m.group(1) and m.group(2) is None):
-            raise InvalidFSpec(f"fracpow: bad term {tok!r}")
+            raise InvalidFSpec(f"fracpow: bad term {brief(tok)}")
         coeff_text, expo_text = m.group(1), m.group(2)
         if coeff_text in ("", "+", "-") and expo_text is None:
-            raise InvalidFSpec(f"fracpow: bad term {tok!r}")
+            raise InvalidFSpec(f"fracpow: bad term {brief(tok)}")
         if coeff_text in (None, "", "+", "-"):
             coeff = Fraction(-1 if coeff_text == "-" else 1)
         else:
@@ -1097,7 +1101,7 @@ def parse_fspec(text: str) -> FSpec:
             elif k == "scale":
                 scale = _parse_int(v)
             else:
-                raise InvalidFSpec(f"floor: unknown option {extra!r}")
+                raise InvalidFSpec(f"floor: unknown option {brief(extra)}")
         return FloorRatio(ratio.numerator, ratio.denominator, shift, scale)
     if head == "one-minus-delta":
         return OneMinusDelta(_parse_int(rest))
@@ -1139,7 +1143,7 @@ def parse_fspec(text: str) -> FSpec:
         if form == "clamp":
             return ConstLimit("clamp", alpha=_parse_rational(kv.pop("alpha", "0")),
                               n0=_parse_int(kv.pop("n0", "0")))
-        raise InvalidFSpec(f"const-limit: unknown form {form!r}")
+        raise InvalidFSpec(f"const-limit: unknown form {brief(form)}")
     if head == "fracpow":
         return _parse_fracpow(rest)
-    raise InvalidFSpec(f"unknown f-spec {text!r}")
+    raise InvalidFSpec(f"unknown f-spec {brief(text)}")

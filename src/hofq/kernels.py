@@ -1,21 +1,25 @@
 """Kernel backends, and the one layer that says why a call is refused.
 
 The kernels are the two trace loops, `one_term_rows` (the one-term trace
-on each row of a batch), the triangle's prefix-tree walk `slow_walk` and
-`format_rows` (the table writer's rows of `%d` and `%.12g` fields), in the
-C source `_kernels.c`.  Its pure-Python twin `_kernels_py` takes the same
-arguments and returns the same codes.  The C `format_rows` prints a
-`%.12g` value only where it certifies the 12 digits and %g's fixed
-notation, and stops before a row it cannot certify, which the caller
-prints with `percent_rows`; the twin prints every row with `percent_rows`.
+on each row of a batch), the triangle's prefix-tree walk `slow_walk`,
+`step_sum` (the running sums of a uint8 step string: a `bits:` driver's f
+from its difference bits) and `format_rows` (the table writer's rows of
+`%d` and `%.12g` fields), in the C source `_kernels.c`.  Its pure-Python
+twin `_kernels_py` takes the same arguments and returns the same codes.
+The C `format_rows` prints a `%.12g` value only where it certifies the 12
+digits and %g's fixed notation, and stops before a row it cannot certify,
+which the caller prints with `percent_rows`; the twin prints every row
+with `percent_rows`.
 
 This module compiles, caches and imports the C source as the CPython
 extension module `hofq._kernels`: on first import it is compiled with the
 C compiler Python was built with, against this interpreter's headers, into
 the per-user cache, as
 `${XDG_CACHE_HOME:-~/.cache}/hofq/kernels-<hash><EXT_SUFFIX>`, the hash
-covering the source and the compile command.  Each of its entry
-points takes the numpy arrays themselves and refuses, having written
+covering the source, the compiler flags and the interpreter (its version
+and installation), so that a warm import neither asks sysconfig for the
+compiler nor builds the compile command.  Each of its entry points takes
+the numpy arrays themselves and refuses, having written
 nothing, any array or bound its loop could not take safely; the twins
 check nothing.  `Kernels` gives both backends one contract and one set of
 refusal messages: on the pure backend it runs the checks below before the
@@ -30,10 +34,9 @@ HOFQ_PURE=1 forces the twin.  BACKEND names the one in use: "c" or
 import functools
 import importlib.machinery
 import importlib.util
+import operator
 import os
-import shlex
 import sys
-import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,7 @@ from . import _kernels_py
 
 OK, DIED, OVERFLOW = 0, 1, 2  # a trace's status
 WALK_MAX_DEPTH = 62  # the C walk keeps its path in fixed arrays of this depth
+STEP_MAX = _kernels_py.STEP_MAX  # step_sum's greatest step, a uint8
 FORMAT_MAX_WIDTH = 64  # the widest %<w>d field of format_rows
 FORMAT_G12 = _kernels_py.FORMAT_G12  # format_rows' field code of %.12g
 percent_rows = _kernels_py.percent_rows  # the one Python row formatter
@@ -49,7 +53,7 @@ percent_rows = _kernels_py.percent_rows  # the one Python row formatter
 SOURCE = Path(__file__).with_name("_kernels.c")
 # the kernels, by their names in both backends
 KERNELS = ("one_term_trace", "one_term_rows", "two_term_trace", "slow_walk",
-           "format_rows")
+           "step_sum", "format_rows")
 
 
 def check_array(a, name, write=False, dtype=np.int64):
@@ -134,6 +138,23 @@ def _check_slow_walk(seen, m):
             f"seen holds {len(seen)} bytes, the walk needs {size}")
 
 
+def _check_step_sum(steps, first, out):
+    check_array(steps, "steps", False, np.uint8)
+    check_array(out, "out", True)
+    n = len(out)
+    if len(steps) < n - 1:
+        raise ValueError(f"steps holds {len(steps)} values, out needs"
+                         f" {n - 1}")
+    try:
+        first = operator.index(first)
+    except TypeError:
+        raise ValueError("first must be an int") from None
+    top = _kernels_py.INT64_MAX - STEP_MAX * max(n - 1, 0)
+    if not _kernels_py.INT64_MIN <= first <= top:
+        raise ValueError(f"first = {first} is outside [-2**63, {top}], where"
+                         f" the sums of {n - 1} steps stay in int64")
+
+
 def _check_format_rows(cols, fields, rows, lit, ends, out):
     if len(fields) != len(cols) or len(ends) != len(cols) + 1:
         raise ValueError(f"need one field per column and one end per"
@@ -180,8 +201,8 @@ class Kernels:
     def __init__(self, implementation: str, raw, checked: bool):
         self.implementation = implementation
         self._check_first = not checked
-        self._one, self._rows, self._two, self._walk, self._fmt = (
-            getattr(raw, name) for name in KERNELS)
+        (self._one, self._rows, self._two, self._walk, self._steps,
+         self._fmt) = (getattr(raw, name) for name in KERNELS)
 
     def one_term_trace(self, f, q):
         """q(1) = 1; q(n) = q(n - q(n-1)) + f(n); f sets the length."""
@@ -224,6 +245,17 @@ class Kernels:
             raise _reason(refusal, _check_slow_walk, seen, m) from None
         return _status(r, 0)
 
+    def step_sum(self, steps, first, out):
+        """out[0] = first, out[i] = out[i-1] + steps[i-1]: steps a uint8
+        array of at least len(out) - 1 values, out an int64 one."""
+        if self._check_first:
+            _check_step_sum(steps, first, out)
+        try:
+            self._steps(steps, first, out)
+        except ValueError as refusal:
+            raise _reason(refusal, _check_step_sum, steps, first,
+                          out) from None
+
     def format_rows(self, cols, fields, rows, lit, ends, out):
         """Writes rows into out, field j printing cols[j] as %<w>d for a
         width w = fields[j] >= 0 (an int64 column) or as %.12g for
@@ -244,21 +276,27 @@ _FLAGS = ("-O3", "-shared", "-fPIC")
 
 def _command() -> list[str]:
     """The command that compiles SOURCE, less `-o OUT SOURCE`: the C
-    compiler Python was built with, against this interpreter's headers."""
+    compiler Python was built with, against this interpreter's headers.
+    Built only to compile: sysconfig and shlex cost an import ~2 ms."""
+    import shlex
+    import sysconfig
+
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     return [*cc, *_FLAGS, "-I" + sysconfig.get_paths()["include"]]
 
 
-def _cache_path(source: bytes, command: list[str]) -> Path:
-    """The cached extension of this source and compile command, named for
-    the interpreter's ABI (EXT_SUFFIX), so that no other interpreter
-    loads it."""
+def _cache_path(source: bytes) -> Path:
+    """The cached extension of this source and _FLAGS for this
+    interpreter, which fixes the compiler and headers of _command: keyed on
+    its version and installation, and named for its ABI (its first
+    extension suffix, EXT_SUFFIX), so that no other interpreter loads it."""
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     # the interpreter's own 64-bit source hash, which importing hashlib
     # would not beat by enough to pay for its ~4 ms on every import
-    recipe = b"\0".join([source, *(arg.encode() for arg in command)])
+    recipe = b"\0".join([source, *(flag.encode() for flag in _FLAGS),
+                         sys.version.encode(), os.fsencode(sys.base_prefix),
+                         suffix.encode()])
     digest = importlib.util.source_hash(recipe).hex()
-    suffix = (sysconfig.get_config_var("EXT_SUFFIX")
-              or importlib.machinery.EXTENSION_SUFFIXES[0])
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
     return Path(cache) / "hofq" / f"kernels-{digest}{suffix}"
 
@@ -291,10 +329,9 @@ def extension():
 
     Raises OSError when it cannot be built or imported.
     """
-    command = _command()
-    path = _cache_path(SOURCE.read_bytes(), command)
+    path = _cache_path(SOURCE.read_bytes())
     if not path.exists():
-        _build(path, command)
+        _build(path, _command())
     name = f"{__package__}._kernels"
     loader = importlib.machinery.ExtensionFileLoader(name, str(path))
     spec = importlib.util.spec_from_file_location(name, path, loader=loader)
@@ -331,4 +368,5 @@ one_term_trace = _impl.one_term_trace
 one_term_rows = _impl.one_term_rows
 two_term_trace = _impl.two_term_trace
 slow_walk = _impl.slow_walk
+step_sum = _impl.step_sum
 format_rows = _impl.format_rows

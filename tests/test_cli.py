@@ -576,6 +576,30 @@ def test_messages_quote_a_long_spec_briefly(capsys):
         "(3009 characters): f values exceed the 64-bit range" in err)
 
 
+_TAIL = 3000
+
+
+@pytest.mark.parametrize("spec, quoted", [
+    ("nosuch" + "x" * _TAIL, "unknown f-spec 'nosuch"),
+    ("floor:1/2:" + "x" * _TAIL, "floor: unknown option 'x"),
+    ("fracpow:n^1/2+" + "x" * _TAIL, "fracpow: bad term '+x"),
+    ("fracpow:n^1/2--" + "1" * _TAIL, "fracpow: cannot parse 'n^1/2--1"),
+    ("const-limit:sqrt:a=1," + "x" * _TAIL,
+     "const-limit: expected key=value, got 'x"),
+    ("const-limit:nosuch" + "x" * _TAIL + ":a=1",
+     "const-limit: unknown form 'nosuch"),
+], ids=["spec", "floor-option", "fracpow-term", "fracpow-expression",
+        "key-value", "const-limit-form"])
+def test_parse_errors_quote_a_long_text_briefly(capsys, spec, quoted):
+    """Each parse error that quotes a piece of the spec quotes it in brief:
+    one short line, with the piece's length."""
+    code, out, err = run(capsys, "compute", "--f", spec, "--n", "3")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert err.startswith("hofq: " + quoted)
+    assert err.endswith(" characters)\n")
+
+
 @pytest.mark.parametrize("conf", ["[5, 3]", '{"n": "abc"}', '{"n": 2.5}',
                                   '{"format": "xml"}', "{", '{"n": [5]}',
                                   '{"n": true}', '{"unknown": 1}'])
@@ -735,3 +759,4 @@ def test_runtime_does_not_import_mpmath():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+

@@ -170,10 +170,41 @@ def test_even_staircase_spec():
 
 
 @pytest.mark.parametrize("bad", ["012", "0a", "0\x01", "01 ", "é",
-                                 b"\x00\x02", [0, 1, 2]])
+                                 b"\x00\x02", [0, 1, 2],
+                                 # the bytes next to '0' and '1'
+                                 "\x00", "/", ":"])
 def test_diffbits_rejects_non_bits(bad):
     with pytest.raises(InvalidFSpec, match="differences must be 0 or 1"):
         DiffBits(bad)
+
+
+def test_diffbits_takes_no_bits():
+    for spec in (DiffBits(""), DiffBits(b""), DiffBits(bytearray()),
+                 DiffBits([]), parse_fspec("bits:")):
+        assert spec.bits == b""
+        assert spec.values(1).tolist() == [0]
+        assert spec.spec_str() == "bits:"
+
+
+@pytest.mark.parametrize("given", [b"\x00\x01\x01\x00",
+                                   bytearray(b"\x00\x01\x01\x00"),
+                                   [0, 1, 1, 0], (0, 1, 1, 0),
+                                   np.array([0, 1, 1, 0])])
+def test_diffbits_takes_bits_as_values(given):
+    spec = DiffBits(given)
+    assert spec == DiffBits("0110")
+    assert type(spec.bits) is bytes and spec.bits == b"\x00\x01\x01\x00"
+    assert spec.values(5).tolist() == [0, 0, 1, 2, 2]
+    assert spec.spec_str() == "bits:0110"
+
+
+def test_diffbits_spec_str_round_trips_a_long_string():
+    digits = (np.random.default_rng(8).integers(0, 2, 25_001, np.uint8)
+              + ord("0")).tobytes().decode()
+    spec = parse_fspec("bits:" + digits)
+    assert spec.spec_str() == "bits:" + digits
+    assert parse_fspec(spec.spec_str()) == spec
+    assert spec.bits == bytes(int(c) for c in digits)
 
 
 def test_prefix_and_bits_length_limits():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import hofq
-from hofq import _kernels_py, kernels
+from hofq import _kernels_py, fspec, kernels
 from test_table import g12_values
 
 PURE = kernels.PURE
@@ -228,7 +228,7 @@ def test_failed_build_falls_back_and_says_why(tmp_path):
               f"sysconfig.get_config_var = lambda name: ({str(stub)!r}"
               " if name == 'CC' else real(name))\n"
               "from hofq import kernels\n"
-              "path = kernels._cache_path(b'', kernels._command())\n"
+              "path = kernels._cache_path(b'')\n"
               "print(json.dumps([kernels.BACKEND, kernels.BUILD_ERROR,"
               " path.name]))\n")
     env = {k: v for k, v in os.environ.items() if k != "HOFQ_PURE"}
@@ -247,6 +247,28 @@ def test_failed_build_falls_back_and_says_why(tmp_path):
     assert os.listdir(cache) == [f"kernels-{old}.so"]
 
 
+def test_warm_import_loads_no_build_tools(tmp_path):
+    """The kernel cache is keyed without sysconfig: once the extension is
+    in the cache, `import hofq` imports neither sysconfig nor shlex, which
+    only a build needs."""
+    script = ("import sys, hofq\n"
+              "print(hofq.BACKEND, 'sysconfig' in sys.modules,"
+              " 'shlex' in sys.modules)\n")
+    env = {k: v for k, v in os.environ.items() if k != "HOFQ_PURE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hofq.__file__))
+    env["XDG_CACHE_HOME"] = str(tmp_path)
+    runs = [subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    backend = runs[0].stdout.split()[0]
+    assert runs[1].stdout == f"{backend} False False\n"
+    if backend == "c":  # the first import built the one cached module
+        assert [p.name for p in (tmp_path / "hofq").iterdir()] == [
+            kernels._cache_path(kernels.SOURCE.read_bytes()).name]
+
+
 def test_pure_kernels_are_the_c_functions_twins(c_kernels):
     """The extension's method table holds the KERNELS, and _kernels_py
     defines a twin of each, with the same parameters, and no other
@@ -262,8 +284,23 @@ def test_pure_kernels_are_the_c_functions_twins(c_kernels):
     for name, entry in entries.items():
         assert list(inspect.signature(entry).parameters) == list(
             inspect.signature(twins[name]).parameters), name
-    assert (ext.WALK_MAX_DEPTH, ext.FORMAT_MAX_WIDTH, ext.FORMAT_G12) == (
-        kernels.WALK_MAX_DEPTH, kernels.FORMAT_MAX_WIDTH, kernels.FORMAT_G12)
+    assert (ext.WALK_MAX_DEPTH, ext.STEP_MAX, ext.FORMAT_MAX_WIDTH,
+            ext.FORMAT_G12) == (kernels.WALK_MAX_DEPTH, kernels.STEP_MAX,
+                                kernels.FORMAT_MAX_WIDTH, kernels.FORMAT_G12)
+
+
+def test_kernel_source_builds_without_warnings(tmp_path):
+    """_kernels.c compiles warning-free with -Wall -Wextra, warnings made
+    errors, against this interpreter's headers."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    command = [*kernels._command(), "-Wall", "-Wextra",
+               "-Wno-unused-parameter", "-Werror"]
+    proc = subprocess.run([*command, "-o", str(tmp_path / "k.so"),
+                           str(kernels.SOURCE)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_wrapper_rejects_unsafe_arrays(kernel_backend, monkeypatch):
@@ -432,6 +469,62 @@ def test_slow_walk_rejects_unsafe_arrays(kernel_backend, monkeypatch):
     ]
     assert_refused(kernel_backend, monkeypatch, "_walk", "slow_walk",
                    [(seen, 4) for seen in bad])
+
+
+def run_step_sum(mod, steps, first, n):
+    out = np.full(n, 7, dtype=np.int64)
+    assert mod.step_sum(steps, first, out) is None
+    return out
+
+
+def test_step_sum_matches_cumsum(kernel_backend):
+    rng = np.random.default_rng(53)
+    block = fspec._BLOCK
+    lengths = [1, 2, block - 1, block, block + 1,
+               *rng.integers(1, 3 * block, size=12).tolist()]
+    for n in lengths:
+        high = 2 if rng.random() < 0.8 else kernels.STEP_MAX + 1
+        data = rng.integers(0, high, size=n + 20, dtype=np.uint8)
+        offset = int(rng.integers(0, 21))
+        steps = data[offset:offset + n - 1 + int(rng.integers(0, 2))]
+        first = int(rng.integers(-2**40, 2**40))
+        want = np.cumsum(np.concatenate([[first], steps[:n - 1]]),
+                         dtype=np.int64)
+        assert np.array_equal(run_step_sum(kernel_backend, steps, first, n),
+                              want), (n, offset)
+    # nothing to write, and sums that end at INT64_MAX exactly
+    assert run_step_sum(kernel_backend, data[:0], INT64_MAX, 0).size == 0
+    top = np.full(9, kernels.STEP_MAX, dtype=np.uint8)
+    first = INT64_MAX - kernels.STEP_MAX * 9
+    out = run_step_sum(kernel_backend, top, first, 10)
+    assert out[0] == first and out[-1] == INT64_MAX
+    assert run_step_sum(kernel_backend, top[:0], INT64_MIN, 1)[0] == INT64_MIN
+
+
+def test_step_sum_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+    steps = np.ones(8, dtype=np.uint8)
+    out = np.full(9, 7, dtype=np.int64)  # a run would write 0, 1, ..., 8
+    readonly = np.zeros(9, dtype=np.int64)
+    readonly.flags.writeable = False
+    near = INT64_MAX - kernels.STEP_MAX * 8
+    bad = [
+        (steps.astype(np.int64), 0, out),           # dtype
+        (steps.view(np.int8), 0, out),
+        (steps, 0, out.astype(np.int32)),
+        (steps, 0, out.astype(np.float64)),
+        (steps[:7], 0, out),                        # steps too short
+        (steps, 0, readonly),                       # out is written
+        (np.ones(16, dtype=np.uint8)[::2], 0, out),  # not contiguous
+        (steps, 0, np.full(18, 7, dtype=np.int64)[::2]),
+        (steps.reshape(2, 4), 0, out),              # not 1-D
+        (bytes(8), 0, out),                         # not an array
+        (steps, near + 1, out),                     # sums past INT64_MAX
+        (steps, INT64_MAX, out),
+        (steps, 2**63, out[:1]),                    # first past int64
+        (steps, INT64_MIN - 1, out[:0]),
+        (steps, 0.0, out),                          # first not an int
+    ]
+    assert_refused(kernel_backend, monkeypatch, "_steps", "step_sum", bad)
 
 
 def test_compiled_kernels_are_thread_safe(c_kernels):
