@@ -92,6 +92,8 @@ def _past_int64(spec: FSpec) -> OverflowError:
 class FSpec:
     """Base class for driving-sequence specs."""
 
+    __slots__ = ()  # a family without its own __slots__ keeps a __dict__
+
     def _span(self, lo: int, hi: int) -> np.ndarray:
         """A new array of the exact f(lo), ..., f(hi-1), for
         1 <= lo < hi <= max_len() + 1: int64, or an object array of Python
@@ -263,8 +265,15 @@ class ModM(FSpec):
 
 @dataclass(frozen=True, init=False)
 class Prefix(FSpec):
-    """Explicit finite prefix."""
+    """Explicit finite prefix.
 
+    The exhaustive sweeps build one per compute_q call and keep it in the
+    trace, so it holds its one field in a slot, with no __dict__.  The slot
+    is declared here, not by dataclass(slots=True), which makes a second
+    class and leaves the first among FSpec's subclasses.  A value that is
+    not an integer is kept only where int(v) == v, as 2.0 is."""
+
+    __slots__ = ("prefix",)
     prefix: tuple[int, ...]
 
     def __init__(self, prefix):
@@ -273,10 +282,13 @@ class Prefix(FSpec):
         try:  # int(v) for every integer v, at half the cost of int()
             prefix = tuple(map(operator.index, prefix))
         except TypeError:
-            prefix = tuple(map(int, prefix))
+            prefix = tuple(map(_integral, prefix, range(1, len(prefix) + 1)))
         if not prefix:
             raise InvalidFSpec("prefix: need at least one value")
-        object.__setattr__(self, "prefix", prefix)
+        _set_prefix(self, prefix)
+
+    def __reduce__(self):  # copy and pickle, past the frozen __setattr__
+        return Prefix, (self.prefix,)
 
     def _span(self, lo, hi):
         try:  # _exact inlined: compute_q on short prefixes runs this most
@@ -289,6 +301,27 @@ class Prefix(FSpec):
 
     def spec_str(self):
         return "prefix:" + ",".join(str(v) for v in self.prefix)
+
+
+_set_prefix = Prefix.prefix.__set__  # the slot's own setter
+
+
+def _integral(v, n: int) -> int:
+    """f(n) = v of an explicit prefix as an int: operator.index(v), or int(v)
+    where that equals v; InvalidFSpec for any other value."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        pass
+    try:
+        w = int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if w == v:
+            return w
+    raise InvalidFSpec(
+        f"prefix: f({n}) = {brief(repr(v), str)} is not an integer")
 
 
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")  # DiffBits' bits to digits
@@ -472,7 +505,8 @@ class ConstLimit(FSpec):
 
     def __post_init__(self):
         if self.form not in _CONST_LIMIT_FORMS:
-            raise InvalidFSpec(f"const-limit: unknown form {self.form!r}")
+            raise InvalidFSpec(
+                f"const-limit: unknown form {brief(str(self.form))}")
         if self.form == "clamp":
             if self.alpha is None or self.n0 is None:
                 raise InvalidFSpec("const-limit clamp: need alpha and n0")
@@ -828,7 +862,8 @@ def enumerate_slow_prefixes(m: int):
     total = 1 << (m - 1)
     for lo in range(0, total, _ENUM_BLOCK):
         block = slow_prefix_matrix(m, lo, min(lo + _ENUM_BLOCK, total))
-        yield from map(tuple, block.tolist())
+        # each tuple straight from the columns' lists, not a row list copied
+        yield from zip(*block.T.tolist())
 
 
 def slow_prefix_matrix(m: int, lo: int, hi: int) -> np.ndarray:
@@ -872,6 +907,8 @@ def floor_alpha_interval(prefix) -> tuple[Fraction, Fraction] | None:
 
 def as_fspec(obj) -> FSpec:
     """Coerce an FSpec, grammar string, or explicit integer sequence."""
+    if type(obj) is tuple:  # the exhaustive sweeps' case, first
+        return Prefix(obj)
     if isinstance(obj, FSpec):
         return obj
     if isinstance(obj, str):

@@ -574,6 +574,11 @@ def test_messages_quote_a_long_spec_briefly(capsys):
     assert len(err.splitlines()) == 1 and len(err) < 200
     assert err.startswith("hofq: overflow: 'floor:1000") and (
         "(3009 characters): f values exceed the 64-bit range" in err)
+    # a spec built directly, past the parser's own check of its form
+    with pytest.raises(hofq.InvalidFSpec) as refused:
+        hofq.ConstLimit("x" * 3000, a=1)
+    assert str(refused.value) == ("const-limit: unknown form '"
+                                  + "x" * 24 + "'... (3000 characters)")
 
 
 _TAIL = 3000

@@ -375,6 +375,43 @@ def test_traces_stay_frozen_and_read_only(trace_backend):
             assert copied.f_values.tolist() == t.f_values.tolist()
 
 
+def test_prefix_and_trace_have_slots_only():
+    """Prefix and QTrace keep their fields in slots, with no __dict__; every
+    field of a QTrace refuses assignment; copies, pickles and
+    dataclasses.replace give equal objects."""
+    spec = Prefix((0, 0, 1, 1))
+    traces = (compute_q(spec, 4), compute_q((0, 2), 2))  # the second dies
+    for obj in (spec, *traces):
+        assert not hasattr(obj, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.prefix = (0,)
+    for copied in (copy.copy(spec), copy.deepcopy(spec),
+                   pickle.loads(pickle.dumps(spec)), dataclasses.replace(spec)):
+        assert copied == spec and hash(copied) == hash(spec)
+        assert type(copied) is Prefix and not hasattr(copied, "__dict__")
+    assert dataclasses.replace(spec, prefix=[0, 1]) == Prefix((0, 1))
+    for t in traces:
+        for field in dataclasses.fields(engine.QTrace):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, field.name, getattr(t, field.name))
+        assert not (t.q_values.flags.writeable or t.f_values.flags.writeable)
+        copied = dataclasses.replace(t)
+        assert copied.q_values is t.q_values and copied.f_values is t.f_values
+        assert (copied.outcome, copied.fspec, copied.start) == (
+            t.outcome, t.fspec, t.start)
+    moved = dataclasses.replace(traces[0], start=3)
+    assert moved.start == 3 and moved.n_max == 6
+    assert repr(traces[0]) == (
+        "QTrace(q_values=array([1, 1, 2, 2]), outcome=ExistenceOutcome("
+        "checked_to=4, died_at=None, lookup_index=None), f_values=array("
+        "[0, 0, 1, 1]), fspec=Prefix(prefix=(0, 0, 1, 1)), start=1)")
+    # the defaults, as a two-term trace takes them; a new array is frozen
+    q = np.array([1, 1])
+    two = engine.QTrace(q, engine.ExistenceOutcome(2), start=0)
+    assert (two.f_values, two.fspec, two.start) == (None, None, 0)
+    assert two.q_values is q and not q.flags.writeable
+
+
 def test_traces_that_exist_share_an_equal_outcome(trace_backend):
     a, b = compute_q("zeros", 7), compute_q([0] * 7, 7)
     assert a.outcome == engine.ExistenceOutcome(7) == b.outcome

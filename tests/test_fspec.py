@@ -265,6 +265,16 @@ def test_enumeration_blocks_join_seamlessly(monkeypatch):
     assert all(type(v) is int for row in rows for v in row)
 
 
+@pytest.mark.parametrize("m", [*range(1, 13), 18])
+def test_enumeration_yields_tuples_of_exact_ints(m):
+    # m = 18 is 2^17 rows, two blocks of _ENUM_BLOCK
+    rows = list(enumerate_slow_prefixes(m))
+    assert rows == list(map(tuple, slow_prefix_matrix(m, 0, 2**(m - 1))
+                            .tolist()))
+    assert all(type(row) is tuple and len(row) == m for row in rows)
+    assert all(type(v) is int for row in rows for v in row)
+
+
 def test_floor_ratio_slow_whenever_num_le_den():
     n = np.arange(1, 10**4 + 1, dtype=np.int64)
     for den in range(1, 51):
@@ -622,16 +632,40 @@ def test_sqrt_is_pow_at_half(monkeypatch, isqrt_route, a):
 def test_as_fspec_coercions():
     assert as_fspec("zeros") == Zeros()
     assert as_fspec([0, 2, 2]) == Prefix((0, 2, 2))
-    # each value is int(v), from any iterable, integer or not
-    for values, want in [([0, 1.9, "2", np.int64(3), True], (0, 1, 2, 3, 1)),
-                         ((v for v in [0, 1, 2.5]), (0, 1, 2)),
-                         (np.array([0, 1, 1]), (0, 1, 1))]:
+    # each value is an exact int, from any iterable, of any integral value
+    for values, want in [([0, 1.0, Fraction(4, 2), np.int64(3), True],
+                          (0, 1, 2, 3, 1)),
+                         ((v for v in [0, 1, 2.0]), (0, 1, 2)),
+                         (np.array([0, 1, 1]), (0, 1, 1)),
+                         (np.array([0.0, 1.0, 1.0]), (0, 1, 1))]:
         got = as_fspec(values).prefix
         assert got == want and all(type(v) is int for v in got)
     spec = GammaSq()
     assert as_fspec(spec) is spec
     with pytest.raises(TypeError):
         as_fspec(b"\x00\x01")
+    with pytest.raises(InvalidFSpec):  # once traced as f = (0, 0, 1)
+        compute_q((0, 0.5, 1), 3)
+
+
+@pytest.mark.parametrize("values, n, quoted", [
+    ((0, 0.5, 1), 2, "0.5"),
+    ((0, np.float64(1.7)), 2, repr(np.float64(1.7))),
+    ([0, 1, "1"], 3, "'1'"),
+    ((v for v in [0, 1, 1, 2.5, 0.5]), 4, "2.5"),
+    ([0, None], 2, "None"),
+    ([0, float("nan")], 2, "nan"),
+    ([0, float("inf")], 2, "inf"),
+    ([0, Fraction(1, 3)], 2, "Fraction(1, 3)"),
+    ((0, "1" * 3000), 2, "'" + "1" * 23 + "... (3002 characters)"),
+], ids=["half", "float64", "text", "generator", "none", "nan", "inf",
+        "fraction", "long-text"])
+def test_prefix_refuses_values_that_are_not_integers(values, n, quoted):
+    """A value that is not an integer is refused, not truncated: one
+    InvalidFSpec names the first such value, quoted in brief, and its n."""
+    with pytest.raises(InvalidFSpec) as err:
+        Prefix(values)
+    assert str(err.value) == f"prefix: f({n}) = {quoted} is not an integer"
 
 
 # ---------------------------------------------------------------------------

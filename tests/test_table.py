@@ -156,6 +156,41 @@ def test_ints_near_int64_limits():
         f"{int(a)},0.25\r\n" for a in v)
 
 
+def g12_half_way_top():
+    """Doubles at and a few ulps either side of (D + 1/2) / 10^(11-e), the
+    12-digit half-way decimals whose scaled value y = x * 10^(11-e) lies in
+    [2^38, 2^40), in each decade 10^-4..10^11, and D + 1/2 +- k 2^-14 in
+    [2^38, 2^40) itself: where y's ulp is 2^-14 or 2^-13, the near-tie
+    margin and the rounding of y are of one size.  A y off D + 1/2 puts
+    the exact product on its side of the half, so these print right under
+    any margin that catches y = D + 1/2; the margin itself is pinned by
+    test_g12_near_ties_stop_the_kernel_and_print_as_percent."""
+    rng = np.random.default_rng(20261019)
+    out = []
+    for e in range(-4, 12):
+        scale = Fraction(10) ** (11 - e)
+        for d in rng.integers(2**38, 10**12 - 1, 40).tolist():
+            x = float(Fraction(2 * d + 1, 2) / scale)
+            out.append(x)
+            for direction in (-math.inf, math.inf):
+                y = x
+                for _ in range(4):
+                    y = math.nextafter(y, direction)
+                    out.append(y)
+    for d in rng.integers(2**38, 2**40 - 1, 40).tolist():
+        out += [d + 0.5 + k * 2.0**-14 for k in range(-4, 5)]
+    return np.array(out + [-v for v in out])
+
+
+def test_g12_half_way_values_in_the_top_binades_print_as_percent(
+        each_backend):
+    x = g12_half_way_top()
+    expect = ["%.12g" % v for v in x.tolist()]
+    for _ in each_backend:
+        count, text = write("%.12g\n", (x,))
+        assert count == len(x) and text.split("\n")[:-1] == expect
+
+
 @pytest.mark.parametrize("dtype,values", [
     (np.uint64, [0, 1, 2**63 - 1, 2**63, 2**64 - 1]),
     (np.int32, [-2**31, -1, 0, 2**31 - 1]),
