@@ -1,7 +1,8 @@
 /* Trace kernels, a batch of one-term traces, the triangle's prefix-tree
- * walk, the running sums of a step string (a bits: driver's f) and the
- * table writer's rows of %d and %.12g fields, compiled on first import by
- * hofq/kernels.py into the CPython extension module `_kernels`.  With
+ * walk, the running sums of a step string (a bits: driver's f), the read
+ * of a tuple of ints (a prefix: driver's f) and the table writer's rows
+ * of %d and %.12g fields, compiled on first import by hofq/kernels.py
+ * into the CPython extension module `_kernels`.  With
  * _kernels_py.py, which holds the same loops with the same contracts and
  * is the reference the tests compare against, these are the library's
  * only loops over the recurrences.
@@ -24,6 +25,13 @@
  * it wrote: it prints a %.12g value only when it can certify the digits
  * Python would print, and stops before the first row it cannot, which the
  * caller prints with Python's `%`, the formatter of record.
+ *
+ * read_ints is the one entry point that reads Python objects, the items
+ * of a tuple, so its loop lives in the entry point and keeps the
+ * interpreter lock throughout.  It copies them into an int64 array and
+ * returns the number it read, stopping at the first that is not an exact
+ * int (a bool, a numpy integer or an int subclass stops it) or that lies
+ * outside int64.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -562,6 +570,49 @@ static PyObject *py_step_sum(PyObject *mod, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+PyDoc_STRVAR(read_ints_doc,
+"read_ints($module, ints, out, /)\n--\n\n"
+"out[i] = ints[i] for the tuple ints and the writeable int64 array out of\n"
+"the same length, up to the first item that is not an exact int or lies\n"
+"outside int64; returns the number of items read.");
+
+static PyObject *py_read_ints(PyObject *mod, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    Py_buffer out;
+    Py_ssize_t n, i;
+    int64_t *o;
+    if (!arity("read_ints", nargs, 2))
+        return NULL;
+    if (!PyTuple_Check(args[0]))
+        return refuse("read_ints");
+    if ((n = take(args[1], &out, INT64, 1)) < 0)
+        return refuse("read_ints");
+    if (n != PyTuple_GET_SIZE(args[0])) {
+        PyBuffer_Release(&out);
+        return refuse("read_ints");
+    }
+    /* the items are Python objects: the lock stays held */
+    o = out.buf;
+    for (i = 0; i < n; i++) {
+        PyObject *v = PyTuple_GET_ITEM(args[0], i);
+        int overflow;
+        long long x;
+        if (!PyLong_CheckExact(v))
+            break;
+        x = PyLong_AsLongLongAndOverflow(v, &overflow);
+        if (overflow)
+            break;
+        if (x == -1 && PyErr_Occurred()) {
+            PyBuffer_Release(&out);
+            return NULL;
+        }
+        o[i] = x;
+    }
+    PyBuffer_Release(&out);
+    return PyLong_FromSsize_t(i);
+}
+
 PyDoc_STRVAR(format_rows_doc,
 "format_rows($module, cols, fields, rows, lit, ends, out, /)\n--\n\n"
 "Rows 0..rows-1 of the columns cols, field j printing cols[j] as %<w>d\n"
@@ -660,6 +711,7 @@ static PyMethodDef methods[] = {
     ENTRY(two_term_trace),
     ENTRY(slow_walk),
     ENTRY(step_sum),
+    ENTRY(read_ints),
     ENTRY(format_rows),
     {NULL, NULL, 0, NULL},
 };

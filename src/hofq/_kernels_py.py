@@ -5,7 +5,8 @@ Each function here takes the arguments of its namesake in the extension
 module that `_kernels.c` is compiled into, numpy arrays and ints, and
 returns what that returns: 0 when every term was computed, +k when the
 trace died at k and -k when the term at k leaves the int64 range
-(step_sum: nothing; format_rows: the rows and the bytes written).  On
+(step_sum: nothing; read_ints: the items read; format_rows: the rows
+and the bytes written).  On
 return a trace array holds every term before k.  Unlike the C entry
 points, which refuse what their loops could not take, this module checks
 nothing: hofq.kernels.Kernels checks every call to it first, and decodes
@@ -129,6 +130,18 @@ def step_sum(steps, first, out):
         out[0] = first
         out[1:] = steps[:n - 1]
         np.cumsum(out, out=out)
+
+
+def read_ints(ints, out):
+    """out[i] = ints[i] up to the first item that is not an exact int or
+    lies outside int64; returns the number of items read."""
+    n = 0
+    for v in ints:
+        if type(v) is not int or not INT64_MIN <= v <= INT64_MAX:
+            break
+        n += 1
+    out[:n] = ints[:n]
+    return n
 
 
 def percent_rows(template, cols, rows):

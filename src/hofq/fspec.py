@@ -31,7 +31,9 @@ ten beyond what that needs: a literal that rounds to 0 is 0 at once
 digits than int() reads is refused.
 
 Each family defines f once, as `_span(lo, hi)`: exact f(lo..hi-1), int64 or,
-past int64, Python ints.  `value` and `values` follow from it in FSpec, and
+past int64, Python ints.  A span may be the spec's own read-only memory (a
+Prefix reads its f once and shares it); a caller that edits a span copies
+it first.  `value` and `values` follow from it in FSpec, and
 `values` writes f into its one output _BLOCK terms at a time, so that what a
 span allocates on the way is small enough to be reused rather than faulted
 in fresh: a third of the page faults on perfbench's `drivers` workload, and
@@ -95,9 +97,11 @@ class FSpec:
     __slots__ = ()  # a family without its own __slots__ keeps a __dict__
 
     def _span(self, lo: int, hi: int) -> np.ndarray:
-        """A new array of the exact f(lo), ..., f(hi-1), for
+        """An array of the exact f(lo), ..., f(hi-1), for
         1 <= lo < hi <= max_len() + 1: int64, or an object array of Python
-        ints where a value or an operand leaves int64."""
+        ints where a value or an operand leaves int64.  It may be the
+        spec's own read-only memory (a Prefix's f); a caller that edits a
+        span copies it first."""
         raise NotImplementedError
 
     def value(self, n: int) -> int:
@@ -108,7 +112,8 @@ class FSpec:
         return int(self._span(n, n + 1)[0])
 
     def values(self, n_max: int) -> np.ndarray:
-        """f(1..n_max) as an int64 array; raises InvalidFSpec if the spec
+        """f(1..n_max) as an int64 array, which up to _BLOCK terms may be
+        the spec's own read-only memory; raises InvalidFSpec if the spec
         cannot produce that many terms, OverflowError if one leaves int64.
 
         Past _BLOCK terms f is written into the output a span of at most
@@ -268,33 +273,57 @@ class Prefix(FSpec):
     """Explicit finite prefix.
 
     The exhaustive sweeps build one per compute_q call and keep it in the
-    trace, so it holds its one field in a slot, with no __dict__.  The slot
-    is declared here, not by dataclass(slots=True), which makes a second
-    class and leaves the first among FSpec's subclasses.  A value that is
-    not an integer is kept only where int(v) == v, as 2.0 is."""
+    trace, so it holds its field, and its f, in slots, with no __dict__.
+    The slots are declared here, not by dataclass(slots=True), which makes
+    a second class and leaves the first among FSpec's subclasses.  A value
+    that is not an integer is kept only where int(v) == v, as 2.0 is.
 
-    __slots__ = ("prefix",)
+    A tuple of exact ints in int64 is kept as it is, and the extension
+    reads it once, in one pass, into the read-only int64 array _f, which
+    every span and trace of the prefix shares.  Otherwise _f is None and
+    each span reads its own from the converted tuple: on the pure backend,
+    whose twin of that pass is a Python loop and slower than numpy's read
+    of a span, and where a value is not an exact int or lies outside int64.
+    _f is not a field: equality, hashing, repr and copies see only prefix,
+    and a copy reads its own."""
+
+    __slots__ = ("prefix", "_f")
     prefix: tuple[int, ...]
 
     def __init__(self, prefix):
         if type(prefix) is not tuple:
             prefix = tuple(prefix)
-        try:  # int(v) for every integer v, at half the cost of int()
-            prefix = tuple(map(operator.index, prefix))
-        except TypeError:
-            prefix = tuple(map(_integral, prefix, range(1, len(prefix) + 1)))
         if not prefix:
             raise InvalidFSpec("prefix: need at least one value")
+        f = None
+        if kernels.BACKEND == "c":
+            f = np.empty(len(prefix), np.int64)
+            if kernels.read_ints(prefix, f) < len(prefix):
+                f = None
+            else:
+                f.setflags(False)  # write=False
+        if f is None:
+            try:  # int(v) for every integer v, at half the cost of int()
+                prefix = tuple(map(operator.index, prefix))
+            except TypeError:
+                prefix = tuple(map(_integral, prefix,
+                                   range(1, len(prefix) + 1)))
         _set_prefix(self, prefix)
+        _set_f(self, f)
 
     def __reduce__(self):  # copy and pickle, past the frozen __setattr__
         return Prefix, (self.prefix,)
 
     def _span(self, lo, hi):
-        try:  # _exact inlined: compute_q on short prefixes runs this most
-            return np.fromiter(self.prefix[lo - 1:hi - 1], np.int64)
-        except OverflowError:
-            return np.array(self.prefix[lo - 1:hi - 1], dtype=object)
+        f = self._f
+        if f is None:
+            try:  # _exact inlined: only a span past int64 is of objects
+                return np.fromiter(self.prefix[lo - 1:hi - 1], np.int64)
+            except OverflowError:
+                return np.array(self.prefix[lo - 1:hi - 1], dtype=object)
+        if lo == 1 and hi > len(f):
+            return f
+        return f[lo - 1:hi - 1]  # a view, read-only as f is
 
     def max_len(self):
         return len(self.prefix)
@@ -303,7 +332,8 @@ class Prefix(FSpec):
         return "prefix:" + ",".join(str(v) for v in self.prefix)
 
 
-_set_prefix = Prefix.prefix.__set__  # the slot's own setter
+# the slots' own setters, past the frozen __setattr__
+_set_prefix, _set_f = Prefix.prefix.__set__, Prefix._f.__set__
 
 
 def _integral(v, n: int) -> int:
@@ -439,6 +469,8 @@ class Perturbed(FSpec):
             v = int(out[self.at - lo]) + self.amount
             if not INT64_MIN <= v <= INT64_MAX:
                 out = out.astype(object)
+            elif not out.flags.writeable:  # the inner spec's own memory
+                out = out.copy()
             out[self.at - lo] = v
         return out
 

@@ -3,8 +3,12 @@
 The kernels are the two trace loops, `one_term_rows` (the one-term trace
 on each row of a batch), the triangle's prefix-tree walk `slow_walk`,
 `step_sum` (the running sums of a uint8 step string: a `bits:` driver's f
-from its difference bits) and `format_rows` (the table writer's rows of
-`%d` and `%.12g` fields), in the C source `_kernels.c`.  Its pure-Python
+from its difference bits), `read_ints` (a tuple of exact ints into an
+int64 array: a `prefix:` driver's f, read once, on the C backend only,
+as its twin is slower than numpy's own read; the one kernel that reads
+Python objects, so the C one keeps the interpreter lock) and
+`format_rows` (the table writer's rows of `%d` and `%.12g` fields), in the
+C source `_kernels.c`.  Its pure-Python
 twin `_kernels_py` takes the same arguments and returns the same codes.
 The C `format_rows` prints a `%.12g` value only where it certifies the 12
 digits and %g's fixed notation, and stops before a row it cannot certify,
@@ -18,7 +22,9 @@ the per-user cache, as
 `${XDG_CACHE_HOME:-~/.cache}/hofq/kernels-<hash><EXT_SUFFIX>`, the hash
 covering the source, the compiler flags and the interpreter (its version
 and installation), so that a warm import neither asks sysconfig for the
-compiler nor builds the compile command.  Each of its entry points takes
+compiler nor builds the compile command.  A build also removes the
+ctypes-era kernels-<hash>.so libraries of earlier versions from that
+directory.  Each of its entry points takes
 the numpy arrays themselves and refuses, having written
 nothing, any array or bound its loop could not take safely; the twins
 check nothing.  `Kernels` gives both backends one contract and one set of
@@ -53,7 +59,7 @@ percent_rows = _kernels_py.percent_rows  # the one Python row formatter
 SOURCE = Path(__file__).with_name("_kernels.c")
 # the kernels, by their names in both backends
 KERNELS = ("one_term_trace", "one_term_rows", "two_term_trace", "slow_walk",
-           "step_sum", "format_rows")
+           "step_sum", "read_ints", "format_rows")
 
 
 def check_array(a, name, write=False, dtype=np.int64):
@@ -155,6 +161,15 @@ def _check_step_sum(steps, first, out):
                          f" the sums of {n - 1} steps stay in int64")
 
 
+def _check_read_ints(ints, out):
+    if not isinstance(ints, tuple):
+        raise ValueError("ints must be a tuple")
+    check_array(out, "out", True)
+    if len(out) != len(ints):
+        raise ValueError(f"out holds {len(out)} values, ints has"
+                         f" {len(ints)}")
+
+
 def _check_format_rows(cols, fields, rows, lit, ends, out):
     if len(fields) != len(cols) or len(ends) != len(cols) + 1:
         raise ValueError(f"need one field per column and one end per"
@@ -202,7 +217,7 @@ class Kernels:
         self.implementation = implementation
         self._check_first = not checked
         (self._one, self._rows, self._two, self._walk, self._steps,
-         self._fmt) = (getattr(raw, name) for name in KERNELS)
+         self._ints, self._fmt) = (getattr(raw, name) for name in KERNELS)
 
     def one_term_trace(self, f, q):
         """q(1) = 1; q(n) = q(n - q(n-1)) + f(n); f sets the length."""
@@ -255,6 +270,18 @@ class Kernels:
         except ValueError as refusal:
             raise _reason(refusal, _check_step_sum, steps, first,
                           out) from None
+
+    def read_ints(self, ints, out):
+        """out[i] = ints[i], for a tuple ints and an int64 array out of its
+        length, up to the first item that is not an exact int (not a bool,
+        a numpy integer or an int subclass) or lies outside int64; returns
+        the number of items read."""
+        if self._check_first:
+            _check_read_ints(ints, out)
+        try:
+            return self._ints(ints, out)
+        except ValueError as refusal:
+            raise _reason(refusal, _check_read_ints, ints, out) from None
 
     def format_rows(self, cols, fields, rows, lit, ends, out):
         """Writes rows into out, field j printing cols[j] as %<w>d for a
@@ -322,16 +349,37 @@ def _build(path: Path, command: list[str]) -> None:
             os.unlink(tmp)
 
 
+def _prune(path: Path) -> None:
+    """Remove from path's directory the ctypes-era libraries
+    kernels-<hash>.so, which no version that builds an extension module
+    loads.  Every kernels-<hash><EXT_SUFFIX> stays: another interpreter
+    or checkout may load it."""
+    import re
+
+    try:
+        names = os.listdir(path.parent)
+    except OSError:
+        return
+    for name in names:
+        if name != path.name and re.fullmatch(r"kernels-[0-9a-f]{16}\.so",
+                                              name):
+            try:
+                os.unlink(path.parent / name)
+            except OSError:
+                pass
+
+
 @functools.cache
 def extension():
     """The extension module `hofq._kernels`, compiled into the cache
-    unless already there.
+    unless already there; a build also prunes the cache (_prune).
 
     Raises OSError when it cannot be built or imported.
     """
     path = _cache_path(SOURCE.read_bytes())
     if not path.exists():
         _build(path, _command())
+        _prune(path)
     name = f"{__package__}._kernels"
     loader = importlib.machinery.ExtensionFileLoader(name, str(path))
     spec = importlib.util.spec_from_file_location(name, path, loader=loader)
@@ -369,4 +417,5 @@ one_term_rows = _impl.one_term_rows
 two_term_trace = _impl.two_term_trace
 slow_walk = _impl.slow_walk
 step_sum = _impl.step_sum
+read_ints = _impl.read_ints
 format_rows = _impl.format_rows

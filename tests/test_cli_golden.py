@@ -82,6 +82,18 @@ def _cases():
                                                   "--amount", "2"],
                           TEXT_CSV_JSON)
     yield "perturb-dies", ["perturb", "--f", "prefix:0,2,2", "--n", "3"]
+    # a perturbation of a prefix edits a copy of the prefix's f
+    yield "perturb-prefix", ["perturb", "--f", "prefix:0,1,1,2,2,3", "--at",
+                             "3", "--n", "6"]
+    yield "compute-perturbed-prefix", ["compute", "--f",
+                                       "perturb:2:+1:(prefix:0,0,1,1)",
+                                       "--n", "4"]
+    yield "compute-perturbed-past-int64", [
+        "compute", "--f", "perturb:2:+1:(prefix:0,9223372036854775807)",
+        "--n", "2"]
+    # a prefix value past int64 beyond n stops nothing
+    yield "compute-prefix-past-int64-unused", [
+        "compute", "--f", "prefix:0,1,9223372036854775808", "--n", "2"]
     approx = ["approx", *floor, "--n", "2000"]
     yield from _formatted("approx", approx + ["--model", "sqrt:1/2"],
                           TEXT_CSV_JSON)

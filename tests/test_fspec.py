@@ -1,4 +1,6 @@
+import copy
 import inspect
+import pickle
 import sys
 import tracemalloc
 from dataclasses import dataclass
@@ -9,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import oracle_f
+from oracle import oracle_f, oracle_q
 
-from hofq import cli, fspec
+from hofq import cli, fspec, kernels
 from hofq.engine import compute_q
 from hofq.errors import CapExceeded, InvalidFSpec
 from hofq.exactfloor import INT64_MAX, INT64_MIN
@@ -666,6 +668,90 @@ def test_prefix_refuses_values_that_are_not_integers(values, n, quoted):
     with pytest.raises(InvalidFSpec) as err:
         Prefix(values)
     assert str(err.value) == f"prefix: f({n}) = {quoted} is not an integer"
+
+
+@pytest.fixture
+def prefix_backend(kernel_backend, monkeypatch):
+    """Prefix reading its tuple on each kernel backend."""
+    monkeypatch.setattr(kernels, "read_ints", kernel_backend.read_ints)
+    monkeypatch.setattr(kernels, "BACKEND", kernel_backend.implementation)
+    return kernel_backend
+
+
+def test_prefix_reads_its_f_once_and_shares_it(prefix_backend):
+    """On the C backend a tuple of exact ints in int64 is kept as it is and
+    read once into a read-only f that every span and trace of the prefix
+    shares; a copy reads its own.  On the pure backend, and for any other
+    tuple, the values are converted and each span is a new array."""
+    shared = prefix_backend.implementation == "c"
+    exact = (0, 1, 1, 2)
+    spec = Prefix(exact)
+    assert spec.prefix == exact and (spec.prefix is exact) == shared
+    f = spec.values(4)
+    assert f.tolist() == [0, 1, 1, 2] and f.flags.writeable != shared
+    assert (spec.values(4) is f) == shared
+    assert (compute_q(spec, 4).f_values is f) == shared
+    head = spec.values(2)
+    assert head.tolist() == [0, 1] and head.flags.writeable != shared
+    assert np.shares_memory(head, f) == shared
+    for copied in (copy.copy(spec), copy.deepcopy(spec),
+                   pickle.loads(pickle.dumps(spec))):
+        assert copied == spec and copied.prefix == exact
+        got = copied.values(4)
+        assert got.tolist() == [0, 1, 1, 2]
+        assert got.flags.writeable != shared
+        assert not np.shares_memory(got, f)
+    # a value that is not an exact int: the values are converted
+    mixed = Prefix((0, True, 2))
+    assert mixed.prefix == (0, 1, 2)
+    assert all(type(v) is int for v in mixed.prefix)
+    assert mixed.spec_str() == "prefix:0,1,2"
+    assert mixed.values(3).tolist() == [0, 1, 2]
+    # a value past int64: its spans are object arrays, as before
+    big = Prefix((0, 2**63))
+    assert big.prefix == (0, 2**63) and big.value(2) == 2**63
+    with pytest.raises(OverflowError):
+        big.values(2)
+
+
+def test_a_value_past_int64_stops_only_the_spans_that_hold_it(
+        prefix_backend):
+    """A prefix with a value past int64 has no shared f, and each span is
+    read on its own: one that holds no such value is int64, so the terms
+    before the value are traced, also under a shift or a perturbation,
+    and past _BLOCK terms."""
+    big = Prefix((0, 1, 2**63))
+    assert big.values(2).tolist() == [0, 1]
+    t = compute_q(big, 2)
+    assert t.exists and t.n_max == 2 and t.q_values.tolist() == [1, 2]
+    assert Shifted(1, big).values(3).tolist() == [0, 0, 1]
+    assert Perturbed(big, 2, 1).values(2).tolist() == [0, 2]
+    assert compute_q(Perturbed(Shifted(1, big), 3, -1), 3).exists
+    with pytest.raises(OverflowError):
+        big.values(3)
+    n = fspec._BLOCK + 100
+    long = Prefix((*(i // 2 for i in range(n)), 2**63))
+    assert long.values(n).tolist() == [i // 2 for i in range(n)]
+    assert compute_q(long, n).exists
+
+
+def test_a_perturbation_edits_a_copy_of_a_shared_span(prefix_backend):
+    """Perturbed edits a copy of a span that is the inner spec's own
+    memory.  Past _BLOCK terms, under a shift, the span it edits is a view
+    of the prefix's array; the trace is the oracle's, as before f was
+    shared, and the prefix's f is unchanged."""
+    prefix = Prefix(tuple(i // 2 for i in range(9000)))
+    before = prefix.values(9000).tolist()
+    f = [0, *before]
+    f[9000 - 1] += 1
+    q, died, _ = oracle_q(f)
+    t = compute_q(Perturbed(Shifted(1, prefix), 9000, 1), 9001)
+    assert died is None and t.exists and t.n_max == 9001
+    assert t.f_values.tolist() == f and t.q_values.tolist() == q
+    assert prefix.values(9000).tolist() == before
+    short = Prefix((0, 0, 1, 1))
+    assert Perturbed(short, 2, 1).values(4).tolist() == [0, 1, 1, 1]
+    assert short.values(4).tolist() == [0, 0, 1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Both kernel backends must agree bit-for-bit, including on the edge
 semantics (death reporting, overflow)."""
 
+import enum
+import importlib.machinery
 import importlib.util
 import inspect
 import json
@@ -250,7 +252,20 @@ def test_failed_build_falls_back_and_says_why(tmp_path):
 def test_warm_import_loads_no_build_tools(tmp_path):
     """The kernel cache is keyed without sysconfig: once the extension is
     in the cache, `import hofq` imports neither sysconfig nor shlex, which
-    only a build needs."""
+    only a build needs.  The build removes the ctypes-era kernels-<hash>.so
+    libraries, which nothing loads, from the cache, and keeps every other
+    file there, an extension module of another source or interpreter
+    above all; a failed build removes nothing
+    (test_failed_build_falls_back_and_says_why)."""
+    cache = tmp_path / "hofq"
+    cache.mkdir()
+    hexes = "0123456789abcdef"
+    dead = [f"kernels-{hexes}.so", f"kernels-{hexes[::-1]}.so"]
+    kept = [f"kernels-{hexes}{importlib.machinery.EXTENSION_SUFFIXES[0]}",
+            f"kernels-{hexes.upper()}.so", f"kernels-{hexes[1:]}.so",
+            f"kernels-{hexes}.so.tmp", f"old-kernels-{hexes}.so", "notes"]
+    for name in dead + kept:
+        (cache / name).write_bytes(b"not a library")
     script = ("import sys, hofq\n"
               "print(hofq.BACKEND, 'sysconfig' in sys.modules,"
               " 'shlex' in sys.modules)\n")
@@ -265,8 +280,8 @@ def test_warm_import_loads_no_build_tools(tmp_path):
     backend = runs[0].stdout.split()[0]
     assert runs[1].stdout == f"{backend} False False\n"
     if backend == "c":  # the first import built the one cached module
-        assert [p.name for p in (tmp_path / "hofq").iterdir()] == [
-            kernels._cache_path(kernels.SOURCE.read_bytes()).name]
+        built = kernels._cache_path(kernels.SOURCE.read_bytes()).name
+        assert sorted(os.listdir(cache)) == sorted([*kept, built])
 
 
 def test_pure_kernels_are_the_c_functions_twins(c_kernels):
@@ -525,6 +540,57 @@ def test_step_sum_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         (steps, 0.0, out),                          # first not an int
     ]
     assert_refused(kernel_backend, monkeypatch, "_steps", "step_sum", bad)
+
+
+class _Small(enum.IntEnum):
+    THREE = 3
+
+
+class _Int(int):
+    pass
+
+
+def read(backend, ints):
+    """(items read, out) for read_ints over ints into an out of 7s."""
+    out = np.full(len(ints), 7, dtype=np.int64)
+    n = backend.read_ints(ints, out)
+    assert type(n) is int
+    return n, out.tolist()
+
+
+@pytest.mark.parametrize("bad", [
+    2**63, INT64_MIN - 1, True, np.int64(3), 2.0, _Small.THREE, _Int(3),
+    "3", None,
+], ids=repr)
+def test_read_ints_stops_at_the_first_item_it_cannot_read(kernel_backend,
+                                                           bad):
+    """Exact ints in int64 are read, the extremes included; anything else
+    stops the read, and nothing from there on is written."""
+    head = (INT64_MIN, -1, 0, INT64_MAX)
+    assert read(kernel_backend, head) == (4, list(head))
+    assert read(kernel_backend, ()) == (0, [])
+    assert read(kernel_backend, (bad,)) == (0, [7])
+    assert read(kernel_backend, (*head, bad, 5)) == (4, [*head, 7, 7])
+
+
+def test_read_ints_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+    ints = (0, 1, 1, 2)
+    out = np.full(4, 7, dtype=np.int64)
+    readonly = out.copy()
+    readonly.flags.writeable = False
+    bad = [
+        (list(ints), out),                          # not a tuple
+        (np.array(ints), out),
+        (ints, out[:3]),                            # lengths differ
+        (ints, np.full(5, 7, dtype=np.int64)),
+        (ints, np.full(8, 7, dtype=np.int64)[::2]),  # not contiguous
+        (ints, readonly),                           # out is written
+        (ints, out.astype(np.int32)),               # dtype
+        (ints, out.astype(np.float64)),
+        (ints, out.reshape(2, 2)),                  # not 1-D
+        (ints, [7, 7, 7, 7]),                       # not an array
+    ]
+    assert_refused(kernel_backend, monkeypatch, "_ints", "read_ints", bad)
 
 
 def test_compiled_kernels_are_thread_safe(c_kernels):
