@@ -153,7 +153,8 @@ def _existing_trace(fspec, n_max: int) -> QTrace:
 
 def approx_error(fspec, model, n_max: int, keep_trace: bool = False,
                  stride: int | None = None) -> ApproximationReport:
-    """Exact error statistics of the trace against the model."""
+    """Error statistics of the exact trace against the model, in float64:
+    q(n) - model(n) for n = 1..n_max, each q(n) rounded to float64 first."""
     trace = _existing_trace(fspec, n_max)
     n = np.arange(1, n_max + 1, dtype=np.int64)
     err = trace.q_values.astype(np.float64) - model.values(n)

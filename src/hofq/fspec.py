@@ -31,8 +31,11 @@ ten beyond what that needs: a literal that rounds to 0 is 0 at once
 digits than int() reads is refused.
 
 Each family defines f once, as `_span(lo, hi)`: exact f(lo..hi-1), int64 or,
-past int64, Python ints.  A span may be the spec's own read-only memory (a
-Prefix reads its f once and shares it); a caller that edits a span copies
+past int64, Python ints, by one route on either kernel backend: a
+const-limit sqrt is pow at b = 1/2, whose span, as exp's, is a certified
+float64 seed settled by the exact scalar value().  A span may be the
+spec's own read-only memory (a Prefix reads its f once, with
+kernels.read_ints, and shares it); a caller that edits a span copies
 it first.  `value` and `values` follow from it in FSpec, and
 `values` writes f into its one output _BLOCK terms at a time, so that what a
 span allocates on the way is small enough to be reused rather than faulted
@@ -57,14 +60,12 @@ from .errors import CapExceeded, InvalidFSpec
 from .exactfloor import (
     INT64_MAX,
     INT64_MIN,
-    ISQRT_ARRAY_CAP,
     ceil_div_pow,
     ceil_exp_decay,
     floor_gamma_sq,
     floor_gamma_sq_array,
     GAMMA_ARRAY_CAP,
     iroot,
-    isqrt_array,
 )
 
 ENUM_CAP = 24  # exhaustive slow-prefix enumeration: at most 2^23 sequences
@@ -278,12 +279,11 @@ class Prefix(FSpec):
     a second class and leaves the first among FSpec's subclasses.  A value
     that is not an integer is kept only where int(v) == v, as 2.0 is.
 
-    A tuple of exact ints in int64 is kept as it is, and the extension
+    A tuple of exact ints in int64 is kept as it is, and kernels.read_ints
     reads it once, in one pass, into the read-only int64 array _f, which
-    every span and trace of the prefix shares.  Otherwise _f is None and
-    each span reads its own from the converted tuple: on the pure backend,
-    whose twin of that pass is a Python loop and slower than numpy's read
-    of a span, and where a value is not an exact int or lies outside int64.
+    every span and trace of the prefix shares.  Where that pass stops early,
+    at a value that is not an exact int or lies outside int64, the values
+    are converted, _f is None and each span reads its own from the tuple.
     _f is not a field: equality, hashing, repr and copies see only prefix,
     and a copy reads its own."""
 
@@ -295,14 +295,11 @@ class Prefix(FSpec):
             prefix = tuple(prefix)
         if not prefix:
             raise InvalidFSpec("prefix: need at least one value")
-        f = None
-        if kernels.BACKEND == "c":
-            f = np.empty(len(prefix), np.int64)
-            if kernels.read_ints(prefix, f) < len(prefix):
-                f = None
-            else:
-                f.setflags(False)  # write=False
-        if f is None:
+        f = np.empty(len(prefix), np.int64)
+        if kernels.read_ints(prefix, f) == len(prefix):
+            f.setflags(False)  # write=False
+        else:
+            f = None
             try:  # int(v) for every integer v, at half the cost of int()
                 prefix = tuple(map(operator.index, prefix))
             except TypeError:
@@ -586,10 +583,9 @@ class ConstLimit(FSpec):
 
     @_refuses_non_slow
     def _span(self, lo, hi):
-        """f(lo..hi-1): a - 1 from _saturated_from on; before it integer
-        square roots at b = 1/2 while isqrt_array takes a^2, else a float64
-        seed; value() term by term where neither applies, and for a single
-        term."""
+        """f(lo..hi-1): a - 1 from _saturated_from on; before it a float64
+        seed, or value() term by term where the seed does not apply and for
+        a single term."""
         if self.form == "clamp":
             # n0 may exceed int64: clip it to the span before numpy
             n = np.minimum(_indices(lo, hi), min(hi - 1, self.n0))
@@ -607,22 +603,13 @@ class ConstLimit(FSpec):
         return np.concatenate([self._decaying(lo, cut), limit])
 
     def _decaying(self, lo, hi):
-        """f(lo..hi-1) where the decaying term is evaluated."""
-        power = self.form != "exp"
-        many = hi - lo > 1  # one term is value() itself
-        if (many and power and self.b == Fraction(1, 2)
-                and self.a**2 <= ISQRT_ARRAY_CAP):
-            aa = self.a * self.a
-            n = np.arange(lo, hi, dtype=np.int64)
-            k = isqrt_array(aa // n)  # floor(a / sqrt(n))
-            inexact = k * k
-            inexact *= n
-            inexact = inexact != aa
-            np.subtract(self.a, k, out=k)
-            k -= inexact
-            return k
-        if many and self.a <= _SEED_A_MAX and (
-                power or _EXP_B_MIN < self.b < _EXP_B_MAX):
+        """f(lo..hi-1) where the decaying term is evaluated: a - ceil(x)
+        from the certified float64 seed of _decay_ceil, at b = 1/2 as at
+        any other b, where a <= 2^52 and, for exp, 2^-900 < b < 2^900;
+        else value() term by term.  At b = 1/2 a slow spec has a <= 6
+        (from a = 7 on, f(2) - f(1) >= 2), so at most 35 terms decay."""
+        if hi - lo > 1 and self.a <= _SEED_A_MAX and (
+                self.form != "exp" or _EXP_B_MIN < self.b < _EXP_B_MAX):
             out = self._decay_ceil(lo, hi)
             return np.subtract(self.a, out, out=out)
         return _exact([self.value(n) for n in range(lo, hi)])

@@ -4,8 +4,7 @@ The kernels are the two trace loops, `one_term_rows` (the one-term trace
 on each row of a batch), the triangle's prefix-tree walk `slow_walk`,
 `step_sum` (the running sums of a uint8 step string: a `bits:` driver's f
 from its difference bits), `read_ints` (a tuple of exact ints into an
-int64 array: a `prefix:` driver's f, read once, on the C backend only,
-as its twin is slower than numpy's own read; the one kernel that reads
+int64 array: a `prefix:` driver's f, read once; the one kernel that reads
 Python objects, so the C one keeps the interpreter lock) and
 `format_rows` (the table writer's rows of `%d` and `%.12g` fields), in the
 C source `_kernels.c`.  Its pure-Python

@@ -612,23 +612,41 @@ def test_sqrt_with_huge_a_is_one_overflow_line(capsys, a):
     assert len(err) == 1 and err[0].startswith("hofq: overflow: ")
 
 
-@pytest.mark.parametrize("isqrt_route", [True, False])
+@pytest.mark.parametrize("seed_route", [True, False])
 @pytest.mark.parametrize("a", [1, 5, 100, 10**6, 3037000499, 2**52])
-def test_sqrt_is_pow_at_half(monkeypatch, isqrt_route, a):
-    # sqrt and pow at b = 1/2 share one dispatcher: the isqrt_array route
-    # while a^2 is in its range (forced off here by a zero cap), else the
-    # float seed; both agree with the scalar value()
-    if not isqrt_route:
-        monkeypatch.setattr(fspec, "ISQRT_ARRAY_CAP", 0)
+def test_sqrt_is_pow_at_half(monkeypatch, seed_route, a):
+    # sqrt and pow at b = 1/2 share one dispatcher: the float seed while a
+    # is exact in float64, else value() term by term (forced here by a zero
+    # cap); both agree with the scalar value()
+    if not seed_route:
+        monkeypatch.setattr(fspec, "_SEED_A_MAX", 0)
     sqrt = ConstLimit("sqrt", a=a)
     power = ConstLimit("pow", a=a, b=Fraction(1, 2))
     assert sqrt.spec_str() == f"const-limit:sqrt:a={a}"
     n = 2000
     want = [power.value(k) for k in range(1, n + 1)]
     assert [sqrt.value(k) for k in range(1, n + 1)] == want
-    span = inspect.unwrap(ConstLimit._span)  # a = 2**52 is not slow
+    span = inspect.unwrap(ConstLimit._span)  # a > 6 is not slow
     assert span(sqrt, 1, n + 1).tolist() == want
     assert span(power, 1, n + 1).tolist() == want
+
+
+@pytest.mark.parametrize("form", ["sqrt:a={}", "pow:a={},b=1/2"])
+def test_sqrt_is_slow_only_up_to_a_6(capsys, form):
+    """At b = 1/2, a = 1..6 trace, with f(n) = a - 1 from n = a^2 on, and
+    a = 7 is refused by its f(1), f(2): no valid spec has more than 35
+    decaying terms."""
+    n = 100
+    for a in range(1, 7):
+        t = compute_q("const-limit:" + form.format(a), n)
+        assert t.exists and t.n_max == n
+        f = t.f_values.tolist()
+        assert f[a * a - 1:] == [a - 1] * (n - a * a + 1)
+        assert a == 1 or f[a * a - 2] < a - 1
+    text = "const-limit:" + form.format(7)
+    assert cli.main(["compute", "--f", text, "--n", str(n)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"hofq: {text!r}: difference f(2) - f(1) = 2 is outside {{0, 1}}"]
 
 
 def test_as_fspec_coercions():
@@ -674,32 +692,29 @@ def test_prefix_refuses_values_that_are_not_integers(values, n, quoted):
 def prefix_backend(kernel_backend, monkeypatch):
     """Prefix reading its tuple on each kernel backend."""
     monkeypatch.setattr(kernels, "read_ints", kernel_backend.read_ints)
-    monkeypatch.setattr(kernels, "BACKEND", kernel_backend.implementation)
     return kernel_backend
 
 
 def test_prefix_reads_its_f_once_and_shares_it(prefix_backend):
-    """On the C backend a tuple of exact ints in int64 is kept as it is and
-    read once into a read-only f that every span and trace of the prefix
-    shares; a copy reads its own.  On the pure backend, and for any other
-    tuple, the values are converted and each span is a new array."""
-    shared = prefix_backend.implementation == "c"
+    """On either backend a tuple of exact ints in int64 is kept as it is
+    and read once into a read-only f that every span and trace of the
+    prefix shares; a copy reads its own.  For any other tuple the values
+    are converted and each span is a new array."""
     exact = (0, 1, 1, 2)
     spec = Prefix(exact)
-    assert spec.prefix == exact and (spec.prefix is exact) == shared
+    assert spec.prefix is exact
     f = spec.values(4)
-    assert f.tolist() == [0, 1, 1, 2] and f.flags.writeable != shared
-    assert (spec.values(4) is f) == shared
-    assert (compute_q(spec, 4).f_values is f) == shared
+    assert f.tolist() == [0, 1, 1, 2] and not f.flags.writeable
+    assert spec.values(4) is f
+    assert compute_q(spec, 4).f_values is f
     head = spec.values(2)
-    assert head.tolist() == [0, 1] and head.flags.writeable != shared
-    assert np.shares_memory(head, f) == shared
+    assert head.tolist() == [0, 1] and not head.flags.writeable
+    assert np.shares_memory(head, f)
     for copied in (copy.copy(spec), copy.deepcopy(spec),
                    pickle.loads(pickle.dumps(spec))):
         assert copied == spec and copied.prefix == exact
         got = copied.values(4)
-        assert got.tolist() == [0, 1, 1, 2]
-        assert got.flags.writeable != shared
+        assert got.tolist() == [0, 1, 1, 2] and not got.flags.writeable
         assert not np.shares_memory(got, f)
     # a value that is not an exact int: the values are converted
     mixed = Prefix((0, True, 2))

@@ -2,6 +2,7 @@
 semantics (death reporting, overflow)."""
 
 import enum
+import gc
 import importlib.machinery
 import importlib.util
 import inspect
@@ -33,10 +34,32 @@ def no_call(*args):
     raise AssertionError("the kernel was called")
 
 
-def arrays_in(args):
-    """The numpy arrays among args and in the lists among them."""
+def arrays_in(args, kinds=np.ndarray):
+    """The numpy arrays, or objects of kinds, among args and in the lists
+    among them."""
     return [a for x in args for a in (x if isinstance(x, list) else [x])
-            if isinstance(a, np.ndarray)]
+            if isinstance(a, kinds)]
+
+
+def refused(call, args):
+    """(the text of the ValueError that call(*args) raises, or None; whether
+    the call left the reference count of an array or bytes argument
+    changed).  A buffer taken and not released keeps a reference to its
+    object.  The collector is off meanwhile: freeing garbage that refers
+    to an argument would change its count too."""
+    held = arrays_in(args, (np.ndarray, bytes))
+    gc.disable()
+    try:
+        before = [sys.getrefcount(a) for a in held]
+        try:  # no ExceptionInfo, whose traceback holds the arguments
+            call(*args)
+        except ValueError as err:
+            message = str(err)
+        else:
+            message = None
+        return message, [sys.getrefcount(a) for a in held] != before
+    finally:
+        gc.enable()
 
 
 def assert_refused(backend, monkeypatch, raw, method, cases):
@@ -44,16 +67,18 @@ def assert_refused(backend, monkeypatch, raw, method, cases):
     the ValueError that the pure backend raises before its twin `raw`,
     which no_call stands in for.  On the C backend the entry point itself
     is the check: it must refuse each call before writing anything, so
-    every array passed in is byte-identical afterwards."""
+    every array passed in is byte-identical afterwards, and release every
+    buffer it took, so each array and bytes argument keeps its reference
+    count."""
     monkeypatch.setattr(PURE, raw, no_call)
     for args in cases:
         with pytest.raises(ValueError) as expected:
             getattr(PURE, method)(*args)
         before = [a.tobytes() for a in arrays_in(args)]
-        with pytest.raises(ValueError) as err:
-            getattr(backend, method)(*args)
-        assert str(err.value) == str(expected.value), args
+        message, leaked = refused(getattr(backend, method), args)
+        assert message == str(expected.value), args
         assert [a.tobytes() for a in arrays_in(args)] == before, args
+        assert not leaked, args
 
 
 def run_one_term(mod, f):
@@ -331,12 +356,11 @@ def test_wrapper_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         (f, q[:7]),                  # q shorter than f
         (list(f), q),                # not an array
     ]
-    for ff, qq in bad_one_term:
-        with pytest.raises(ValueError):
-            kernel_backend.one_term_trace(ff, qq)
     # f is only read
     assert kernel_backend.one_term_trace(readonly, q) == (kernels.OK, 0)
     assert kernel_backend.one_term_trace(f[:0], q[:0]) == (kernels.OK, 0)
+    assert_refused(kernel_backend, monkeypatch, "_one", "one_term_trace",
+                   bad_one_term)
     bad_two_term = [
         (q.astype(np.float64), 2, 1, 1, 2, 0),
         (np.zeros(16, dtype=np.int64)[::2], 2, 1, 1, 2, 0),
