@@ -21,10 +21,11 @@
  * every term was computed, +k when the trace died at k and -k when the
  * term at k leaves the int64 range; a trace array then holds every term
  * before k.  step_sum returns nothing: its entry point has checked that
- * no sum leaves the int64 range.  format_rows returns the number of rows
- * it wrote: it prints a %.12g value only when it can certify the digits
- * Python would print, and stops before the first row it cannot, which the
- * caller prints with Python's `%`, the formatter of record.
+ * no sum leaves the int64 range.  format_rows writes every row and returns
+ * the number of bytes it wrote: put_g12 prints a %.12g value whose digits
+ * it can certify, and any other goes to PyOS_double_to_string, the call
+ * that Python's `%` makes, under the interpreter lock taken for that one
+ * call.
  *
  * read_ints is the one entry point that reads Python objects, the items
  * of a tuple, so its loop lives in the entry point and keeps the
@@ -243,9 +244,9 @@ static const double DECADE[16] = {1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2,
 
 /* x as `format(x, ".12g")` prints it when its 12 digits are certain and
  * %g would print it in fixed notation; returns the end of what it wrote,
- * at most 18 bytes, or NULL, having written nothing that counts, for 0,
- * -0.0, NaN, the infinities, a magnitude below 1e-4 or one that rounds to
- * 1e12 or above, and a near-tie.
+ * at most 18 bytes, or NULL, having written nothing, for 0, -0.0, NaN,
+ * the infinities, a magnitude below 1e-4 or one that rounds to 1e12 or
+ * above, and a near-tie, which format_rows prints with put_percent_g12.
  *
  * With a = |x| in the decade of 10^e, y = a * 10^(11-e) is one rounding of
  * the exact product (10^0..10^15 are exact doubles).  Whenever 1e11 <= y
@@ -305,36 +306,53 @@ static uint8_t *put_g12(double x, uint8_t *p)
     return p;
 }
 
+/* x as `'%.12g' % x` prints it, for the values put_g12 refuses:
+ * PyOS_double_to_string(x, 'g', 12, 0, NULL) is the call that `%` makes
+ * (formatfloat in CPython), so its bytes are the formatter of record's.
+ * The caller runs with the interpreter lock released; this takes it for
+ * the one call.  Returns the end of what it wrote, at most 19 bytes
+ * (-1.23456789012e-308), or NULL with MemoryError set. */
+static uint8_t *put_percent_g12(double x, uint8_t *p)
+{
+    PyGILState_STATE lock = PyGILState_Ensure();
+    char *s = PyOS_double_to_string(x, 'g', 12, 0, NULL);
+    uint8_t *end = NULL;
+    if (s) {
+        end = put_bytes((const uint8_t *)s, strlen(s), p);
+        PyMem_Free(s);
+    }
+    PyGILState_Release(lock);
+    return end;
+}
+
 /* Rows as Python's `%` fills a row format whose every field is %d,
  * %<w>d or %.12g: row r is piece 0, field 0 of row r, piece 1, ..., field
  * ncols-1, piece ncols, where piece j is lit[ends[j-1]..ends[j]) (ends[-1]
  * taken as 0) and field j prints cols[j][r] as fields[j] says.  A field
  * takes at most max(20, fields[j]) bytes, so the entry point checks for
- * rows * (ends[ncols] + the sum of those) bytes of out.  The kernel stops
- * before the first row with a %.12g value put_g12 cannot certify, which
- * the caller prints with `%`.  Returns the number of rows written and stores
- * their bytes in *size. */
+ * rows * (ends[ncols] + the sum of those) bytes of out.  Returns the
+ * number of bytes written, or -1 with MemoryError set. */
 static int64_t format_rows(const void *const *cols, const int64_t *fields,
                            int64_t ncols, int64_t rows, const uint8_t *lit,
-                           const int64_t *ends, uint8_t *out, int64_t *size)
+                           const int64_t *ends, uint8_t *out)
 {
     uint8_t *p = out;
-    int64_t r;
-    for (r = 0; r < rows; r++) {
-        uint8_t *q = put_bytes(lit, ends[0], p);
-        for (int64_t j = 0; j < ncols && q; j++) {
-            q = fields[j] == FORMAT_G12
-                ? put_g12(((const double *)cols[j])[r], q)
-                : put_int(((const int64_t *)cols[j])[r], fields[j], q);
-            if (q)
-                q = put_bytes(lit + ends[j], ends[j + 1] - ends[j], q);
+    for (int64_t r = 0; r < rows; r++) {
+        p = put_bytes(lit, ends[0], p);
+        for (int64_t j = 0; j < ncols; j++) {
+            if (fields[j] == FORMAT_G12) {
+                double x = ((const double *)cols[j])[r];
+                uint8_t *q = put_g12(x, p);
+                if (!q && !(q = put_percent_g12(x, p)))
+                    return -1;
+                p = q;
+            } else {
+                p = put_int(((const int64_t *)cols[j])[r], fields[j], p);
+            }
+            p = put_bytes(lit + ends[j], ends[j + 1] - ends[j], p);
         }
-        if (!q)
-            break;
-        p = q;
     }
-    *size = p - out;
-    return r;
+    return p - out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -382,6 +400,16 @@ static Py_ssize_t take(PyObject *a, Py_buffer *v, enum kind kind, int write)
     return -1;
 }
 
+/* Releases v if it holds a buffer.  Every view starts zeroed, and one
+ * that was refused or never taken holds none: take releases on a kind
+ * mismatch, and a failed PyObject_GetBuffer leaves obj NULL.  So each
+ * entry point leaves through one label that releases all its views. */
+static void release(Py_buffer *v)
+{
+    if (v->obj)
+        PyBuffer_Release(v);
+}
+
 /* *v = o when o is an int in the int64 range: 0, else -1 with no
  * exception set */
 static int scalar(PyObject *o, int64_t *v)
@@ -404,7 +432,8 @@ static int arity(const char *name, Py_ssize_t nargs, Py_ssize_t n)
     return 0;
 }
 
-/* NULL, with ValueError set unless an exception (MemoryError) is */
+/* NULL, with ValueError set unless an exception (arity's TypeError, a
+ * MemoryError) is */
 static PyObject *refuse(const char *name)
 {
     if (!PyErr_Occurred())
@@ -420,25 +449,22 @@ PyDoc_STRVAR(one_term_trace_doc,
 static PyObject *py_one_term_trace(PyObject *mod, PyObject *const *args,
                                    Py_ssize_t nargs)
 {
-    Py_buffer f, q;
-    Py_ssize_t n, nq;
+    Py_buffer f = {0}, q = {0};
+    Py_ssize_t n;
     int64_t r;
-    if (!arity("one_term_trace", nargs, 2))
-        return NULL;
-    if ((n = take(args[0], &f, INT64, 0)) < 0)
-        return refuse("one_term_trace");
-    if ((nq = take(args[1], &q, INT64, 1)) < n) {
-        if (nq >= 0)
-            PyBuffer_Release(&q);
-        PyBuffer_Release(&f);
-        return refuse("one_term_trace");
-    }
+    PyObject *ret = NULL;
+    if (!arity("one_term_trace", nargs, 2)
+            || (n = take(args[0], &f, INT64, 0)) < 0
+            || take(args[1], &q, INT64, 1) < n)
+        goto done;
     Py_BEGIN_ALLOW_THREADS
     r = one_term_trace(f.buf, q.buf, n);
     Py_END_ALLOW_THREADS
-    PyBuffer_Release(&q);
-    PyBuffer_Release(&f);
-    return PyLong_FromLongLong(r);
+    ret = PyLong_FromLongLong(r);
+done:
+    release(&q);
+    release(&f);
+    return ret ? ret : refuse("one_term_trace");
 }
 
 PyDoc_STRVAR(one_term_rows_doc,
@@ -450,15 +476,13 @@ PyDoc_STRVAR(one_term_rows_doc,
 static PyObject *py_one_term_rows(PyObject *mod, PyObject *const *args,
                                   Py_ssize_t nargs)
 {
-    Py_buffer f, q, s;
-    Py_ssize_t nf, nq = -1, ns = -1;
+    Py_buffer f = {0}, q = {0}, s = {0};
+    Py_ssize_t nf, nq, ns;
     int64_t m, len;
     PyObject *ret = NULL;
-    if (!arity("one_term_rows", nargs, 4))
-        return NULL;
-    if ((nf = take(args[0], &f, INT64, 0)) < 0)
-        return refuse("one_term_rows");
-    if ((nq = take(args[1], &q, INT64, 1)) < 0
+    if (!arity("one_term_rows", nargs, 4)
+            || (nf = take(args[0], &f, INT64, 0)) < 0
+            || (nq = take(args[1], &q, INT64, 1)) < 0
             || (ns = take(args[2], &s, INT64, 1)) < 0
             || scalar(args[3], &m) || m < 0
             || __builtin_mul_overflow((int64_t)ns, m, &len)
@@ -470,11 +494,9 @@ static PyObject *py_one_term_rows(PyObject *mod, PyObject *const *args,
     Py_INCREF(Py_None);
     ret = Py_None;
 done:
-    if (ns >= 0)
-        PyBuffer_Release(&s);
-    if (nq >= 0)
-        PyBuffer_Release(&q);
-    PyBuffer_Release(&f);
+    release(&s);
+    release(&q);
+    release(&f);
     return ret ? ret : refuse("one_term_rows");
 }
 
@@ -487,25 +509,24 @@ PyDoc_STRVAR(two_term_trace_doc,
 static PyObject *py_two_term_trace(PyObject *mod, PyObject *const *args,
                                    Py_ssize_t nargs)
 {
-    Py_buffer q;
+    Py_buffer q = {0};
     Py_ssize_t total;
     int64_t n_init, d1, d2, outer, r;
-    if (!arity("two_term_trace", nargs, 5))
-        return NULL;
-    if ((total = take(args[0], &q, INT64, 1)) < 0)
-        return refuse("two_term_trace");
-    if (scalar(args[1], &n_init) || scalar(args[2], &d1)
+    PyObject *ret = NULL;
+    if (!arity("two_term_trace", nargs, 5)
+            || (total = take(args[0], &q, INT64, 1)) < 0
+            || scalar(args[1], &n_init) || scalar(args[2], &d1)
             || scalar(args[3], &d2) || scalar(args[4], &outer)
             || d1 < 1 || d2 < 1 || (outer != 0 && outer != 1)
-            || n_init < d1 || n_init < d2 || n_init > total) {
-        PyBuffer_Release(&q);
-        return refuse("two_term_trace");
-    }
+            || n_init < d1 || n_init < d2 || n_init > total)
+        goto done;
     Py_BEGIN_ALLOW_THREADS
     r = two_term_trace(q.buf, total, n_init, d1, d2, outer);
     Py_END_ALLOW_THREADS
-    PyBuffer_Release(&q);
-    return PyLong_FromLongLong(r);
+    ret = PyLong_FromLongLong(r);
+done:
+    release(&q);
+    return ret ? ret : refuse("two_term_trace");
 }
 
 PyDoc_STRVAR(slow_walk_doc,
@@ -517,23 +538,22 @@ PyDoc_STRVAR(slow_walk_doc,
 static PyObject *py_slow_walk(PyObject *mod, PyObject *const *args,
                               Py_ssize_t nargs)
 {
-    Py_buffer seen;
+    Py_buffer seen = {0};
     Py_ssize_t len;
     int64_t m, r;
-    if (!arity("slow_walk", nargs, 2))
-        return NULL;
-    if ((len = take(args[0], &seen, UINT8, 1)) < 0)
-        return refuse("slow_walk");
-    if (scalar(args[1], &m) || m < 1 || m > WALK_MAX_DEPTH
-            || len < m * m * (m + 1)) {
-        PyBuffer_Release(&seen);
-        return refuse("slow_walk");
-    }
+    PyObject *ret = NULL;
+    if (!arity("slow_walk", nargs, 2)
+            || (len = take(args[0], &seen, UINT8, 1)) < 0
+            || scalar(args[1], &m) || m < 1 || m > WALK_MAX_DEPTH
+            || len < m * m * (m + 1))
+        goto done;
     Py_BEGIN_ALLOW_THREADS
     r = slow_walk(seen.buf, m);
     Py_END_ALLOW_THREADS
-    PyBuffer_Release(&seen);
-    return PyLong_FromLongLong(r);
+    ret = PyLong_FromLongLong(r);
+done:
+    release(&seen);
+    return ret ? ret : refuse("slow_walk");
 }
 
 PyDoc_STRVAR(step_sum_doc,
@@ -545,29 +565,28 @@ PyDoc_STRVAR(step_sum_doc,
 static PyObject *py_step_sum(PyObject *mod, PyObject *const *args,
                              Py_ssize_t nargs)
 {
-    Py_buffer steps, out;
-    Py_ssize_t ns, n = -1;
+    Py_buffer steps = {0}, out = {0};
+    Py_ssize_t ns, n;
     int64_t first, top;
-    if (!arity("step_sum", nargs, 3))
-        return NULL;
-    if ((ns = take(args[0], &steps, UINT8, 0)) < 0)
-        return refuse("step_sum");
-    if (scalar(args[1], &first) || (n = take(args[2], &out, INT64, 1)) < 0
+    PyObject *ret = NULL;
+    if (!arity("step_sum", nargs, 3)
+            || (ns = take(args[0], &steps, UINT8, 0)) < 0
+            || scalar(args[1], &first)
+            || (n = take(args[2], &out, INT64, 1)) < 0
             || (n > 0 && (ns < n - 1
                           || __builtin_mul_overflow((int64_t)(n - 1),
                                                     (int64_t)STEP_MAX, &top)
-                          || __builtin_add_overflow(first, top, &top)))) {
-        if (n >= 0)
-            PyBuffer_Release(&out);
-        PyBuffer_Release(&steps);
-        return refuse("step_sum");
-    }
+                          || __builtin_add_overflow(first, top, &top))))
+        goto done;
     Py_BEGIN_ALLOW_THREADS
     step_sum(steps.buf, first, out.buf, n);
     Py_END_ALLOW_THREADS
-    PyBuffer_Release(&out);
-    PyBuffer_Release(&steps);
-    Py_RETURN_NONE;
+    Py_INCREF(Py_None);
+    ret = Py_None;
+done:
+    release(&out);
+    release(&steps);
+    return ret ? ret : refuse("step_sum");
 }
 
 PyDoc_STRVAR(read_ints_doc,
@@ -579,19 +598,14 @@ PyDoc_STRVAR(read_ints_doc,
 static PyObject *py_read_ints(PyObject *mod, PyObject *const *args,
                               Py_ssize_t nargs)
 {
-    Py_buffer out;
+    Py_buffer out = {0};
     Py_ssize_t n, i;
     int64_t *o;
-    if (!arity("read_ints", nargs, 2))
-        return NULL;
-    if (!PyTuple_Check(args[0]))
-        return refuse("read_ints");
-    if ((n = take(args[1], &out, INT64, 1)) < 0)
-        return refuse("read_ints");
-    if (n != PyTuple_GET_SIZE(args[0])) {
-        PyBuffer_Release(&out);
-        return refuse("read_ints");
-    }
+    PyObject *ret = NULL;
+    if (!arity("read_ints", nargs, 2) || !PyTuple_Check(args[0])
+            || (n = take(args[1], &out, INT64, 1))
+               != PyTuple_GET_SIZE(args[0]))
+        goto done;
     /* the items are Python objects: the lock stays held */
     o = out.buf;
     for (i = 0; i < n; i++) {
@@ -603,14 +617,14 @@ static PyObject *py_read_ints(PyObject *mod, PyObject *const *args,
         x = PyLong_AsLongLongAndOverflow(v, &overflow);
         if (overflow)
             break;
-        if (x == -1 && PyErr_Occurred()) {
-            PyBuffer_Release(&out);
-            return NULL;
-        }
+        if (x == -1 && PyErr_Occurred())
+            goto done;
         o[i] = x;
     }
-    PyBuffer_Release(&out);
-    return PyLong_FromSsize_t(i);
+    ret = PyLong_FromSsize_t(i);
+done:
+    release(&out);
+    return ret ? ret : refuse("read_ints");
 }
 
 PyDoc_STRVAR(format_rows_doc,
@@ -620,19 +634,18 @@ PyDoc_STRVAR(format_rows_doc,
 "or as %.12g for FORMAT_G12 (a float64 column), between the pieces of\n"
 "the bytes lit that end at ends, written into the writeable uint8 array\n"
 "out of at least rows * (len(lit) + the sum of max(20, w)) bytes;\n"
-"returns (rows written, bytes written).  It stops before a row whose\n"
-"%.12g digits it cannot certify.");
+"returns the number of bytes written.");
 
 static PyObject *py_format_rows(PyObject *mod, PyObject *const *args,
                                 Py_ssize_t nargs)
 {
     PyObject *cols = NULL, *fields = NULL, *ends = NULL, *ret = NULL;
-    Py_buffer lit, out, *views = NULL;
-    Py_ssize_t ncols = 0, j, taken = 0, have_lit = 0, nout = -1;
-    int64_t rows, per_row, need, written, size, *fw = NULL, *ew;
+    Py_buffer lit = {0}, out = {0}, *views = NULL;
+    Py_ssize_t ncols = 0, j;
+    int64_t rows, per_row, need, size, *fw = NULL, *ew;
     const void **ptrs = NULL;
     if (!arity("format_rows", nargs, 6))
-        return NULL;
+        goto done;
     if (!(cols = PySequence_Fast(args[0], ""))
             || !(fields = PySequence_Fast(args[1], ""))
             || !(ends = PySequence_Fast(args[4], ""))) {
@@ -648,10 +661,9 @@ static PyObject *py_format_rows(PyObject *mod, PyObject *const *args,
         PyErr_Clear();
         goto done;
     }
-    have_lit = 1;
     fw = PyMem_Malloc((2 * ncols + 1) * sizeof *fw);
     ptrs = PyMem_Malloc((ncols + 1) * sizeof *ptrs);
-    views = PyMem_Malloc((ncols + 1) * sizeof *views);
+    views = PyMem_Calloc(ncols + 1, sizeof *views);
     if (!fw || !ptrs || !views) {
         PyErr_NoMemory();
         goto done;
@@ -669,30 +681,25 @@ static PyObject *py_format_rows(PyObject *mod, PyObject *const *args,
         if (scalar(PySequence_Fast_GET_ITEM(fields, j), &w)
                 || !(w == FORMAT_G12 || (w >= 0 && w <= FORMAT_MAX_WIDTH))
                 || take(PySequence_Fast_GET_ITEM(cols, j), &views[j],
-                        w == FORMAT_G12 ? FLOAT64 : INT64, 0) < 0)
-            goto done;
-        taken++;
-        if (views[j].shape[0] < rows)
+                        w == FORMAT_G12 ? FLOAT64 : INT64, 0) < rows)
             goto done;
         fw[j] = w;
         ptrs[j] = views[j].buf;
         per_row += w > 20 ? w : 20;
     }
-    if ((nout = take(args[5], &out, UINT8, 1)) < 0
-            || __builtin_mul_overflow(rows, per_row, &need) || nout < need)
+    if (__builtin_mul_overflow(rows, per_row, &need)
+            || take(args[5], &out, UINT8, 1) < need)
         goto done;
     Py_BEGIN_ALLOW_THREADS
-    written = format_rows(ptrs, fw, ncols, rows, lit.buf, ew, out.buf,
-                          &size);
+    size = format_rows(ptrs, fw, ncols, rows, lit.buf, ew, out.buf);
     Py_END_ALLOW_THREADS
-    ret = Py_BuildValue("(LL)", (long long)written, (long long)size);
+    if (size >= 0)
+        ret = PyLong_FromLongLong(size);
 done:
-    if (nout >= 0)
-        PyBuffer_Release(&out);
-    while (taken)
-        PyBuffer_Release(&views[--taken]);
-    if (have_lit)
-        PyBuffer_Release(&lit);
+    release(&out);
+    for (j = 0; views && j < ncols; j++)
+        release(&views[j]);
+    release(&lit);
     PyMem_Free(views);
     PyMem_Free(ptrs);
     PyMem_Free(fw);

@@ -5,8 +5,8 @@ Each function here takes the arguments of its namesake in the extension
 module that `_kernels.c` is compiled into, numpy arrays and ints, and
 returns what that returns: 0 when every term was computed, +k when the
 trace died at k and -k when the term at k leaves the int64 range
-(step_sum: nothing; read_ints: the items read; format_rows: the rows
-and the bytes written).  On
+(step_sum: nothing; read_ints: the items read; format_rows: the bytes
+written).  On
 return a trace array holds every term before k.  Unlike the C entry
 points, which refuse what their loops could not take, this module checks
 nothing: hofq.kernels.Kernels checks every call to it first, and decodes
@@ -18,8 +18,7 @@ overflow semantics identical to the compiled kernels.
 
 percent_rows is the library's one Python row formatter and the formatter
 of record: format_rows here is one call to it, and hofq.table runs it for
-the rows of every other row format and for each row at which the C
-format_rows stops, a `%.12g` value it cannot certify.
+the rows of every row format that format_rows does not take.
 """
 
 import numpy as np
@@ -151,11 +150,8 @@ def percent_rows(template, cols, rows):
     the template repeated once per row by a single `%`, so no Python code
     runs per row.  `%d` prints an integer as `str(int(v))`, `%.12g` a float
     as `format(v, ".12g")` and `%r` a float as `float.__repr__`.  The C
-    format_rows prints `%d` and `%.12g` fields byte for byte as this does,
-    except that it stops before a row whose `%.12g` value it cannot
-    certify (a near-tie, a zero, a value that is not finite or one that
-    %g prints in exponent form); the table writer prints those rows
-    here."""
+    format_rows prints `%d` and `%.12g` fields byte for byte as this
+    does."""
     width = len(cols)
     flat = [None] * (rows * width)
     for j, col in enumerate(cols):
@@ -165,8 +161,7 @@ def percent_rows(template, cols, rows):
 
 def format_rows(cols, fields, rows, lit, ends, out):
     """Write `rows` rows of the columns cols into the uint8 array out and
-    return (rows, the number of bytes written): this twin prints every row
-    with `%`, so it never stops early.  Row r is
+    return the number of bytes written, printing them with `%`.  Row r is
     piece 0, cols[0][r], piece 1, ..., piece len(cols), where piece j is the
     bytes lit[ends[j-1]:ends[j]] (from 0 for j = 0); field j is printed as
     `%.12g` when fields[j] is FORMAT_G12, else as `%d` right-justified to
@@ -181,4 +176,4 @@ def format_rows(cols, fields, rows, lit, ends, out):
     template = pieces[0] + "".join(map(str.__add__, specs, pieces[1:]))
     text = percent_rows(template, cols, rows).encode("latin-1")
     out[:len(text)] = memoryview(text)
-    return rows, len(text)
+    return len(text)

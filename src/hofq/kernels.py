@@ -9,10 +9,9 @@ Python objects, so the C one keeps the interpreter lock) and
 `format_rows` (the table writer's rows of `%d` and `%.12g` fields), in the
 C source `_kernels.c`.  Its pure-Python
 twin `_kernels_py` takes the same arguments and returns the same codes.
-The C `format_rows` prints a `%.12g` value only where it certifies the 12
-digits and %g's fixed notation, and stops before a row it cannot certify,
-which the caller prints with `percent_rows`; the twin prints every row
-with `percent_rows`.
+Both `format_rows` write every row: the twin with `percent_rows`; the C
+one prints a `%.12g` value itself where it certifies the 12 digits and
+%g's fixed notation, and any other with the call that Python's `%` makes.
 
 This module compiles, caches and imports the C source as the CPython
 extension module `hofq._kernels`: on first import it is compiled with the
@@ -285,9 +284,8 @@ class Kernels:
     def format_rows(self, cols, fields, rows, lit, ends, out):
         """Writes rows into out, field j printing cols[j] as %<w>d for a
         width w = fields[j] >= 0 (an int64 column) or as %.12g for
-        FORMAT_G12 (a float64 column); returns (rows written, bytes).  The
-        C kernel stops before a row whose %.12g digits it cannot certify;
-        the pure one writes every row."""
+        FORMAT_G12 (a float64 column); returns the number of bytes
+        written."""
         args = (cols, fields, rows, lit, ends, out)
         if self._check_first:
             _check_format_rows(*args)

@@ -8,11 +8,12 @@ rows (fewer when their worst case would pass BUFFER_BYTES): in Python,
 turning numbers into text took three quarters of the time of an integer
 export, and five sixths of that of the perturbation figure, whose log2 n
 column is `%.12g`.
-The C kernel prints a `%.12g` value only when it can certify its 12 digits
-and %g prints it in fixed notation; it stops before any other row, which
-`%` prints inside the same chunk, and the kernel resumes after it.  It
-writes digits two at a time from a table of "00".."99" and finds a
-`%.12g` value's decade by a binary search.
+The C kernel prints a `%.12g` value itself when it can certify its 12
+digits and %g prints it in fixed notation, and any other (a near-tie, a
+zero, a value that is not finite or one in exponent form) with the call
+that Python's `%` makes, so it writes every row of the chunk.  It writes
+digits two at a time from a table of "00".."99" and finds a `%.12g`
+value's decade by a binary search.
 Otherwise `kernels.percent_rows` fills CHUNK rows' values into `row_fmt`
 repeated once per row by a single `%`, so no Python code runs per row.
 Either way `%d` prints an integer as `str(int(v))`; `%.12g` prints a float
@@ -74,27 +75,6 @@ def _kernel_fields(row_fmt: str, cols):
             dtypes)
 
 
-def _kernel_rows(template, cols, rows, lit, ends, fields, out) -> str:
-    """The text of `rows` rows of the cast columns cols: kernels.format_rows
-    writes them into out until it stops at a row whose %.12g digits it
-    cannot certify, and `%` prints that row.  When the kernel stops again
-    within as many rows as `%` took last, `%` takes twice as many, so that
-    a run of such values costs a logarithmic number of kernel calls."""
-    text, pos, r, run = [], 0, 0, 0
-    while r < rows:
-        done, size = kernels.format_rows([c[r:] for c in cols], fields,
-                                         rows - r, lit, ends, out[pos:])
-        text.append(str(out[pos:pos + size], "utf-8"))
-        pos, r = pos + size, r + done
-        if r < rows:
-            run = 2 * run if run and done <= run else 1
-            k = min(run, rows - r)
-            text.append(kernels.percent_rows(
-                template, [c[r:r + k] for c in cols], k))
-            r += k
-    return "".join(text)
-
-
 class _JsonFloat(float):
     """A float whose `%r` is its `json` spelling (NaN, not nan)."""
 
@@ -129,7 +109,8 @@ def write_rows(fh, row_fmt: str, columns, json: bool = False) -> int:
         if kernel:
             chunk = [np.ascontiguousarray(c[lo:lo + k], dtype=t)
                      for c, t in zip(cols, dtypes)]
-            text = _kernel_rows(template, chunk, k, lit, ends, fields, out)
+            size = kernels.format_rows(chunk, fields, k, lit, ends, out)
+            text = str(out[:size], "utf-8")
         else:
             text = kernels.percent_rows(template,
                                         [c[lo:lo + k] for c in cols], k)

@@ -618,6 +618,9 @@ def test_read_ints_rejects_unsafe_arrays(kernel_backend, monkeypatch):
 
 
 def test_compiled_kernels_are_thread_safe(c_kernels):
+    """Traces, and format_rows printing the %.12g test set, whose loop
+    takes the interpreter lock for each value it does not certify, from
+    four threads at once."""
     big = 2**62
     ones = np.ones(5000, dtype=np.int64)
     ones[0] = 0
@@ -638,6 +641,8 @@ def test_compiled_kernels_are_thread_safe(c_kernels):
     expected = [call(PURE, *case) for case in cases]
     assert {e[0] for e in expected} == {kernels.OK, kernels.DIED,
                                         kernels.OVERFLOW}
+    x = g12_values()
+    text = "".join(format(v, ".12g") + "\n" for v in x.tolist())
     errors = []
 
     def worker(offset):
@@ -647,6 +652,10 @@ def test_compiled_kernels_are_thread_safe(c_kernels):
                 got = call(c_kernels, *cases[k])
                 if got != expected[k]:
                     errors.append((cases[k], got, expected[k]))
+                if i % 50 == offset:
+                    got = format_table(c_kernels, [x], [G12], ["", "\n"])
+                    if got != text:
+                        errors.append(("format_rows", offset))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -667,25 +676,25 @@ def test_compiled_kernels_are_thread_safe(c_kernels):
 PIECES = ["", ",", "  ", "; ", "é", "→|", "[", "]\r\n", "%", "ab%%c"]
 
 
-def format_table(mod, cols, widths, pieces, rows=None, written=None):
-    """mod.format_rows into an out array of exactly the wrapper's bound;
-    every row is written unless `written` says how many."""
+def format_table(mod, cols, widths, pieces, rows=None):
+    """mod.format_rows into an out array of exactly the wrapper's bound."""
     encoded = [p.encode() for p in pieces]
     lit, ends = b"".join(encoded), np.cumsum([len(p) for p in encoded]).tolist()
     rows = len(cols[0]) if rows is None else rows
     out = np.zeros(rows * (len(lit) + sum(max(20, w) for w in widths)),
                    dtype=np.uint8)
-    done, size = mod.format_rows(cols, widths, rows, lit, ends, out)
-    assert done == (rows if written is None else written)
+    size = mod.format_rows(cols, widths, rows, lit, ends, out)
     return out[:size].tobytes().decode()
 
 
 def percent_oracle(cols, widths, pieces, rows):
-    """Row by row with `%`, the operator the writer's `%d` fields stand for."""
-    fields = [f"%{w}d" if w else "%d" for w in widths]
+    """Row by row with `%`, the operator the writer's `%d` and `%.12g`
+    fields stand for."""
+    fields = ["%.12g" if w == G12 else f"%{w}d" if w else "%d"
+              for w in widths]
     row_fmt = pieces[0].replace("%", "%%") + "".join(
         f + p.replace("%", "%%") for f, p in zip(fields, pieces[1:]))
-    return "".join(row_fmt % tuple(int(c[r]) for c in cols)
+    return "".join(row_fmt % tuple(c[r].item() for c in cols)
                    for r in range(rows))
 
 
@@ -736,51 +745,45 @@ def test_format_rows_literal_pieces_of_every_length(kernel_backend):
                             pieces) == expect
 
 
-def test_format_rows_g12_stops_before_uncertain_rows(kernel_backend):
-    """The C kernel writes the rows before the first %.12g value it cannot
-    certify and stops there; the pure one, the reference, writes every
-    row with `%`."""
+def test_format_rows_g12_prints_every_row(kernel_backend):
+    """Every row is printed as `format` prints it, on both backends: the
+    values the C kernel certifies itself and those it hands to the call
+    that `%` makes (a near-tie, a zero, a value that is not finite or one
+    in exponent form, up to 19 bytes long)."""
     n = np.arange(6, dtype=np.int64)
-    certain = [0.1, -2.5, 1 / 3, 1e-4, -999999999999.0, 123456.789]
-    expect = "".join(f"[{i:>3}|{format(x, '.12g')}]\n"
-                     for i, x in enumerate(certain))
-    x = np.array(certain)
-    assert format_table(kernel_backend, [n, x], [3, G12],
-                        ["[", "|", "]\n"]) == expect
-    for bad in [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 9e-5, 1e12,
-                999999999999.5, 123456789012.5]:
-        x[3] = bad
-        written = 6 if kernel_backend is PURE else 3
-        text = format_table(kernel_backend, [n, x], [3, G12],
-                            ["[", "|", "]\n"], written=written)
-        assert text == "".join(f"[{i:>3}|{format(v, '.12g')}]\n"
-                               for i, v in enumerate(x[:written].tolist()))
+    x = np.array([0.1, -2.5, 1 / 3, 1e-4, -999999999999.0, 123456.789])
+    for value in [1e-4, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 9e-5,
+                  1e12, 999999999999.5, 123456789012.5, -1.23456789012e-308]:
+        x[3] = value
+        assert format_table(kernel_backend, [n, x], [3, G12],
+                            ["[", "|", "]\n"]) == "".join(
+            f"[{i:>3}|{format(v, '.12g')}]\n" for i, v in enumerate(x.tolist()))
+    # the longest %.12g text, 19 bytes, in every row: within the bound
+    x = np.full(5, -1.23456789012e-308)
+    assert format_table(kernel_backend, [x], [G12], ["", ""]) == (
+        "-1.23456789012e-308" * 5)
 
 
 def test_format_rows_g12_prints_only_what_format_prints(c_kernels):
-    """Every value of the writer's %.12g test set, one row each: the C
-    kernel prints it as format(v, ".12g") or stops before it."""
+    """Every value of the writer's %.12g test set, one row each, in one
+    call: the C kernel prints each as format(v, ".12g")."""
     x = g12_values()
-    out = np.zeros(21 * len(x), dtype=np.uint8)
-    r, printed = 0, 0
-    while r < len(x):
-        done, size = c_kernels.format_rows([x[r:]], [G12], len(x) - r,
-                                           b"\n", [0, 1], out)
-        assert out[:size].tobytes().decode() == "".join(
-            format(v, ".12g") + "\n" for v in x[r:r + done].tolist())
-        r, printed = r + done + 1, printed + done
-    assert printed > len(x) // 2
+    assert format_table(c_kernels, [x], [G12], ["", "\n"]) == "".join(
+        format(v, ".12g") + "\n" for v in x.tolist())
 
 
 def test_format_rows_backends_agree(c_kernels):
     rng = np.random.default_rng(20261018)
+    x = g12_values()
     for _ in range(300):
         ncols, rows = int(rng.integers(1, 7)), int(rng.integers(0, 50))
-        cols = [extreme_or_small(rng, rows, 10**int(rng.integers(0, 19)))
-                for _ in range(ncols)]
-        for c in cols:  # the extremes themselves, when there is room
-            c[:3] = [INT64_MIN, 0, INT64_MAX][:rows]
-        widths = rng.choice([0, 0, 2, 25], size=ncols).tolist()
+        widths = rng.choice([0, 0, 2, 25, G12], size=ncols).tolist()
+        cols = [rng.choice(x, rows) if w == G12
+                else extreme_or_small(rng, rows, 10**int(rng.integers(0, 19)))
+                for w in widths]
+        for c, w in zip(cols, widths):  # the extremes, when there is room
+            if w != G12:
+                c[:3] = [INT64_MIN, 0, INT64_MAX][:rows]
         pieces = rng.choice(PIECES, size=ncols + 1).tolist()
         text = format_table(c_kernels, cols, widths, pieces)
         assert text == format_table(PURE, cols, widths, pieces)

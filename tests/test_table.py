@@ -163,8 +163,7 @@ def g12_half_way_top():
     [2^38, 2^40) itself: where y's ulp is 2^-14 or 2^-13, the near-tie
     margin and the rounding of y are of one size.  A y off D + 1/2 puts
     the exact product on its side of the half, so these print right under
-    any margin that catches y = D + 1/2; the margin itself is pinned by
-    test_g12_near_ties_stop_the_kernel_and_print_as_percent."""
+    any margin that catches y = D + 1/2."""
     rng = np.random.default_rng(20261019)
     out = []
     for e in range(-4, 12):
@@ -289,19 +288,39 @@ def g12_near_ties():
     return np.array(out + [-v for v in out])
 
 
-def test_g12_near_ties_stop_the_kernel_and_print_as_percent(each_backend):
+def g12_rounded_onto_ties():
+    """Doubles x whose scaled product y = x * 10^(11-e), rounded once as
+    put_g12 computes it, is the half-integer D + 1/2 while the exact
+    product, checked in exact rationals, lies off it: a few ulps about
+    (D + 1/2) / 10^(11-e) for 12-digit D in each decade 10^-4..10^11.
+    Those above D + 1/2 print D + 1 and those below print D, which y
+    cannot tell apart, so put_g12's near-tie test must hand each of them
+    to the call that `%` makes.  Returns (those below, those above)."""
+    rng = np.random.default_rng(20261021)
+    below, above = [], []
+    for e in range(-4, 12):
+        k = 11 - e
+        scale = Fraction(10) ** k
+        for d in rng.integers(10**11, 10**12 - 1, 60).tolist():
+            half = Fraction(2 * d + 1, 2)
+            for direction in (-math.inf, math.inf):
+                y = float(half / scale)
+                for _ in range(3):
+                    exact = Fraction(y) * scale
+                    if y * 10.0**k == d + 0.5 and exact != half:
+                        (below if exact < half else above).append(y)
+                    y = math.nextafter(y, direction)
+    return np.array(below), np.array(above)
+
+
+def test_g12_near_ties_print_as_percent(each_backend):
     x = g12_near_ties()
-    assert len(x) > 500
+    below, above = g12_rounded_onto_ties()
+    assert len(x) > 500 and min(len(below), len(above)) > 100
+    x = np.concatenate([x, below, above, -below, -above])
     expect = "".join(format(v, ".12g") + "\n" for v in x.tolist())
-    for mod in each_backend:
+    for _ in each_backend:
         assert write("%.12g\n", (x,)) == (len(x), expect)
-        if mod is kernels.PURE:
-            continue
-        # the C kernel certifies none of them: it stops before each row
-        fields = [kernels.FORMAT_G12]
-        out = np.empty(kernels.format_size(1, b"\n", fields), np.uint8)
-        assert [mod.format_rows([x[i:]], fields, 1, b"\n", [0, 1], out)[0]
-                for i in range(len(x))] == [0] * len(x)
 
 
 @pytest.mark.parametrize("dtype,values", [
@@ -324,9 +343,9 @@ def test_g12_columns_cast_exactly(each_backend, dtype, values):
 
 @pytest.mark.parametrize("at", [[0, 4], [3, 7], [0, 3, 4, 7, 8]])
 def test_g12_fallback_rows_at_chunk_edges(monkeypatch, each_backend, at):
-    """A row the kernel cannot certify, first or last in its chunk, goes
-    through `%` inside that chunk's one write; on C `%` prints those rows
-    and no other."""
+    """A row the C kernel cannot certify, first or last in its chunk, is
+    printed inside that chunk's one write by the kernel itself: the table
+    writer's `percent_rows` prints no row of a table the kernel takes."""
     monkeypatch.setattr(table, "CHUNK", 4)
     x = np.linspace(0.5, 9.5, 10)
     x[at] = [0.0, 1e-9, -np.inf, 1e15, np.nan][:len(at)]
@@ -339,7 +358,7 @@ def test_g12_fallback_rows_at_chunk_edges(monkeypatch, each_backend, at):
 
     percent_rows.__wrapped__ = kernels.percent_rows
     monkeypatch.setattr(kernels, "percent_rows", percent_rows)
-    for mod in each_backend:
+    for _ in each_backend:
         writes = []
 
         class Sink:
@@ -351,12 +370,12 @@ def test_g12_fallback_rows_at_chunk_edges(monkeypatch, each_backend, at):
         assert "".join(writes) == "".join(
             f"{a}:{format(b, '.12g')}\n" for a, b in zip(n, x.tolist()))
         assert len(writes) == 3  # one per chunk of 4 rows
-        if mod is not kernels.PURE:
-            assert percent == [1] * len(at)
+        assert percent == []
 
 
 def test_g12_runs_of_fallback_rows_take_few_kernel_calls(monkeypatch,
                                                           each_backend):
+    monkeypatch.setattr(table, "CHUNK", 1000)
     x = np.zeros(3000)
     x[::7] = 0.25  # certain, but never more than a row before a zero
     calls = []
@@ -370,7 +389,7 @@ def test_g12_runs_of_fallback_rows_take_few_kernel_calls(monkeypatch,
         monkeypatch.setattr(kernels, "format_rows", format_rows)
         assert write("%.12g\n", (x,))[1] == "".join(
             format(v, ".12g") + "\n" for v in x.tolist())
-        assert len(calls) <= (1 if mod is kernels.PURE else 12)
+        assert calls == [1000] * 3  # one kernel call per chunk
 
 
 def test_floats_json_match_json_dumps():
