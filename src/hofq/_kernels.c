@@ -22,10 +22,12 @@
  * term at k leaves the int64 range; a trace array then holds every term
  * before k.  step_sum returns nothing: its entry point has checked that
  * no sum leaves the int64 range.  format_rows writes every row and returns
- * the number of bytes it wrote: put_g12 prints a %.12g value whose digits
- * it can certify, and any other goes to PyOS_double_to_string, the call
- * that Python's `%` makes, under the interpreter lock taken for that one
- * call.
+ * the number of bytes it wrote, which the table writer hands to its
+ * binary sink as they lie in out.  It takes a number's digits 8 per
+ * 64-bit division by 10^8 (put_digits).  put_g12 prints a %.12g value
+ * whose digits it can certify, and any other goes to
+ * PyOS_double_to_string, the call that Python's `%` makes, under the
+ * interpreter lock taken for that one call.
  *
  * read_ints is the one entry point that reads Python objects, the items
  * of a tuple, so its loop lives in the entry point and keeps the
@@ -153,7 +155,7 @@ static void step_sum(const uint8_t *steps, int64_t first, int64_t *out,
 #define FORMAT_MAX_WIDTH 64
 
 /* the two digits of each n in 0..99 at PAIRS[2n], "00" to "99": the
- * formatters take a number's digits two per division by 100 */
+ * formatters print a number's digits two at a time from it */
 static const char PAIRS[201] =
     "0001020304050607080910111213141516171819"
     "2021222324252627282930313233343536373839"
@@ -181,17 +183,47 @@ static inline int digit_count(uint64_t u)
     return t + (w >= POW10_U64[t]);
 }
 
-/* the len decimal digits of u < 10^len at p..p+len, two per step from
- * the last; returns p + len */
+/* the 4 digits of v < 10^4 at p..p+4, as two PAIRS entries: v / 100 is
+ * (v * 5243) >> 19, exact for v < 43699 (5243 / 2^19 lies just above
+ * 1/100), one multiply and a shift */
+static inline void put_digits4(uint32_t v, uint8_t *p)
+{
+    uint32_t hi = (v * 5243) >> 19;
+    memcpy(p, PAIRS + 2 * hi, 2);
+    memcpy(p + 2, PAIRS + 2 * (v - 100 * hi), 2);
+}
+
+/* the len decimal digits of u < 10^len at p..p+len, from the last: 8 per
+ * 64-bit division by 10^8, each block printed as two independent 4-digit
+ * halves, then the 0..7 digits left in 32 bits, at most a 4-digit half, a
+ * pair and a single digit; returns p + len.  Only the divisions by 10^8
+ * form a chain, one per block: a 5-digit int takes one division, by
+ * 10^4, and a 12-digit %.12g value one, by 10^8. */
 static inline uint8_t *put_digits(uint64_t u, int len, uint8_t *p)
 {
     uint8_t *end = p + len;
-    for (p = end; len >= 2; len -= 2, u /= 100) {
+    uint32_t v;
+    for (p = end; len >= 8; len -= 8, u /= 100000000) {
+        v = (uint32_t)(u % 100000000);
+        p -= 8;
+        put_digits4(v / 10000, p);
+        put_digits4(v % 10000, p + 4);
+    }
+    v = (uint32_t)u;  /* < 10^len, len < 8 */
+    if (len >= 4) {
+        p -= 4;
+        put_digits4(v % 10000, p);
+        v /= 10000;
+        len -= 4;
+    }
+    if (len >= 2) {
         p -= 2;
-        memcpy(p, PAIRS + 2 * (u % 100), 2);
+        memcpy(p, PAIRS + 2 * (v % 100), 2);
+        v /= 100;
+        len -= 2;
     }
     if (len)
-        *--p = (uint8_t)('0' + u);
+        *--p = (uint8_t)('0' + v);
     return end;
 }
 
@@ -246,21 +278,22 @@ static const double DECADE[16] = {1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2,
  * %g would print it in fixed notation; returns the end of what it wrote,
  * at most 18 bytes, or NULL, having written nothing, for 0, -0.0, NaN,
  * the infinities, a magnitude below 1e-4 or one that rounds to 1e12 or
- * above, and a near-tie, which format_rows prints with put_percent_g12.
+ * above, and a tie, which format_rows prints with put_percent_g12.
  *
- * With a = |x| in the decade of 10^e, y = a * 10^(11-e) is one rounding of
- * the exact product (10^0..10^15 are exact doubles).  Whenever 1e11 <= y
- * <= 1e12 < 2^40, whatever e the comparisons chose, y is within ulp/2 <=
- * 2^-14 of the exact product, so unless y's fraction lies within 2^-14 of
- * 1/2, y's nearest integer D is the exact product's: the 12 digits of a,
- * correctly rounded, with decimal exponent e (e + 1 when D = 10^12, whose
- * digits are those of 10^11).  The digits then go out as %g places them,
- * trailing zeros and a bare point stripped.
+ * With a = |x| in the decade of 10^e, y = a * 10^(11-e) is the exact
+ * product P correctly rounded (10^0..10^15 are exact doubles).  Whenever
+ * 1e11 <= y <= 1e12 < 2^40, whatever e the comparisons chose, the
+ * half-integers about y are doubles (its ulp is at most 2^-12), and a
+ * rounding to nearest never crosses a double: y lands on the same side of
+ * each as P, or on one.  So unless y is a half-integer D + 1/2 itself, D
+ * = floor(y), y's nearest integer is P's: the 12 digits of a, correctly
+ * rounded, with decimal exponent e (e + 1 when it is 10^12, whose digits
+ * are those of 10^11).  A y on D + 1/2 is the tie, whose P may lie on
+ * either side of the half or on it.  The digits then go out as %g places
+ * them, trailing zeros and a bare point stripped.
  *
  * The decade comes from a binary search of DECADE, four comparisons, and
- * D's 12 digits from PAIRS, two per step.  The near-tie test compares
- * |frac - 1/2| once, so that nothing branches on which side of 1/2 the
- * fraction lies, which no predictor guesses. */
+ * the 12 digits from put_digits, one division by 10^8. */
 static uint8_t *put_g12(double x, uint8_t *p)
 {
     double a = __builtin_fabs(x), y, frac;
@@ -279,7 +312,7 @@ static uint8_t *put_g12(double x, uint8_t *p)
         return NULL;
     d = (int64_t)y;
     frac = y - (double)d;  /* exact, as y < 2^40 */
-    if (__builtin_fabs(frac - 0.5) <= 0x1p-14)
+    if (frac == 0.5)
         return NULL;
     d += frac > 0.5;
     if (d == 1000000000000) {  /* rounded up into the next decade */

@@ -359,5 +359,5 @@ def export_figure_data(kind: str, out_path, n_max: int | None = None,
                     "columns": list(cols)}, {"rows": (row_fmt, data)})]
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "wb") as fh:
         return write(fh, pieces)

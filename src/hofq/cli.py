@@ -18,7 +18,6 @@ flag, `false` as nothing), and flags typed on the command line win.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -159,13 +158,34 @@ def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
     return argv[:i + 1] + tokens + argv[i + 1:]
 
 
+class _TextSink:
+    """The binary sink of a text stdout that has no buffer beneath it (an
+    io.StringIO under contextlib.redirect_stdout): each write is decoded
+    and passed on."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def write(self, data):
+        return self.text.write(str(data, "utf-8"))
+
+
 def _write(args, **formats) -> None:
-    """Write the pieces of args.format to --out, or to stdout.  Each format
-    maps to a function that builds its list of pieces for table.write, so
-    only the chosen one is built."""
-    with (open(args.out, "w") if args.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        table.write(fh, formats[args.format]())
+    """Write the pieces of args.format to --out, or to stdout, as bytes.
+    Each format maps to a function that builds its list of pieces for
+    table.write, so only the chosen one is built.  stdout's text layer is
+    flushed first, so that what was printed to it stays ahead, and its
+    buffer after, when it is line-buffered (a terminal)."""
+    if args.out:
+        with open(args.out, "wb") as fh:
+            table.write(fh, formats[args.format]())
+        return
+    sys.stdout.flush()
+    sink = getattr(sys.stdout, "buffer", None)
+    table.write(_TextSink(sys.stdout) if sink is None else sink,
+                formats[args.format]())
+    if sink is not None and getattr(sys.stdout, "line_buffering", False):
+        sink.flush()
 
 
 def _write_trace(args, trace: engine.QTrace, text=None) -> int:

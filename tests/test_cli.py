@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -739,6 +740,71 @@ def test_full_disk_is_one_line(argv):
                           capture_output=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, b"", b"hofq: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--f", "gamma2", "--n", "70000", "--format", "csv"),
+    ("compute", "--f", "prefix:0,2,2", "--n", "3", "--format", "json"),
+    ("hofstadter", "--variant", "hof", "--n", "40", "--format", "text"),
+    ("approx", "--f", "gamma2", "--model", "sqrt:gamma2", "--n", "500",
+     "--format", "csv"),
+])
+def test_every_stdout_gets_the_out_file_bytes(capsys, tmp_path, argv):
+    """The bytes of --out, after the text printed to stdout before the
+    command, on every kind of stdout: capsys, an io.StringIO under
+    redirect_stdout (no binary buffer beneath it) and a pipe to a child
+    process, whose stdout is block-buffered.  The csv table is more than
+    one chunk."""
+    path = tmp_path / "out"
+    code = cli.main([*argv, "--out", str(path)])
+    assert code == (2 if "prefix:0,2,2" in argv else 0)
+    head = "before\n"
+    expect = head.encode() + path.read_bytes()
+    capsys.readouterr()
+
+    print(head, end="")
+    assert cli.main(list(argv)) == code
+    assert capsys.readouterr().out.encode() == expect
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        print(head, end="")
+        assert cli.main(list(argv)) == code
+    assert buf.getvalue().encode() == expect
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hofq.__file__))
+    script = ("import sys\nfrom hofq import cli\n"
+              f"print({head!r}, end='')\nsys.exit(cli.main({list(argv)!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, expect)
+
+
+def test_terminal_stdout_shows_the_table_before_stderr(monkeypatch):
+    """On a line-buffered stdout, as on a terminal, the table reaches the
+    terminal before the death that follows it is reported on stderr."""
+    events = []
+
+    class Terminal(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            events.append("out")
+            return len(data)
+
+    class Stderr(io.StringIO):
+        def write(self, s):
+            events.append("err")
+            return len(s)
+
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+        io.BufferedWriter(Terminal()), line_buffering=True))
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert cli.main(["compute", "--f", "prefix:0,2,2", "--n", "3",
+                     "--format", "csv"]) == 2
+    assert events[0] == "out" and "err" in events
 
 
 def test_runtime_does_not_import_mpmath():

@@ -712,21 +712,42 @@ def test_format_rows_small(kernel_backend):
 G12 = kernels.FORMAT_G12
 
 # each digit count's edges: +-(10^k - 1), +-10^k and their neighbours,
-# the int64 extremes, and 0
+# the int64 extremes, and 0; and +-(10^k + 10^j) and +-(10^k + 7), whose
+# low 4- and 8-digit blocks start with zeros (10^8 + 1, 10^12 + 10^4,
+# -(10^16 + 7))
 DIGIT_EDGES = sorted({s * (10**k + d) for k in range(19) for d in (-1, 0, 1)
-                      for s in (1, -1)} | {INT64_MIN, INT64_MIN + 1,
-                                           INT64_MAX - 1, INT64_MAX})
+                      for s in (1, -1)}
+                     | {s * (10**k + d) for k in range(1, 19)
+                        for d in [7, *(10**j for j in range(k))]
+                        for s in (1, -1)}
+                     | {INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX})
 
 
 def test_format_rows_ints_at_every_digit_count(kernel_backend):
-    """The two-digits-per-step path against `%`: every digit count, both
-    signs, and widths below, at and above each value's printed length."""
+    """The digit blocks against `%`: every digit count, both signs, zeros
+    at the head of a 4- or 8-digit block, and widths below, at and above
+    each value's printed length."""
     col = np.array(DIGIT_EDGES, dtype=np.int64)
     assert format_table(kernel_backend, [col], [0], ["", "\n"]) == "".join(
         "%d\n" % v for v in DIGIT_EDGES)
     for w in range(1, 22):  # the printed lengths are 1..20
         assert format_table(kernel_backend, [col], [w], ["|", ""]) == "".join(
             "|%*d" % (w, v) for v in DIGIT_EDGES)
+
+
+def test_format_rows_ints_of_every_digit_count_at_every_width(
+        kernel_backend):
+    """Seeded ints of each digit count 1..19, both signs, at every width
+    0..FORMAT_MAX_WIDTH (0 is plain %d), against `%*d`."""
+    rng = np.random.default_rng(20261020)
+    values = np.concatenate([
+        rng.integers(10**(k - 1) if k > 1 else 0, min(10**k, 2**63), 24,
+                     dtype=np.int64) for k in range(1, 20)])
+    values[1::2] *= -1
+    assert {len(str(abs(v))) for v in values.tolist()} == set(range(1, 20))
+    for w in range(kernels.FORMAT_MAX_WIDTH + 1):
+        assert format_table(kernel_backend, [values], [w], ["", "\n"]) == (
+            "".join("%*d\n" % (w, v) for v in values.tolist()))
 
 
 def test_format_rows_literal_pieces_of_every_length(kernel_backend):

@@ -124,10 +124,26 @@ def each_backend(monkeypatch):
     return each()
 
 
+class Sink:
+    """A binary sink that keeps the bytes of each write: the writer hands
+    it views of a buffer that it reuses, which a sink reads before it
+    returns, as io's binary streams do."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def text(self):
+        # strict ASCII: every byte is compared with the expected text's
+        return b"".join(self.writes).decode("ascii")
+
+
 def write(row_fmt, columns, **kw):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     count = table.write_rows(buf, row_fmt, columns, **kw)
-    return count, buf.getvalue()
+    return count, buf.getvalue().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +283,7 @@ def g12_near_ties():
     it, checked in exact rationals: a few ulps about (D + 1/2) / 10^(11-e)
     for 12-digit D < 2^37 in each decade 10^-4..10^11, whose product
     rounds by at most 2^-17, kept within 2^-14 - 2^-17 of D + 1/2; and
-    D + 1/2 +- 2^-14 itself, exact in [2^38, 2^39).  Each must fall
-    inside put_g12's near-tie margin."""
+    D + 1/2 +- 2^-14 itself, exact in [2^38, 2^39)."""
     rng = np.random.default_rng(20261020)
     out = []
     for e in range(-4, 12):
@@ -288,14 +303,65 @@ def g12_near_ties():
     return np.array(out + [-v for v in out])
 
 
+def g12_scaled_near_ties():
+    """Doubles x whose scaled product y = x * 10^(11-e), rounded once as
+    put_g12 computes it, lies within 2^-14 of a half-integer D + 1/2 and
+    not on it: up to 12 ulps about (D + 1/2) / 10^(11-e) for 12-digit D
+    in each decade 10^-4..10^11, and D + 1/2 +- k 2^-16 in [10^11, 2^37),
+    where such y are exact.  A y off the half lies on the exact product's
+    side of it, so put_g12 prints these itself."""
+    rng = np.random.default_rng(20261022)
+    out = []
+    for e in range(-4, 12):
+        k = 11 - e
+        for d in rng.integers(10**11, 10**12 - 1, 40).tolist():
+            x = float(Fraction(2 * d + 1, 2) / Fraction(10) ** k)
+            for direction in (-math.inf, math.inf):
+                y = x
+                for _ in range(12):
+                    y = math.nextafter(y, direction)
+                    if 0 < abs(y * 10.0**k - (d + 0.5)) <= 2.0**-14:
+                        out.append(y)
+    for d in rng.integers(10**11, 2**37, 30).tolist():
+        out += [d + 0.5 + j * 2.0**-16 for j in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    return np.array(out + [-v for v in out])
+
+
+def g12_fraction_oracle(x):
+    """`%.12g` of a double x with 1e-4 <= |x| and 12-digit rounding below
+    1e12, from its exact value: the 12 significant digits rounded half to
+    even, in fixed notation, trailing zeros and a bare point stripped."""
+    v, e = abs(Fraction(x)), 11
+    while v < Fraction(10) ** e:
+        e -= 1
+    d = round(v * Fraction(10) ** (11 - e))  # half to even
+    if d == 10**12:
+        d, e = 10**11, e + 1
+    assert e < 12
+    digits = str(d)
+    whole, frac = ((digits[:e + 1], digits[e + 1:]) if e >= 0
+                   else ("0", "0" * (-e - 1) + digits))
+    frac = frac.rstrip("0")
+    return "-" * (x < 0) + whole + ("." + frac if frac else "")
+
+
+def test_g12_scaled_near_ties_match_exact_rounding(each_backend):
+    x = g12_scaled_near_ties()
+    assert len(x) > 1000
+    expect = "".join(g12_fraction_oracle(v) + "\n" for v in x.tolist())
+    assert expect == "".join(format(v, ".12g") + "\n" for v in x.tolist())
+    for _ in each_backend:
+        assert write("%.12g\n", (x,)) == (len(x), expect)
+
+
 def g12_rounded_onto_ties():
     """Doubles x whose scaled product y = x * 10^(11-e), rounded once as
     put_g12 computes it, is the half-integer D + 1/2 while the exact
     product, checked in exact rationals, lies off it: a few ulps about
     (D + 1/2) / 10^(11-e) for 12-digit D in each decade 10^-4..10^11.
     Those above D + 1/2 print D + 1 and those below print D, which y
-    cannot tell apart, so put_g12's near-tie test must hand each of them
-    to the call that `%` makes.  Returns (those below, those above)."""
+    cannot tell apart, so put_g12's tie test must hand each of them to the
+    call that `%` makes.  Returns (those below, those above)."""
     rng = np.random.default_rng(20261021)
     below, above = [], []
     for e in range(-4, 12):
@@ -359,17 +425,12 @@ def test_g12_fallback_rows_at_chunk_edges(monkeypatch, each_backend, at):
     percent_rows.__wrapped__ = kernels.percent_rows
     monkeypatch.setattr(kernels, "percent_rows", percent_rows)
     for _ in each_backend:
-        writes = []
-
-        class Sink:
-            def write(self, s):
-                writes.append(s)
-
+        sink = Sink()
         percent.clear()
-        assert table.write_rows(Sink(), "%d:%.12g\n", (n, x)) == 10
-        assert "".join(writes) == "".join(
+        assert table.write_rows(sink, "%d:%.12g\n", (n, x)) == 10
+        assert sink.text() == "".join(
             f"{a}:{format(b, '.12g')}\n" for a, b in zip(n, x.tolist()))
-        assert len(writes) == 3  # one per chunk of 4 rows
+        assert len(sink.writes) == 3  # one per chunk of 4 rows
         assert percent == []
 
 
@@ -415,16 +476,11 @@ def test_chunk_boundaries(monkeypatch, offset, json_rows):
     monkeypatch.setattr(table, "CHUNK", 4)
     for rows in (4 + offset, 8 + offset):
         a = np.arange(rows, dtype=np.int64) * -7
-        writes = []
-
-        class Sink:
-            def write(self, s):
-                writes.append(s)
-
-        assert table.write_rows(Sink(), "%d;", (a,), json=json_rows) == rows
+        sink = Sink()
+        assert table.write_rows(sink, "%d;", (a,), json=json_rows) == rows
         sep = "," if json_rows else ""
-        assert "".join(writes) == sep.join(f"{v};" for v in a)
-        assert len(writes) == math.ceil(rows / 4)  # one write per chunk
+        assert sink.text() == sep.join(f"{v};" for v in a)
+        assert len(sink.writes) == math.ceil(rows / 4)  # one write per chunk
 
 
 @pytest.mark.parametrize("buffer_bytes", [1, 41, 82, 123])
@@ -434,16 +490,11 @@ def test_wide_rows_take_fewer_rows_per_write(monkeypatch, each_backend,
     a = np.array([INT64_MIN, -1, 0, 7, INT64_MAX], dtype=np.int64)
     per_write = max(1, buffer_bytes // 41)  # "%d,%d" rows: 1 + 2 * 20 bytes
     for _ in each_backend:
-        writes = []
-
-        class Sink:
-            def write(self, s):
-                writes.append(s)
-
-        assert table.write_rows(Sink(), "%d,%d", (a, a[::-1])) == 5
-        assert "".join(writes) == "".join(
+        sink = Sink()
+        assert table.write_rows(sink, "%d,%d", (a, a[::-1])) == 5
+        assert sink.text() == "".join(
             f"{x},{y}" for x, y in zip(a.tolist(), a[::-1].tolist()))
-        assert len(writes) == math.ceil(5 / per_write)
+        assert len(sink.writes) == math.ceil(5 / per_write)
 
 
 def test_write_json_matches_json_dumps():
@@ -458,15 +509,16 @@ def test_write_json_matches_json_dumps():
                 ({"e": ("%d", (a[:0],))}, {"e": []}),
                 ({"q": ("%d", (a,)), "rows": ("[%d,%r]", (a, x))},
                  {"q": a.tolist(), "rows": rows})]:
-            buf = io.StringIO()
+            buf = io.BytesIO()
             count = table.write_json(buf, doc, arrays)
-            assert buf.getvalue() == json.dumps(
-                {**doc, **values}, separators=(",", ":"), default=str) + "\n"
+            assert buf.getvalue() == (json.dumps(
+                {**doc, **values}, separators=(",", ":"), default=str)
+                + "\n").encode()
             assert count == sum(map(len, values.values()))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     assert table.write_json(buf, head) == 0
-    assert buf.getvalue() == json.dumps(head, separators=(",", ":"),
-                                        default=str) + "\n"
+    assert buf.getvalue() == (json.dumps(head, separators=(",", ":"),
+                                         default=str) + "\n").encode()
 
 
 def test_write_runs_each_piece_through_its_writer():
@@ -475,13 +527,13 @@ def test_write_runs_each_piece_through_its_writer():
     doc, arrays = {"schema": "s"}, {"q": ("%d", (a,))}
     pieces = ["head\n", ("%d,%.12g\n", (a, x)), (doc, arrays), "",
               ("%d\n", (a[:0],)), (doc, {}), "tail"]
-    expect = io.StringIO()
-    expect.write("head\n")
+    expect = io.BytesIO()
+    expect.write(b"head\n")
     table.write_rows(expect, "%d,%.12g\n", (a, x))
     table.write_json(expect, doc, arrays)
     table.write_json(expect, doc)
-    expect.write("tail")
-    buf = io.StringIO()
+    expect.write(b"tail")
+    buf = io.BytesIO()
     assert table.write(buf, pieces) == 6
     assert buf.getvalue() == expect.getvalue()
     assert table.write(buf, []) == 0
