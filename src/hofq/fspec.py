@@ -35,12 +35,15 @@ past int64, Python ints, by one route on either kernel backend: a
 const-limit sqrt is pow at b = 1/2, whose span, as exp's, is a certified
 float64 seed settled by the exact scalar value().  A span may be the
 spec's own read-only memory (a Prefix reads its f once, with
-kernels.read_ints, and shares it); a caller that edits a span copies
-it first.  `value` and `values` follow from it in FSpec, and
-`values` writes f into its one output _BLOCK terms at a time, so that what a
-span allocates on the way is small enough to be reused rather than faulted
-in fresh: a third of the page faults on perfbench's `drivers` workload, and
-a peak near the output itself (see _BLOCK).
+kernels.read_ints, and a DiffBits once, with kernels.step_sum, and each
+shares it); a caller that edits a span copies it first.  `value` and
+`values` follow from it in FSpec.  `values` takes f in one span where the
+family's span allocates nothing but its output (FSpec._one_span: zeros,
+linear, floor, one-minus-delta, mod, bits and a prefix whose f is held), and
+elsewhere writes f into its one output _BLOCK terms at a time, so that what
+a span allocates on the way is small enough to be reused rather than
+faulted in fresh: a third of the page faults on perfbench's `drivers`
+workload, and a peak near the output itself (see _BLOCK).
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ _SEED_A_MAX = 2**52
 _EXP_B_MIN, _EXP_B_MAX = 2.0**-900, 2.0**900
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive float64
 _INT64 = np.dtype(np.int64)
-# values() asks _span for at most this many terms at once.  Each temporary
+# values() asks _span for at most this many terms at once, where a span
+# makes temporaries (not FSpec._one_span).  Each temporary
 # of a span is then 64 KiB, which the heap hands back from block to block
 # and L2 holds; one span of all n terms faulted in a dozen fresh full-length
 # arrays instead.  Measured on a 2-core x86-64 VM, with perfbench's
@@ -96,13 +100,16 @@ class FSpec:
     """Base class for driving-sequence specs."""
 
     __slots__ = ()  # a family without its own __slots__ keeps a __dict__
+    # whether _span allocates nothing but its output, so that values()
+    # gains nothing from blocks and takes f in one span
+    _one_span = False
 
     def _span(self, lo: int, hi: int) -> np.ndarray:
         """An array of the exact f(lo), ..., f(hi-1), for
         1 <= lo < hi <= max_len() + 1: int64, or an object array of Python
         ints where a value or an operand leaves int64.  It may be the
-        spec's own read-only memory (a Prefix's f); a caller that edits a
-        span copies it first."""
+        spec's own read-only memory (a Prefix's or a DiffBits' f); a caller
+        that edits a span copies it first."""
         raise NotImplementedError
 
     def value(self, n: int) -> int:
@@ -113,17 +120,20 @@ class FSpec:
         return int(self._span(n, n + 1)[0])
 
     def values(self, n_max: int) -> np.ndarray:
-        """f(1..n_max) as an int64 array, which up to _BLOCK terms may be
-        the spec's own read-only memory; raises InvalidFSpec if the spec
-        cannot produce that many terms, OverflowError if one leaves int64.
+        """f(1..n_max) as an int64 array, which may be the spec's own
+        read-only memory; raises InvalidFSpec if the spec cannot produce
+        that many terms, OverflowError if one leaves int64.
 
-        Past _BLOCK terms f is written into the output a span of at most
-        _BLOCK terms at a time.  No span after the first is a lone term,
-        whose step from the term before no slowness check would see."""
+        A family whose span allocates nothing but its output (_one_span)
+        gives f as one span: blocks, which bound a span's temporaries, buy
+        it nothing.  Any other writes f, past _BLOCK terms, into the output
+        a span of at most _BLOCK terms at a time.  No span after the first
+        is a lone term, whose step from the term before no slowness check
+        would see."""
         cap = self.max_len()
         if n_max < 1 or cap is not None and n_max > cap:
             self._check_len(n_max)  # raises
-        if n_max <= _BLOCK:
+        if n_max <= _BLOCK or self._one_span:
             out = self._span(1, n_max + 1)
             if out.dtype is not _INT64:  # an object array: past int64
                 raise _past_int64(self)
@@ -163,6 +173,8 @@ class FSpec:
 
 @dataclass(frozen=True)
 class Zeros(FSpec):
+    _one_span = True
+
     def _span(self, lo, hi):
         return np.zeros(hi - lo, dtype=np.int64)
 
@@ -173,6 +185,8 @@ class Zeros(FSpec):
 @dataclass(frozen=True)
 class Linear(FSpec):
     """f(n) = n - 1."""
+
+    _one_span = True
 
     def _span(self, lo, hi):
         return _indices(lo - 1, hi - 1)
@@ -202,6 +216,14 @@ class FloorRatio(FSpec):
             raise InvalidFSpec("floor ratio: numerator must be >= 0")
         if self.scale == 0:
             raise InvalidFSpec("floor ratio: scale must be nonzero")
+
+    @property
+    def _one_span(self):
+        """Whether the int64 route, in place on the indices, holds up to
+        2**31 terms, the longest trace compute_q takes.  Exact Python ints
+        go in blocks: at 10**6 terms one span of them took 11 times the
+        time of blocks and peaked at 12 times the output."""
+        return _int64_route(2**31, self.num, self.den, self.shift, self.scale)
 
     def _span(self, lo, hi):
         return _floor_ratio(_indices(lo, hi), self.num, self.den, self.shift,
@@ -234,6 +256,7 @@ class OneMinusDelta(FSpec):
     """f(n) = 1 everywhere except a single 0 at index n1."""
 
     n1: int = 1
+    _one_span = True
 
     def __post_init__(self):
         if self.n1 < 1:
@@ -254,16 +277,37 @@ class ModM(FSpec):
     """f(n) = (n - 1) mod m.  Not slow for m >= 2, but Q(f) still exists."""
 
     m: int
+    _one_span = True
 
     def __post_init__(self):
         if self.m < 1:
             raise InvalidFSpec("mod: modulus must be >= 1")
 
     def _span(self, lo, hi):
-        n = _indices(lo - 1, hi - 1)
-        if hi - 1 <= self.m:  # every n - 1 < m: mod is the identity
-            return n
-        return (n if self.m <= INT64_MAX else n.astype(object)) % self.m
+        """One period written in place, then copied from what is written,
+        each in doubling steps: no int64 `%`, which took four times `//`
+        (240 us against 59 per 60,000 terms), and no temporary."""
+        m, size = self.m, hi - lo
+        if hi - 1 <= m:  # every n - 1 < m: mod is the identity
+            return _indices(lo - 1, hi - 1)
+        if m > INT64_MAX:  # then so are the indices: Python ints
+            return _indices(lo - 1, hi - 1) % m
+        out = np.empty(size, dtype=np.int64)
+        # the first period less m, which stays in int64, then m added back
+        # before its wrap to 0
+        period, first = min(m, size), (lo - 1) % m
+        out[0] = first - m
+        done = 1
+        while done < period:
+            k = min(done, period - done)
+            np.add(out[:k], done, out=out[done:done + k])
+            done += k
+        out[:m - first] += m
+        while done < size:  # whole periods on: done is a multiple of m
+            k = min(done, size - done)
+            out[done:done + k] = out[:k]
+            done += k
+        return out
 
     def spec_str(self):
         return f"mod:{self.m}"
@@ -311,6 +355,11 @@ class Prefix(FSpec):
     def __reduce__(self):  # copy and pickle, past the frozen __setattr__
         return Prefix, (self.prefix,)
 
+    @property
+    def _one_span(self):
+        """A held f is every span's memory: blocks would only copy it."""
+        return self._f is not None
+
     def _span(self, lo, hi):
         f = self._f
         if f is None:
@@ -318,9 +367,7 @@ class Prefix(FSpec):
                 return np.fromiter(self.prefix[lo - 1:hi - 1], np.int64)
             except OverflowError:
                 return np.array(self.prefix[lo - 1:hi - 1], dtype=object)
-        if lo == 1 and hi > len(f):
-            return f
-        return f[lo - 1:hi - 1]  # a view, read-only as f is
+        return _held_span(f, lo, hi)
 
     def max_len(self):
         return len(self.prefix)
@@ -363,11 +410,15 @@ class DiffBits(FSpec):
     string's bytes less ord('0'), in which every other byte, a multi-byte
     character's included, wraps above 1; given as bytes or a sequence of
     ints, they are the values themselves.  Either way one uint8 max over
-    the array checks them.  f is their running sum, kernels.step_sum, a
-    span at a time.
+    the array checks them.  f, their running sum, is read once, by one
+    kernels.step_sum call, into the read-only int64 array _f, which every
+    span and trace of the spec shares, as a Prefix's f.  _f is not a
+    field: equality, hashing, repr and copies see only bits, and a copy
+    reads its own.
     """
 
     bits: bytes
+    _one_span = True
 
     def __post_init__(self):
         raw = self.bits
@@ -380,37 +431,17 @@ class DiffBits(FSpec):
             arr = np.frombuffer(raw, np.uint8)
         if arr.max(initial=0) > 1:
             raise InvalidFSpec("bits: differences must be 0 or 1")
+        f = np.empty(len(raw) + 1, dtype=np.int64)
+        kernels.step_sum(arr, 0, f)
+        f.setflags(False)  # write=False
         object.__setattr__(self, "bits", raw)
+        object.__setattr__(self, "_f", f)
 
-    def _ones_before(self, m: int) -> int:
-        """The ones among bits[:m], in O(_BLOCK) from _marks, the counts at
-        the multiples of _BLOCK, so that a span costs O(hi - lo + _BLOCK),
-        not O(hi).  The marks grow by counting only as far as a span asks;
-        a span that ends on the next multiple records it (see _span), so
-        values() counts no bit twice and none at all past the first span."""
-        arr = np.frombuffer(self.bits, np.uint8)
-        j = m // _BLOCK
-        marks = self.__dict__.get("_marks", [0])
-        if len(marks) <= j:  # extend a copy: a racing thread's stays right
-            marks = list(marks)
-            while len(marks) <= j:
-                end = len(marks) * _BLOCK
-                marks.append(marks[-1] + int(np.count_nonzero(
-                    arr[end - _BLOCK:end])))
-            object.__setattr__(self, "_marks", marks)
-        if m == j * _BLOCK:
-            return marks[j]
-        return marks[j] + int(np.count_nonzero(arr[j * _BLOCK:m]))
+    def __reduce__(self):  # copy and pickle: bits alone, as a Prefix does
+        return DiffBits, (self.bits,)
 
     def _span(self, lo, hi):
-        out = np.empty(hi - lo, dtype=np.int64)
-        steps = np.frombuffer(self.bits, np.uint8, hi - lo - 1, lo - 1)
-        kernels.step_sum(steps, self._ones_before(lo - 1), out)
-        marks = self.__dict__.get("_marks", [0])
-        if hi - 1 == len(marks) * _BLOCK:  # f(hi), the next mark
-            object.__setattr__(self, "_marks",
-                               [*marks, int(out[-1]) + self.bits[hi - 2]])
-        return out
+        return _held_span(self._f, lo, hi)
 
     def max_len(self):
         return len(self.bits) + 1
@@ -782,6 +813,12 @@ def _indices(lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi, dtype=np.int64 if hi <= INT64_MAX else object)
 
 
+def _held_span(f: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """f(lo..hi-1) from a spec's held, read-only f: f itself for the whole,
+    else a view, read-only as f is."""
+    return f if lo == 1 and hi > len(f) else f[lo - 1:hi - 1]
+
+
 def _exact(vals) -> np.ndarray:
     """The Python ints vals as int64 where all fit, else as objects."""
     try:  # fromiter: 10-15% faster than np.array from 3 values on
@@ -790,20 +827,30 @@ def _exact(vals) -> np.ndarray:
         return np.array(vals, dtype=object)
 
 
+def _int64_route(top: int, num: int, den: int, shift: int = 0,
+                 scale: int = 1) -> bool:
+    """Whether scale * floor((num*n + shift) / den) keeps every intermediate
+    in int64 for 1 <= n <= top."""
+    return (max(abs(num) * top + abs(shift), 1) * abs(scale) <= INT64_MAX
+            and den <= INT64_MAX)
+
+
 def _floor_ratio(n: np.ndarray, num: int, den: int, shift: int = 0,
                  scale: int = 1) -> np.ndarray:
     """scale * floor((num*n + shift) / den) for the ascending positive
-    indices n.  In int64 where every intermediate fits, else in exact Python
-    ints, which stay objects where a value leaves int64."""
-    if (max(abs(num) * int(n[-1]) + abs(shift), 1) * abs(scale) <= INT64_MAX
-            and den <= INT64_MAX):
-        out = n * num
+    indices n.  In int64, in place in n, where every intermediate fits,
+    else in exact Python ints, which stay objects where a value leaves
+    int64."""
+    if _int64_route(int(n[-1]), num, den, shift, scale):
+        if num != 1:
+            n *= num
         if shift:
-            out += shift
-        out //= den
+            n += shift
+        if den != 1:
+            n //= den
         if scale != 1:
-            out *= scale
-        return out
+            n *= scale
+        return n
     return _exact(scale * ((num * n.astype(object) + shift) // den))
 
 

@@ -2,7 +2,9 @@
 
 Each verifier recomputes the relevant trace with the engine and compares it
 against the closed form up to a configurable N, using exact integer floors
-throughout.  A failing verifier carries its first counterexample.
+throughout.  A failing verifier carries its first counterexample; a trace
+that stops before N fails at its death index.  A periodic closed form is
+checked one residue class at a time, on strided views of the trace.
 """
 
 from __future__ import annotations
@@ -70,14 +72,46 @@ def _result(name, n, expected, actual, offset=1, details=None):
     return VerifierResult(name, n, mism is None, mism, details or {})
 
 
+def _stops_before(trace, n):
+    """(died_at, 0, lookup index) for a trace that stops before index n,
+    None for one that reaches it.  A trace that stops without dying, as no
+    engine trace does, fails at n_max + 1 with lookup index 0."""
+    if trace.n_max >= n:
+        return None
+    outcome = trace.outcome
+    return (outcome.died_at or trace.n_max + 1, 0, outcome.lookup_index or 0)
+
+
+def _first_by_class(q, lines, first=1):
+    """The least-n counterexample (n, expected, actual) of q, whose q[0] is
+    the term at n = first, against a closed form of period p = len(lines):
+    lines[r] holds the terms at n = first + r, first + r + p, ..., as a
+    constant or an array at least as long as that residue class.  Each
+    class is one strided view of q compared with its line, so nothing of
+    q's length is built; None where every class agrees."""
+    p = len(lines)
+    found = []
+    for r, line in enumerate(lines):
+        view = q[r::p]
+        if np.ndim(line):
+            line = line[:len(view)]
+        bad = np.flatnonzero(view != line)
+        if bad.size:
+            j = int(bad[0])
+            want = line[j] if np.ndim(line) else line
+            found.append((first + r + p * j, int(want), int(view[j])))
+    return min(found, default=None)
+
+
 def verify_zeros_and_linear(n: int | None = None) -> VerifierResult:
     """Q(zeros) is constant 1 and Q(linear) is the identity."""
     n = DEFAULT_N if n is None else n
     q0 = compute_q(Zeros(), n)
     q1 = compute_q(Linear(), n)
     ident = np.arange(1, n + 1, dtype=np.int64)
-    mism = (_first_mismatch(np.ones(n, dtype=np.int64), q0.q_values)
-            or _first_mismatch(ident, q1.q_values))
+    mism = (_stops_before(q0, n)
+            or _first_mismatch(np.ones(n, dtype=np.int64), q0.q_values)
+            or _stops_before(q1, n) or _first_mismatch(ident, q1.q_values))
     return VerifierResult("zeros-linear", n, mism is None, mism)
 
 
@@ -85,15 +119,13 @@ def verify_non_slow_closed_forms(n: int | None = None) -> VerifierResult:
     """Two non-slow drivers with closed-form traces: the even staircase
     2*floor((n-1)/2) gives odd-repeats, and the parity driver gives 1,2,1,2,..."""
     n = DEFAULT_N if n is None else n
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    even = (idx % 2 == 0)
     qa = compute_q(FloorRatio(1, 2, shift=-1, scale=2), n)
-    expected_a = np.where(even, idx - 1, idx)
-    mism = _first_mismatch(expected_a, qa.q_values)
+    # q(2i - 1) = q(2i) = 2i - 1: both classes are the odd numbers
+    odd = np.arange(1, n + 1, 2, dtype=np.int64)
+    mism = _stops_before(qa, n) or _first_by_class(qa.q_values, [odd, odd])
     if mism is None:
         qb = compute_q(ModM(2), n)
-        expected_b = np.where(even, 2, 1)
-        mism = _first_mismatch(expected_b, qb.q_values)
+        mism = _stops_before(qb, n) or _first_by_class(qb.q_values, [1, 2])
     return VerifierResult("non-slow", n, mism is None, mism)
 
 
@@ -104,8 +136,8 @@ def verify_mod_class(n: int | None = None, ms=(1, 2, 3, 5, 7)) -> VerifierResult
     mism = None
     for m in ms:
         trace = compute_q(ModM(m), n)
-        expected = trace.f_values + 1
-        this = _first_mismatch(expected, trace.q_values)
+        this = (_stops_before(trace, n)
+                or _first_mismatch(trace.f_values + 1, trace.q_values))
         per_m[m] = this is None
         if this is not None and mism is None:
             mism = this
@@ -122,10 +154,10 @@ def verify_shift(n: int | None = None, fspec="floor:1/2",
     spec = as_fspec(fspec)
     base = compute_q(spec, n)
     shifted = compute_q(shift_f(spec, 1), n)
-    mism = None
-    if shifted.q_values[0] != 1:
+    mism = _stops_before(base, n) or _stops_before(shifted, n)
+    if mism is None and shifted.q_values[0] != 1:
         mism = (1, 1, int(shifted.q_values[0]))
-    else:
+    elif mism is None:
         mism = _first_mismatch(base.q_values[:-1], shifted.q_values[1:], offset=2)
     checked = 0
     if mism is None:
@@ -138,7 +170,7 @@ def verify_shift(n: int | None = None, fspec="floor:1/2",
             checked += len(f_mat)
             if died.any() or died_s.any():
                 row = int(np.flatnonzero(died | died_s)[0])
-                mism = (m, 0, int((died | died_s)[row]))
+                mism = (m, 0, int(died[row] or died_s[row]))
                 break
             if m > 1 and not (qs_mat[:, 1:] == q_mat[:, :-1]).all():
                 rows, cols = np.nonzero(qs_mat[:, 1:] != q_mat[:, :-1])
@@ -167,7 +199,8 @@ def verify_quarter_floor(n: int | None = None, samples: int = 10**4,
     n = DEFAULT_N if n is None else n
     trace = compute_q(FloorRatio(1, 4, shift=2), n)
     idx = np.arange(1, n + 1, dtype=np.int64)
-    mism = _first_mismatch((idx + 2) // 2, trace.q_values)
+    mism = (_stops_before(trace, n)
+            or _first_mismatch((idx + 2) // 2, trace.q_values))
     details: dict = {}
     if mism is None:
         rng = np.random.default_rng(seed)
@@ -198,7 +231,7 @@ def verify_sqrt_staircase(n: int | None = None) -> VerifierResult:
     top = int(staircase_value_array(np.array([n]))[0]) + 1
     runs = np.repeat(np.arange(1, top + 1, dtype=np.int64),
                      np.arange(1, top + 1))[:n]
-    mism = _first_mismatch(runs, trace.q_values)
+    mism = _stops_before(trace, n) or _first_mismatch(runs, trace.q_values)
     details = {}
     if mism is None:
         closed = staircase_value_array(np.arange(1, n + 1, dtype=np.int64))
@@ -211,6 +244,9 @@ def verify_golden(n: int | None = None) -> VerifierResult:
     """Q(floor(gamma^2 n))(n) = 1 + floor(gamma (n-1)), all floors exact."""
     n = DEFAULT_N if n is None else n
     trace = compute_q(GammaSq(), n)
+    stop = _stops_before(trace, n)
+    if stop:
+        return VerifierResult("golden", n, False, stop)
     expected = 1 + floor_gamma_array(np.arange(0, n, dtype=np.int64))
     return _result("golden", n, expected, trace.q_values)
 
@@ -269,17 +305,18 @@ def _golden_oracle_check(n: int, samples: int) -> tuple[int, int, int] | None:
     floor_gamma(j)), or None.
 
     The oracle's gamma is (sqrt(5) - 1)/2 with sqrt correctly rounded to 60
-    digits, so it is within 10^-59 of gamma, and j*gamma is then within
-    j*10^-58 (product rounding included).  gamma's continued fraction is all
-    1s, so |j*gamma - k| > 1/(3j) for every integer k; for j < 5*10^28,
-    far beyond any n here, j*10^-58 < 1/(3j) and the oracle's floor is the
-    true floor.
+    digits, within 10^-59 of gamma, and read as the exact fraction G / D of
+    its digits, so that j*gamma is the integer product j*G, within j*10^-59
+    of the true value, and its floor one integer division.  gamma's
+    continued fraction is all 1s, so |j*gamma - k| > 1/(3j) for every
+    integer k; for j < 10^29, far beyond any n here, j*10^-59 < 1/(3j) and
+    the oracle's floor is the true floor.
     """
     ctx = decimal.Context(prec=60, rounding=decimal.ROUND_HALF_EVEN)
-    gamma = ctx.divide(ctx.subtract(ctx.sqrt(5), 1), 2)
+    g, d = ctx.divide(ctx.subtract(ctx.sqrt(5), 1), 2).as_integer_ratio()
     rng = np.random.default_rng(5 * n + samples)
     for j in rng.integers(1, n + 1, size=samples).tolist():
-        oracle = math.floor(ctx.multiply(gamma, j))
+        oracle = j * g // d
         if oracle != floor_gamma(j):
             return (j, oracle, floor_gamma(j))
     return None
@@ -292,17 +329,14 @@ def verify_quasi_polynomial(n: int | None = None) -> VerifierResult:
     if n <= 12:
         raise ValueError("need n > 12")
     trace = compute_two_term(quasipolynomial_spec(), n)
-    if not trace.exists:
-        return VerifierResult("quasipoly", n, False,
-                              (trace.outcome.died_at, 0,
-                               trace.outcome.lookup_index or 0))
-    k = np.arange(13, n + 1, dtype=np.int64)
-    r = trace.q_values[k - 3]
-    mod = k % 5
-    expected = np.select([mod == 0, mod == 1, mod == 2, mod == 3],
-                         [2, k - 4, 5, k - 5], default=0) \
-        + np.where(mod == 4, k - 6, 0)
-    return _result("quasipoly", n, expected, r, offset=13)
+    mism = _stops_before(trace, n)
+    if mism is None:
+        # k = 13, ..., 17 are 3, 4, 0, 1, 2 mod 5, so along each residue
+        # class q(k) = k - 5, k - 6, 2, k - 4, 5 is a constant or a line
+        line = np.arange(13 - 5, n + 1, 5, dtype=np.int64)  # 8, 13, ...
+        mism = _first_by_class(trace.q_values[13 - trace.start:],
+                               [line, line, 2, line + 4, 5], first=13)
+    return VerifierResult("quasipoly", n, mism is None, mism)
 
 
 REGISTRY = {

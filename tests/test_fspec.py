@@ -860,15 +860,52 @@ def _count_spans(monkeypatch):
     return sizes
 
 
+# the families whose span allocates nothing but its output, which values()
+# takes in one span (every prefix below is of exact ints, so its f is held)
+ONE_SPAN = ("zeros", "linear", "floor:", "one-minus-delta:", "mod:", "bits:",
+            "prefix:")
+
+
 @pytest.mark.parametrize("text", BLOCK_SPECS + ["bits:" + "01" * (2 * B + 1)],
                          ids=lambda t: t[:40])
 def test_no_span_of_values_is_longer_than_a_block(monkeypatch, text):
+    """A family whose span makes temporaries asks _span for no more than
+    _BLOCK terms at once; one whose span writes only its output makes
+    exactly one _span call, for all n terms."""
     spec = parse_fspec(text)
     n = min(4 * B + 3, spec.max_len() or 4 * B + 3)
     want = spec.values(n).tolist()
     sizes = _count_spans(monkeypatch)
     assert spec.values(n).tolist() == want
-    assert sizes and max(sizes) <= B
+    if text.startswith(ONE_SPAN):
+        assert sizes == [n]
+    else:
+        assert sizes and max(sizes) <= B
+
+
+def test_floor_past_int64_intermediates_keeps_blocks(monkeypatch):
+    """A floor whose int64 route cannot hold goes in blocks: one span of
+    its exact Python ints took 11 times the time and peaked at 12 times
+    the output at 10**6 terms."""
+    spec = FloorRatio(10**13, 10**13 + 1)
+    assert FloorRatio(10**9, 10**9 + 1)._one_span
+    assert not spec._one_span
+    sizes = _count_spans(monkeypatch)
+    got = spec.values(2 * B + 5)
+    assert max(sizes) <= B
+    assert got.tolist() == [(10**13 * k) // (10**13 + 1)
+                            for k in range(1, 2 * B + 6)]
+
+
+def _memory_spec(text, n):
+    """The spec of text; `bits:` and `prefix:` alone stand for n seeded
+    slow terms of each."""
+    if text not in ("bits:", "prefix:"):
+        return parse_fspec(text)
+    steps = np.random.default_rng(29).integers(0, 2, n - 1, np.uint8)
+    if text == "bits:":
+        return DiffBits(steps.tobytes())
+    return Prefix((0, *np.cumsum(steps, dtype=np.int64).tolist()))
 
 
 @pytest.mark.parametrize("text", [
@@ -877,11 +914,24 @@ def test_no_span_of_values_is_longer_than_a_block(monkeypatch, text):
     "const-limit:sqrt:a=5",
     "const-limit:pow:a=5,b=1/2",
     "const-limit:exp:a=5,b=1/1000",
+    "const-limit:clamp:alpha=1/2,n0=100",
+    "zeros",
+    "linear",
+    "floor:1/2",
+    "floor:1/2:shift=-1:scale=2",
+    "one-minus-delta:1",
+    "mod:2",
+    "mod:7",
+    "mod:999999",
+    "bits:",
+    "prefix:",
+    "shift:3:(floor:1/2)",
+    "perturb:16:+1:(floor:1/2)",
 ])
 def test_values_peak_memory_is_near_its_output(text):
-    spec = parse_fspec(text)
-    spec.values(1000)  # imports and caches outside the measurement
     n = 10**6
+    spec = _memory_spec(text, n)  # a held f is read outside the measurement
+    spec.values(1000)  # imports and caches outside the measurement
     tracemalloc.start()
     try:
         spec.values(n)
@@ -916,20 +966,39 @@ def test_const_limit_saturates_exactly_where_value_does(form, a, b, start):
             spec.value(k) for k in range(1, start + 2)]
 
 
-def test_diffbits_counts_each_bit_once(monkeypatch):
-    # f(lo) comes from the ones counted at each multiple of _BLOCK below it,
-    # so a span late in a long string counts one block, not all before it
+def test_diffbits_reads_its_f_once_and_shares_it(monkeypatch):
+    """bits: reads f once, by one kernels.step_sum call over every bit,
+    into a read-only array that every span and trace of the spec shares;
+    a perturbation edits a copy, and a copy of the spec reads its own."""
+    sums, step_sum = [], kernels.step_sum
+    monkeypatch.setattr(kernels, "step_sum", lambda steps, first, out:
+                        sums.append(len(out)) or step_sum(steps, first, out))
     spec = DiffBits("0111" * (4 * B))
-    counted, count = [], np.count_nonzero
-    monkeypatch.setattr(np, "count_nonzero",
-                        lambda a: counted.append(len(a)) or count(a))
-    assert spec.values(16 * B)[-1] == 12 * B - 1
-    assert sum(counted) <= 16 * B
-    counted.clear()
+    n = 16 * B + 1
+    assert sums == [n]
+    f = spec.values(n)
+    assert f[-1] == 12 * B and not f.flags.writeable
+    assert spec.values(n) is f
+    assert compute_q(spec, n).f_values is f
+    head = spec.values(2 * B + 3)
+    assert not head.flags.writeable and np.shares_memory(head, f)
+    assert head.tolist() == f[:2 * B + 3].tolist()
     assert spec.value(16 * B) == 12 * B - 1
     assert spec._span(15 * B + 9, 15 * B + 11).tolist() == [
         spec.value(15 * B + 9), spec.value(15 * B + 10)]
-    assert sum(counted) <= 3 * B
+    assert sums == [n]
+    before = f.tolist()
+    assert Perturbed(spec, 3, 5).values(4).tolist() == [0, 0, 6, 2]
+    shifted = Perturbed(Shifted(1, spec), n + 1, 1)  # in blocks, of views
+    assert shifted.values(n + 1)[-1] == 12 * B + 1
+    assert f.tolist() == before
+    for copied in (copy.copy(spec), copy.deepcopy(spec),
+                   pickle.loads(pickle.dumps(spec))):
+        assert copied == spec and copied.bits == spec.bits
+        got = copied.values(n)
+        assert got.tolist() == before and not got.flags.writeable
+        assert not np.shares_memory(got, f)
+    assert len(sums) == 4
 
 
 @pytest.mark.parametrize("exp", range(-15, -5))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hofq import verify
-from hofq.engine import compute_q
+from hofq.engine import ExistenceOutcome, QTrace, compute_q
 from hofq.exactfloor import floor_gamma, floor_gamma_sq, staircase_start
 
 N_FAST = 20000
@@ -151,3 +151,156 @@ def test_quasipoly_needs_room():
 def test_verifier_defaults():
     assert verify.DEFAULT_N == 10**6
     assert verify.DEFAULT_N_TWO_TERM == 10**5
+
+
+# ---------------------------------------------------------------------------
+# traces that stop before n, and the residue-class checks
+
+
+def _cut(trace, k, died):
+    """trace's first k terms: a trace that died at the index after them
+    (lookup index -3) or, without died, one that exists only to its last,
+    f cut with it."""
+    last = trace.start + k - 1
+    outcome = (ExistenceOutcome(last, died_at=last + 1, lookup_index=-3)
+               if died else ExistenceOutcome(last))
+    f = trace.f_values
+    return QTrace(trace.q_values[:k], outcome,
+                  f if died or f is None else f[:k], trace.fspec, trace.start)
+
+
+ONE_TERM = ["zeros-linear", "non-slow", "mod", "shift", "quarter",
+            "staircase", "golden"]
+
+
+@pytest.mark.parametrize("died", [True, False], ids=["dying", "short"])
+@pytest.mark.parametrize("name", ONE_TERM + ["quasipoly"])
+def test_a_trace_that_stops_before_n_fails(monkeypatch, name, died):
+    """Every verifier fails, with the death index, where a trace stops
+    before n: no broadcast error, and no PASS over fewer terms."""
+    n, k = 300, 200
+    patched = "compute_two_term" if name == "quasipoly" else "compute_q"
+    real = getattr(verify, patched)
+    monkeypatch.setattr(verify, patched,
+                        lambda spec, n_max: _cut(real(spec, n_max), k, died))
+    res = verify.REGISTRY[name](n)
+    assert not res.ok
+    at = k + 1 if name != "quasipoly" else k + 3  # q(3) is its first term
+    assert res.first_counterexample == (at, 0, -3 if died else 0)
+    assert str(res).startswith(f"FAIL {name} at n = {at}:")
+
+
+@pytest.mark.parametrize("name", ONE_TERM)
+def test_a_trace_that_stops_later_fails_at_its_own_death(monkeypatch, name):
+    # the verifiers with two traces or more: only the last one stops
+    real, calls = verify.compute_q, []
+
+    def stopping(spec, n_max):
+        calls.append(spec)
+        trace = real(spec, n_max)
+        return _cut(trace, 250, True) if len(calls) > 1 else trace
+
+    monkeypatch.setattr(verify, "compute_q", stopping)
+    res = verify.REGISTRY[name](300)
+    if len(calls) > 1:
+        assert res.first_counterexample == (251, 0, -3)
+    else:
+        assert res.ok
+
+
+@pytest.mark.parametrize("base, shifted, want", [
+    (4, 3, 4),  # both rows died: the row's own index, not 4 | 3 = 7
+    (0, 3, 3),
+    (5, 0, 5),
+])
+def test_shift_reports_the_rows_own_death(monkeypatch, base, shifted, want):
+    real, calls = verify.compute_q_batch, []
+
+    def dying(f_mat):
+        q, died = real(f_mat)
+        calls.append(f_mat.shape[1])
+        if f_mat.shape[1] == 5:  # m = 5, row 2: base, then shifted
+            died = died.copy()
+            died[2] = base if len(calls) % 2 else shifted
+        return q, died
+
+    monkeypatch.setattr(verify, "compute_q_batch", dying)
+    res = verify.verify_shift(200, exhaustive_m=6)
+    assert not res.ok and res.first_counterexample == (5, 0, want)
+
+
+def _whole_non_slow(qa, qb, n):
+    """The closed forms of non-slow as whole arrays, as checked before the
+    residue-class views, and the first mismatch that gives."""
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    even = (idx % 2 == 0)
+    return (verify._first_mismatch(np.where(even, idx - 1, idx), qa)
+            or verify._first_mismatch(np.where(even, 2, 1), qb))
+
+
+def _whole_quasipoly(q, n):
+    """quasipoly's closed form as whole arrays, as checked before."""
+    k = np.arange(13, n + 1, dtype=np.int64)
+    mod = k % 5
+    expected = np.select([mod == 0, mod == 1, mod == 2, mod == 3],
+                         [2, k - 4, 5, k - 5], default=0) \
+        + np.where(mod == 4, k - 6, 0)
+    return verify._first_mismatch(expected, q[k - 3], offset=13)
+
+
+def _corrupting(monkeypatch, patched, edits):
+    """verify.<patched> giving its true traces with q(n) += d for each
+    (call, n, d) in edits, call counting from 0; the traces it gave."""
+    real, given = getattr(verify, patched), []
+
+    def corrupt(spec, n_max):
+        trace = real(spec, n_max)
+        q = trace.q_values.copy()
+        for call, at, d in edits:
+            if call == len(given):
+                q[at - trace.start] += d
+        given.append(QTrace(q, trace.outcome, trace.f_values, trace.fspec,
+                            trace.start))
+        return given[-1]
+
+    monkeypatch.setattr(verify, patched, corrupt)
+    return given
+
+
+@pytest.mark.parametrize("n", [100, 101])
+@pytest.mark.parametrize("edits", [
+    [(0, 1, 1)], [(0, 2, 1)], [(0, 51, -7)], [(0, 64, 2)],
+    [(0, 99, 1)], [(0, 100, 1)], [(0, 40, 1), (0, 33, 1)],
+    [(0, 40, 1), (0, 41, 1)], [(0, 90, 1), (1, 3, 1)],
+    [(1, 1, 1)], [(1, 2, -1)], [(1, 77, 1), (1, 60, 3)], [(1, 100, 1)],
+], ids=str)
+def test_non_slow_classes_find_the_whole_arrays_first_mismatch(
+        monkeypatch, n, edits):
+    """One term of each residue class corrupted, one class at a time and
+    several at once, in either trace: the reported counterexample is the
+    one the whole-array comparison gives."""
+    edits = [e for e in edits if e[1] <= n]
+    given = _corrupting(monkeypatch, "compute_q", edits)
+    res = verify.verify_non_slow_closed_forms(n)
+    if len(given) == 1:  # the first trace failed: the second is not run
+        given.append(compute_q("mod:2", n))
+    want = _whole_non_slow(given[0].q_values, given[1].q_values, n)
+    assert want is not None and res.first_counterexample == want
+    assert not res.ok
+
+
+@pytest.mark.parametrize("edits", [
+    *([(0, k, 1)] for k in range(13, 18)),  # each class alone
+    *([(0, k, -2)] for k in range(295, 300)),
+    [(0, 300, 1)], [(0, 12, 1)], [(0, 3, 1)],
+    [(0, 40, 1), (0, 37, 1)], [(0, 41, 1), (0, 42, 1), (0, 39, 5)],
+    [(0, k, 1) for k in range(200, 205)],
+], ids=str)
+def test_quasipoly_classes_find_the_whole_arrays_first_mismatch(
+        monkeypatch, edits):
+    given = _corrupting(monkeypatch, "compute_two_term", edits)
+    n = 300
+    res = verify.verify_quasi_polynomial(n)
+    want = _whole_quasipoly(given[0].q_values, n)
+    assert res.first_counterexample == want
+    assert res.ok == (want is None)
