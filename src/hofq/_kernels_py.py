@@ -9,12 +9,16 @@ trace died at k and -k when the term at k leaves the int64 range
 written).  On
 return a trace array holds every term before k.  Unlike the C entry
 points, which refuse what their loops could not take, this module checks
-nothing: hofq.kernels.Kernels checks every call to it first, and decodes
-the codes of either backend.  It runs when the C kernels cannot be
-built (or when HOFQ_PURE=1 forces it), and the tests compare the two.
+nothing: hofq.kernels.Kernels calls each function here through the check
+that its table names for the kernel, run first, and decodes the traces'
+codes of either backend.  Each function's docstring is its kernel's
+contract, as the C entry point's docstring is.  It runs when the C kernels
+cannot be built (or when HOFQ_PURE=1 forces it), and the tests compare
+the two.
 
-Python ints do not wrap, so the int64 range is enforced explicitly to keep
-overflow semantics identical to the compiled kernels.
+Python ints do not wrap, so the int64 range (exactfloor's INT64_MIN and
+INT64_MAX) is enforced explicitly to keep overflow semantics identical to
+the compiled kernels.
 
 percent_rows is the library's one Python row formatter and the formatter
 of record: format_rows here is one call to it, and hofq.table runs it for
@@ -23,8 +27,8 @@ the rows of every row format that format_rows does not take.
 
 import numpy as np
 
-INT64_MAX = 2**63 - 1
-INT64_MIN = -(2**63)
+from .exactfloor import INT64_MAX, INT64_MIN
+
 STEP_MAX = 255  # step_sum's greatest step, a uint8
 FORMAT_G12 = -1  # format_rows' field code of %.12g on a float64 column
 
@@ -132,8 +136,9 @@ def step_sum(steps, first, out):
 
 
 def read_ints(ints, out):
-    """out[i] = ints[i] up to the first item that is not an exact int or
-    lies outside int64; returns the number of items read."""
+    """out[i] = ints[i] up to the first item that is not an exact int (a
+    bool, a numpy integer or an int subclass is not) or lies outside
+    int64; returns the number of items read."""
     n = 0
     for v in ints:
         if type(v) is not int or not INT64_MIN <= v <= INT64_MAX:

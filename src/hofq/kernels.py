@@ -26,12 +26,18 @@ directory.  Each of its entry points takes
 the numpy arrays themselves and refuses, having written
 nothing, any array or bound its loop could not take safely; the twins
 check nothing.  `Kernels` gives both backends one contract and one set of
-refusal messages: on the pure backend it runs the checks below before the
-twin, and on the C backend, where the entry point is the check, it runs
-them only to say why the entry point refused.  When the extension cannot
-be built (no compiler, no Python.h, unwritable cache) the pure-Python
-twin runs instead, and BUILD_ERROR holds the first line of the failure;
-HOFQ_PURE=1 forces the twin.  BACKEND names the one in use: "c" or
+refusal messages.  It is built from one table, `_TABLE`, that names each
+kernel once, with the check of its arguments and whether it is a trace,
+whose code is decoded into (status, where); KERNELS is the table's names.
+Every call goes through one checked call, `_checked`: on the pure backend
+it runs the check before the twin, and on the C backend, where the entry
+point is the check, it runs it only to say why the entry point refused.
+Each kernel's contract is documented once, on its twin and in its C
+docstring.  The module-level one_term_trace ... format_rows are the calls
+of the backend in use.  When the extension cannot be built (no compiler,
+no Python.h, unwritable cache) the pure-Python twin runs instead, and
+BUILD_ERROR holds the first line of the failure; HOFQ_PURE=1, and no
+other value, forces the twin.  BACKEND names the one in use: "c" or
 "python".
 """
 
@@ -46,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels_py
+from .exactfloor import INT64_MAX, INT64_MIN
 
 OK, DIED, OVERFLOW = 0, 1, 2  # a trace's status
 WALK_MAX_DEPTH = 62  # the C walk keeps its path in fixed arrays of this depth
@@ -55,9 +62,6 @@ FORMAT_G12 = _kernels_py.FORMAT_G12  # format_rows' field code of %.12g
 percent_rows = _kernels_py.percent_rows  # the one Python row formatter
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-# the kernels, by their names in both backends
-KERNELS = ("one_term_trace", "one_term_rows", "two_term_trace", "slow_walk",
-           "step_sum", "read_ints", "format_rows")
 
 
 def check_array(a, name, write=False, dtype=np.int64):
@@ -97,11 +101,10 @@ def format_size(rows, lit, fields):
 _OK = (OK, 0)
 
 
-def _status(r: int, start: int) -> tuple[int, int]:
-    """(status, where) from a kernel's return value; k maps to start + k."""
-    if r == 0:
-        return _OK
-    return (DIED, start + r) if r > 0 else (OVERFLOW, start - r)
+def _status(r: int) -> tuple[int, int]:
+    """(status, where) from a trace kernel's nonzero code r: (DIED, r) or
+    (OVERFLOW, -r); a call returns _OK for 0 without calling this."""
+    return (DIED, r) if r > 0 else (OVERFLOW, -r)
 
 
 # The checks of each kernel's arguments, which raise the ValueError of
@@ -153,8 +156,8 @@ def _check_step_sum(steps, first, out):
         first = operator.index(first)
     except TypeError:
         raise ValueError("first must be an int") from None
-    top = _kernels_py.INT64_MAX - STEP_MAX * max(n - 1, 0)
-    if not _kernels_py.INT64_MIN <= first <= top:
+    top = INT64_MAX - STEP_MAX * max(n - 1, 0)
+    if not INT64_MIN <= first <= top:
         raise ValueError(f"first = {first} is outside [-2**63, {top}], where"
                          f" the sums of {n - 1} steps stay in int64")
 
@@ -199,8 +202,57 @@ def _reason(refusal: ValueError, check, *args) -> ValueError:
     return refusal
 
 
+def _checked(raw, check, check_first, trace):
+    """The call of the kernel `raw` through its `check`: first where
+    check_first, as raw checks nothing, and otherwise only to say why raw
+    refused.  A trace's call returns (status, where) for raw's code, any
+    other what raw returns.  The call bears raw's name and docstring, the
+    kernel's contract."""
+
+    @functools.wraps(raw)
+    def call(*args):
+        if check_first:
+            check(*args)
+        try:
+            r = raw(*args)
+        except ValueError as refusal:
+            raise _reason(refusal, check, *args) from None
+        if not trace:
+            return r
+        return _status(r) if r else _OK
+
+    return call
+
+
+def _from_start(call):
+    """two_term_trace's call, which also takes start, the index of q[0],
+    after n_init: its kernel takes the other arguments, and where counts
+    from start."""
+
+    def two_term_trace(q, n_init, start, d1, d2, outer):
+        status, k = call(q, n_init, d1, d2, outer)
+        return (status, start + k) if status else _OK
+
+    return two_term_trace
+
+
+# Each kernel, by its name in both backends: the check of its arguments,
+# and whether it is a trace, whose call decodes its code.
+_TABLE = {
+    "one_term_trace": (_check_one_term_trace, True),
+    "one_term_rows": (_check_one_term_rows, False),
+    "two_term_trace": (_check_two_term_trace, True),
+    "slow_walk": (_check_slow_walk, True),
+    "step_sum": (_check_step_sum, False),
+    "read_ints": (_check_read_ints, False),
+    "format_rows": (_check_format_rows, False),
+}
+KERNELS = tuple(_TABLE)
+
+
 class Kernels:
-    """The kernels of one backend, each call checked and its code decoded.
+    """The kernels of one backend, each call checked and a trace's code
+    decoded: an attribute of each name in KERNELS.
 
     `raw` holds the functions named in KERNELS; `checked` says whether
     they refuse, by ValueError, whatever their loops could not take, as
@@ -213,86 +265,10 @@ class Kernels:
 
     def __init__(self, implementation: str, raw, checked: bool):
         self.implementation = implementation
-        self._check_first = not checked
-        (self._one, self._rows, self._two, self._walk, self._steps,
-         self._ints, self._fmt) = (getattr(raw, name) for name in KERNELS)
-
-    def one_term_trace(self, f, q):
-        """q(1) = 1; q(n) = q(n - q(n-1)) + f(n); f sets the length."""
-        if self._check_first:
-            _check_one_term_trace(f, q)
-        try:
-            r = self._one(f, q)
-        except ValueError as refusal:
-            raise _reason(refusal, _check_one_term_trace, f, q) from None
-        return _status(r, 0) if r else _OK
-
-    def one_term_rows(self, f, q, status, m):
-        """status[r] = 0, n (died at n) or -n (overflow at n) for row r."""
-        if self._check_first:
-            _check_one_term_rows(f, q, status, m)
-        try:
-            self._rows(f, q, status, m)
-        except ValueError as refusal:
-            raise _reason(refusal, _check_one_term_rows, f, q, status,
-                          m) from None
-
-    def two_term_trace(self, q, n_init, start, d1, d2, outer):
-        """Extends q, whose q[j] is q(start + j), past its n_init terms."""
-        args = (q, n_init, d1, d2, outer)
-        if self._check_first:
-            _check_two_term_trace(*args)
-        try:
-            r = self._two(*args)
-        except ValueError as refusal:
-            raise _reason(refusal, _check_two_term_trace, *args) from None
-        return _status(r, start)
-
-    def slow_walk(self, seen, m):
-        """Marks seen, walk_size(m) bytes, for every slow prefix f(1..m)."""
-        if self._check_first:
-            _check_slow_walk(seen, m)
-        try:
-            r = self._walk(seen, m)
-        except ValueError as refusal:
-            raise _reason(refusal, _check_slow_walk, seen, m) from None
-        return _status(r, 0)
-
-    def step_sum(self, steps, first, out):
-        """out[0] = first, out[i] = out[i-1] + steps[i-1]: steps a uint8
-        array of at least len(out) - 1 values, out an int64 one."""
-        if self._check_first:
-            _check_step_sum(steps, first, out)
-        try:
-            self._steps(steps, first, out)
-        except ValueError as refusal:
-            raise _reason(refusal, _check_step_sum, steps, first,
-                          out) from None
-
-    def read_ints(self, ints, out):
-        """out[i] = ints[i], for a tuple ints and an int64 array out of its
-        length, up to the first item that is not an exact int (not a bool,
-        a numpy integer or an int subclass) or lies outside int64; returns
-        the number of items read."""
-        if self._check_first:
-            _check_read_ints(ints, out)
-        try:
-            return self._ints(ints, out)
-        except ValueError as refusal:
-            raise _reason(refusal, _check_read_ints, ints, out) from None
-
-    def format_rows(self, cols, fields, rows, lit, ends, out):
-        """Writes rows into out, field j printing cols[j] as %<w>d for a
-        width w = fields[j] >= 0 (an int64 column) or as %.12g for
-        FORMAT_G12 (a float64 column); returns the number of bytes
-        written."""
-        args = (cols, fields, rows, lit, ends, out)
-        if self._check_first:
-            _check_format_rows(*args)
-        try:
-            return self._fmt(*args)
-        except ValueError as refusal:
-            raise _reason(refusal, _check_format_rows, *args) from None
+        for name, (check, trace) in _TABLE.items():
+            setattr(self, name, _checked(getattr(raw, name), check,
+                                         not checked, trace))
+        self.two_term_trace = _from_start(self.two_term_trace)
 
 
 # -falign-loops=64 starts every loop on a 64-byte boundary, so that a
@@ -402,7 +378,7 @@ def compiled() -> Kernels:
 PURE = Kernels("python", _kernels_py, checked=False)
 
 BUILD_ERROR = None  # the first line of why the C kernels were not built
-if os.environ.get("HOFQ_PURE"):
+if os.environ.get("HOFQ_PURE") == "1":
     _impl = PURE
 else:
     try:
@@ -412,11 +388,5 @@ else:
         BUILD_ERROR = str(exc).splitlines()[0]
 
 BACKEND = _impl.implementation
-
-one_term_trace = _impl.one_term_trace
-one_term_rows = _impl.one_term_rows
-two_term_trace = _impl.two_term_trace
-slow_walk = _impl.slow_walk
-step_sum = _impl.step_sum
-read_ints = _impl.read_ints
-format_rows = _impl.format_rows
+# one_term_trace, ..., format_rows: the calls of the backend in use
+globals().update((name, getattr(_impl, name)) for name in KERNELS)

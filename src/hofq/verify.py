@@ -59,19 +59,6 @@ class VerifierResult:
                 f"(checked to {self.checked_up_to})")
 
 
-def _first_mismatch(expected, actual, offset=1):
-    bad = np.flatnonzero(np.asarray(expected) != np.asarray(actual))
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    return (i + offset, int(np.asarray(expected)[i]), int(np.asarray(actual)[i]))
-
-
-def _result(name, n, expected, actual, offset=1, details=None):
-    mism = _first_mismatch(expected, actual, offset)
-    return VerifierResult(name, n, mism is None, mism, details or {})
-
-
 def _stops_before(trace, n):
     """(died_at, 0, lookup index) for a trace that stops before index n,
     None for one that reaches it.  A trace that stops without dying, as no
@@ -109,9 +96,8 @@ def verify_zeros_and_linear(n: int | None = None) -> VerifierResult:
     q0 = compute_q(Zeros(), n)
     q1 = compute_q(Linear(), n)
     ident = np.arange(1, n + 1, dtype=np.int64)
-    mism = (_stops_before(q0, n)
-            or _first_mismatch(np.ones(n, dtype=np.int64), q0.q_values)
-            or _stops_before(q1, n) or _first_mismatch(ident, q1.q_values))
+    mism = (_stops_before(q0, n) or _first_by_class(q0.q_values, [1])
+            or _stops_before(q1, n) or _first_by_class(q1.q_values, [ident]))
     return VerifierResult("zeros-linear", n, mism is None, mism)
 
 
@@ -137,7 +123,7 @@ def verify_mod_class(n: int | None = None, ms=(1, 2, 3, 5, 7)) -> VerifierResult
     for m in ms:
         trace = compute_q(ModM(m), n)
         this = (_stops_before(trace, n)
-                or _first_mismatch(trace.f_values + 1, trace.q_values))
+                or _first_by_class(trace.q_values, [trace.f_values + 1]))
         per_m[m] = this is None
         if this is not None and mism is None:
             mism = this
@@ -158,7 +144,8 @@ def verify_shift(n: int | None = None, fspec="floor:1/2",
     if mism is None and shifted.q_values[0] != 1:
         mism = (1, 1, int(shifted.q_values[0]))
     elif mism is None:
-        mism = _first_mismatch(base.q_values[:-1], shifted.q_values[1:], offset=2)
+        mism = _first_by_class(shifted.q_values[1:], [base.q_values[:-1]],
+                               first=2)
     checked = 0
     if mism is None:
         for m in range(1, exhaustive_m + 1):
@@ -200,7 +187,7 @@ def verify_quarter_floor(n: int | None = None, samples: int = 10**4,
     trace = compute_q(FloorRatio(1, 4, shift=2), n)
     idx = np.arange(1, n + 1, dtype=np.int64)
     mism = (_stops_before(trace, n)
-            or _first_mismatch((idx + 2) // 2, trace.q_values))
+            or _first_by_class(trace.q_values, [(idx + 2) // 2]))
     details: dict = {}
     if mism is None:
         rng = np.random.default_rng(seed)
@@ -231,11 +218,11 @@ def verify_sqrt_staircase(n: int | None = None) -> VerifierResult:
     top = int(staircase_value_array(np.array([n]))[0]) + 1
     runs = np.repeat(np.arange(1, top + 1, dtype=np.int64),
                      np.arange(1, top + 1))[:n]
-    mism = _stops_before(trace, n) or _first_mismatch(runs, trace.q_values)
+    mism = _stops_before(trace, n) or _first_by_class(trace.q_values, [runs])
     details = {}
     if mism is None:
         closed = staircase_value_array(np.arange(1, n + 1, dtype=np.int64))
-        mism = _first_mismatch(closed, trace.q_values)
+        mism = _first_by_class(trace.q_values, [closed])
         details["closed_form_checked"] = True
     return VerifierResult("staircase", n, mism is None, mism, details)
 
@@ -244,11 +231,11 @@ def verify_golden(n: int | None = None) -> VerifierResult:
     """Q(floor(gamma^2 n))(n) = 1 + floor(gamma (n-1)), all floors exact."""
     n = DEFAULT_N if n is None else n
     trace = compute_q(GammaSq(), n)
-    stop = _stops_before(trace, n)
-    if stop:
-        return VerifierResult("golden", n, False, stop)
-    expected = 1 + floor_gamma_array(np.arange(0, n, dtype=np.int64))
-    return _result("golden", n, expected, trace.q_values)
+    mism = _stops_before(trace, n)
+    if mism is None:
+        expected = 1 + floor_gamma_array(np.arange(0, n, dtype=np.int64))
+        mism = _first_by_class(trace.q_values, [expected])
+    return VerifierResult("golden", n, mism is None, mism)
 
 
 def verify_golden_identity(n: int | None = None,
@@ -268,7 +255,7 @@ def verify_golden_identity(n: int | None = None,
     fsq = floor_gamma_sq_array(m)  # fsq[j] = floor(gamma^2 j), fsq[0] = 0
     term1 = floor_gamma_array(fsq[0:n] + 1)  # floor(gamma*(floor(..)+1))
     theta = term1 + fsq[1:n + 1] + fsq[2:n + 2]
-    mism = _first_mismatch(np.arange(0, n, dtype=np.int64), theta)
+    mism = _first_by_class(theta, [np.arange(0, n, dtype=np.int64)])
     details: dict = {}
     if mism is None:
         # fractional-part cases via pure floor comparisons (n >= 2):
@@ -291,7 +278,7 @@ def verify_golden_identity(n: int | None = None,
             # independent route: floor(gamma^2 j) = (3j - isqrt(5 j^2) - 1)//2
             j = m[1:n + 1]
             other = (3 * j - isqrt_array(5 * j * j) - 1) // 2
-            mism = _first_mismatch(other, fsq[1:n + 1])
+            mism = _first_by_class(fsq[1:n + 1], [other])
             details["floor_identity_checked"] = mism is None
             if mism is None and oracle_samples:
                 details["oracle_samples"] = oracle_samples

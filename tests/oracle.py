@@ -7,7 +7,9 @@ prefix-tree walk, on batches of whole prefixes.  Its batches go through
 compute_q_batch, that is the same one-term kernel as compute_q, so it checks
 the walk against the row-by-row trace, not against a second recurrence.
 oracle_f reads the fields of a spec, and takes the terms of const-limit
-(but clamp) and fracpow from their exact scalar value().
+(but clamp) and fracpow from their exact scalar value().  first_mismatch
+is the whole-array comparison that the verifiers' residue classes are
+checked against.
 """
 
 import math
@@ -131,3 +133,15 @@ def oracle_triangle_cells(n_max):
     for i, n, v in seen:
         cells.setdefault((i, n), []).append(v)
     return {k: tuple(sorted(vs)) for k, vs in cells.items()}
+
+
+def first_mismatch(expected, actual, offset=1):
+    """The first (n, expected, actual) where the whole arrays differ, n
+    counting from offset at index 0, or None: the verifiers' comparison
+    before they checked a closed form one residue class at a time."""
+    bad = np.flatnonzero(np.asarray(expected) != np.asarray(actual))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return (i + offset, int(np.asarray(expected)[i]),
+            int(np.asarray(actual)[i]))

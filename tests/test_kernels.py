@@ -62,18 +62,21 @@ def refused(call, args):
         gc.enable()
 
 
-def assert_refused(backend, monkeypatch, raw, method, cases):
+def assert_refused(backend, method, cases):
     """backend.method(*args) raises, for the arguments args of each case,
-    the ValueError that the pure backend raises before its twin `raw`,
-    which no_call stands in for.  On the C backend the entry point itself
-    is the check: it must refuse each call before writing anything, so
-    every array passed in is byte-identical afterwards, and release every
-    buffer it took, so each array and bytes argument keeps its reference
-    count."""
-    monkeypatch.setattr(PURE, raw, no_call)
+    the ValueError that the pure backend raises before any twin runs: a
+    Kernels over the pure checks whose every kernel is no_call.  On the C
+    backend the entry point itself is the check: it must refuse each call
+    before writing anything, so every array passed in is byte-identical
+    afterwards, and release every buffer it took, so each array and bytes
+    argument keeps its reference count."""
+    checks_only = kernels.Kernels(
+        "python", types.SimpleNamespace(**dict.fromkeys(kernels.KERNELS,
+                                                        no_call)),
+        checked=False)
     for args in cases:
         with pytest.raises(ValueError) as expected:
-            getattr(PURE, method)(*args)
+            getattr(checks_only, method)(*args)
         before = [a.tobytes() for a in arrays_in(args)]
         message, leaked = refused(getattr(backend, method), args)
         assert message == str(expected.value), args
@@ -205,33 +208,35 @@ def test_backends_agree_on_random_input(c_kernels):
 
 def test_compiled_backend_is_active():
     # a broken build must not silently leave tier-1 on the fallback alone
-    pure = os.environ.get("HOFQ_PURE") or shutil.which("cc") is None
+    forced = os.environ.get("HOFQ_PURE") == "1"  # only 1 forces the twin
+    pure = forced or shutil.which("cc") is None
     assert kernels.BACKEND == ("python" if pure else "c")
     # and a build that was not tried, or worked, has no error to report
-    assert (kernels.BUILD_ERROR is None) == (
-        kernels.BACKEND == "c" or bool(os.environ.get("HOFQ_PURE")))
+    assert (kernels.BUILD_ERROR is None) == (kernels.BACKEND == "c" or forced)
 
 
 def test_hofq_pure_selects_the_pure_backend():
-    """HOFQ_PURE=1 selects the pure kernels when hofq is imported, and the
-    CLI writes the same bytes on either backend."""
+    """HOFQ_PURE=1 selects the pure kernels when hofq is imported, any
+    other value (0 here) or none the default backend, and the CLI writes
+    the same bytes on either backend."""
     script = ("import sys, hofq, hofq.cli\n"
               "print(hofq.BACKEND, file=sys.stderr)\n"
               "sys.exit(hofq.cli.main(sys.argv[1:]))\n")
     argv = ["compute", "--f", "gamma2", "--n", "2000", "--format", "csv"]
     env = {k: v for k, v in os.environ.items() if k != "HOFQ_PURE"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hofq.__file__))
-    runs = {}
-    for pure in ("1", None):
+    backends, outputs = {}, set()
+    for pure in ("1", "0", None):
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               env=dict(env, HOFQ_PURE=pure) if pure else env,
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        runs[proc.stderr.decode().strip()] = proc.stdout
+        backends[pure] = proc.stderr.decode().strip()
+        outputs.add(proc.stdout)
     default = "python" if shutil.which("cc") is None else "c"
-    assert set(runs) == {"python", default}
-    assert runs["python"] == runs[default]
-    assert runs["python"].startswith(b"n,f,q\n1,0,1\n2,0,1\n")
+    assert backends == {"1": "python", "0": default, None: default}
+    assert len(outputs) == 1
+    assert outputs.pop().startswith(b"n,f,q\n1,0,1\n2,0,1\n")
 
 
 def test_failed_build_falls_back_and_says_why(tmp_path):
@@ -329,6 +334,88 @@ def test_pure_kernels_are_the_c_functions_twins(c_kernels):
                                 kernels.FORMAT_MAX_WIDTH, kernels.FORMAT_G12)
 
 
+def accepted_args():
+    """Arguments of each kernel, by name, that its check accepts; the
+    traces' as Kernels takes them, two_term_trace's with start = 10."""
+    lit, ends = b"\n", [0, 1]
+    return {
+        "one_term_trace": (np.zeros(4, dtype=np.int64),
+                           np.zeros(4, dtype=np.int64)),
+        "one_term_rows": (np.zeros(4, dtype=np.int64),
+                          np.zeros(4, dtype=np.int64),
+                          np.zeros(2, dtype=np.int64), 2),
+        "two_term_trace": (np.ones(4, dtype=np.int64), 2, 10, 1, 2, 0),
+        "slow_walk": (np.zeros(kernels.walk_size(3), dtype=np.uint8), 3),
+        "step_sum": (np.ones(3, dtype=np.uint8), 0,
+                     np.zeros(4, dtype=np.int64)),
+        "read_ints": ((1, 2), np.zeros(2, dtype=np.int64)),
+        "format_rows": ([np.arange(2, dtype=np.int64)], [0], 2, lit, ends,
+                        np.zeros(kernels.format_size(2, lit, [0]),
+                                 dtype=np.uint8)),
+    }
+
+
+@pytest.mark.parametrize("checked", [True, False])
+def test_each_kernel_calls_the_function_of_its_name(checked):
+    """A Kernels over distinct recording fakes calls, for each name in
+    KERNELS, the fake of that name with the kernel's arguments (all but
+    start for two_term_trace), and decodes the traces' code: +3 is died
+    at 3, from start for two_term_trace.  Any other kernel returns what
+    its fake returns."""
+    calls = []
+
+    def fake(name):
+        def raw(*args):
+            calls.append((name, args))
+            return 3
+        return raw
+
+    backend = kernels.Kernels(
+        "fake", types.SimpleNamespace(**{n: fake(n) for n in kernels.KERNELS}),
+        checked)
+    decoded = {"one_term_trace": (kernels.DIED, 3),
+               "two_term_trace": (kernels.DIED, 13),
+               "slow_walk": (kernels.DIED, 3)}
+    accepted = accepted_args()
+    assert set(accepted) == set(kernels.KERNELS)
+    for name, args in accepted.items():
+        calls.clear()
+        assert getattr(backend, name)(*args) == decoded.get(name, 3), name
+        raw_args = args[:2] + args[3:] if name == "two_term_trace" else args
+        assert calls == [(name, raw_args)], name
+
+
+@pytest.mark.parametrize("checked", [True, False])
+def test_a_refusal_its_check_accepts_is_raised_unchanged(checked):
+    """Where a raw kernel refuses arguments that its check accepts, the
+    call raises the kernel's own ValueError: the check has no reason of
+    its own to give."""
+    refusals = {name: ValueError(f"{name} refused") for name in
+                kernels.KERNELS}
+
+    def refusing(name):
+        def raw(*args):
+            raise refusals[name]
+        return raw
+
+    backend = kernels.Kernels(
+        "fake", types.SimpleNamespace(**{n: refusing(n)
+                                         for n in kernels.KERNELS}),
+        checked)
+    for name, args in accepted_args().items():
+        with pytest.raises(ValueError) as err:
+            getattr(backend, name)(*args)
+        assert err.value is refusals[name], name
+
+
+def test_module_kernels_are_the_active_backends_calls():
+    """hofq.kernels.<name> is the call of the backend in use for every
+    name in KERNELS: the names that callers call and a tracer rebinds."""
+    active = kernels.PURE if kernels.BACKEND == "python" else kernels.compiled()
+    for name in kernels.KERNELS:
+        assert getattr(kernels, name) is getattr(active, name), name
+
+
 def test_kernel_source_builds_without_warnings(tmp_path):
     """_kernels.c compiles warning-free with -Wall -Wextra, warnings made
     errors, against this interpreter's headers."""
@@ -343,7 +430,7 @@ def test_kernel_source_builds_without_warnings(tmp_path):
     assert proc.stderr == ""
 
 
-def test_wrapper_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+def test_wrapper_rejects_unsafe_arrays(kernel_backend):
     f = np.zeros(8, dtype=np.int64)
     q = np.zeros(8, dtype=np.int64)
     readonly = np.zeros(8, dtype=np.int64)
@@ -359,8 +446,7 @@ def test_wrapper_rejects_unsafe_arrays(kernel_backend, monkeypatch):
     # f is only read
     assert kernel_backend.one_term_trace(readonly, q) == (kernels.OK, 0)
     assert kernel_backend.one_term_trace(f[:0], q[:0]) == (kernels.OK, 0)
-    assert_refused(kernel_backend, monkeypatch, "_one", "one_term_trace",
-                   bad_one_term)
+    assert_refused(kernel_backend, "one_term_trace", bad_one_term)
     bad_two_term = [
         (q.astype(np.float64), 2, 1, 1, 2, 0),
         (np.zeros(16, dtype=np.int64)[::2], 2, 1, 1, 2, 0),
@@ -370,8 +456,7 @@ def test_wrapper_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         (q, 2, 1, 0, 2, 0),          # offsets must be positive
         (q, 2, 1, 1, 2, 2),          # outer is 0 or 1
     ]
-    assert_refused(kernel_backend, monkeypatch, "_two", "two_term_trace",
-                   bad_two_term)
+    assert_refused(kernel_backend, "two_term_trace", bad_two_term)
 
 
 def test_one_term_trace_refuses_alike_on_both_backends(kernel_backend):
@@ -434,7 +519,7 @@ def test_one_term_rows_backends_agree(c_kernels):
     assert codes == {-1, 0, 1}  # living, dying and overflowing rows
 
 
-def test_one_term_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+def test_one_term_rows_rejects_unsafe_arrays(kernel_backend):
     f = np.zeros(12, dtype=np.int64)
     q = np.zeros(12, dtype=np.int64)
     status = np.full(3, 7, dtype=np.int64)  # a run would write 0s here
@@ -458,8 +543,7 @@ def test_one_term_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         (f[:0], q[:0], status[:0], -1),             # m < 0
         (f, q, status, -4),
     ]
-    assert_refused(kernel_backend, monkeypatch, "_rows", "one_term_rows",
-                   bad)
+    assert_refused(kernel_backend, "one_term_rows", bad)
 
 
 def walk(mod, m):
@@ -493,7 +577,7 @@ def test_slow_walk_depth_is_bounded(kernel_backend):
     assert kernels.walk_size(62) == 62 * 62 * 63
 
 
-def test_slow_walk_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+def test_slow_walk_rejects_unsafe_arrays(kernel_backend):
     size = kernels.walk_size(4)
     readonly = np.zeros(size, dtype=np.uint8)
     readonly.flags.writeable = False
@@ -506,7 +590,7 @@ def test_slow_walk_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         np.zeros((4, 4, 5), dtype=np.uint8),  # not 1-D
         bytearray(size),                      # not an array
     ]
-    assert_refused(kernel_backend, monkeypatch, "_walk", "slow_walk",
+    assert_refused(kernel_backend, "slow_walk",
                    [(seen, 4) for seen in bad])
 
 
@@ -540,7 +624,7 @@ def test_step_sum_matches_cumsum(kernel_backend):
     assert run_step_sum(kernel_backend, top[:0], INT64_MIN, 1)[0] == INT64_MIN
 
 
-def test_step_sum_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+def test_step_sum_rejects_unsafe_arrays(kernel_backend):
     steps = np.ones(8, dtype=np.uint8)
     out = np.full(9, 7, dtype=np.int64)  # a run would write 0, 1, ..., 8
     readonly = np.zeros(9, dtype=np.int64)
@@ -563,7 +647,7 @@ def test_step_sum_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         (steps, INT64_MIN - 1, out[:0]),
         (steps, 0.0, out),                          # first not an int
     ]
-    assert_refused(kernel_backend, monkeypatch, "_steps", "step_sum", bad)
+    assert_refused(kernel_backend, "step_sum", bad)
 
 
 class _Small(enum.IntEnum):
@@ -597,7 +681,7 @@ def test_read_ints_stops_at_the_first_item_it_cannot_read(kernel_backend,
     assert read(kernel_backend, (*head, bad, 5)) == (4, [*head, 7, 7])
 
 
-def test_read_ints_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+def test_read_ints_rejects_unsafe_arrays(kernel_backend):
     ints = (0, 1, 1, 2)
     out = np.full(4, 7, dtype=np.int64)
     readonly = out.copy()
@@ -614,7 +698,7 @@ def test_read_ints_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         (ints, out.reshape(2, 2)),                  # not 1-D
         (ints, [7, 7, 7, 7]),                       # not an array
     ]
-    assert_refused(kernel_backend, monkeypatch, "_ints", "read_ints", bad)
+    assert_refused(kernel_backend, "read_ints", bad)
 
 
 def test_compiled_kernels_are_thread_safe(c_kernels):
@@ -815,7 +899,7 @@ def test_format_rows_backends_agree(c_kernels):
         assert text == percent_oracle(cols, widths, pieces, rows)
 
 
-def test_format_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
+def test_format_rows_rejects_unsafe_arrays(kernel_backend):
     col = np.arange(4, dtype=np.int64)
     x = col.astype(np.float64)
     lit, ends = b"<,>\n", [1, 2, 4]
@@ -849,6 +933,6 @@ def test_format_rows_rejects_unsafe_arrays(kernel_backend, monkeypatch):
         ([col, x.reshape(2, 2)], [0, G12], lit, ends, out),
         ([col, list(x)], [0, G12], lit, ends, out),
     ]
-    assert_refused(kernel_backend, monkeypatch, "_fmt", "format_rows",
+    assert_refused(kernel_backend, "format_rows",
                    [(args[0], args[1], 4, *args[2:]) for args in bad]
                    + [([col, col], [0, 25], -1, lit, ends, out)])

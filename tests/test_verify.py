@@ -4,6 +4,7 @@ import pytest
 from hofq import verify
 from hofq.engine import ExistenceOutcome, QTrace, compute_q
 from hofq.exactfloor import floor_gamma, floor_gamma_sq, staircase_start
+from oracle import first_mismatch
 
 N_FAST = 20000
 
@@ -122,10 +123,16 @@ def test_golden_prefix():
 
 
 def test_failure_reporting_carries_counterexample():
-    res = verify._result("demo", 5, np.array([1, 2, 3]), np.array([1, 9, 3]))
+    mism = verify._first_by_class(np.array([1, 9, 3]), [np.array([1, 2, 3])])
+    res = verify.VerifierResult("demo", 5, mism is None, mism)
     assert not res.ok
     assert res.first_counterexample == (2, 2, 9)
     assert "FAIL" in str(res) and "n = 2" in str(res)
+    # a constant expected value is a constant line; n counts from first
+    q = np.array([1, 1, 4, 1])
+    assert verify._first_by_class(q, [1], first=5) == (7, 1, 4)
+    assert verify._first_by_class(q, [1]) == first_mismatch(np.ones(4), q)
+    assert verify._first_by_class(q[:2], [1]) is None
 
 
 def test_golden_oracle_disagreement_is_a_failing_result(monkeypatch):
@@ -234,8 +241,8 @@ def _whole_non_slow(qa, qb, n):
     residue-class views, and the first mismatch that gives."""
     idx = np.arange(1, n + 1, dtype=np.int64)
     even = (idx % 2 == 0)
-    return (verify._first_mismatch(np.where(even, idx - 1, idx), qa)
-            or verify._first_mismatch(np.where(even, 2, 1), qb))
+    return (first_mismatch(np.where(even, idx - 1, idx), qa)
+            or first_mismatch(np.where(even, 2, 1), qb))
 
 
 def _whole_quasipoly(q, n):
@@ -245,7 +252,7 @@ def _whole_quasipoly(q, n):
     expected = np.select([mod == 0, mod == 1, mod == 2, mod == 3],
                          [2, k - 4, 5, k - 5], default=0) \
         + np.where(mod == 4, k - 6, 0)
-    return verify._first_mismatch(expected, q[k - 3], offset=13)
+    return first_mismatch(expected, q[k - 3], offset=13)
 
 
 def _corrupting(monkeypatch, patched, edits):
