@@ -27,7 +27,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analysis, engine, table, triangle, verify
-from .errors import CapExceeded, InvalidFSpec, InvalidQ, SequenceDied
+from .errors import SequenceDied
 from .fspec import brief, int_literal, parse_fspec
 
 EXIT_OK = 0
@@ -441,7 +441,7 @@ def _run(argv: list[str]) -> int:
         return EXIT_DIED
     except BrokenPipeError:  # the reader stopped early: not an error
         return EXIT_OK
-    except (InvalidFSpec, InvalidQ, CapExceeded, ValueError) as exc:
+    except ValueError as exc:  # InvalidFSpec, InvalidQ and CapExceeded too
         print(f"hofq: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:

@@ -23,6 +23,10 @@ Text grammar (parse_fspec / FSpec.spec_str round-trip):
     const-limit:clamp:alpha=P/Q,n0=N     f(n) = floor(alpha*n) clamped at n0
     fracpow:C1*n^E1+...+C0               f(n) = floor(sum of Ci * n^Ei)
 
+A text is read whole or refused: zeros, linear and gamma2 take nothing
+after their name, a const-limit form takes only its own keys, and no key
+or floor option is given twice.
+
 Rational parameters accept "P/Q" or an integer; a decimal literal is
 converted to the nearest fraction with denominator <= 10^9 (approximate,
 for convenience only).  Its exponent is never expanded into a power of
@@ -48,6 +52,7 @@ workload, and a peak near the output itself (see _BLOCK).
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import operator
@@ -363,10 +368,7 @@ class Prefix(FSpec):
     def _span(self, lo, hi):
         f = self._f
         if f is None:
-            try:  # _exact inlined: only a span past int64 is of objects
-                return np.fromiter(self.prefix[lo - 1:hi - 1], np.int64)
-            except OverflowError:
-                return np.array(self.prefix[lo - 1:hi - 1], dtype=object)
+            return _exact(self.prefix[lo - 1:hi - 1])
         return _held_span(f, lo, hi)
 
     def max_len(self):
@@ -509,7 +511,9 @@ class Perturbed(FSpec):
         return f"perturb:{self.at}:{self.amount:+d}:({self.inner.spec_str()})"
 
 
-_CONST_LIMIT_FORMS = ("sqrt", "exp", "pow", "clamp")
+# each const-limit form, with the keys its text may give
+_CONST_LIMIT_KEYS = {"sqrt": ("a",), "exp": ("a", "b"), "pow": ("a", "b"),
+                     "clamp": ("alpha", "n0")}
 
 
 def _refuses_non_slow(span):
@@ -564,7 +568,7 @@ class ConstLimit(FSpec):
     n0: int | None = None
 
     def __post_init__(self):
-        if self.form not in _CONST_LIMIT_FORMS:
+        if self.form not in _CONST_LIMIT_KEYS:
             raise InvalidFSpec(
                 f"const-limit: unknown form {brief(str(self.form))}")
         if self.form == "clamp":
@@ -615,20 +619,17 @@ class ConstLimit(FSpec):
     @_refuses_non_slow
     def _span(self, lo, hi):
         """f(lo..hi-1): a - 1 from _saturated_from on; before it a float64
-        seed, or value() term by term where the seed does not apply and for
-        a single term."""
+        seed, or value() term by term where the seed does not apply."""
         if self.form == "clamp":
             # n0 may exceed int64: clip it to the span before numpy
             n = np.minimum(_indices(lo, hi), min(hi - 1, self.n0))
             return _floor_ratio(n, self.alpha.numerator,
                                 self.alpha.denominator)
-        if hi - lo == 1:  # one term is value() itself
-            return _exact([self.value(lo)])
         cut = min(max(lo, self._saturated_from), hi)
         if cut == hi:
             return self._decaying(lo, hi)
         limit = np.full(hi - cut, self.a - 1,
-                        dtype=np.int64 if self.a <= INT64_MAX else object)
+                        dtype=np.int64 if self.a - 1 <= INT64_MAX else object)
         if cut == lo:
             return limit
         return np.concatenate([self._decaying(lo, cut), limit])
@@ -749,9 +750,7 @@ class FracPowerSum(FSpec):
     def value(self, n):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n == 1 or not self._irr:  # every n^e is 1: the sum is rational
-            total = sum((c for c, _ in self.terms), Fraction(0))
-            return math.floor(total)
+        # exact at once where every root is: at n = 1, or with no n^e term
         bits = 48
         while bits <= _FRACPOW_MAX_BITS:
             got = self._floor_at(n, bits)
@@ -1042,8 +1041,6 @@ def _decimal(text: str):
     literal's sign.  None when text is not such a literal."""
     if "/" in text or not re.fullmatch(_NUMBER_LITERAL, text):
         return None
-    import decimal  # on this path only, so that import does no new work
-
     context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                               Emin=decimal.MIN_EMIN, traps=[])
     value = context.create_decimal(text.strip().replace("_", ""))
@@ -1139,13 +1136,17 @@ def _split_inner(text: str, head: str) -> tuple[list[str], str]:
 
 
 def _parse_kv(text: str, head: str) -> dict[str, str]:
+    """The comma-separated key=value pairs of text, each key at most once."""
     out = {}
     for part in text.split(","):
         if "=" not in part:
             raise InvalidFSpec(
                 f"{head}: expected key=value, got {brief(part)}")
         k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k = k.strip()
+        if k in out:
+            raise InvalidFSpec(f"{head}: repeated key {brief(k)}")
+        out[k] = v.strip()
     return out
 
 
@@ -1180,32 +1181,33 @@ def _parse_fracpow(expr: str) -> FracPowerSum:
     return FracPowerSum(tuple(terms))
 
 
+_BARE = {"zeros": Zeros, "linear": Linear, "gamma2": GammaSq}  # no parameters
+
+
 def parse_fspec(text: str) -> FSpec:
     """Parse the grammar in the module docstring."""
     text = text.strip()
-    head, _, rest = text.partition(":")
+    head, sep, rest = text.partition(":")
     head = head.lower()
-    if head == "zeros":
-        return Zeros()
-    if head == "linear":
-        return Linear()
-    if head == "gamma2":
-        return GammaSq()
+    if head in _BARE:
+        if sep:
+            raise InvalidFSpec(f"{head}: takes no parameters, got"
+                               f" {brief(rest)}")
+        return _BARE[head]()
     if head == "floor":
         fields = rest.split(":")
         if not fields or not fields[0]:
             raise InvalidFSpec("floor: expected floor:P/Q")
         ratio = _parse_rational(fields[0])
-        shift, scale = 0, 1
+        options = {}  # shift and scale, each at most once
         for extra in fields[1:]:
             k, _, v = extra.partition("=")
-            if k == "shift":
-                shift = _parse_int(v)
-            elif k == "scale":
-                scale = _parse_int(v)
-            else:
+            if k not in ("shift", "scale"):
                 raise InvalidFSpec(f"floor: unknown option {brief(extra)}")
-        return FloorRatio(ratio.numerator, ratio.denominator, shift, scale)
+            if k in options:
+                raise InvalidFSpec(f"floor: repeated option {brief(extra)}")
+            options[k] = _parse_int(v)
+        return FloorRatio(ratio.numerator, ratio.denominator, **options)
     if head == "one-minus-delta":
         return OneMinusDelta(_parse_int(rest))
     if head == "mod":
@@ -1233,20 +1235,24 @@ def parse_fspec(text: str) -> FSpec:
     if head == "const-limit":
         form, _, params = rest.partition(":")
         kv = _parse_kv(params, "const-limit")
+        if form not in _CONST_LIMIT_KEYS:
+            raise InvalidFSpec(f"const-limit: unknown form {brief(form)}")
+        for k in kv:
+            if k not in _CONST_LIMIT_KEYS[form]:
+                raise InvalidFSpec(
+                    f"const-limit {form}: unknown key {brief(k)}")
         if form == "sqrt":
-            return ConstLimit("sqrt", a=_parse_int(kv.pop("a", "0")))
+            return ConstLimit("sqrt", a=_parse_int(kv.get("a", "0")))
         if form in ("exp", "pow"):
-            a, b_text = _parse_int(kv.pop("a", "0")), kv.pop("b", "0")
+            a, b_text = _parse_int(kv.get("a", "0")), kv.get("b", "0")
             b = _parse_rational(b_text)
             if b == 0 and (_decimal(b_text) or 0) > 0:
                 raise InvalidFSpec(
                     f"const-limit {form}: b = {brief(b_text)} rounds to 0"
                     f" at the 10^9 denominator cap; need b > 0")
             return ConstLimit(form, a=a, b=b)
-        if form == "clamp":
-            return ConstLimit("clamp", alpha=_parse_rational(kv.pop("alpha", "0")),
-                              n0=_parse_int(kv.pop("n0", "0")))
-        raise InvalidFSpec(f"const-limit: unknown form {brief(form)}")
+        return ConstLimit("clamp", alpha=_parse_rational(kv.get("alpha", "0")),
+                          n0=_parse_int(kv.get("n0", "0")))
     if head == "fracpow":
         return _parse_fracpow(rest)
     raise InvalidFSpec(f"unknown f-spec {brief(text)}")

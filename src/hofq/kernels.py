@@ -326,37 +326,16 @@ def _build(path: Path, command: list[str]) -> None:
             os.unlink(tmp)
 
 
-def _prune(path: Path) -> None:
-    """Remove from path's directory the ctypes-era libraries
-    kernels-<hash>.so, which no version that builds an extension module
-    loads.  Every kernels-<hash><EXT_SUFFIX> stays: another interpreter
-    or checkout may load it."""
-    import re
-
-    try:
-        names = os.listdir(path.parent)
-    except OSError:
-        return
-    for name in names:
-        if name != path.name and re.fullmatch(r"kernels-[0-9a-f]{16}\.so",
-                                              name):
-            try:
-                os.unlink(path.parent / name)
-            except OSError:
-                pass
-
-
 @functools.cache
 def extension():
     """The extension module `hofq._kernels`, compiled into the cache
-    unless already there; a build also prunes the cache (_prune).
+    unless already there.
 
     Raises OSError when it cannot be built or imported.
     """
     path = _cache_path(SOURCE.read_bytes())
     if not path.exists():
         _build(path, _command())
-        _prune(path)
     name = f"{__package__}._kernels"
     loader = importlib.machinery.ExtensionFileLoader(name, str(path))
     spec = importlib.util.spec_from_file_location(name, path, loader=loader)

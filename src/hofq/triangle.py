@@ -171,7 +171,7 @@ def check_min(table: TriangleTable) -> MinReport:
                 mismatches.append((i, n, got))
             w = compute_q(min_witness_prefix(i, n), n)
             if not w.exists or w.q(n) != i + 1:
-                witness_failures.append((i, n, w.q_values[-1] if len(w.q_values) else 0))
+                witness_failures.append((i, n, int(w.q_values[-1])))
     return MinReport(table.n_max, tuple(mismatches), tuple(witness_failures))
 
 

@@ -272,7 +272,7 @@ def verify_golden_identity(n: int | None = None,
                             "high": int(np.count_nonzero(high))}
         details["case_overlap"] = overlap
         details["boundary_points"] = [1]  # {gamma^2 * 1} = gamma^2 exactly
-        if overlap or int(np.count_nonzero(low | mid | high)) != n - 1:
+        if overlap:  # mid is every other n: the cases cover them all
             mism = (2, 0, 1)
         else:
             # independent route: floor(gamma^2 j) = (3j - isqrt(5 j^2) - 1)//2

@@ -18,10 +18,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hofq
 from hofq import cli
 
 GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
@@ -52,6 +55,16 @@ def _cases():
     yield "compute-bad-spec-syntax", ["compute", "--f", "floor:1/0", "--n",
                                       "4"]
     yield "compute-zero-n", ["compute", "--f", "zeros", "--n", "0"]
+    # text that a spec's family does not read is refused, not dropped
+    for name, spec in [("zeros-param", "zeros:junk"),
+                       ("linear-param", "linear:5"),
+                       ("gamma2-param", "gamma2:x"),
+                       ("exp-key", "const-limit:exp:a=5,b=1/1000,zz=3"),
+                       ("sqrt-key", "const-limit:sqrt:a=5,b=7"),
+                       ("clamp-key", "const-limit:clamp:alpha=1/2,n0=9,a=5"),
+                       ("floor-repeat", "floor:1/2:shift=1:shift=2"),
+                       ("exp-repeat", "const-limit:exp:a=5,a=6,b=1/1000")]:
+        yield f"compute-refuses-{name}", ["compute", "--f", spec, "--n", "4"]
     yield from _formatted("verify", ["verify", "--lemma", "golden,staircase",
                                      "--n", "3000"], TEXT_JSON)
     yield from _formatted("verify-all", ["verify", "--n", "500"], TEXT_JSON)
@@ -215,3 +228,22 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
     assert run_case(CASES[name], tmp_path) == _golden()[name]
+
+
+@pytest.mark.parametrize("argv", [["compute", "--f", "zeros", "--n", "3"],
+                                  CASES["compute-refuses-zeros-param"]],
+                         ids=["compute", "refusal"])
+def test_python_m_hofq_is_cli_main(argv):
+    """`python -m hofq` runs cli.main: the same exit code, stdout and
+    stderr, byte for byte."""
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(hofq.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "hofq", *argv], env=env,
+                          capture_output=True, timeout=120)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert proc.returncode == code
+    assert proc.stdout == stdout.getvalue().encode()
+    assert proc.stderr == stderr.getvalue().encode()

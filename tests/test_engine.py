@@ -239,6 +239,47 @@ def test_conclusion_sequence_prefix():
     assert c.max() <= q_h.q_values.max()
 
 
+@pytest.fixture
+def engine_backend(kernel_backend, monkeypatch):
+    """compute_q and compute_two_term on each kernel backend."""
+    for name in ("one_term_trace", "two_term_trace"):
+        monkeypatch.setattr(kernels, name, getattr(kernel_backend, name))
+    return kernel_backend
+
+
+def test_two_term_overflow_is_loud(engine_backend):
+    # q(5) = q(5 - q(4)) + q(5 - q(3)) = q(1) + q(1) = 2**63
+    with pytest.raises(OverflowError) as err:
+        compute_two_term(TwoTermSpec((1, 2), (2**62, 1, 4, 4)), 5)
+    assert str(err.value) == "q(5) exceeds the 64-bit range"
+
+
+def test_hofstadter_is_its_own_diluted_form(engine_backend):
+    """The paper's diluted form of Hofstadter's Q: driven by f(n) =
+    c(n) = Q(n - Q(n-2)) from n = 3 on, and f(1) = f(2) = 0, the one-term
+    recurrence is Q's own, term for term.  compute_c reads c from the
+    two-term trace by its own index arithmetic, so this checks the
+    one-term trace against the two-term one."""
+    n = 10**5
+    f = np.concatenate([[0, 0], compute_c(n)])
+    diluted = compute_q(f, n)
+    hofstadter = compute_two_term(hofstadter_spec(), n)
+    assert diluted.exists and hofstadter.exists
+    assert np.array_equal(diluted.q_values, hofstadter.q_values)
+
+
+def test_v_is_the_trace_of_its_slow_inverse(engine_backend):
+    """V's driver f(n) = V(n) - V(n - V(n-1)), which is V(n - V(n-4)), is
+    slow: f(1) = 0 and every step in {0, 1}; its one-term trace is V."""
+    n = 10**5
+    v = compute_two_term(v_variant_spec(), n)
+    assert v.exists
+    f = compute_f_from_q(v.q_values)
+    assert f[0] == 0 and set(np.diff(f).tolist()) == {0, 1}
+    again = compute_q(f, n)
+    assert again.exists and np.array_equal(again.q_values, v.q_values)
+
+
 def test_batch_matches_scalar_engine():
     rng = np.random.default_rng(9)
     m = 24

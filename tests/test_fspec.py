@@ -1,5 +1,6 @@
 import copy
 import inspect
+import math
 import pickle
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from oracle import oracle_f, oracle_q
 from hofq import cli, fspec, kernels
 from hofq.engine import compute_q
 from hofq.errors import CapExceeded, InvalidFSpec
-from hofq.exactfloor import INT64_MAX, INT64_MIN
+from hofq.exactfloor import GAMMA_ARRAY_CAP, INT64_MAX, INT64_MIN
 from hofq.fspec import (
     ConstLimit,
     DiffBits,
@@ -88,6 +89,30 @@ def test_parse_errors(bad):
         parse_fspec(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("zeros:junk", "zeros: takes no parameters, got 'junk'"),
+    ("linear:5", "linear: takes no parameters, got '5'"),
+    ("gamma2:x", "gamma2: takes no parameters, got 'x'"),
+    ("zeros:", "zeros: takes no parameters, got ''"),
+    ("const-limit:exp:a=5,b=1/1000,zz=3",
+     "const-limit exp: unknown key 'zz'"),
+    ("const-limit:sqrt:a=5,b=7", "const-limit sqrt: unknown key 'b'"),
+    ("const-limit:clamp:alpha=1/2,n0=9,a=5",
+     "const-limit clamp: unknown key 'a'"),
+    ("floor:1/2:shift=1:shift=2", "floor: repeated option 'shift=2'"),
+    ("floor:1/2:scale=1:shift=0:scale=1", "floor: repeated option 'scale=1'"),
+    ("const-limit:exp:a=5,a=6,b=1/1000", "const-limit: repeated key 'a'"),
+    ("floor:1/2:foo=1", "floor: unknown option 'foo=1'"),
+])
+def test_text_the_grammar_does_not_read_is_refused(text, message):
+    """A spec is refused, not read in part, where it has text that its
+    family does not read: a parameter of a bare family, a key of no
+    const-limit form, or a key or floor option given twice."""
+    with pytest.raises(InvalidFSpec) as refused:
+        parse_fspec(text)
+    assert str(refused.value) == message
+
+
 def test_eval_examples():
     assert FloorRatio(1, 2).value(7) == 3
     assert [GammaSq().value(n) for n in range(1, 6)] == [0, 0, 1, 1, 1]
@@ -96,6 +121,21 @@ def test_eval_examples():
     assert [Linear().value(n) for n in (1, 2, 5)] == [0, 1, 4]
     with pytest.raises(ValueError):
         Zeros().value(0)
+
+
+def test_gamma2_past_the_array_cap_is_exact():
+    """Past GAMMA_ARRAY_CAP, where 5 n^2 leaves the vectorised isqrt's
+    range, a span goes term by term through the scalar floor."""
+    spec, cap = GammaSq(), GAMMA_ARRAY_CAP
+    got = spec._span(cap - 2, cap + 3)
+    assert got.dtype == np.int64
+    assert got.tolist() == [oracle_f(spec, n) for n in range(cap - 2, cap + 3)]
+
+
+def test_fracpow_prints_a_unit_coefficient_bare():
+    spec = parse_fspec("fracpow:1*n^1/2-1")
+    assert spec.spec_str() == "fracpow:n^1/2-1"
+    assert parse_fspec(spec.spec_str()) == spec
 
 
 def test_values_match_scalar_eval():
@@ -553,6 +593,19 @@ def test_fracpow_vectorized_matches_exact_path():
     assert list(fast) == exact
 
 
+@pytest.mark.parametrize("text", [
+    "fracpow:7/3", "fracpow:-7/3", "fracpow:0", "fracpow:5/2*n^1/2-3/4",
+    "fracpow:-1/3*n^1/2+1/3*n^3/4+2", "fracpow:n^1/64-n^63/64+1/2"])
+def test_fracpow_value_is_the_rational_sum_where_every_root_is_exact(text):
+    """At n = 1, and for a sum with no n^e term at every n, each n^e the
+    value brackets is exact: the value is the floor of the rational sum."""
+    spec = parse_fspec(text)
+    assert spec.value(1) == math.floor(sum(c for c, _ in spec.terms))
+    if all(e == 0 for _, e in spec.terms):
+        const = math.floor(sum(c for c, _ in spec.terms))
+        assert [spec.value(n) for n in (2, 3, 10**40)] == [const] * 3
+
+
 def test_fracpow_merges_duplicate_exponents():
     spec = FracPowerSum(((Fraction(1, 2), Fraction(1, 2)),
                          (Fraction(1, 2), Fraction(1, 2))))
@@ -961,6 +1014,9 @@ def test_const_limit_saturates_exactly_where_value_does(form, a, b, start):
         if lo >= 1:
             got = span(spec, lo, start + 3).tolist()
             assert got == [spec.value(k) for k in range(lo, start + 3)]
+            # one term, on either side of the cut, as value() gives it
+            one = span(spec, lo, lo + 1)
+            assert one.dtype == np.int64 and one.tolist() == [spec.value(lo)]
     if start < 10**5:  # below the check: not all of these are slow
         assert span(spec, 1, start + 2).tolist() == [
             spec.value(k) for k in range(1, start + 2)]

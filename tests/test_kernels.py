@@ -279,26 +279,32 @@ def test_failed_build_falls_back_and_says_why(tmp_path):
     assert os.listdir(cache) == [f"kernels-{old}.so"]
 
 
-def test_warm_import_loads_no_build_tools(tmp_path):
-    """The kernel cache is keyed without sysconfig: once the extension is
-    in the cache, `import hofq` imports neither sysconfig nor shlex, which
-    only a build needs.  The build removes the ctypes-era kernels-<hash>.so
-    libraries, which nothing loads, from the cache, and keeps every other
-    file there, an extension module of another source or interpreter
-    above all; a failed build removes nothing
-    (test_failed_build_falls_back_and_says_why)."""
+def _import_twice_into_a_full_cache(tmp_path, suffix=None):
+    """Import hofq twice, in subprocesses whose kernel cache is tmp_path
+    and already holds files of other names, with `suffix` put first among
+    the extension suffixes where given: the second import finds the
+    module in the cache, and imports neither sysconfig nor shlex, which
+    only a build needs; a build writes its one module and keeps every
+    other file in the cache."""
     cache = tmp_path / "hofq"
     cache.mkdir()
     hexes = "0123456789abcdef"
-    dead = [f"kernels-{hexes}.so", f"kernels-{hexes[::-1]}.so"]
-    kept = [f"kernels-{hexes}{importlib.machinery.EXTENSION_SUFFIXES[0]}",
-            f"kernels-{hexes.upper()}.so", f"kernels-{hexes[1:]}.so",
-            f"kernels-{hexes}.so.tmp", f"old-kernels-{hexes}.so", "notes"]
-    for name in dead + kept:
+    own = suffix or importlib.machinery.EXTENSION_SUFFIXES[0]
+    # another checkout's module, ctypes-era libraries (one of them that
+    # module itself when own is ".so") and names that look like them
+    kept = {f"kernels-{hexes}{own}", f"kernels-{hexes}.so",
+            f"kernels-{hexes[::-1]}.so", f"kernels-{hexes.upper()}.so",
+            f"kernels-{hexes}.so.tmp", f"old-kernels-{hexes}.so", "notes"}
+    for name in kept:
         (cache / name).write_bytes(b"not a library")
-    script = ("import sys, hofq\n"
+    script = ("import importlib.machinery, sys\n"
+              + (f"importlib.machinery.EXTENSION_SUFFIXES.insert(0,"
+                 f" {suffix!r})\n" if suffix else "")
+              + "import hofq\n"
+              "from hofq import kernels\n"
               "print(hofq.BACKEND, 'sysconfig' in sys.modules,"
-              " 'shlex' in sys.modules)\n")
+              " 'shlex' in sys.modules,"
+              " kernels._cache_path(kernels.SOURCE.read_bytes()).name)\n")
     env = {k: v for k, v in os.environ.items() if k != "HOFQ_PURE"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hofq.__file__))
     env["XDG_CACHE_HOME"] = str(tmp_path)
@@ -307,11 +313,27 @@ def test_warm_import_loads_no_build_tools(tmp_path):
             for _ in range(2)]
     for proc in runs:
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    backend = runs[0].stdout.split()[0]
-    assert runs[1].stdout == f"{backend} False False\n"
+    backend, _, _, built = runs[0].stdout.split()
+    assert runs[1].stdout == f"{backend} False False {built}\n"
+    assert built.endswith(own) and built not in kept
     if backend == "c":  # the first import built the one cached module
-        built = kernels._cache_path(kernels.SOURCE.read_bytes()).name
         assert sorted(os.listdir(cache)) == sorted([*kept, built])
+
+
+def test_warm_import_loads_no_build_tools(tmp_path):
+    """A warm import asks sysconfig for nothing, and the build before it
+    keeps every file in the cache that it did not write.  A failed build
+    writes nothing (test_failed_build_falls_back_and_says_why)."""
+    _import_twice_into_a_full_cache(tmp_path)
+
+
+def test_a_build_keeps_the_modules_of_other_checkouts_on_a_bare_so(
+        tmp_path):
+    """On an interpreter whose first extension suffix is a bare .so, the
+    modules of other checkouts and the ctypes-era libraries share one
+    name pattern, kernels-<hash>.so, with this build's: the build keeps
+    them all."""
+    _import_twice_into_a_full_cache(tmp_path, ".so")
 
 
 def test_pure_kernels_are_the_c_functions_twins(c_kernels):

@@ -79,6 +79,45 @@ def test_min_report(table8):
     assert table8.cell(0, 5)[0] == 1
 
 
+def _doctored(table, cells):
+    """table with the given cells (i, n) -> values in place of its own."""
+    return triangle.TriangleTable(table.n_max, {**table.cells, **cells})
+
+
+def test_containment_reports_a_value_outside_its_envelope(table8):
+    rep = check_containment(_doctored(table8, {(0, 3): (1, 4),
+                                                  (2, 5): (2, 3, 4)}))
+    assert not rep.ok
+    assert rep.violations == ((0, 3, 4), (2, 5, 2))  # 3 is in {3..5}
+    assert not rep.row_unions_equal  # row 3 holds 4
+
+
+def test_containment_reports_a_row_that_misses_a_value(table8):
+    # row 2 without 2, which only cell (1, 2) holds: inside every envelope
+    rep = check_containment(_doctored(table8, {(1, 2): ()}))
+    assert rep.ok and not rep.row_unions_equal
+    assert (1, 2) in rep.strict_cells
+
+
+def test_min_reports_a_cell_whose_min_is_not_i_plus_1(table8):
+    rep = check_min(_doctored(table8, {(1, 4): (3, 4), (0, 6): (2,)}))
+    assert not rep.ok and rep.witness_failures == ()
+    assert rep.mismatches == ((1, 4, 3), (0, 6, 2))
+
+
+def test_min_reports_a_witness_that_misses_the_min(table8, monkeypatch):
+    """A witness prefix that does not reach i + 1 at n is reported with its
+    q(n), and one that dies with the last term it has."""
+    real = triangle.min_witness_prefix
+    planted = {(1, 3): (0, 0, 0), (2, 5): (0, 2, 2, 2, 2)}
+    monkeypatch.setattr(triangle, "min_witness_prefix",
+                        lambda i, n: planted.get((i, n)) or real(i, n))
+    rep = check_min(table8)
+    assert not rep.ok and rep.mismatches == ()
+    assert rep.witness_failures == ((1, 3, 1), (2, 5, 3))
+    assert all(type(q) is int for _, _, q in rep.witness_failures)
+
+
 def test_min_witness_example():
     # n - i leading zeros then the ramp: (0,0,0,0,1,2) gives q(6) = 3
     w = min_witness_prefix(2, 6)

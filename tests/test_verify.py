@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,51 @@ def test_failure_reporting_carries_counterexample():
     assert verify._first_by_class(q, [1], first=5) == (7, 1, 4)
     assert verify._first_by_class(q, [1]) == first_mismatch(np.ones(4), q)
     assert verify._first_by_class(q[:2], [1]) is None
+
+
+def test_shift_reports_the_first_exhaustive_mismatch(monkeypatch):
+    """A shifted batch whose q disagrees with the unshifted one is reported
+    as (n, q(n - 1) of the row, shifted q(n)), at the least such n."""
+    real = verify.compute_q_batch
+
+    def planted(f_mat):
+        q, died = real(f_mat)
+        if f_mat.shape == (8, 4) and not f_mat[:, 1].any():  # m = 4, shifted
+            q = q.copy()
+            q[3, 2] += 5  # row 3: f = (0, 0, 1, 2), q = (1, 1, 2, 3)
+        return q, died
+
+    monkeypatch.setattr(verify, "compute_q_batch", planted)
+    res = verify.verify_shift(100, exhaustive_m=6)
+    assert not res.ok and res.first_counterexample == (3, 1, 6)
+    assert res.details["exhaustive_sequences"] == 1 + 2 + 4 + 8
+
+
+def test_quarter_fails_on_a_continuous_residual(monkeypatch):
+    """A residual of the real-valued solution past CONTINUOUS_TOL fails at
+    floor(x) of the worst sample x."""
+    samples, seed = 100, 7
+    x = np.random.default_rng(seed).uniform(1.0, 100.0, size=samples)[0]
+    real = verify._wave_f
+    monkeypatch.setattr(verify, "_wave_f",
+                        lambda s: real(s) + 1e-3 * (s == x))
+    res = verify.verify_quarter_floor(200, samples=samples, seed=seed)
+    assert not res.ok
+    assert res.first_counterexample == (math.floor(x), 0, 1)
+    assert res.details["continuous_worst_x"] == x
+    assert 1e-3 - 1e-9 < res.details["continuous_max_residual"] < 1e-3 + 1e-9
+
+
+def test_golden_identity_fails_where_its_cases_overlap(monkeypatch):
+    """floor(gamma^2 j) doctored for j <= 5 so that the identity still
+    holds to n = 4 while the floor rises at both n = 4 and n = 5, which puts
+    n = 4 in the low and the high case at once: a partition failure."""
+    fsq = np.array([0, -1, 1, 0, 1, 2], dtype=np.int64)
+    monkeypatch.setattr(verify, "floor_gamma_sq_array", lambda m: fsq[m])
+    res = verify.verify_golden_identity(4)
+    assert not res.ok and res.first_counterexample == (2, 0, 1)
+    assert res.details["case_overlap"] == 1
+    assert res.details["cases"] == {"low": 2, "mid": 0, "high": 2}
 
 
 def test_golden_oracle_disagreement_is_a_failing_result(monkeypatch):
