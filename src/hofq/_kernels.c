@@ -1,7 +1,8 @@
 /* Trace kernels, a batch of one-term traces, the triangle's prefix-tree
- * walk, the running sums of a step string (a bits: driver's f), the read
- * of a tuple of ints (a prefix: driver's f) and the table writer's rows
- * of %d and %.12g fields, compiled on first import by hofq/kernels.py
+ * walk, the running sums of a step string (a bits: driver's f), the exact
+ * square-root floors (the golden-ratio and staircase closed forms), the
+ * read of a tuple of ints (a prefix: driver's f) and the table writer's
+ * rows of %d and %.12g fields, compiled on first import by hofq/kernels.py
  * into the CPython extension module `_kernels`.  With
  * _kernels_py.py, which holds the same loops with the same contracts and
  * is the reference the tests compare against, these are the library's
@@ -20,8 +21,9 @@
  * Each trace returns one int64 (one_term_rows stores one per row): 0 when
  * every term was computed, +k when the trace died at k and -k when the
  * term at k leaves the int64 range; a trace array then holds every term
- * before k.  step_sum returns nothing: its entry point has checked that
- * no sum leaves the int64 range.  format_rows writes every row and returns
+ * before k.  step_sum and root_floors return nothing: their entry points
+ * have checked that no sum leaves the int64 range and that every n lies in
+ * its form's domain.  format_rows writes every row and returns
  * the number of bytes it wrote, which the table writer hands to its
  * binary sink as they lie in out.  It takes a number's digits 8 per
  * 64-bit division by 10^8 (put_digits).  put_g12 prints a %.12g value
@@ -38,6 +40,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -146,6 +149,87 @@ static void step_sum(const uint8_t *steps, int64_t first, int64_t *out,
     out[0] = v;
     for (int64_t i = 1; i < n; i++)
         out[i] = v += steps[i - 1];
+}
+
+/* root_floors' forms.  With r(x) = floor(sqrt(x)) and gamma = (sqrt(5) -
+ * 1)/2, each writes one floor of n:
+ *   ROOT_ISQRT      r(n),                          0 <= n <= INT64_MAX
+ *   ROOT_GAMMA      floor(gamma n) = (r(5n^2) - n) >> 1,  0 <= n <= GAMMA_MAX
+ *   ROOT_GAMMA_SQ   floor(gamma^2 n) = n - 1 - floor(gamma n) (0 at n = 0),
+ *                                                  0 <= n <= GAMMA_MAX
+ *   ROOT_STAIRCASE  floor((1 + sqrt(8n - 7))/2) = (1 + r(8n - 7)) >> 1,
+ *                                                  1 <= n <= STAIRCASE_MAX
+ * 5n^2 is no square for n >= 1, so sqrt(5n^2) - n is irrational and its
+ * floor halves as r(5n^2) - n does; gamma^2 = 1 - gamma.  GAMMA_MAX is the
+ * greatest n with 5n^2 <= INT64_MAX, and STAIRCASE_MAX the greatest with
+ * 8n - 7 <= INT64_MAX, so every radicand is an int64. */
+#define ROOT_ISQRT 0
+#define ROOT_GAMMA 1
+#define ROOT_GAMMA_SQ 2
+#define ROOT_STAIRCASE 3
+#define GAMMA_MAX 1358187913LL
+#define STAIRCASE_MAX (1LL << 60)
+
+static const int64_t ROOT_LO[4] = {0, 0, 0, 1};
+static const int64_t ROOT_HI[4] = {INT64_MAX, GAMMA_MAX, GAMMA_MAX,
+                                   STAIRCASE_MAX};
+
+/* r = r(x) for 0 <= x <= INT64_MAX, from s, the truncated root of the
+ * double nearest x, correctly rounded.  Each rounding errs by at most
+ * 2^-53 of its value, so the root lies within 2^-20 of sqrt(x) < 2^31.5, and s <=
+ * r + 1.  Nor is s below r: with r in [2^e, 2^(e+1)), x >= r^2 puts that
+ * double at or above the one nearest r^2, less than 2^(2e-52) below r^2
+ * (or r^2 itself for r = 2^e), whose root lies less than 2^(e-53.5) below
+ * r, under half the gap 2^(e-52) to the double below r.  So one step
+ * down settles it, in uint64, where s^2 <= 3037000500^2 < 2^64. */
+static inline int64_t isqrt64(int64_t x)
+{
+    uint64_t s = (uint64_t)sqrt((double)x);
+    return (int64_t)(s - (s * s > (uint64_t)x));
+}
+
+/* Whether every n[i] lies in [lo, hi], for lo in {0, 1} and lo <= hi.
+ * Inside, n - lo and hi - n lie in [0, hi - lo], below 2^63.  Outside,
+ * one of them is negative, in [-2^63, -1], which sets the top bit of its
+ * uint64, or n - lo is -2^63 - 1 (n = INT64_MIN, lo = 1), and then hi - n
+ * is at least 2^63.  So the test is the top bit of the or of them all, in
+ * operations that vectorize. */
+static int in_domain(const int64_t *n, int64_t len, int64_t lo, int64_t hi)
+{
+    uint64_t bits = 0;
+    for (int64_t i = 0; i < len; i++)
+        bits |= ((uint64_t)n[i] - (uint64_t)lo)
+                | ((uint64_t)hi - (uint64_t)n[i]);
+    return !(bits >> 63);
+}
+
+/* out[i] = the floor `form` of n[i], each n[i] in the form's domain; out
+ * may be n, as each n[i] is read before out[i] is written. */
+static void root_floors(const int64_t *n, int64_t form, int64_t *out,
+                        int64_t len)
+{
+    int64_t i, v;
+    switch (form) {
+    case ROOT_ISQRT:
+        for (i = 0; i < len; i++)
+            out[i] = isqrt64(n[i]);
+        break;
+    case ROOT_GAMMA:
+        for (i = 0; i < len; i++) {
+            v = n[i];
+            out[i] = (isqrt64(5 * v * v) - v) >> 1;
+        }
+        break;
+    case ROOT_GAMMA_SQ:  /* n - 1 - floor(gamma n) is -1 at n = 0 alone */
+        for (i = 0; i < len; i++) {
+            v = n[i];
+            out[i] = v - 1 - ((isqrt64(5 * v * v) - v) >> 1) + (v == 0);
+        }
+        break;
+    default:  /* ROOT_STAIRCASE */
+        for (i = 0; i < len; i++)
+            out[i] = (1 + isqrt64(8 * n[i] - 7)) >> 1;
+    }
 }
 
 /* A field of format_rows is %<w>d on an int64 column, 0 <= w <=
@@ -622,6 +706,42 @@ done:
     return ret ? ret : refuse("step_sum");
 }
 
+PyDoc_STRVAR(root_floors_doc,
+"root_floors($module, n, form, out, /)\n--\n\n"
+"out[i] = the floor `form` of n[i] for the int64 array n and the writeable\n"
+"int64 array out of its length, which may be n itself: ROOT_ISQRT\n"
+"floor(sqrt(n)), ROOT_GAMMA floor(gamma n), ROOT_GAMMA_SQ floor(gamma^2 n)\n"
+"or ROOT_STAIRCASE floor((1 + sqrt(8n - 7))/2), each n in the form's\n"
+"domain.");
+
+static PyObject *py_root_floors(PyObject *mod, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    Py_buffer n = {0}, out = {0};
+    Py_ssize_t len;
+    int64_t form;
+    int ok = 0;
+    PyObject *ret = NULL;
+    if (!arity("root_floors", nargs, 3)
+            || (len = take(args[0], &n, INT64, 0)) < 0
+            || scalar(args[1], &form) || form < 0 || form > ROOT_STAIRCASE
+            || take(args[2], &out, INT64, 1) != len)
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    ok = in_domain(n.buf, len, ROOT_LO[form], ROOT_HI[form]);
+    if (ok)
+        root_floors(n.buf, form, out.buf, len);
+    Py_END_ALLOW_THREADS
+    if (ok) {
+        Py_INCREF(Py_None);
+        ret = Py_None;
+    }
+done:
+    release(&out);
+    release(&n);
+    return ret ? ret : refuse("root_floors");
+}
+
 PyDoc_STRVAR(read_ints_doc,
 "read_ints($module, ints, out, /)\n--\n\n"
 "out[i] = ints[i] for the tuple ints and the writeable int64 array out of\n"
@@ -751,6 +871,7 @@ static PyMethodDef methods[] = {
     ENTRY(two_term_trace),
     ENTRY(slow_walk),
     ENTRY(step_sum),
+    ENTRY(root_floors),
     ENTRY(read_ints),
     ENTRY(format_rows),
     {NULL, NULL, 0, NULL},
@@ -782,7 +903,13 @@ PyMODINIT_FUNC PyInit__kernels(void)
             || PyModule_AddIntConstant(m, "STEP_MAX", STEP_MAX)
             || PyModule_AddIntConstant(m, "FORMAT_MAX_WIDTH",
                                        FORMAT_MAX_WIDTH)
-            || PyModule_AddIntConstant(m, "FORMAT_G12", FORMAT_G12)) {
+            || PyModule_AddIntConstant(m, "FORMAT_G12", FORMAT_G12)
+            || PyModule_AddIntConstant(m, "ROOT_ISQRT", ROOT_ISQRT)
+            || PyModule_AddIntConstant(m, "ROOT_GAMMA", ROOT_GAMMA)
+            || PyModule_AddIntConstant(m, "ROOT_GAMMA_SQ", ROOT_GAMMA_SQ)
+            || PyModule_AddIntConstant(m, "ROOT_STAIRCASE", ROOT_STAIRCASE)
+            || PyModule_AddIntConstant(m, "GAMMA_MAX", GAMMA_MAX)
+            || PyModule_AddIntConstant(m, "STAIRCASE_MAX", STAIRCASE_MAX)) {
         Py_XDECREF(m);
         return NULL;
     }

@@ -5,8 +5,8 @@ Each function here takes the arguments of its namesake in the extension
 module that `_kernels.c` is compiled into, numpy arrays and ints, and
 returns what that returns: 0 when every term was computed, +k when the
 trace died at k and -k when the term at k leaves the int64 range
-(step_sum: nothing; read_ints: the items read; format_rows: the bytes
-written).  On
+(step_sum and root_floors: nothing; read_ints: the items read;
+format_rows: the bytes written).  On
 return a trace array holds every term before k.  Unlike the C entry
 points, which refuse what their loops could not take, this module checks
 nothing: hofq.kernels.Kernels calls each function here through the check
@@ -16,9 +16,9 @@ contract, as the C entry point's docstring is.  It runs when the C kernels
 cannot be built (or when HOFQ_PURE=1 forces it), and the tests compare
 the two.
 
-Python ints do not wrap, so the int64 range (exactfloor's INT64_MIN and
-INT64_MAX) is enforced explicitly to keep overflow semantics identical to
-the compiled kernels.
+Python ints do not wrap, so the int64 range (INT64_MIN and INT64_MAX,
+defined here for the whole package) is enforced explicitly to keep
+overflow semantics identical to the compiled kernels.
 
 percent_rows is the library's one Python row formatter and the formatter
 of record: format_rows here is one call to it, and hofq.table runs it for
@@ -27,10 +27,14 @@ the rows of every row format that format_rows does not take.
 
 import numpy as np
 
-from .exactfloor import INT64_MAX, INT64_MIN
-
+INT64_MAX = 2**63 - 1
+INT64_MIN = -(2**63)
 STEP_MAX = 255  # step_sum's greatest step, a uint8
 FORMAT_G12 = -1  # format_rows' field code of %.12g on a float64 column
+# root_floors' forms: floor(sqrt(n)), floor(gamma n), floor(gamma^2 n) and
+# the staircase floor((1 + sqrt(8n - 7))/2), gamma = (sqrt(5) - 1)/2
+ROOT_ISQRT, ROOT_GAMMA, ROOT_GAMMA_SQ, ROOT_STAIRCASE = range(4)
+ROOT_BLOCK = 8192  # root_floors' n per block, whose temporaries are 64 KiB
 
 
 def one_term_trace(f, q):
@@ -133,6 +137,37 @@ def step_sum(steps, first, out):
         out[0] = first
         out[1:] = steps[:n - 1]
         np.cumsum(out, out=out)
+
+
+def root_floors(n, form, out):
+    """out[i] = the floor `form` of n[i], into out, which may be n: with
+    r(x) = floor(sqrt(x)), ROOT_ISQRT r(n), ROOT_GAMMA (r(5n^2) - n) >> 1,
+    ROOT_GAMMA_SQ n - 1 - floor(gamma n) (0 at n = 0) and ROOT_STAIRCASE
+    (1 + r(8n - 7)) >> 1, for each n in the form's domain, where every
+    radicand fits int64.  r is the truncated float64 root, which is r(x)
+    or r(x) + 1, settled by one step down in uint64, as the C loop
+    does.  n goes ROOT_BLOCK values at a time, so that the
+    temporaries stay small beside out, as the C loop makes none."""
+    for lo in range(0, len(n), ROOT_BLOCK):
+        v = n[lo:lo + ROOT_BLOCK]
+        if form == ROOT_ISQRT:
+            x = v
+        elif form == ROOT_STAIRCASE:
+            x = 8 * v - 7
+        else:
+            x = 5 * v * v
+        r = np.sqrt(x).astype(np.uint64)
+        r -= r * r > x.view(np.uint64)
+        r = r.view(np.int64)
+        # each right side is whole before out, which may be n, is written
+        if form == ROOT_ISQRT:
+            out[lo:lo + ROOT_BLOCK] = r
+        elif form == ROOT_GAMMA:
+            out[lo:lo + ROOT_BLOCK] = (r - v) >> 1
+        elif form == ROOT_GAMMA_SQ:
+            out[lo:lo + ROOT_BLOCK] = v - 1 - ((r - v) >> 1) + (v == 0)
+        else:
+            out[lo:lo + ROOT_BLOCK] = (r + 1) >> 1
 
 
 def read_ints(ints, out):

@@ -10,6 +10,13 @@ square roots, never from floating point:
 Both identities rely on 5 n^2 never being a perfect square (n >= 1), so the
 enclosed square root is irrational and the floor commutes with the outer
 integer shift/halving.
+
+The array floors (isqrt_array, floor_gamma_array, floor_gamma_sq_array and
+staircase_value_array) are one call each of the kernel
+`hofq.kernels.root_floors`, which writes each floor in one pass, from a
+float64 root settled by an exact uint64 product, for every n whose radicand
+(n, 5 n^2 or 8 n - 7) fits int64, and refuses any other n with a
+ValueError before it writes.  The scalar floors are exact for any int.
 """
 
 from __future__ import annotations
@@ -19,53 +26,24 @@ import math
 
 import numpy as np
 
+from . import kernels
 from .errors import InvalidFSpec
+from .kernels import GAMMA_ARRAY_CAP, INT64_MAX, INT64_MIN
 
-INT64_MAX = 2**63 - 1
-INT64_MIN = -(2**63)
 
-# headroom so the (s+2)^2 correction below cannot wrap int64
-ISQRT_ARRAY_CAP = INT64_MAX - 2**34
-# largest n with 5*n^2 within the isqrt_array cap (vectorized gamma floors)
-GAMMA_ARRAY_CAP = math.isqrt(ISQRT_ARRAY_CAP // 5)
+def _root_floors(n, form: int, out: np.ndarray | None = None) -> np.ndarray:
+    """kernels.root_floors of the form over n, read as int64, into out: a
+    new array unless given, and n itself may be."""
+    n = np.ascontiguousarray(n, dtype=np.int64)
+    if out is None:
+        out = np.empty_like(n)
+    kernels.root_floors(n, form, out)
+    return out
 
 
 def isqrt_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise integer square root of a non-negative int64 array.
-
-    A float64 seed is repaired by exact integer correction loops, so the
-    result is correct even where float rounding misses by a unit.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    top = int(x.max()) if x.size else 0
-    if x.size and int(x.min()) < 0:
-        raise ValueError("isqrt_array: negative input")
-    if top > ISQRT_ARRAY_CAP:
-        raise OverflowError("isqrt_array: input too close to int64 max")
-    s = x.astype(np.float64)
-    s = np.sqrt(s, out=s).astype(np.int64)
-    # Below 2**52 the truncated seed is r = floor(sqrt(x)) itself.  x is
-    # exact in float64, and r^2 <= x < (r+1)^2 gives
-    #   r <= sqrt(x) <= sqrt((r+1)^2 - 1) < r + 1 - 1/(2(r+1)).
-    # The correctly rounded root is >= r (r is a double) and < r + 1: with
-    # r + 1 <= 2**26 in (2**k, 2**(k+1)], k <= 25, the doubles just under
-    # r + 1 are 2**(k-52) apart, so only a root within 2**(k-53) of r + 1
-    # rounds up to it, and 2**(k-53) < 2**(-k-2) <= 1/(2(r+1)).
-    if top < 2**52:
-        return s
-    # climb while (s+1)^2 <= x, then descend while s^2 > x: above 2**52 the
-    # rounding of x to float64 can put the seed one too high (x = k^2 - 1)
-    while True:
-        low = (s + 1) * (s + 1) <= x
-        if not low.any():
-            break
-        s[low] += 1
-    while True:
-        high = s * s > x
-        if not high.any():
-            break
-        s[high] -= 1
-    return s
+    """floor(sqrt(x)) for each x in [0, INT64_MAX], exact."""
+    return _root_floors(x, kernels.ROOT_ISQRT)
 
 
 def iroot(m: int, k: int) -> tuple[int, bool]:
@@ -122,31 +100,15 @@ def floor_gamma_sq(n: int) -> int:
 
 
 def floor_gamma_array(n: np.ndarray) -> np.ndarray:
-    """Vectorized floor(gamma * n); requires 0 <= n <= GAMMA_ARRAY_CAP."""
-    n = np.asarray(n, dtype=np.int64)
-    if n.size == 0:
-        return n.copy()
-    if int(n.min()) < 0:
-        raise ValueError("floor_gamma_array: negative index")
-    if int(n.max()) > GAMMA_ARRAY_CAP:
-        raise OverflowError("floor_gamma_array: 5*n^2 exceeds int64")
-    out = n * n
-    out *= 5
-    out = isqrt_array(out)
-    out -= n
-    out >>= 1
-    return out
+    """floor(gamma * n) for each n in [0, GAMMA_ARRAY_CAP]."""
+    return _root_floors(n, kernels.ROOT_GAMMA)
 
 
-def floor_gamma_sq_array(n: np.ndarray) -> np.ndarray:
-    """Vectorized floor(gamma^2 * n); n = 0 handled as 0."""
-    n = np.asarray(n, dtype=np.int64)
-    out = floor_gamma_array(n)
-    np.subtract(n, out, out=out)
-    out -= 1  # n - 1 - floor(gamma n): -1 at n = 0 alone, >= 0 elsewhere
-    if n.size and out.min() < 0:
-        np.maximum(out, 0, out=out)
-    return out
+def floor_gamma_sq_array(n: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """floor(gamma^2 * n) for each n in [0, GAMMA_ARRAY_CAP], into out,
+    which may be n: a new array unless given."""
+    return _root_floors(n, kernels.ROOT_GAMMA_SQ, out)
 
 
 def staircase_start(k: int) -> int:
@@ -165,11 +127,8 @@ def staircase_value(n: int) -> int:
 
 
 def staircase_value_array(n: np.ndarray) -> np.ndarray:
-    """Vectorized staircase_value."""
-    n = np.asarray(n, dtype=np.int64)
-    if n.size and int(n.min()) < 1:
-        raise ValueError("staircase_value_array: need n >= 1")
-    return (1 + isqrt_array(8 * n - 7)) >> 1
+    """staircase_value of each n in [1, 2**60], where 8n - 7 fits int64."""
+    return _root_floors(n, kernels.ROOT_STAIRCASE)
 
 
 def ceil_div_pow(a: int, n: int, p: int, q: int) -> int:

@@ -43,7 +43,8 @@ kernels.read_ints, and a DiffBits once, with kernels.step_sum, and each
 shares it); a caller that edits a span copies it first.  `value` and
 `values` follow from it in FSpec.  `values` takes f in one span where the
 family's span allocates nothing but its output (FSpec._one_span: zeros,
-linear, floor, one-minus-delta, mod, bits and a prefix whose f is held), and
+linear, floor, gamma2, one-minus-delta, mod, bits and a prefix whose f is
+held), and
 elsewhere writes f into its one output _BLOCK terms at a time, so that what
 a span allocates on the way is small enough to be reused rather than
 faulted in fresh: a third of the page faults on perfbench's `drivers`
@@ -245,11 +246,17 @@ class FloorRatio(FSpec):
 
 @dataclass(frozen=True)
 class GammaSq(FSpec):
-    """f(n) = floor(gamma^2 * n), gamma = (sqrt(5)-1)/2."""
+    """f(n) = floor(gamma^2 * n), gamma = (sqrt(5)-1)/2: the kernel's
+    floors, written over the span's own indices, up to GAMMA_ARRAY_CAP;
+    a span past it, where 5 n^2 leaves int64, goes term by term through
+    the scalar floor."""
+
+    _one_span = True
 
     def _span(self, lo, hi):
         if hi - 1 <= GAMMA_ARRAY_CAP:
-            return floor_gamma_sq_array(np.arange(lo, hi, dtype=np.int64))
+            out = _indices(lo, hi)
+            return floor_gamma_sq_array(out, out)
         return _exact([floor_gamma_sq(n) for n in range(lo, hi)])
 
     def spec_str(self):
@@ -1126,11 +1133,14 @@ def _parse_int(text: str) -> int:
 
 
 def _split_inner(text: str, head: str) -> tuple[list[str], str]:
-    """Split 'a:b:(inner)' into leading fields and the parenthesized tail."""
+    """Split 'a:b:(inner)' into leading fields and the parenthesized tail.
+    Every field is kept, an empty one too, so that 'a::b:(inner)' has
+    three."""
     if not text.endswith(")") or "(" not in text:
         raise InvalidFSpec(f"{head}: expected trailing (inner-spec)")
     open_idx = text.index("(")
-    fields = [s for s in text[:open_idx].split(":") if s != ""]
+    lead = text[:open_idx].removesuffix(":")
+    fields = lead.split(":") if lead else []
     inner = text[open_idx + 1:-1]
     return fields, inner
 

@@ -3,9 +3,12 @@
 The kernels are the two trace loops, `one_term_rows` (the one-term trace
 on each row of a batch), the triangle's prefix-tree walk `slow_walk`,
 `step_sum` (the running sums of a uint8 step string: a `bits:` driver's f
-from its difference bits), `read_ints` (a tuple of exact ints into an
-int64 array: a `prefix:` driver's f, read once; the one kernel that reads
-Python objects, so the C one keeps the interpreter lock) and
+from its difference bits), `root_floors` (exact floors of sqrt(n), gamma n,
+gamma^2 n or the staircase (1 + sqrt(8n - 7))/2 over an int64 array, one
+of the forms ROOT_ISQRT ... ROOT_STAIRCASE, each n in its ROOT_FORMS
+domain: exactfloor's array floors), `read_ints` (a tuple of exact ints
+into an int64 array: a `prefix:` driver's f, read once; the one kernel
+that reads Python objects, so the C one keeps the interpreter lock) and
 `format_rows` (the table writer's rows of `%d` and `%.12g` fields), in the
 C source `_kernels.c`.  Its pure-Python
 twin `_kernels_py` takes the same arguments and returns the same codes.
@@ -20,9 +23,8 @@ the per-user cache, as
 `${XDG_CACHE_HOME:-~/.cache}/hofq/kernels-<hash><EXT_SUFFIX>`, the hash
 covering the source, the compiler flags and the interpreter (its version
 and installation), so that a warm import neither asks sysconfig for the
-compiler nor builds the compile command.  A build also removes the
-ctypes-era kernels-<hash>.so libraries of earlier versions from that
-directory.  Each of its entry points takes
+compiler nor builds the compile command.  A build writes that one module
+and touches no other file.  Each of its entry points takes
 the numpy arrays themselves and refuses, having written
 nothing, any array or bound its loop could not take safely; the twins
 check nothing.  `Kernels` gives both backends one contract and one set of
@@ -44,6 +46,7 @@ other value, forces the twin.  BACKEND names the one in use: "c" or
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import operator
 import os
 import sys
@@ -52,7 +55,14 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels_py
-from .exactfloor import INT64_MAX, INT64_MIN
+from ._kernels_py import (
+    INT64_MAX,
+    INT64_MIN,
+    ROOT_GAMMA,
+    ROOT_GAMMA_SQ,
+    ROOT_ISQRT,
+    ROOT_STAIRCASE,
+)
 
 OK, DIED, OVERFLOW = 0, 1, 2  # a trace's status
 WALK_MAX_DEPTH = 62  # the C walk keeps its path in fixed arrays of this depth
@@ -60,6 +70,15 @@ STEP_MAX = _kernels_py.STEP_MAX  # step_sum's greatest step, a uint8
 FORMAT_MAX_WIDTH = 64  # the widest %<w>d field of format_rows
 FORMAT_G12 = _kernels_py.FORMAT_G12  # format_rows' field code of %.12g
 percent_rows = _kernels_py.percent_rows  # the one Python row formatter
+GAMMA_ARRAY_CAP = math.isqrt(INT64_MAX // 5)  # the greatest n: 5n^2 in int64
+# root_floors' forms, by code: the floor each writes, and the least and
+# greatest n it takes, where its radicand, n, 5n^2 or 8n - 7, fits int64
+ROOT_FORMS = {
+    ROOT_ISQRT: ("floor(sqrt(n))", 0, INT64_MAX),
+    ROOT_GAMMA: ("floor(gamma n)", 0, GAMMA_ARRAY_CAP),
+    ROOT_GAMMA_SQ: ("floor(gamma^2 n)", 0, GAMMA_ARRAY_CAP),
+    ROOT_STAIRCASE: ("floor((1 + sqrt(8n - 7))/2)", 1, (INT64_MAX + 7) // 8),
+}
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 
@@ -162,6 +181,24 @@ def _check_step_sum(steps, first, out):
                          f" the sums of {n - 1} steps stay in int64")
 
 
+def _check_root_floors(n, form, out):
+    check_array(n, "n")
+    check_array(out, "out", True)
+    if len(out) != len(n):
+        raise ValueError(f"out holds {len(out)} values, n has {len(n)}")
+    try:
+        form = operator.index(form)
+    except TypeError:
+        raise ValueError("form must be an int") from None
+    if form not in ROOT_FORMS:
+        raise ValueError(f"form = {form} is none of {sorted(ROOT_FORMS)}")
+    name, lo, hi = ROOT_FORMS[form]
+    low, high = (int(n.min()), int(n.max())) if len(n) else (lo, hi)
+    if low < lo or high > hi:
+        raise ValueError(f"n = {low if low < lo else high} is outside"
+                         f" [{lo}, {hi}], the domain of {name}")
+
+
 def _check_read_ints(ints, out):
     if not isinstance(ints, tuple):
         raise ValueError("ints must be a tuple")
@@ -244,6 +281,7 @@ _TABLE = {
     "two_term_trace": (_check_two_term_trace, True),
     "slow_walk": (_check_slow_walk, True),
     "step_sum": (_check_step_sum, False),
+    "root_floors": (_check_root_floors, False),
     "read_ints": (_check_read_ints, False),
     "format_rows": (_check_format_rows, False),
 }

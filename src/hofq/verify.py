@@ -19,10 +19,8 @@ import numpy as np
 
 from .engine import compute_q, compute_q_batch, compute_two_term, quasipolynomial_spec
 from .exactfloor import (
-    floor_gamma,
     floor_gamma_array,
     floor_gamma_sq_array,
-    isqrt_array,
     staircase_value_array,
 )
 from .fspec import (
@@ -245,10 +243,11 @@ def verify_golden_identity(n: int | None = None,
 
     Also classifies each n >= 2 by where {gamma^2 n} falls relative to the
     split points gamma^2 and gamma (computed by exact integer floor
-    comparisons), asserts the three cases partition, and cross-checks the
-    floor identity floor(gamma^2 n) = n - 1 - floor(gamma n) against an
-    independent integer route.  n = 1 is the lone boundary point, where
-    {gamma^2 n} equals gamma^2 exactly.
+    comparisons) and asserts that no n falls in both the low and the high
+    case, failing at the least such n as (n, 1, 2); n = 1 is the lone
+    boundary point, where {gamma^2 n} equals gamma^2 exactly.  Then checks
+    the floors against Beatty's theorem (_first_beatty_miss), and
+    floor_gamma_array against a decimal oracle (_golden_oracle_check).
     """
     n = DEFAULT_N if n is None else n
     m = np.arange(0, n + 2, dtype=np.int64)
@@ -273,12 +272,9 @@ def verify_golden_identity(n: int | None = None,
         details["case_overlap"] = overlap
         details["boundary_points"] = [1]  # {gamma^2 * 1} = gamma^2 exactly
         if overlap:  # mid is every other n: the cases cover them all
-            mism = (2, 0, 1)
+            mism = (int(np.flatnonzero(low & high)[0]) + 2, 1, 2)
         else:
-            # independent route: floor(gamma^2 j) = (3j - isqrt(5 j^2) - 1)//2
-            j = m[1:n + 1]
-            other = (3 * j - isqrt_array(5 * j * j) - 1) // 2
-            mism = _first_by_class(fsq[1:n + 1], [other])
+            mism = _first_beatty_miss(fsq, n)
             details["floor_identity_checked"] = mism is None
             if mism is None and oracle_samples:
                 details["oracle_samples"] = oracle_samples
@@ -286,10 +282,44 @@ def verify_golden_identity(n: int | None = None,
     return VerifierResult("golden-identity", n, mism is None, mism, details)
 
 
+def _first_beatty_miss(fsq, n: int) -> tuple[int, int, int] | None:
+    """The least integer k in [1, floor(n phi)], phi = 1 + gamma, that the
+    Beatty sequences a_j = floor(j phi) = j + floor(gamma j) and
+    floor(j phi^2) = a_j + j, j = 1..n, do not cover exactly once, as
+    (k, 1, times covered); None where they partition it, as Beatty's
+    theorem says they do, 1/phi + 1/phi^2 being 1.  floor(gamma j) is
+    taken from the floors under test, as j - 1 - fsq[j], so a wrong
+    floor(gamma^2 j) moves both of its terms.
+
+    Where a_1 = 1 and a rises by 1 or 2, as true floors do, a_n = n + m
+    for its m rises of 2, and a misses just the integer after each: with
+    the i-th from a_p to a_(p+1), p = p_i, a_p = p + i - 1 misses p + i.
+    The a_i + i up to a_n are those, in order, iff p_i = a_i for i <= m
+    and a_(m+1) + m + 1 > a_n.  a_1 < ... < a_m are m distinct j, so that
+    is a rise of 2 after each a_i, decided with no counting; otherwise
+    each integer's cover is counted."""
+    beatty = np.arange(1, 2 * n, 2, dtype=np.int64) - fsq[1:n + 1]  # a_j
+    top = int(beatty[-1])  # floor(n phi)
+    rise = np.diff(beatty)
+    m = top - n
+    if (beatty[0] == 1 and rise.min(initial=1) >= 1
+            and rise.max(initial=1) <= 2 and (m == 0 or beatty[m - 1] < n)
+            and (rise[beatty[:m] - 1] == 2).all()
+            and beatty[m] + m + 1 > top):
+        return None
+    j = np.arange(1, n + 1, dtype=np.int64)
+    hits = np.concatenate([beatty, beatty + j])
+    np.clip(hits, 0, max(top, 0) + 1, out=hits)
+    counts = np.bincount(hits)[1:top + 1]
+    bad = np.flatnonzero(counts != 1)
+    return (int(bad[0]) + 1, 1, int(counts[bad[0]])) if bad.size else None
+
+
 def _golden_oracle_check(n: int, samples: int) -> tuple[int, int, int] | None:
-    """Spot-check floor_gamma(j) at `samples` seeded j in [1, n] against a
-    60-digit decimal oracle; the first disagreement as (j, oracle floor,
-    floor_gamma(j)), or None.
+    """Spot-check floor_gamma_array, the floor of golden and
+    golden-identity, with one call at `samples` seeded j in [1, n],
+    against a 60-digit decimal oracle; the first disagreement in sample
+    order as (j, oracle floor, floor_gamma_array's), or None.
 
     The oracle's gamma is (sqrt(5) - 1)/2 with sqrt correctly rounded to 60
     digits, within 10^-59 of gamma, and read as the exact fraction G / D of
@@ -301,11 +331,12 @@ def _golden_oracle_check(n: int, samples: int) -> tuple[int, int, int] | None:
     """
     ctx = decimal.Context(prec=60, rounding=decimal.ROUND_HALF_EVEN)
     g, d = ctx.divide(ctx.subtract(ctx.sqrt(5), 1), 2).as_integer_ratio()
-    rng = np.random.default_rng(5 * n + samples)
-    for j in rng.integers(1, n + 1, size=samples).tolist():
+    js = np.random.default_rng(5 * n + samples).integers(1, n + 1,
+                                                          size=samples)
+    for j, got in zip(js.tolist(), floor_gamma_array(js).tolist()):
         oracle = j * g // d
-        if oracle != floor_gamma(j):
-            return (j, oracle, floor_gamma(j))
+        if oracle != got:
+            return (j, oracle, got)
     return None
 
 

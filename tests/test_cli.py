@@ -12,6 +12,7 @@ import pytest
 import hofq
 from hofq import cli, verify
 from hofq.triangle import build_triangle
+from test_verify import off_by_one_at_a_sample
 
 
 def run(capsys, *argv):
@@ -90,12 +91,11 @@ def test_verify_selection_json(capsys):
 
 
 def test_verify_oracle_failure_exits_3(capsys, monkeypatch):
-    real = hofq.verify.floor_gamma
-    monkeypatch.setattr(hofq.verify, "floor_gamma", lambda j: real(j) + 1)
+    j = off_by_one_at_a_sample(monkeypatch, 2000)
     code, out, err = run(capsys, "verify", "--lemma", "golden-identity",
                          "--n", "2000")
     assert code == 3 and err == ""
-    assert out.startswith("FAIL golden-identity at n = ")
+    assert out.startswith(f"FAIL golden-identity at n = {j}: ")
     assert len(out.splitlines()) == 1 and "Traceback" not in out
 
 

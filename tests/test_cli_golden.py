@@ -63,7 +63,9 @@ def _cases():
                        ("sqrt-key", "const-limit:sqrt:a=5,b=7"),
                        ("clamp-key", "const-limit:clamp:alpha=1/2,n0=9,a=5"),
                        ("floor-repeat", "floor:1/2:shift=1:shift=2"),
-                       ("exp-repeat", "const-limit:exp:a=5,a=6,b=1/1000")]:
+                       ("exp-repeat", "const-limit:exp:a=5,a=6,b=1/1000"),
+                       ("shift-empty-field", "shift::3:(zeros)"),
+                       ("perturb-empty-field", "perturb:2::+1:(zeros)")]:
         yield f"compute-refuses-{name}", ["compute", "--f", spec, "--n", "4"]
     yield from _formatted("verify", ["verify", "--lemma", "golden,staircase",
                                      "--n", "3000"], TEXT_JSON)

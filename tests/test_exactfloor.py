@@ -8,7 +8,7 @@ import pytest
 from hofq import exactfloor
 from hofq.exactfloor import (
     GAMMA_ARRAY_CAP,
-    ISQRT_ARRAY_CAP,
+    INT64_MAX,
     ceil_div_pow,
     ceil_exp_decay,
     floor_gamma,
@@ -24,13 +24,15 @@ from hofq.exactfloor import (
 
 
 def test_isqrt_array_matches_math_isqrt():
+    """Every x in [0, INT64_MAX] is exact, up to INT64_MAX itself: there is
+    no headroom below it."""
     rng = np.random.default_rng(7)
-    vals = rng.integers(0, ISQRT_ARRAY_CAP, size=5000)
+    vals = rng.integers(0, INT64_MAX, size=5000, endpoint=True)
     squares = np.arange(0, 2000) ** 2
     near = np.concatenate([squares, squares[1:] - 1, squares + 1])
-    big = ISQRT_ARRAY_CAP - np.arange(10)
+    big = INT64_MAX - np.arange(10)
     # past 2**52 the float64 seed can miss by one either way
-    k = rng.integers(2**26, math.isqrt(ISQRT_ARRAY_CAP), size=2000)
+    k = rng.integers(2**26, math.isqrt(INT64_MAX), size=2000)
     big_near = np.concatenate([k * k - 1, k * k, k * k + 1])
     for batch in (vals, near, big, big_near, np.array([0, 1, 2, 3, 4, 5])):
         got = isqrt_array(batch)
@@ -39,10 +41,12 @@ def test_isqrt_array_matches_math_isqrt():
 
 
 def test_isqrt_array_rejects_bad_input():
-    with pytest.raises(ValueError):
+    """A negative x is refused, by the kernel's ValueError; INT64_MAX, the
+    greatest int64, is taken."""
+    with pytest.raises(ValueError, match=r"^n = -1 is outside \[0, "):
         isqrt_array(np.array([-1]))
-    with pytest.raises(OverflowError):
-        isqrt_array(np.array([ISQRT_ARRAY_CAP + 1]))
+    assert isqrt_array(np.array([INT64_MAX])).tolist() == [
+        math.isqrt(INT64_MAX)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 63, 64])
@@ -91,7 +95,7 @@ def test_gamma_floor_identity_and_arrays():
     assert (fg2 == n - 1 - fg).all()
     spot = [1, 2, 3, 5, 10, 999, 12345, 99999]
     assert [int(fg[i - 1]) for i in spot] == [floor_gamma(i) for i in spot]
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="the domain of floor.gamma n"):
         floor_gamma_array(np.array([GAMMA_ARRAY_CAP + 1]))
 
 

@@ -103,11 +103,14 @@ def test_parse_errors(bad):
     ("floor:1/2:scale=1:shift=0:scale=1", "floor: repeated option 'scale=1'"),
     ("const-limit:exp:a=5,a=6,b=1/1000", "const-limit: repeated key 'a'"),
     ("floor:1/2:foo=1", "floor: unknown option 'foo=1'"),
+    ("shift::3:(zeros)", "shift: expected shift:K:(SPEC)"),
+    ("perturb:2::+1:(zeros)", "perturb: expected perturb:N1:+A:(SPEC)"),
 ])
 def test_text_the_grammar_does_not_read_is_refused(text, message):
     """A spec is refused, not read in part, where it has text that its
     family does not read: a parameter of a bare family, a key of no
-    const-limit form, or a key or floor option given twice."""
+    const-limit form, a key or floor option given twice, or an empty
+    field of shift: or perturb:."""
     with pytest.raises(InvalidFSpec) as refused:
         parse_fspec(text)
     assert str(refused.value) == message
@@ -124,8 +127,9 @@ def test_eval_examples():
 
 
 def test_gamma2_past_the_array_cap_is_exact():
-    """Past GAMMA_ARRAY_CAP, where 5 n^2 leaves the vectorised isqrt's
-    range, a span goes term by term through the scalar floor."""
+    """Past GAMMA_ARRAY_CAP, where 5 n^2 leaves int64 and so the domain
+    of the kernel's floors, a span goes term by term through the scalar
+    floor."""
     spec, cap = GammaSq(), GAMMA_ARRAY_CAP
     got = spec._span(cap - 2, cap + 3)
     assert got.dtype == np.int64
@@ -915,8 +919,8 @@ def _count_spans(monkeypatch):
 
 # the families whose span allocates nothing but its output, which values()
 # takes in one span (every prefix below is of exact ints, so its f is held)
-ONE_SPAN = ("zeros", "linear", "floor:", "one-minus-delta:", "mod:", "bits:",
-            "prefix:")
+ONE_SPAN = ("zeros", "linear", "floor:", "gamma2", "one-minus-delta:", "mod:",
+            "bits:", "prefix:")
 
 
 @pytest.mark.parametrize("text", BLOCK_SPECS + ["bits:" + "01" * (2 * B + 1)],

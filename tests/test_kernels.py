@@ -7,6 +7,7 @@ import importlib.machinery
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import shutil
@@ -354,6 +355,11 @@ def test_pure_kernels_are_the_c_functions_twins(c_kernels):
     assert (ext.WALK_MAX_DEPTH, ext.STEP_MAX, ext.FORMAT_MAX_WIDTH,
             ext.FORMAT_G12) == (kernels.WALK_MAX_DEPTH, kernels.STEP_MAX,
                                 kernels.FORMAT_MAX_WIDTH, kernels.FORMAT_G12)
+    assert (ext.ROOT_ISQRT, ext.ROOT_GAMMA, ext.ROOT_GAMMA_SQ,
+            ext.ROOT_STAIRCASE, ext.GAMMA_MAX, ext.STAIRCASE_MAX) == (
+        kernels.ROOT_ISQRT, kernels.ROOT_GAMMA, kernels.ROOT_GAMMA_SQ,
+        kernels.ROOT_STAIRCASE, kernels.GAMMA_ARRAY_CAP,
+        kernels.ROOT_FORMS[kernels.ROOT_STAIRCASE][2])
 
 
 def accepted_args():
@@ -370,6 +376,8 @@ def accepted_args():
         "slow_walk": (np.zeros(kernels.walk_size(3), dtype=np.uint8), 3),
         "step_sum": (np.ones(3, dtype=np.uint8), 0,
                      np.zeros(4, dtype=np.int64)),
+        "root_floors": (np.arange(3, dtype=np.int64), kernels.ROOT_ISQRT,
+                        np.zeros(3, dtype=np.int64)),
         "read_ints": ((1, 2), np.zeros(2, dtype=np.int64)),
         "format_rows": ([np.arange(2, dtype=np.int64)], [0], 2, lit, ends,
                         np.zeros(kernels.format_size(2, lit, [0]),
@@ -670,6 +678,128 @@ def test_step_sum_rejects_unsafe_arrays(kernel_backend):
         (steps, 0.0, out),                          # first not an int
     ]
     assert_refused(kernel_backend, "step_sum", bad)
+
+
+def gamma_floor(n):
+    return (math.isqrt(5 * n * n) - n) // 2
+
+
+# each form of root_floors: its floor, from math.isqrt
+ROOT_FLOORS = {
+    kernels.ROOT_ISQRT: math.isqrt,
+    kernels.ROOT_GAMMA: gamma_floor,
+    kernels.ROOT_GAMMA_SQ: lambda n: n - 1 - gamma_floor(n) if n else 0,
+    kernels.ROOT_STAIRCASE: lambda n: (1 + math.isqrt(8 * n - 7)) // 2,
+}
+
+
+def pell(a, b):
+    """b of each solution (a, b) of a^2 - 5 b^2 = +-1 from the given one,
+    times (9 + 4 sqrt 5)^m, m >= 0, while 5 b^2 fits int64: at n = b, 5 n^2
+    lies beside the square a^2."""
+    ns = []
+    while 5 * b * b <= INT64_MAX:
+        ns.append(b)
+        a, b = 9 * a + 20 * b, 4 * a + 9 * b
+    return ns
+
+
+def root_edges(form):
+    """n where the radicand of form lies at or beside a square k^2, k near
+    2^26, where the float64 seed stops being exact, near 3,037,000,499,
+    the root of INT64_MAX, and near the ends of the binades of k and k^2,
+    where the seed's error is widest; and the ends of the form's
+    domain."""
+    _, lo, hi = kernels.ROOT_FORMS[form]
+    tops = [2**e for e in range(27, 32)]
+    tops += [math.isqrt(2**(2 * e + 1)) for e in range(26, 31)]
+    ks = [k + d for k in (2**26, 3_037_000_499, *tops) for d in range(-3, 3)]
+    if form == kernels.ROOT_ISQRT:  # k^2 - 1, k^2, k^2 + 1
+        ns = [k * k + d for k in ks for d in (-1, 0, 1)]
+    elif form == kernels.ROOT_STAIRCASE:  # 8n - 7 = k^2 at the middle n
+        ns = [(k * k + 7) // 8 + d for k in ks if k % 2 for d in (-1, 0, 1)]
+    else:  # 5n^2 within 5n of k^2, and k^2 +- 1 itself
+        ns = [math.isqrt(k * k // 5) + d for k in ks for d in (-1, 0, 1)]
+        ns += pell(2, 1) + pell(9, 4)
+    return sorted({n for n in ns + [lo, lo + 1, hi - 1, hi] if lo <= n <= hi})
+
+
+@pytest.mark.parametrize("form", sorted(kernels.ROOT_FORMS))
+def test_root_floors_match_math_isqrt(kernel_backend, form):
+    """Every form is exact where its radicand lies beside a square, up to
+    INT64_MAX for floor(sqrt(n)) and GAMMA_ARRAY_CAP for the gamma forms,
+    and on every n of a dense range; in place, out = n, it writes the
+    same floors."""
+    edges = root_edges(form)
+    lo = kernels.ROOT_FORMS[form][1]
+    for ns in (edges, list(range(lo, lo + 3000)), []):
+        n = np.array(ns, dtype=np.int64)
+        out = np.full(len(ns), 7, dtype=np.int64)
+        want = [ROOT_FLOORS[form](v) for v in ns]
+        assert kernel_backend.root_floors(n, form, out) is None
+        assert out.tolist() == want
+        assert n.tolist() == ns
+        assert kernel_backend.root_floors(n, form, n) is None
+        assert n.tolist() == want
+    assert max(edges) == kernels.ROOT_FORMS[form][2]
+    if form in (kernels.ROOT_GAMMA, kernels.ROOT_GAMMA_SQ):
+        assert max(edges) == kernels.GAMMA_ARRAY_CAP
+        assert 5 * (kernels.GAMMA_ARRAY_CAP + 1) ** 2 > INT64_MAX
+
+
+def test_root_floors_agree_on_random_n(c_kernels):
+    """Both backends write the same floors for seeded n across each
+    form's whole domain."""
+    rng = np.random.default_rng(71)
+    for form, (_, lo, hi) in kernels.ROOT_FORMS.items():
+        n = rng.integers(lo, hi, size=20000, endpoint=True)
+        want = [ROOT_FLOORS[form](v) for v in n.tolist()]
+        for backend in (c_kernels, PURE):
+            out = np.empty_like(n)
+            backend.root_floors(n, form, out)
+            assert out.tolist() == want, (backend.implementation, form)
+
+
+def test_root_floors_rejects_what_it_cannot_take(kernel_backend):
+    """A refused call writes nothing, in place too, and both backends give
+    the same reason."""
+    n = np.arange(1, 9, dtype=np.int64)
+    out = np.full(8, 7, dtype=np.int64)
+    readonly = n.copy()
+    readonly.flags.writeable = False
+    top = kernels.ROOT_FORMS[kernels.ROOT_STAIRCASE][2]
+    cap = kernels.GAMMA_ARRAY_CAP
+    sqrt, gamma, gamma_sq, stair = sorted(kernels.ROOT_FORMS)
+
+    def beside(*values):
+        return np.array([5, *values, 6], dtype=np.int64)
+
+    bad = [
+        (n.astype(np.int32), sqrt, out),            # dtype
+        (n.astype(np.float64), sqrt, out),
+        (n, sqrt, out.astype(np.uint64)),
+        (n, sqrt, out[:7]),                          # lengths differ
+        (n, sqrt, readonly),                         # out is written
+        (readonly, sqrt, readonly),
+        (np.arange(16, dtype=np.int64)[::2], sqrt, out),  # not contiguous
+        (n.reshape(2, 4), sqrt, out),                # not 1-D
+        (list(range(8)), sqrt, out),                 # not an array
+        (n, 4, out),                                 # no such form
+        (n, -1, out),
+        (n, 2**64, out),
+        (n, 1.0, out),
+        (beside(-1), sqrt, np.zeros(3, dtype=np.int64)),  # outside domains
+        (beside(INT64_MIN), sqrt, np.zeros(3, dtype=np.int64)),
+        (beside(-1), gamma, np.zeros(3, dtype=np.int64)),
+        (beside(cap + 1), gamma, np.zeros(3, dtype=np.int64)),
+        (beside(cap + 1), gamma_sq, np.zeros(3, dtype=np.int64)),
+        (beside(INT64_MAX), gamma_sq, np.zeros(3, dtype=np.int64)),
+        (beside(0), stair, np.zeros(3, dtype=np.int64)),
+        (beside(top + 1), stair, np.zeros(3, dtype=np.int64)),
+        (beside(-7, top + 1), stair, np.zeros(4, dtype=np.int64)),
+    ]
+    bad += [(a, form, a) for a, form, _ in bad[-9:]]  # in place
+    assert_refused(kernel_backend, "root_floors", bad)
 
 
 class _Small(enum.IntEnum):

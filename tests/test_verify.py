@@ -5,7 +5,13 @@ import pytest
 
 from hofq import verify
 from hofq.engine import ExistenceOutcome, QTrace, compute_q
-from hofq.exactfloor import floor_gamma, floor_gamma_sq, staircase_start
+from hofq.exactfloor import (
+    GAMMA_ARRAY_CAP,
+    floor_gamma,
+    floor_gamma_sq,
+    floor_gamma_sq_array,
+    staircase_start,
+)
 from oracle import first_mismatch
 
 N_FAST = 20000
@@ -177,24 +183,60 @@ def test_golden_identity_fails_where_its_cases_overlap(monkeypatch):
     fsq = np.array([0, -1, 1, 0, 1, 2], dtype=np.int64)
     monkeypatch.setattr(verify, "floor_gamma_sq_array", lambda m: fsq[m])
     res = verify.verify_golden_identity(4)
-    assert not res.ok and res.first_counterexample == (2, 0, 1)
+    assert not res.ok and res.first_counterexample == (4, 1, 2)
     assert res.details["case_overlap"] == 1
     assert res.details["cases"] == {"low": 2, "mid": 0, "high": 2}
 
 
+def off_by_one_at_a_sample(monkeypatch, n, samples=1000):
+    """Plant in verify's floor_gamma_array an off-by-one at the first of
+    the oracle's seeded samples above 0.4 n, which golden-identity's
+    term1, floor(gamma (floor(gamma^2 m) + 1)) for m < n, never reads;
+    returns that j."""
+    js = np.random.default_rng(5 * n + samples).integers(1, n + 1,
+                                                         size=samples)
+    j = int(js[js > 0.4 * n][0])
+    real = verify.floor_gamma_array
+    monkeypatch.setattr(verify, "floor_gamma_array",
+                        lambda m: real(m) + (np.asarray(m) == j))
+    return j
+
+
 def test_golden_oracle_disagreement_is_a_failing_result(monkeypatch):
-    monkeypatch.setattr(verify, "floor_gamma", lambda j: floor_gamma(j) + 1)
+    j = off_by_one_at_a_sample(monkeypatch, 2000)
     res = verify.verify_golden_identity(2000)
     assert not res.ok
-    j, oracle, got = res.first_counterexample
-    assert 1 <= j <= 2000 and (oracle, got) == (floor_gamma(j), oracle + 1)
+    assert res.first_counterexample == (j, floor_gamma(j), floor_gamma(j) + 1)
     assert res.details["oracle_samples"] == 1000
+    assert res.details["floor_identity_checked"]
 
 
 def test_golden_oracle_agrees_on_large_j():
     # the 60-digit oracle must separate j*gamma from an integer far past
-    # the default N; picks are seeded by (n, samples)
-    assert verify._golden_oracle_check(10**15, 500) is None
+    # the default N, up to GAMMA_ARRAY_CAP, where floor_gamma_array's
+    # domain ends; picks are seeded by (n, samples)
+    assert verify._golden_oracle_check(GAMMA_ARRAY_CAP, 500) is None
+
+
+@pytest.mark.parametrize("j, step", [(1, 1), (2, -1), (5, 1), (7, -1),
+                                     (150, 1), (300, -1)])
+def test_beatty_check_fails_on_a_doctored_floor(j, step):
+    """One floor(gamma^2 j) off by one moves floor(j phi) and floor(j
+    phi^2) together, which leaves some integer covered 0 or 2 times: the
+    least such k is reported as (k, 1, count), and the true floors
+    pass."""
+    n = 300
+    fsq = floor_gamma_sq_array(np.arange(n + 2))
+    assert verify._first_beatty_miss(fsq, n) is None
+    fsq[j] += step
+    k, once, count = verify._first_beatty_miss(fsq, n)
+    beatty = [i + floor_gamma(i) for i in range(1, n + 1)]
+    beatty[j - 1] -= step
+    hits = beatty + [b + i for i, b in enumerate(beatty, 1)]
+    top = beatty[-1]
+    covered = {m: hits.count(m) for m in range(1, top + 1)}
+    assert (k, once, count) == min((m, 1, c) for m, c in covered.items()
+                                   if c != 1)
 
 
 def test_quasipoly_needs_room():
