@@ -24,6 +24,9 @@ from .table import write
 
 GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_EXPORT_ROWS = 10**6
+DISCOVERY_CANDIDATES = 8  # propose_shifts: the shifts it returns,
+DISCOVERY_WINDOW = 64  # the differences in a window
+DISCOVERY_ANCHORS = 8  # and the windows it looks for
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +202,11 @@ class SimilarityMatch:
         return self.hi - self.lo + 1
 
 
-def _runs(values: np.ndarray):
-    """Start/end positions (0-based, inclusive) of maximal constant runs."""
-    change = np.flatnonzero(values[1:] != values[:-1])
-    starts = np.concatenate([[0], change + 1])
-    ends = np.concatenate([change, [len(values) - 1]])
-    return starts, ends
+def _runs(values: np.ndarray) -> np.ndarray:
+    """The bounds b of the maximal constant runs of values: run j is
+    values[b[j] + 1 .. b[j + 1]], 0-based and inclusive."""
+    return np.concatenate(([-1], np.flatnonzero(values[1:] != values[:-1]),
+                           [len(values) - 1]))
 
 
 def scan_self_similarity(trace, shifts, min_run: int = 1000) -> list[SimilarityMatch]:
@@ -215,46 +217,46 @@ def scan_self_similarity(trace, shifts, min_run: int = 1000) -> list[SimilarityM
     q = trace.q_values if isinstance(trace, QTrace) else np.asarray(trace)
     start = trace.start if isinstance(trace, QTrace) else 1
     matches = []
+    # one buffer for every shift's d, and few temporaries per shift: fresh
+    # full-length arrays have the allocator fault their pages in per shift
+    buf = np.empty(max(len(q) - 1, 0), q.dtype)
     for s in sorted(set(int(s) for s in shifts)):
         if not (1 <= s < len(q)):
             continue
-        d = q[s:] - q[:len(q) - s]
-        starts, ends = _runs(d)
-        keep = (ends - starts + 1) >= min_run
-        for a, b in zip(starts[keep], ends[keep]):
-            matches.append(SimilarityMatch(s, int(d[a]),
-                                           int(a) + start, int(b) + start))
+        d = np.subtract(q[s:], q[:len(q) - s], out=buf[:len(q) - s])
+        ends = _runs(d)
+        for j in np.flatnonzero(np.diff(ends) >= min_run).tolist():
+            lo, hi = int(ends[j]) + 1, int(ends[j + 1])
+            matches.append(SimilarityMatch(s, int(d[lo]), lo + start,
+                                           hi + start))
     return matches
 
 
-def propose_shifts(trace, max_candidates: int = 8, window: int = 64,
-                   anchors: int = 8, min_run: int = 1000) -> list[int]:
-    """Heuristic shift discovery: the first-difference sequence is invariant
-    under a constant offset, so windows of it that recur at distance s mark
-    candidate shifts.  Candidates are verified with a scan and ordered by
-    their longest run."""
+def propose_shifts(trace, min_run: int = 1000) -> list[int]:
+    """The DISCOVERY_CANDIDATES shifts with the longest runs, longest first.
+    The first-difference sequence is invariant under a constant offset, so
+    windows of it that recur at distance s mark candidate shifts.  A window
+    is DISCOVERY_WINDOW differences at one of DISCOVERY_ANCHORS anchors in
+    the first half; the positions that match its first difference are
+    narrowed one offset at a time, and one scan scores every candidate."""
     q = trace.q_values if isinstance(trace, QTrace) else np.asarray(trace)
     dq = np.diff(q)
-    if len(dq) < 2 * window:
+    last = len(dq) - DISCOVERY_WINDOW  # the start of the last window
+    if last < DISCOVERY_WINDOW:
         return []
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    windows = sliding_window_view(dq, window)
     candidates: set[int] = set()
-    anchor_positions = np.linspace(0, len(dq) // 2, anchors, dtype=int)
-    for a in anchor_positions:
-        hits = np.flatnonzero((windows == dq[a:a + window]).all(axis=1))
-        for h in hits:
-            s = int(h) - int(a)
-            if s > window:
-                candidates.add(s)
-    scored = []
-    for s in candidates:
-        found = scan_self_similarity(trace, [s], min_run=min_run)
-        if found:
-            scored.append((max(m.length for m in found), s))
-    scored.sort(reverse=True)
-    return [s for _, s in scored[:max_candidates]]
+    anchors = np.linspace(0, len(dq) // 2, DISCOVERY_ANCHORS, dtype=int)
+    for a in anchors.tolist():
+        lo = a + DISCOVERY_WINDOW + 1  # only shifts past the window count
+        hits = lo + np.flatnonzero(dq[lo:last + 1] == dq[a])
+        for k in range(1, DISCOVERY_WINDOW):
+            hits = hits[dq[hits + k] == dq[a + k]]
+        candidates.update((hits - a).tolist())
+    longest: dict[int, int] = {}
+    for m in scan_self_similarity(trace, candidates, min_run=min_run):
+        longest[m.shift] = max(longest.get(m.shift, 0), m.length)
+    scored = sorted(((run, s) for s, run in longest.items()), reverse=True)
+    return [s for _, s in scored[:DISCOVERY_CANDIDATES]]
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +288,10 @@ def perturb_compare(base, at: int, amount: int, n_max: int) -> PerturbationTrace
     diff = (base_trace.q_values[:m] - pert_trace.q_values[:m]).copy()
     zero = ()
     if m:  # the runs of diff == 0 that are runs of zeros, 1-based
-        starts, ends = _runs(diff == 0)
-        z = diff[starts] == 0
-        zero = tuple(zip((starts[z] + 1).tolist(), (ends[z] + 1).tolist()))
+        ends = _runs(diff == 0)
+        lo = ends[:-1] + 1
+        z = diff[lo] == 0
+        zero = tuple(zip((lo[z] + 1).tolist(), (ends[1:][z] + 1).tolist()))
     return PerturbationTrace(spec.spec_str(), at, amount, diff, zero,
                              str(base_trace.outcome), str(pert_trace.outcome))
 

@@ -338,10 +338,11 @@ class Prefix(FSpec):
     A tuple of exact ints in int64 is kept as it is, and kernels.read_ints
     reads it once, in one pass, into the read-only int64 array _f, which
     every span and trace of the prefix shares.  Where that pass stops early,
-    at a value that is not an exact int or lies outside int64, the values
-    are converted, _f is None and each span reads its own from the tuple.
-    _f is not a field: equality, hashing, repr and copies see only prefix,
-    and a copy reads its own."""
+    at a value that is not an exact int, as a numpy integer or 2.0 is, the
+    values are converted and read again.  Only where a value lies outside
+    int64 is _f None, and each span reads its own from the tuple.  _f is
+    not a field: equality, hashing, repr and copies see only prefix, and a
+    copy reads its own."""
 
     __slots__ = ("prefix", "_f")
     prefix: tuple[int, ...]
@@ -355,12 +356,15 @@ class Prefix(FSpec):
         if kernels.read_ints(prefix, f) == len(prefix):
             f.setflags(False)  # write=False
         else:
-            f = None
             try:  # int(v) for every integer v, at half the cost of int()
                 prefix = tuple(map(operator.index, prefix))
             except TypeError:
                 prefix = tuple(map(_integral, prefix,
                                    range(1, len(prefix) + 1)))
+            if kernels.read_ints(prefix, f) == len(prefix):
+                f.setflags(False)
+            else:  # a value outside int64
+                f = None
         _set_prefix(self, prefix)
         _set_f(self, f)
 

@@ -144,7 +144,9 @@ def check_containment(table: TriangleTable) -> ContainmentReport:
 class MinReport:
     n_max: int
     mismatches: tuple[tuple[int, int, int], ...]        # (i, n, actual min)
-    witness_failures: tuple[tuple[int, int, int], ...]  # (i, n, witness q(n))
+    # (i, n, witness q(n)), q(n) 0 where the witness dies before n: 0 is
+    # never a value of q
+    witness_failures: tuple[tuple[int, int, int], ...]
 
     @property
     def ok(self) -> bool:
@@ -161,7 +163,8 @@ def min_witness_prefix(i: int, n: int) -> tuple[int, ...]:
 
 def check_min(table: TriangleTable) -> MinReport:
     """Verify min of each cell (i, n) is i+1 and that the zeros-then-ramp
-    witness prefix attains it."""
+    witness prefix attains it; a witness that dies first is reported with
+    q(n) = 0."""
     mismatches = []
     witness_failures = []
     for n in range(1, table.n_max + 1):
@@ -170,8 +173,9 @@ def check_min(table: TriangleTable) -> MinReport:
             if got != i + 1:
                 mismatches.append((i, n, got))
             w = compute_q(min_witness_prefix(i, n), n)
-            if not w.exists or w.q(n) != i + 1:
-                witness_failures.append((i, n, int(w.q_values[-1])))
+            q = w.q(n) if w.exists else 0
+            if q != i + 1:
+                witness_failures.append((i, n, q))
     return MinReport(table.n_max, tuple(mismatches), tuple(witness_failures))
 
 

@@ -1,10 +1,12 @@
 """One checkable verifier per closed-form identity of the recurrence family.
 
 Each verifier recomputes the relevant trace with the engine and compares it
-against the closed form up to a configurable N, using exact integer floors
-throughout.  A failing verifier carries its first counterexample; a trace
-that stops before N fails at its death index.  A periodic closed form is
-checked one residue class at a time, on strided views of the trace.
+against the closed form up to N, its one parameter, using exact integer
+floors throughout; the rest of what it checks is fixed by module constants
+(MOD_MODULI, SHIFT_*, QUARTER_* and GOLDEN_ORACLE_SAMPLES).  A failing
+verifier carries its first counterexample; a trace that stops before N
+fails at its death index.  A periodic closed form is checked one residue
+class at a time, on strided views of the trace.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .fspec import (
     ModM,
     OneMinusDelta,
     Zeros,
-    as_fspec,
     shift_f,
     slow_prefix_matrix,
 )
@@ -39,6 +40,12 @@ DEFAULT_N = 10**6
 DEFAULT_N_TWO_TERM = 10**5
 CONTINUOUS_TOL = 1e-9
 CONTINUOUS_EDGE = 1e-6
+MOD_MODULI = (1, 2, 3, 5, 7)
+SHIFT_FSPEC = FloorRatio(1, 2)
+SHIFT_EXHAUSTIVE_M = 12  # every slow prefix of length <= this
+QUARTER_SAMPLES = 10**4  # random reals for the continuous solution
+QUARTER_SEED = 20260810
+GOLDEN_ORACLE_SAMPLES = 1000
 
 
 @dataclass
@@ -88,14 +95,20 @@ def _first_by_class(q, lines, first=1):
     return min(found, default=None)
 
 
+def _first_miss(trace, n, lines, first=1):
+    """_stops_before(trace, n), or else the least-n counterexample of the
+    trace's terms from n = first on against the closed form `lines`, as
+    _first_by_class takes it."""
+    return (_stops_before(trace, n) or _first_by_class(
+        trace.q_values[first - trace.start:], lines, first))
+
+
 def verify_zeros_and_linear(n: int | None = None) -> VerifierResult:
     """Q(zeros) is constant 1 and Q(linear) is the identity."""
     n = DEFAULT_N if n is None else n
-    q0 = compute_q(Zeros(), n)
-    q1 = compute_q(Linear(), n)
-    ident = np.arange(1, n + 1, dtype=np.int64)
-    mism = (_stops_before(q0, n) or _first_by_class(q0.q_values, [1])
-            or _stops_before(q1, n) or _first_by_class(q1.q_values, [ident]))
+    mism = (_first_miss(compute_q(Zeros(), n), n, [1])
+            or _first_miss(compute_q(Linear(), n), n,
+                           [np.arange(1, n + 1, dtype=np.int64)]))
     return VerifierResult("zeros-linear", n, mism is None, mism)
 
 
@@ -106,47 +119,39 @@ def verify_non_slow_closed_forms(n: int | None = None) -> VerifierResult:
     qa = compute_q(FloorRatio(1, 2, shift=-1, scale=2), n)
     # q(2i - 1) = q(2i) = 2i - 1: both classes are the odd numbers
     odd = np.arange(1, n + 1, 2, dtype=np.int64)
-    mism = _stops_before(qa, n) or _first_by_class(qa.q_values, [odd, odd])
+    mism = _first_miss(qa, n, [odd, odd])
     if mism is None:
-        qb = compute_q(ModM(2), n)
-        mism = _stops_before(qb, n) or _first_by_class(qb.q_values, [1, 2])
+        mism = _first_miss(compute_q(ModM(2), n), n, [1, 2])
     return VerifierResult("non-slow", n, mism is None, mism)
 
 
-def verify_mod_class(n: int | None = None, ms=(1, 2, 3, 5, 7)) -> VerifierResult:
-    """Q((n-1) mod m)(n) = ((n-1) mod m) + 1 for each m."""
+def verify_mod_class(n: int | None = None) -> VerifierResult:
+    """Q((n-1) mod m)(n) = ((n-1) mod m) + 1 for each m in MOD_MODULI."""
     n = DEFAULT_N if n is None else n
-    per_m = {}
-    mism = None
-    for m in ms:
+    per_m, mism = {}, None
+    for m in MOD_MODULI:
         trace = compute_q(ModM(m), n)
-        this = (_stops_before(trace, n)
-                or _first_by_class(trace.q_values, [trace.f_values + 1]))
+        this = _first_miss(trace, n, [trace.f_values + 1])
         per_m[m] = this is None
-        if this is not None and mism is None:
-            mism = this
+        mism = mism or this
     return VerifierResult("mod", n, mism is None, mism,
-                          {"moduli": list(ms), "per_modulus_ok": per_m})
+                          {"moduli": list(MOD_MODULI),
+                           "per_modulus_ok": per_m})
 
 
-def verify_shift(n: int | None = None, fspec="floor:1/2",
-                 exhaustive_m: int = 12) -> VerifierResult:
+def verify_shift(n: int | None = None) -> VerifierResult:
     """Prepending one zero to f delays the whole trace by one step:
-    Q(shift(f))(k) = Q(f)(k-1).  Checked on one long trace and exhaustively
-    over every slow prefix of length <= exhaustive_m."""
+    Q(shift(f))(k) = Q(f)(k-1).  Checked on one long trace, of SHIFT_FSPEC,
+    and exhaustively over every slow prefix of length <= SHIFT_EXHAUSTIVE_M."""
     n = DEFAULT_N if n is None else n
-    spec = as_fspec(fspec)
-    base = compute_q(spec, n)
-    shifted = compute_q(shift_f(spec, 1), n)
-    mism = _stops_before(base, n) or _stops_before(shifted, n)
-    if mism is None and shifted.q_values[0] != 1:
-        mism = (1, 1, int(shifted.q_values[0]))
-    elif mism is None:
-        mism = _first_by_class(shifted.q_values[1:], [base.q_values[:-1]],
-                               first=2)
+    base = compute_q(SHIFT_FSPEC, n)
+    shifted = compute_q(shift_f(SHIFT_FSPEC, 1), n)
+    mism = (_stops_before(base, n) or _stops_before(shifted, n)
+            or _first_by_class(shifted.q_values[:1], [1])
+            or _first_by_class(shifted.q_values[1:], [base.q_values[:-1]], 2))
     checked = 0
     if mism is None:
-        for m in range(1, exhaustive_m + 1):
+        for m in range(1, SHIFT_EXHAUSTIVE_M + 1):
             f_mat = slow_prefix_matrix(m, 0, 1 << (m - 1))
             q_mat, died = compute_q_batch(f_mat)
             fs = np.zeros_like(f_mat)
@@ -163,8 +168,8 @@ def verify_shift(n: int | None = None, fspec="floor:1/2",
                 mism = (c + 2, int(q_mat[r, c]), int(qs_mat[r, c + 1]))
                 break
     return VerifierResult("shift", n, mism is None, mism,
-                          {"fspec": spec.spec_str(),
-                           "exhaustive_m": exhaustive_m,
+                          {"fspec": SHIFT_FSPEC.spec_str(),
+                           "exhaustive_m": SHIFT_EXHAUSTIVE_M,
                            "exhaustive_sequences": checked})
 
 
@@ -177,19 +182,17 @@ def _wave_f(x):
     return u / 8.0 - np.sin(np.pi * u / 4.0) / 4.0
 
 
-def verify_quarter_floor(n: int | None = None, samples: int = 10**4,
-                         seed: int = 20260810) -> VerifierResult:
+def verify_quarter_floor(n: int | None = None) -> VerifierResult:
     """Q(floor((n+2)/4))(n) = floor((n+2)/2); plus the real-valued solution
-    x/2 + (3 + cos pi x)/4 of the same recurrence, checked on random reals."""
+    x/2 + (3 + cos pi x)/4 of the same recurrence, checked on
+    QUARTER_SAMPLES random reals drawn with QUARTER_SEED."""
     n = DEFAULT_N if n is None else n
     trace = compute_q(FloorRatio(1, 4, shift=2), n)
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    mism = (_stops_before(trace, n)
-            or _first_by_class(trace.q_values, [(idx + 2) // 2]))
+    mism = _first_miss(trace, n, [np.arange(3, n + 3, dtype=np.int64) // 2])
     details: dict = {}
     if mism is None:
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(1.0, 100.0, size=samples)
+        x = np.random.default_rng(QUARTER_SEED).uniform(1.0, 100.0,
+                                                        QUARTER_SAMPLES)
         inner = x - _wave_q(x - 1.0)
         # stay away from integer inner arguments (trig cancellation only;
         # the identity itself has no floors)
@@ -216,7 +219,7 @@ def verify_sqrt_staircase(n: int | None = None) -> VerifierResult:
     top = int(staircase_value_array(np.array([n]))[0]) + 1
     runs = np.repeat(np.arange(1, top + 1, dtype=np.int64),
                      np.arange(1, top + 1))[:n]
-    mism = _stops_before(trace, n) or _first_by_class(trace.q_values, [runs])
+    mism = _first_miss(trace, n, [runs])
     details = {}
     if mism is None:
         closed = staircase_value_array(np.arange(1, n + 1, dtype=np.int64))
@@ -228,16 +231,12 @@ def verify_sqrt_staircase(n: int | None = None) -> VerifierResult:
 def verify_golden(n: int | None = None) -> VerifierResult:
     """Q(floor(gamma^2 n))(n) = 1 + floor(gamma (n-1)), all floors exact."""
     n = DEFAULT_N if n is None else n
-    trace = compute_q(GammaSq(), n)
-    mism = _stops_before(trace, n)
-    if mism is None:
-        expected = 1 + floor_gamma_array(np.arange(0, n, dtype=np.int64))
-        mism = _first_by_class(trace.q_values, [expected])
+    expected = 1 + floor_gamma_array(np.arange(0, n, dtype=np.int64))
+    mism = _first_miss(compute_q(GammaSq(), n), n, [expected])
     return VerifierResult("golden", n, mism is None, mism)
 
 
-def verify_golden_identity(n: int | None = None,
-                           oracle_samples: int = 1000) -> VerifierResult:
+def verify_golden_identity(n: int | None = None) -> VerifierResult:
     """floor(gamma + gamma*floor(gamma^2 (n-1))) + floor(gamma^2 n)
     + floor(gamma^2 (n+1)) equals n - 1 for every n.
 
@@ -247,7 +246,8 @@ def verify_golden_identity(n: int | None = None,
     case, failing at the least such n as (n, 1, 2); n = 1 is the lone
     boundary point, where {gamma^2 n} equals gamma^2 exactly.  Then checks
     the floors against Beatty's theorem (_first_beatty_miss), and
-    floor_gamma_array against a decimal oracle (_golden_oracle_check).
+    floor_gamma_array against a decimal oracle at GOLDEN_ORACLE_SAMPLES
+    seeded n (_golden_oracle_check).
     """
     n = DEFAULT_N if n is None else n
     m = np.arange(0, n + 2, dtype=np.int64)
@@ -262,8 +262,7 @@ def verify_golden_identity(n: int | None = None,
         #   above gamma    <=> floor increments at n+1
         inc_prev = fsq[1:n + 1] > fsq[0:n]
         inc_next = fsq[2:n + 2] > fsq[1:n + 1]
-        low = inc_prev[1:]
-        high = inc_next[1:]
+        low, high = inc_prev[1:], inc_next[1:]
         mid = ~(low | high)
         overlap = int(np.count_nonzero(low & high))
         details["cases"] = {"low": int(np.count_nonzero(low)),
@@ -276,9 +275,9 @@ def verify_golden_identity(n: int | None = None,
         else:
             mism = _first_beatty_miss(fsq, n)
             details["floor_identity_checked"] = mism is None
-            if mism is None and oracle_samples:
-                details["oracle_samples"] = oracle_samples
-                mism = _golden_oracle_check(n, oracle_samples)
+            if mism is None:
+                details["oracle_samples"] = GOLDEN_ORACLE_SAMPLES
+                mism = _golden_oracle_check(n, GOLDEN_ORACLE_SAMPLES)
     return VerifierResult("golden-identity", n, mism is None, mism, details)
 
 
@@ -347,13 +346,10 @@ def verify_quasi_polynomial(n: int | None = None) -> VerifierResult:
     if n <= 12:
         raise ValueError("need n > 12")
     trace = compute_two_term(quasipolynomial_spec(), n)
-    mism = _stops_before(trace, n)
-    if mism is None:
-        # k = 13, ..., 17 are 3, 4, 0, 1, 2 mod 5, so along each residue
-        # class q(k) = k - 5, k - 6, 2, k - 4, 5 is a constant or a line
-        line = np.arange(13 - 5, n + 1, 5, dtype=np.int64)  # 8, 13, ...
-        mism = _first_by_class(trace.q_values[13 - trace.start:],
-                               [line, line, 2, line + 4, 5], first=13)
+    # k = 13, ..., 17 are 3, 4, 0, 1, 2 mod 5, so along each residue class
+    # q(k) = k - 5, k - 6, 2, k - 4, 5 is a constant or a line
+    line = np.arange(13 - 5, n + 1, 5, dtype=np.int64)  # 8, 13, ...
+    mism = _first_miss(trace, n, [line, line, 2, line + 4, 5], first=13)
     return VerifierResult("quasipoly", n, mism is None, mism)
 
 

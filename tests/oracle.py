@@ -9,14 +9,19 @@ the walk against the row-by-row trace, not against a second recurrence.
 oracle_f reads the fields of a spec, and takes the terms of const-limit
 (but clamp) and fracpow from their exact scalar value().  first_mismatch
 is the whole-array comparison that the verifiers' residue classes are
-checked against.
+checked against, oracle_self_similarity a walk over one shift's
+differences, and oracle_propose_shifts the shift discovery that preceded
+the narrowing search, scoring its candidates with the package's
+analysis.scan_self_similarity (looked up at each call), one shift a call.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from hofq.engine import compute_q_batch
+from hofq import analysis
+from hofq.engine import QTrace, compute_q_batch
 from hofq.fspec import (ConstLimit, DiffBits, FloorRatio, FracPowerSum,
                         GammaSq, Linear, ModM, OneMinusDelta, Perturbed,
                         Prefix, Shifted, Zeros, slow_prefix_matrix)
@@ -145,3 +150,49 @@ def first_mismatch(expected, actual, offset=1):
     i = int(bad[0])
     return (i + offset, int(np.asarray(expected)[i]),
             int(np.asarray(actual)[i]))
+
+
+def oracle_propose_shifts(trace, min_run, max_candidates, window, anchors):
+    """propose_shifts as it was before the narrowing search: every window
+    of `window` differences, an N x window view, compared whole with the
+    window at each of `anchors` anchors, and one scan per candidate shift;
+    the max_candidates shifts with the longest runs, longest first."""
+    q = trace.q_values if isinstance(trace, QTrace) else np.asarray(trace)
+    dq = np.diff(q)
+    if len(dq) < 2 * window:
+        return []
+    windows = sliding_window_view(dq, window)
+    candidates = set()
+    for a in np.linspace(0, len(dq) // 2, anchors, dtype=int):
+        hits = np.flatnonzero((windows == dq[a:a + window]).all(axis=1))
+        for h in hits:
+            s = int(h) - int(a)
+            if s > window:
+                candidates.add(s)
+    scored = []
+    for s in candidates:
+        found = analysis.scan_self_similarity(trace, [s], min_run=min_run)
+        if found:
+            scored.append((max(m.length for m in found), s))
+    scored.sort(reverse=True)
+    return [s for _, s in scored[:max_candidates]]
+
+
+def oracle_self_similarity(q, shifts, min_run, start=1):
+    """(shift, delta, lo, hi) of every maximal run of at least min_run
+    indices i, start-based, with q(i + shift) - q(i) = delta, by a walk over
+    the differences one at a time; by shift, then lo, for the distinct
+    shifts in [1, len(q) - 1]."""
+    q = [int(v) for v in q]
+    found = []
+    for s in sorted(set(shifts)):
+        if not 1 <= s < len(q):
+            continue
+        d = [q[i + s] - q[i] for i in range(len(q) - s)]
+        lo = 0
+        for i in range(1, len(d) + 1):
+            if i == len(d) or d[i] != d[lo]:
+                if i - lo >= min_run:
+                    found.append((s, d[lo], lo + start, i - 1 + start))
+                lo = i
+    return found

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -21,7 +22,8 @@ from hofq.analysis import (
 )
 from hofq.engine import compute_q
 from hofq.errors import SequenceDied
-from oracle import oracle_zero_regions
+from oracle import (oracle_propose_shifts, oracle_self_similarity,
+                    oracle_zero_regions)
 
 
 def test_approx_report_basics():
@@ -185,6 +187,134 @@ def test_propose_shifts_finds_planted_period():
     q = n // 3 + (n % 90 == 0)
     cands = propose_shifts(q, min_run=500)
     assert any(c % 90 == 0 for c in cands)
+
+
+DISCOVERY_SPECS = ["floor:1/2", "gamma2", "one-minus-delta:1", "bits-1",
+                   "bits-2", "bits-3", "planted"]
+DISCOVERY_NS = [127, 128, 129, 5000, 60000]
+
+
+def discovery_trace(name, n):
+    """A trace of n terms for propose_shifts: a driver family's, one of
+    seeded random bits: drivers, or the planted period-90 sequence of
+    test_propose_shifts_finds_planted_period as a plain array."""
+    if name == "planted":
+        i = np.arange(1, n + 1)
+        return i // 3 + (i % 90 == 0)
+    if name.startswith("bits-"):
+        rng = np.random.default_rng(20261022 + int(name[5:]))
+        name = "bits:" + "".join(map(str, rng.integers(0, 2, n - 1)))
+    return compute_q(name, n)
+
+
+def discover_both(trace, min_run):
+    """(propose_shifts, the window-view oracle) at analysis' settings."""
+    return propose_shifts(trace, min_run), oracle_propose_shifts(
+        trace, min_run, analysis.DISCOVERY_CANDIDATES,
+        analysis.DISCOVERY_WINDOW, analysis.DISCOVERY_ANCHORS)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The shifts that analysis.scan_self_similarity is asked to score,
+    one list per call, each scored as no match."""
+    calls = []
+
+    def record(trace, shifts, min_run):
+        calls.append(sorted(shifts))
+        return []
+
+    monkeypatch.setattr(analysis, "scan_self_similarity", record)
+    return calls
+
+
+@pytest.mark.parametrize("n", DISCOVERY_NS)
+@pytest.mark.parametrize("name", DISCOVERY_SPECS)
+def test_discovery_scores_the_window_views_candidates(scanned, name, n):
+    """The narrowing search scores, in one scan, every candidate shift that
+    the N x 64 window view finds, and only those."""
+    trace = discovery_trace(name, n)
+    assert oracle_propose_shifts(
+        trace, 20, analysis.DISCOVERY_CANDIDATES, analysis.DISCOVERY_WINDOW,
+        analysis.DISCOVERY_ANCHORS) == []
+    theirs = sorted(s for call in scanned for s in call)
+    assert len(theirs) == len(set(theirs))
+    scanned.clear()
+    assert propose_shifts(trace, 20) == []
+    assert scanned == ([theirs] if n > 128 else [])
+    assert bool(theirs) == (n > 129 and not name.startswith("bits"))
+
+
+@pytest.mark.parametrize("min_run", [2, 20, 200])
+@pytest.mark.parametrize("name", ["floor:1/2", "gamma2", "one-minus-delta:1",
+                                  "bits-1", "planted"])
+def test_scan_matches_a_walk_over_each_shift(name, min_run):
+    """Every shift's maximal runs, from one scan of many shifts, are those
+    a walk over its differences finds: shifts repeated, unordered, out of
+    range, and the candidates discovery scores."""
+    trace = discovery_trace(name, 3000)
+    q = trace if name == "planted" else trace.q_values
+    rng = np.random.default_rng(min_run)
+    shifts = [0, 1, 2, 2999, 3000, -4, 90, 90, *rng.integers(1, 3000, 20),
+              *propose_shifts(trace, min_run)]
+    got = [(m.shift, m.delta, m.lo, m.hi)
+           for m in scan_self_similarity(trace, shifts, min_run)]
+    assert got == oracle_self_similarity(q, shifts, min_run)
+
+
+@pytest.fixture
+def scan_once(monkeypatch):
+    """analysis.scan_self_similarity remembering each shift's matches, so
+    that the oracle, which scans one shift a call, scores the shifts that
+    propose_shifts scored at no second cost.  The matches of many shifts
+    are those of each in turn (test_scan_matches_a_walk_over_each_shift)."""
+    real, seen = analysis.scan_self_similarity, {}
+
+    def scan(trace, shifts, min_run):
+        found = []
+        for s in sorted(set(shifts)):
+            if (s, min_run) not in seen:
+                seen[s, min_run] = real(trace, [s], min_run=min_run)
+            found += seen[s, min_run]
+        return found
+
+    monkeypatch.setattr(analysis, "scan_self_similarity", scan)
+
+
+# Scoring is one scan per candidate in the oracle, so it costs seconds where
+# there are thousands: 54,157 candidates for one-minus-delta:1 at 60,000
+# terms (30 s at min_run 20, 2 s at 1,000), and 9,975 for the planted
+# sequence, whose scans at min_run 20 build 4 million matches (6 s).  There
+# only the candidates are compared:
+# test_discovery_scores_the_window_views_candidates covers every (name, n).
+SCORED_COSTLY = {("one-minus-delta:1", 60000, 20),
+                 ("one-minus-delta:1", 60000, 200),
+                 ("one-minus-delta:1", 60000, 1000), ("planted", 60000, 20)}
+
+
+@pytest.mark.parametrize("name, n, min_run", [
+    case for case in itertools.product(DISCOVERY_SPECS, DISCOVERY_NS,
+                                       (20, 200, 1000))
+    if case not in SCORED_COSTLY])
+def test_discovery_matches_the_window_view_oracle(scan_once, name, n,
+                                                  min_run):
+    """propose_shifts returns the window-view oracle's list."""
+    got, want = discover_both(discovery_trace(name, n), min_run)
+    assert got == want
+
+
+@pytest.mark.parametrize("window, anchors", [(1, 1), (2, 3), (5, 8),
+                                             (64, 2), (100, 20)])
+@pytest.mark.parametrize("name", ["floor:1/2", "gamma2", "planted"])
+def test_discovery_reads_its_constants(monkeypatch, scan_once, name, window,
+                                       anchors):
+    """Every scored candidate, longest run first, at other windows and
+    anchor counts, set on the module constants."""
+    monkeypatch.setattr(analysis, "DISCOVERY_CANDIDATES", 10**9)
+    monkeypatch.setattr(analysis, "DISCOVERY_WINDOW", window)
+    monkeypatch.setattr(analysis, "DISCOVERY_ANCHORS", anchors)
+    got, want = discover_both(discovery_trace(name, 5000), 100)
+    assert got == want
 
 
 def test_perturb_basics():

@@ -86,6 +86,11 @@ def _cases():
     yield from _formatted("scan-discover", ["scan-selfsim", *floor, "--n",
                                             "300", "--discover",
                                             "--min-run", "20"], ("text",))
+    # a full candidate list: 8 shifts each, Fibonacci numbers for gamma2
+    for name, spec in [("floor", "floor:1/2"), ("gamma2", "gamma2")]:
+        yield from _formatted(f"scan-discover-{name}",
+                              ["scan-selfsim", "--f", spec, "--n", "20000",
+                               "--discover", "--min-run", "200"], TEXT_JSON)
     yield "scan-dies", ["scan-selfsim", "--f", "prefix:0,2,2", "--n", "3",
                         "--shifts", "1"]
     yield "scan-no-shifts", scan

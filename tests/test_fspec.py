@@ -755,8 +755,8 @@ def prefix_backend(kernel_backend, monkeypatch):
 def test_prefix_reads_its_f_once_and_shares_it(prefix_backend):
     """On either backend a tuple of exact ints in int64 is kept as it is
     and read once into a read-only f that every span and trace of the
-    prefix shares; a copy reads its own.  For any other tuple the values
-    are converted and each span is a new array."""
+    prefix shares; a copy reads its own.  Any other tuple of integers is
+    converted, then read; past int64 each span is a new array."""
     exact = (0, 1, 1, 2)
     spec = Prefix(exact)
     assert spec.prefix is exact
@@ -784,6 +784,29 @@ def test_prefix_reads_its_f_once_and_shares_it(prefix_backend):
     assert big.prefix == (0, 2**63) and big.value(2) == 2**63
     with pytest.raises(OverflowError):
         big.values(2)
+
+
+@pytest.mark.parametrize("values", [
+    np.arange(5), np.array([0, 1, 1, 2], dtype=np.int32),
+    np.array([0, 1, 2**63 - 1], dtype=np.uint64), [0.0, 1.0, 1.0, 2.0],
+    (0, np.int8(1), 1.0, True, 2), np.array([0.0, 3.0, -2.0]),
+], ids=["arange", "int32", "uint64", "floats", "mixed", "float-array"])
+def test_a_converted_prefix_holds_its_f(prefix_backend, values):
+    """A prefix of numpy integers or integral floats is converted to ints
+    and then read once, as a tuple of ints is: a read-only f equal to its
+    values, shared by its spans and traces.  Equality, hashing and repr
+    are those of the tuple of ints."""
+    ints = tuple(int(v) for v in values)
+    spec = Prefix(values)
+    assert spec.prefix == ints and all(type(v) is int for v in spec.prefix)
+    f = spec._f
+    assert f is not None and not f.flags.writeable
+    assert f.dtype == np.int64 and f.tolist() == list(ints)
+    assert spec.values(len(ints)) is f
+    assert np.shares_memory(compute_q(spec, 2).f_values, f)
+    plain = Prefix(ints)
+    assert spec == plain and hash(spec) == hash(plain)
+    assert repr(spec) == repr(plain) == f"Prefix(prefix={ints!r})"
 
 
 def test_a_value_past_int64_stops_only_the_spans_that_hold_it(

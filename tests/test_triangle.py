@@ -107,14 +107,14 @@ def test_min_reports_a_cell_whose_min_is_not_i_plus_1(table8):
 
 def test_min_reports_a_witness_that_misses_the_min(table8, monkeypatch):
     """A witness prefix that does not reach i + 1 at n is reported with its
-    q(n), and one that dies with the last term it has."""
+    q(n), and one that dies before n with 0, which q never takes."""
     real = triangle.min_witness_prefix
     planted = {(1, 3): (0, 0, 0), (2, 5): (0, 2, 2, 2, 2)}
     monkeypatch.setattr(triangle, "min_witness_prefix",
                         lambda i, n: planted.get((i, n)) or real(i, n))
     rep = check_min(table8)
     assert not rep.ok and rep.mismatches == ()
-    assert rep.witness_failures == ((1, 3, 1), (2, 5, 3))
+    assert rep.witness_failures == ((1, 3, 1), (2, 5, 0))
     assert all(type(q) is int for _, _, q in rep.witness_failures)
 
 

@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import hofq
 from hofq import verify
 from hofq.engine import ExistenceOutcome, QTrace, compute_q
 from hofq.exactfloor import (
@@ -75,22 +77,34 @@ def test_run_suite_refuses_an_empty_selection(names):
         verify.run_suite(names, n=100)
 
 
+def test_settable_parameters_are_the_callers():
+    """Every registered verifier takes n alone, and shift discovery the
+    trace and min_run: what no caller sets is a module constant."""
+    for name, fn in hofq.VERIFIERS.items():
+        assert list(inspect.signature(fn).parameters) == ["n"], name
+    params = inspect.signature(hofq.propose_shifts).parameters
+    assert list(params) == ["trace", "min_run"]
+
+
 def test_mod_details():
-    res = verify.verify_mod_class(3000, ms=(1, 2, 3, 5, 7))
+    res = verify.verify_mod_class(3000)
     assert res.ok and res.details["per_modulus_ok"] == {m: True for m in (1, 2, 3, 5, 7)}
+    assert res.details["moduli"] == [1, 2, 3, 5, 7]
 
 
 def test_shift_details():
-    res = verify.verify_shift(3000, exhaustive_m=10)
+    res = verify.verify_shift(3000)
     assert res.ok
-    assert res.details["exhaustive_sequences"] == sum(2 ** (m - 1) for m in range(1, 11))
+    assert res.details["fspec"] == "floor:1/2"
+    assert res.details["exhaustive_m"] == 12
+    assert res.details["exhaustive_sequences"] == sum(2 ** (m - 1) for m in range(1, 13))
 
 
 def test_quarter_continuous_details():
-    res = verify.verify_quarter_floor(2000, samples=4000)
+    res = verify.verify_quarter_floor(2000)
     assert res.ok
     d = res.details
-    assert d["continuous_samples"] > 3000
+    assert d["continuous_samples"] > 9000
     assert d["continuous_max_residual"] < 1e-9
 
 
@@ -156,7 +170,7 @@ def test_shift_reports_the_first_exhaustive_mismatch(monkeypatch):
         return q, died
 
     monkeypatch.setattr(verify, "compute_q_batch", planted)
-    res = verify.verify_shift(100, exhaustive_m=6)
+    res = verify.verify_shift(100)
     assert not res.ok and res.first_counterexample == (3, 1, 6)
     assert res.details["exhaustive_sequences"] == 1 + 2 + 4 + 8
 
@@ -165,11 +179,13 @@ def test_quarter_fails_on_a_continuous_residual(monkeypatch):
     """A residual of the real-valued solution past CONTINUOUS_TOL fails at
     floor(x) of the worst sample x."""
     samples, seed = 100, 7
+    monkeypatch.setattr(verify, "QUARTER_SAMPLES", samples)
+    monkeypatch.setattr(verify, "QUARTER_SEED", seed)
     x = np.random.default_rng(seed).uniform(1.0, 100.0, size=samples)[0]
     real = verify._wave_f
     monkeypatch.setattr(verify, "_wave_f",
                         lambda s: real(s) + 1e-3 * (s == x))
-    res = verify.verify_quarter_floor(200, samples=samples, seed=seed)
+    res = verify.verify_quarter_floor(200)
     assert not res.ok
     assert res.first_counterexample == (math.floor(x), 0, 1)
     assert res.details["continuous_worst_x"] == x
@@ -188,11 +204,12 @@ def test_golden_identity_fails_where_its_cases_overlap(monkeypatch):
     assert res.details["cases"] == {"low": 2, "mid": 0, "high": 2}
 
 
-def off_by_one_at_a_sample(monkeypatch, n, samples=1000):
+def off_by_one_at_a_sample(monkeypatch, n):
     """Plant in verify's floor_gamma_array an off-by-one at the first of
     the oracle's seeded samples above 0.4 n, which golden-identity's
     term1, floor(gamma (floor(gamma^2 m) + 1)) for m < n, never reads;
     returns that j."""
+    samples = verify.GOLDEN_ORACLE_SAMPLES
     js = np.random.default_rng(5 * n + samples).integers(1, n + 1,
                                                          size=samples)
     j = int(js[js > 0.4 * n][0])
@@ -321,7 +338,7 @@ def test_shift_reports_the_rows_own_death(monkeypatch, base, shifted, want):
         return q, died
 
     monkeypatch.setattr(verify, "compute_q_batch", dying)
-    res = verify.verify_shift(200, exhaustive_m=6)
+    res = verify.verify_shift(200)
     assert not res.ok and res.first_counterexample == (5, 0, want)
 
 
@@ -400,3 +417,30 @@ def test_quasipoly_classes_find_the_whole_arrays_first_mismatch(
     want = _whole_quasipoly(given[0].q_values, n)
     assert res.first_counterexample == want
     assert res.ok == (want is None)
+
+
+@pytest.mark.parametrize("edits", [
+    [(1, 1, 6)], [(1, 2, 1)], [(1, 150, -1)], [(0, 149, 1)],
+    [(0, 40, 1), (1, 30, 1)], [(1, 1, 1), (1, 2, 1)],
+], ids=str)
+def test_shift_reports_the_least_n_where_the_traces_disagree(monkeypatch,
+                                                             edits):
+    """The shifted trace must start at 1 and then repeat the unshifted one a
+    step late: the first n where it does not is reported, q(1) included."""
+    given = _corrupting(monkeypatch, "compute_q", edits)
+    res = verify.verify_shift(150)
+    base, shifted = given[0].q_values, given[1].q_values
+    want = first_mismatch(np.concatenate(([1], base[:-1])), shifted)
+    assert want is not None and res.first_counterexample == want
+
+
+def test_mod_reports_the_first_failing_modulus(monkeypatch):
+    """With two moduli failing, mod reports the first one's counterexample
+    and marks both."""
+    given = _corrupting(monkeypatch, "compute_q", [(1, 10, 1), (3, 5, 1)])
+    res = verify.verify_mod_class(100)
+    first = given[1]
+    assert res.first_counterexample == first_mismatch(first.f_values + 1,
+                                                      first.q_values)
+    assert res.details["per_modulus_ok"] == {1: True, 2: False, 3: True,
+                                             5: False, 7: True}
