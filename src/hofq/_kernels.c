@@ -26,7 +26,10 @@
  * its form's domain.  format_rows writes every row and returns
  * the number of bytes it wrote, which the table writer hands to its
  * binary sink as they lie in out.  It takes a number's digits 8 per
- * 64-bit division by 10^8 (put_digits).  put_g12 prints a %.12g value
+ * 64-bit division by 10^8 (put_digits), but a counted column's, a row
+ * number start + r, from a decimal counter that it adds 1 to after each
+ * row (put_count), and it stores a literal piece or a counted field of up
+ * to 8 bytes as one 8-byte word (put_word).  put_g12 prints a %.12g value
  * whose digits it can certify, and any other goes to
  * PyOS_double_to_string, the call that Python's `%` makes, under the
  * interpreter lock taken for that one call.
@@ -442,31 +445,121 @@ static uint8_t *put_percent_g12(double x, uint8_t *p)
     return end;
 }
 
+/* A word store writes all 8 bytes of a word to put len of them, 0 to 8,
+ * so it may write up to 8 bytes past them.  What follows overwrites them;
+ * after the last row of a call they are slack, and the entry point checks
+ * for FORMAT_SLACK bytes of out past the rows' bound. */
+#define FORMAT_SLACK 8
+
+/* p + len, having stored all 8 bytes of word, whose first len <= 8 are
+ * the ones meant: one move, where a copy of len bytes is a branch on len
+ * or a library call */
+static inline uint8_t *put_word(uint64_t word, int64_t len, uint8_t *p)
+{
+    memcpy(p, &word, 8);
+    return p + len;
+}
+
+/* A literal piece: its len bytes at src, and when len <= 8 the same bytes
+ * as one word, zero-padded */
+struct piece {
+    const uint8_t *src;
+    int64_t len;
+    uint64_t word;
+};
+
+static inline uint8_t *put_piece(const struct piece *s, uint8_t *p)
+{
+    return s->len <= 8 ? put_word(s->word, s->len, p)
+                       : put_bytes(s->src, s->len, p);
+}
+
+/* A counted column prints start + r at row r from its decimal digits,
+ * which end at text + COUNT_END with spaces before them, so its field,
+ * %<width>d, is the last len = max(width, digit count) of those bytes.  A
+ * number stays below 10^19 (start + rows - 1 <= INT64_MAX, plus the 1
+ * added after the last row), so a space always lies before its leading
+ * digit.  The 8 bytes past COUNT_END let a field of up to 8 bytes be read
+ * as one word. */
+#define COUNT_END FORMAT_MAX_WIDTH
+struct count {
+    int64_t len;
+    uint8_t text[COUNT_END + 8];
+};
+
+/* c at start, printed to width */
+static void count_from(struct count *c, uint64_t start, int64_t width)
+{
+    int len = digit_count(start);
+    memset(c->text, ' ', COUNT_END);
+    memset(c->text + COUNT_END, 0, 8);
+    put_digits(start, len, c->text + COUNT_END - len);
+    c->len = width > len ? width : len;
+}
+
+/* c's field at p, then c's number plus 1: its trailing 9s become 0s and
+ * the byte before them goes up by 1, a space to a new leading 1.  No
+ * division, and one byte to change in nine rows of ten.  Returns the end
+ * of the field. */
+static inline uint8_t *put_count(struct count *c, uint8_t *p)
+{
+    const uint8_t *field = c->text + COUNT_END - c->len;
+    uint8_t *d = c->text + COUNT_END - 1;
+    uint64_t word;
+    if (c->len <= 8) {
+        memcpy(&word, field, 8);
+        p = put_word(word, c->len, p);
+    } else {
+        p = put_bytes(field, c->len, p);
+    }
+    while (*d == '9')
+        *d-- = '0';
+    if (*d == ' ') {
+        *d = '1';
+        if (c->len < c->text + COUNT_END - d)
+            c->len = c->text + COUNT_END - d;
+    } else {
+        ++*d;
+    }
+    return p;
+}
+
+/* A column of format_rows: field is FORMAT_G12 or a width; values are its
+ * float64 or int64 items, or NULL when it is counted. */
+struct column {
+    const void *values;
+    int64_t field;
+    struct count count;
+};
+
 /* Rows as Python's `%` fills a row format whose every field is %d,
  * %<w>d or %.12g: row r is piece 0, field 0 of row r, piece 1, ..., field
- * ncols-1, piece ncols, where piece j is lit[ends[j-1]..ends[j]) (ends[-1]
- * taken as 0) and field j prints cols[j][r] as fields[j] says.  A field
- * takes at most max(20, fields[j]) bytes, so the entry point checks for
- * rows * (ends[ncols] + the sum of those) bytes of out.  Returns the
- * number of bytes written, or -1 with MemoryError set. */
-static int64_t format_rows(const void *const *cols, const int64_t *fields,
-                           int64_t ncols, int64_t rows, const uint8_t *lit,
-                           const int64_t *ends, uint8_t *out)
+ * ncols-1, piece ncols, and field j prints column j's value at row r as
+ * its field says.  A field takes at most max(20, w) bytes, so the entry
+ * point checks for rows * (the pieces' bytes + the sum of those) bytes of
+ * out, and FORMAT_SLACK more.  One loop writes every row; a piece or a
+ * counted field of up to 8 bytes goes out as one word (put_word).
+ * Returns the number of bytes written, or -1 with MemoryError set. */
+static int64_t format_rows(struct column *cols, int64_t ncols, int64_t rows,
+                           const struct piece *pieces, uint8_t *out)
 {
     uint8_t *p = out;
     for (int64_t r = 0; r < rows; r++) {
-        p = put_bytes(lit, ends[0], p);
+        p = put_piece(&pieces[0], p);
         for (int64_t j = 0; j < ncols; j++) {
-            if (fields[j] == FORMAT_G12) {
-                double x = ((const double *)cols[j])[r];
+            struct column *c = &cols[j];
+            if (c->field == FORMAT_G12) {
+                double x = ((const double *)c->values)[r];
                 uint8_t *q = put_g12(x, p);
                 if (!q && !(q = put_percent_g12(x, p)))
                     return -1;
                 p = q;
+            } else if (c->values) {
+                p = put_int(((const int64_t *)c->values)[r], c->field, p);
             } else {
-                p = put_int(((const int64_t *)cols[j])[r], fields[j], p);
+                p = put_count(&c->count, p);
             }
-            p = put_bytes(lit + ends[j], ends[j + 1] - ends[j], p);
+            p = put_piece(&pieces[j + 1], p);
         }
     }
     return p - out;
@@ -783,11 +876,13 @@ done:
 PyDoc_STRVAR(format_rows_doc,
 "format_rows($module, cols, fields, rows, lit, ends, out, /)\n--\n\n"
 "Rows 0..rows-1 of the columns cols, field j printing cols[j] as %<w>d\n"
-"for a width w = fields[j] in [0, FORMAT_MAX_WIDTH] (an int64 column)\n"
-"or as %.12g for FORMAT_G12 (a float64 column), between the pieces of\n"
-"the bytes lit that end at ends, written into the writeable uint8 array\n"
-"out of at least rows * (len(lit) + the sum of max(20, w)) bytes;\n"
-"returns the number of bytes written.");
+"for a width w = fields[j] in [0, FORMAT_MAX_WIDTH] (an int64 column, or\n"
+"an int start >= 0 for the column start, start + 1, ..., which stays in\n"
+"int64) or as %.12g for FORMAT_G12 (a float64 column), between the\n"
+"pieces of the bytes lit that end at ends, written into the writeable\n"
+"uint8 array out of at least rows * (len(lit) + the sum of max(20, w))\n"
+"bytes, FORMAT_SLACK more when rows > 0; returns the number of bytes\n"
+"written.");
 
 static PyObject *py_format_rows(PyObject *mod, PyObject *const *args,
                                 Py_ssize_t nargs)
@@ -795,8 +890,9 @@ static PyObject *py_format_rows(PyObject *mod, PyObject *const *args,
     PyObject *cols = NULL, *fields = NULL, *ends = NULL, *ret = NULL;
     Py_buffer lit = {0}, out = {0}, *views = NULL;
     Py_ssize_t ncols = 0, j;
-    int64_t rows, per_row, need, size, *fw = NULL, *ew;
-    const void **ptrs = NULL;
+    int64_t rows, per_row, need, size, end, at = 0, start;
+    struct column *cs = NULL;
+    struct piece *ps = NULL;
     if (!arity("format_rows", nargs, 6))
         goto done;
     if (!(cols = PySequence_Fast(args[0], ""))
@@ -814,37 +910,54 @@ static PyObject *py_format_rows(PyObject *mod, PyObject *const *args,
         PyErr_Clear();
         goto done;
     }
-    fw = PyMem_Malloc((2 * ncols + 1) * sizeof *fw);
-    ptrs = PyMem_Malloc((ncols + 1) * sizeof *ptrs);
+    cs = PyMem_Calloc(ncols + 1, sizeof *cs);
+    ps = PyMem_Calloc(ncols + 1, sizeof *ps);
     views = PyMem_Calloc(ncols + 1, sizeof *views);
-    if (!fw || !ptrs || !views) {
+    if (!cs || !ps || !views) {
         PyErr_NoMemory();
         goto done;
     }
-    ew = fw + ncols;
-    for (j = 0; j <= ncols; j++)
-        if (scalar(PySequence_Fast_GET_ITEM(ends, j), &ew[j])
-                || ew[j] < (j ? ew[j - 1] : 0))
+    /* piece j is lit[ends[j-1]..ends[j]), from 0 for j = 0 */
+    for (j = 0; j <= ncols; j++) {
+        if (scalar(PySequence_Fast_GET_ITEM(ends, j), &end) || end < at
+                || end > lit.len)
             goto done;
-    if (ew[ncols] != lit.len)
+        ps[j].src = (const uint8_t *)lit.buf + at;
+        ps[j].len = end - at;
+        if (ps[j].len <= 8)
+            memcpy(&ps[j].word, ps[j].src, ps[j].len);
+        at = end;
+    }
+    if (at != lit.len)
         goto done;
     per_row = lit.len;
     for (j = 0; j < ncols; j++) {
+        PyObject *col = PySequence_Fast_GET_ITEM(cols, j);
         int64_t w;
         if (scalar(PySequence_Fast_GET_ITEM(fields, j), &w)
-                || !(w == FORMAT_G12 || (w >= 0 && w <= FORMAT_MAX_WIDTH))
-                || take(PySequence_Fast_GET_ITEM(cols, j), &views[j],
-                        w == FORMAT_G12 ? FLOAT64 : INT64, 0) < rows)
+                || !(w == FORMAT_G12 || (w >= 0 && w <= FORMAT_MAX_WIDTH)))
             goto done;
-        fw[j] = w;
-        ptrs[j] = views[j].buf;
+        cs[j].field = w;
         per_row += w > 20 ? w : 20;
+        if (w != FORMAT_G12 && !PyObject_TypeCheck(col, ndarray)) {
+            /* counted: start..start + rows - 1 within [0, INT64_MAX] */
+            if (scalar(col, &start) || start < 0
+                    || start > INT64_MAX - (rows ? rows - 1 : 0))
+                goto done;
+            count_from(&cs[j].count, (uint64_t)start, w);
+        } else if (take(col, &views[j], w == FORMAT_G12 ? FLOAT64 : INT64,
+                        0) < rows) {
+            goto done;
+        } else {
+            cs[j].values = views[j].buf;
+        }
     }
     if (__builtin_mul_overflow(rows, per_row, &need)
+            || __builtin_add_overflow(need, rows ? FORMAT_SLACK : 0, &need)
             || take(args[5], &out, UINT8, 1) < need)
         goto done;
     Py_BEGIN_ALLOW_THREADS
-    size = format_rows(ptrs, fw, ncols, rows, lit.buf, ew, out.buf);
+    size = format_rows(cs, ncols, rows, ps, out.buf);
     Py_END_ALLOW_THREADS
     if (size >= 0)
         ret = PyLong_FromLongLong(size);
@@ -854,8 +967,8 @@ done:
         release(&views[j]);
     release(&lit);
     PyMem_Free(views);
-    PyMem_Free(ptrs);
-    PyMem_Free(fw);
+    PyMem_Free(ps);
+    PyMem_Free(cs);
     Py_XDECREF(ends);
     Py_XDECREF(fields);
     Py_XDECREF(cols);
@@ -904,6 +1017,7 @@ PyMODINIT_FUNC PyInit__kernels(void)
             || PyModule_AddIntConstant(m, "FORMAT_MAX_WIDTH",
                                        FORMAT_MAX_WIDTH)
             || PyModule_AddIntConstant(m, "FORMAT_G12", FORMAT_G12)
+            || PyModule_AddIntConstant(m, "FORMAT_SLACK", FORMAT_SLACK)
             || PyModule_AddIntConstant(m, "ROOT_ISQRT", ROOT_ISQRT)
             || PyModule_AddIntConstant(m, "ROOT_GAMMA", ROOT_GAMMA)
             || PyModule_AddIntConstant(m, "ROOT_GAMMA_SQ", ROOT_GAMMA_SQ)

@@ -25,6 +25,8 @@ of record: format_rows here is one call to it, and hofq.table runs it for
 the rows of every row format that format_rows does not take.
 """
 
+import operator
+
 import numpy as np
 
 INT64_MAX = 2**63 - 1
@@ -77,7 +79,9 @@ def two_term_trace(q, n_init, d1, d2, outer):
     initial values, up to the end of q; k is the offset j of the failing
     term."""
     total = len(q)
-    ql = q.tolist()
+    # only the initial values are read from q: a caller may leave the rest
+    # unwritten, as the loop reads no offset it has not written
+    ql = q[:n_init].tolist() + [0] * (total - n_init)
     code = 0
     for j in range(n_init, total):
         v1, v2 = ql[j - d1], ql[j - d2]
@@ -184,7 +188,8 @@ def read_ints(ints, out):
 
 
 def percent_rows(template, cols, rows):
-    """`template % row` for the first `rows` rows of cols, concatenated.
+    """`template % row` for the first `rows` rows of cols, numpy arrays or
+    ranges, concatenated.
 
     The rows' values are interleaved into one flat list and filled into
     the template repeated once per row by a single `%`, so no Python code
@@ -195,7 +200,8 @@ def percent_rows(template, cols, rows):
     width = len(cols)
     flat = [None] * (rows * width)
     for j, col in enumerate(cols):
-        flat[j::width] = col[:rows].tolist()
+        flat[j::width] = (col[:rows] if isinstance(col, range)
+                          else col[:rows].tolist())
     return template * rows % tuple(flat)
 
 
@@ -205,7 +211,12 @@ def format_rows(cols, fields, rows, lit, ends, out):
     piece 0, cols[0][r], piece 1, ..., piece len(cols), where piece j is the
     bytes lit[ends[j-1]:ends[j]] (from 0 for j = 0); field j is printed as
     `%.12g` when fields[j] is FORMAT_G12, else as `%d` right-justified to
-    fields[j] characters (0 for none)."""
+    fields[j] characters (0 for none).  A column of a `%d` field is an
+    int64 array or counted: an int start, whose value at row r is start +
+    r."""
+    cols = [c if isinstance(c, np.ndarray)
+            else range(start := operator.index(c), start + rows)
+            for c in cols]
     starts = [0, *ends[:-1]]
     # latin-1 maps bytes to characters one to one, so the pieces come back
     # byte for byte whatever their encoding

@@ -285,7 +285,7 @@ def perturb_compare(base, at: int, amount: int, n_max: int) -> PerturbationTrace
     base_trace = _existing_trace(spec, n_max)
     pert_trace = compute_q(Perturbed(spec, at, amount), n_max)
     m = min(len(base_trace.q_values), len(pert_trace.q_values))
-    diff = (base_trace.q_values[:m] - pert_trace.q_values[:m]).copy()
+    diff = base_trace.q_values[:m] - pert_trace.q_values[:m]
     zero = ()
     if m:  # the runs of diff == 0 that are runs of zeros, 1-based
         ends = _runs(diff == 0)
@@ -341,18 +341,19 @@ def export_figure_data(kind: str, out_path, n_max: int | None = None,
     elif kind == "perturbation":
         spec = as_fspec(fspec) if fspec is not None else FloorRatio(1, 2)
         pert = perturb_compare(spec, at, amount, n)
-        idx = np.arange(1, len(pert.diff) + 1, dtype=np.int64)
-        cols, rows = ("log2n", "diff"), (np.log2(idx), pert.diff)
+        log2n = np.arange(1, len(pert.diff) + 1, dtype=np.float64)
+        np.log2(log2n, out=log2n)  # in place: one full-length array
+        cols, rows = ("log2n", "diff"), (log2n, pert.diff)
     else:
         if fspec is None:
             raise ValueError("trace export needs an fspec")
         trace = compute_q(as_fspec(fspec), n)
-        idx = np.arange(1, len(trace.q_values) + 1, dtype=np.int64)
+        idx = range(1, len(trace.q_values) + 1)
         cols = ("n", "q", "f")
         rows = (idx, trace.q_values, trace.f_values[:len(idx)])
     step = 1 if full_resolution else max(1, math.ceil(len(rows[0]) / MAX_EXPORT_ROWS))
     data = [col[::step] for col in rows]
-    ints = [col.dtype.kind in "iu" for col in data]
+    ints = [isinstance(col, range) or col.dtype.kind in "iu" for col in data]
     if fmt == "csv":  # csv.writer's line ending
         row_fmt = ",".join("%d" if i else "%.12g" for i in ints) + "\r\n"
         pieces = [",".join(cols) + "\r\n", (row_fmt, data)]

@@ -198,7 +198,7 @@ def _write_trace(args, trace: engine.QTrace, text=None) -> int:
         arrays["f"] = ("%d", (f,))
 
     def columns():
-        idx = np.arange(trace.start, trace.n_max + 1, dtype=np.int64)
+        idx = range(trace.start, trace.n_max + 1)
         if f is None:
             return idx, trace.q_values
         return idx, f[:len(idx)], trace.q_values
@@ -337,7 +337,7 @@ def _cmd_perturb(args) -> int:
                            "base_outcome": pert.base_outcome,
                            "perturbed_outcome": pert.perturbed_outcome,
                            "zero_regions": [list(z) for z in regions]}, {})],
-           csv=lambda: ["n,diff\n", ("%d,%d\n", (np.arange(
+           csv=lambda: ["n,diff\n", ("%d,%d\n", (range(
                1, len(pert.diff) + 1), pert.diff))],
            text=lambda: [
                f"base:      {pert.base_outcome}\n"

@@ -217,7 +217,7 @@ def compute_two_term(spec: TwoTermSpec, n_max: int) -> QTrace:
         raise ValueError(f"trace length above the in-memory cap {INDEX_CAP}")
     total = n_max - spec.start + 1
     init = np.asarray(spec.initial_values, dtype=np.int64)
-    q_arr = np.zeros(total, dtype=np.int64)
+    q_arr = np.empty(total, dtype=np.int64)  # the kernel writes the rest
     q_arr[: len(init)] = init
     d1, d2 = spec.offsets
     status, where = kernels.two_term_trace(

@@ -9,12 +9,17 @@ of the forms ROOT_ISQRT ... ROOT_STAIRCASE, each n in its ROOT_FORMS
 domain: exactfloor's array floors), `read_ints` (a tuple of exact ints
 into an int64 array: a `prefix:` driver's f, read once; the one kernel
 that reads Python objects, so the C one keeps the interpreter lock) and
-`format_rows` (the table writer's rows of `%d` and `%.12g` fields), in the
-C source `_kernels.c`.  Its pure-Python
+`format_rows` (the table writer's rows of `%d` and `%.12g` fields, where
+a `%d` column may be counted: an int start for start, start + 1, ...,
+held as no array), in the C source `_kernels.c`.  Its pure-Python
 twin `_kernels_py` takes the same arguments and returns the same codes.
 Both `format_rows` write every row: the twin with `percent_rows`; the C
-one prints a `%.12g` value itself where it certifies the 12 digits and
-%g's fixed notation, and any other with the call that Python's `%` makes.
+one prints a counted column from a decimal counter that it adds 1 to
+after each row, with no division, stores each literal piece of up to 8
+bytes as one 8-byte word (so its out array holds FORMAT_SLACK bytes past
+the rows' bound), prints a `%.12g` value itself where it certifies the 12
+digits and %g's fixed notation, and any other with the call that Python's
+`%` makes.
 
 This module compiles, caches and imports the C source as the CPython
 extension module `hofq._kernels`: on first import it is compiled with the
@@ -68,6 +73,10 @@ OK, DIED, OVERFLOW = 0, 1, 2  # a trace's status
 WALK_MAX_DEPTH = 62  # the C walk keeps its path in fixed arrays of this depth
 STEP_MAX = _kernels_py.STEP_MAX  # step_sum's greatest step, a uint8
 FORMAT_MAX_WIDTH = 64  # the widest %<w>d field of format_rows
+# format_rows' out bytes past its rows' bound: the C kernel stores a piece
+# of 0 to 8 bytes as all 8 bytes of a word, so an empty last piece reaches
+# 8 bytes past it
+FORMAT_SLACK = 8
 FORMAT_G12 = _kernels_py.FORMAT_G12  # format_rows' field code of %.12g
 percent_rows = _kernels_py.percent_rows  # the one Python row formatter
 GAMMA_ARRAY_CAP = math.isqrt(INT64_MAX // 5)  # the greatest n: 5n^2 in int64
@@ -106,7 +115,8 @@ def walk_size(m):
 
 def format_size(rows, lit, fields):
     """Bytes of format_rows' out array for `rows` rows: a field takes at
-    most 20 characters, or its width.
+    most 20 characters, or its width, and FORMAT_SLACK bytes follow the
+    rows when there are any.
 
     Raises ValueError unless every field is FORMAT_G12 or a width in [0,
     FORMAT_MAX_WIDTH]."""
@@ -114,7 +124,8 @@ def format_size(rows, lit, fields):
                for w in fields):
         raise ValueError(f"fields {list(fields)} are neither {FORMAT_G12}"
                          f" (%.12g) nor widths in [0, {FORMAT_MAX_WIDTH}]")
-    return rows * (len(lit) + sum(max(20, w) for w in fields))
+    return (rows * (len(lit) + sum(max(20, w) for w in fields))
+            + (FORMAT_SLACK if rows else 0))
 
 
 _OK = (OK, 0)
@@ -208,18 +219,37 @@ def _check_read_ints(ints, out):
                          f" {len(ints)}")
 
 
+def _check_count(j, start, rows):
+    """A counted column j of format_rows, start, start + 1, ..., for rows
+    rows: an int whose rows' numbers lie in [0, INT64_MAX]."""
+    try:
+        start = operator.index(start)
+    except TypeError:
+        raise ValueError(f"column {j} must be an int64 array or an int")\
+            from None
+    top = INT64_MAX - max(rows - 1, 0)
+    if not 0 <= start <= top:
+        raise ValueError(f"column {j} counts from {start}, outside [0,"
+                         f" {top}], where its {rows} rows stay in int64")
+
+
 def _check_format_rows(cols, fields, rows, lit, ends, out):
     if len(fields) != len(cols) or len(ends) != len(cols) + 1:
         raise ValueError(f"need one field per column and one end per"
                          f" literal piece; got {len(fields)} and"
                          f" {len(ends)} for {len(cols)} columns")
     need = format_size(rows, lit, fields)
+    arrays = []
     for j, (c, w) in enumerate(zip(cols, fields)):
+        if w != FORMAT_G12 and not isinstance(c, np.ndarray):
+            _check_count(j, c, rows)
+            continue
         check_array(c, f"column {j}", False,
                     np.float64 if w == FORMAT_G12 else np.int64)
-    if rows < 0 or any(len(c) < rows for c in cols):
-        raise ValueError(f"every column must hold rows = {rows} >= 0"
-                         f" values; got {[len(c) for c in cols]}")
+        arrays.append(c)
+    if rows < 0 or any(len(c) < rows for c in arrays):
+        raise ValueError(f"every array column must hold rows = {rows} >= 0"
+                         f" values; got {[len(c) for c in arrays]}")
     if ends[-1] != len(lit) or any(b < a for a, b in zip([0, *ends], ends)):
         raise ValueError(f"ends must rise from 0 to len(lit) ="
                          f" {len(lit)}; got {list(ends)}")

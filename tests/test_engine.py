@@ -247,6 +247,34 @@ def engine_backend(kernel_backend, monkeypatch):
     return kernel_backend
 
 
+@pytest.mark.parametrize("poison", [2**62, -1, 1])
+def test_two_term_reads_no_term_before_it_is_written(engine_backend,
+                                                     monkeypatch, poison):
+    """compute_two_term writes only the initial values of its np.empty
+    array: a trace whose unwritten terms hold any value is the oracle's,
+    dead ones too, on both backends."""
+    empty = np.empty
+
+    def poisoned(*args, **kw):
+        a = empty(*args, **kw)
+        a.fill(poison)
+        return a
+
+    cases = [(hofstadter_spec(), 300), (tanny_spec(), 300),
+             (v_variant_spec(), 300), (quasipolynomial_spec(), 300),
+             (TwoTermSpec((1, 2), (1, 50), start=1, outer_shift=0), 10),
+             (TwoTermSpec((1, 3), (1, 1, 3), start=1, outer_shift=0), 40)]
+    monkeypatch.setattr(np, "empty", poisoned)
+    for spec, n in cases:
+        t = compute_two_term(spec, n)
+        vals, died, _ = oracle_two_term(spec.offsets, spec.initial_values,
+                                        spec.start, spec.outer_shift, n)
+        assert t.outcome.died_at == died, spec
+        last = n if died is None else died - 1
+        assert list(t.q_values) == [vals[i] for i in
+                                    range(spec.start, last + 1)], spec
+
+
 def test_two_term_overflow_is_loud(engine_backend):
     # q(5) = q(5 - q(4)) + q(5 - q(3)) = q(1) + q(1) = 2**63
     with pytest.raises(OverflowError) as err:

@@ -353,8 +353,9 @@ def test_pure_kernels_are_the_c_functions_twins(c_kernels):
         assert list(inspect.signature(entry).parameters) == list(
             inspect.signature(twins[name]).parameters), name
     assert (ext.WALK_MAX_DEPTH, ext.STEP_MAX, ext.FORMAT_MAX_WIDTH,
-            ext.FORMAT_G12) == (kernels.WALK_MAX_DEPTH, kernels.STEP_MAX,
-                                kernels.FORMAT_MAX_WIDTH, kernels.FORMAT_G12)
+            ext.FORMAT_G12, ext.FORMAT_SLACK) == (
+        kernels.WALK_MAX_DEPTH, kernels.STEP_MAX, kernels.FORMAT_MAX_WIDTH,
+        kernels.FORMAT_G12, kernels.FORMAT_SLACK)
     assert (ext.ROOT_ISQRT, ext.ROOT_GAMMA, ext.ROOT_GAMMA_SQ,
             ext.ROOT_STAIRCASE, ext.GAMMA_MAX, ext.STAIRCASE_MAX) == (
         kernels.ROOT_ISQRT, kernels.ROOT_GAMMA, kernels.ROOT_GAMMA_SQ,
@@ -913,14 +914,18 @@ PIECES = ["", ",", "  ", "; ", "é", "→|", "[", "]\r\n", "%", "ab%%c"]
 
 
 def format_table(mod, cols, widths, pieces, rows=None):
-    """mod.format_rows into an out array of exactly the wrapper's bound."""
+    """mod.format_rows into an out array of exactly format_size's bound, a
+    view of a larger array whose tail past it must stay unwritten: the C
+    kernel's word stores reach past what they mean."""
     encoded = [p.encode() for p in pieces]
     lit, ends = b"".join(encoded), np.cumsum([len(p) for p in encoded]).tolist()
-    rows = len(cols[0]) if rows is None else rows
-    out = np.zeros(rows * (len(lit) + sum(max(20, w) for w in widths)),
-                   dtype=np.uint8)
-    size = mod.format_rows(cols, widths, rows, lit, ends, out)
-    return out[:size].tobytes().decode()
+    if rows is None:  # the first array's length: a counted column is an int
+        rows = next(len(c) for c in cols if isinstance(c, np.ndarray))
+    need = kernels.format_size(rows, lit, widths)
+    buf = np.full(need + 16, 0xA5, dtype=np.uint8)
+    size = mod.format_rows(cols, widths, rows, lit, ends, buf[:need])
+    assert (buf[need:] == 0xA5).all()
+    return buf[:size].tobytes().decode()
 
 
 def percent_oracle(cols, widths, pieces, rows):
@@ -1033,6 +1038,31 @@ def test_format_rows_g12_prints_only_what_format_prints(c_kernels):
     assert len(got) == len(want)
 
 
+@pytest.mark.parametrize("start", [0, 1, 3, 7, 95, 10**8 - 4, 10**18 - 2,
+                                   INT64_MAX - 3])
+def test_format_rows_counted_columns(kernel_backend, start):
+    """A counted column, the int start for start, start + 1, ..., prints
+    as `%` prints those ints at every width, through its rollovers, beside
+    an array column; an empty last piece and a field that fills its width
+    put the last word store's reach at the end of out (format_table checks
+    that nothing past it is written)."""
+    ints = np.array([INT64_MIN, -7, 0, 42], dtype=np.int64)
+    for w in [0, 1, 2, 7, 8, 9, 19, 20, 25, kernels.FORMAT_MAX_WIDTH]:
+        for pieces in (["", ",", "\n"], ["", "", ""], ["<", "|", "abcdefghij"]):
+            want = "".join(f"{pieces[0]}{start + r:>{w}}{pieces[1]}{v}"
+                           f"{pieces[2]}" for r, v in enumerate(ints.tolist()))
+            assert format_table(kernel_backend, [start, ints], [w, 0],
+                                pieces) == want
+            assert format_table(kernel_backend, [ints, start], [0, w],
+                                pieces) == "".join(
+                f"{pieces[0]}{v}{pieces[1]}{start + r:>{w}}{pieces[2]}"
+                for r, v in enumerate(ints.tolist()))
+    # two counted columns, and a count of rows alone
+    assert format_table(kernel_backend, [start, start], [0, 3], ["", " ", ""],
+                        rows=4) == "".join(
+        f"{start + r} {start + r:>3}" for r in range(4))
+
+
 def test_format_rows_backends_agree(c_kernels):
     rng = np.random.default_rng(20261018)
     x = g12_values()
@@ -1055,7 +1085,7 @@ def test_format_rows_rejects_unsafe_arrays(kernel_backend):
     col = np.arange(4, dtype=np.int64)
     x = col.astype(np.float64)
     lit, ends = b"<,>\n", [1, 2, 4]
-    size = 4 * (len(lit) + 20 + 25)
+    size = kernels.format_size(4, lit, [0, 25])
     out = np.zeros(size, dtype=np.uint8)
     readonly = out.copy()
     readonly.flags.writeable = False
@@ -1084,6 +1114,17 @@ def test_format_rows_rejects_unsafe_arrays(kernel_backend):
         ([col, x[:3]], [0, G12], lit, ends, out),
         ([col, x.reshape(2, 2)], [0, G12], lit, ends, out),
         ([col, list(x)], [0, G12], lit, ends, out),
+        # a counted column: an int whose 4 rows stay in [0, INT64_MAX], for
+        # a %d field
+        ([col, -1], [0, 25], lit, ends, out),
+        ([INT64_MIN, col], [0, 25], lit, ends, out),
+        ([col, INT64_MAX - 2], [0, 25], lit, ends, out),
+        ([col, 2**63], [0, 25], lit, ends, out),
+        ([col, 2**64], [0, 25], lit, ends, out),
+        ([col, 1.0], [0, 25], lit, ends, out),
+        ([col, list(col)], [0, 25], lit, ends, out),
+        ([col, 3], [0, G12], lit, ends, out),
+        ([3, 3], [0, 25], lit, ends, out[:-1]),
     ]
     assert_refused(kernel_backend, "format_rows",
                    [(args[0], args[1], 4, *args[2:]) for args in bad]

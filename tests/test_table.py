@@ -542,6 +542,99 @@ def test_write_runs_each_piece_through_its_writer():
 def test_unequal_columns_raise():
     with pytest.raises(ValueError, match="differ in length"):
         write("%d,%d\n", (np.arange(3), np.arange(2)))
+    with pytest.raises(ValueError, match="differ in length"):
+        write("%d,%d\n", (range(3), np.arange(2)))
+
+
+# ---------------------------------------------------------------------------
+# range columns
+
+
+def percent_of_ints(row_fmt, columns, json_rows=False):
+    """Row by row with `%`, each value a Python int: the oracle of a table
+    of int columns, ranges among them."""
+    rows = [row_fmt % tuple(int(c[i]) for c in columns)
+            for i in range(len(columns[0]))]
+    return ("," if json_rows else "").join(rows)
+
+
+def counted_calls(monkeypatch, mod):
+    """Points kernels.format_rows at mod's, recording the first column of
+    each call: an int where a range reaches the kernel counted."""
+    firsts = []
+
+    def format_rows(cols, *args):
+        firsts.append(cols[0] if isinstance(cols[0], int)
+                      else type(cols[0]))
+        return mod.format_rows(cols, *args)
+
+    monkeypatch.setattr(kernels, "format_rows", format_rows)
+    return firsts
+
+
+@pytest.mark.parametrize("start", [0, 1, 3])  # the traces' starts
+@pytest.mark.parametrize("field", ["%d", "%2d", "%25d"])
+@pytest.mark.parametrize("json_rows", [False, True])
+def test_range_columns_print_as_percent(monkeypatch, each_backend, start,
+                                        field, json_rows):
+    """A range beside an array prints as `%` prints its ints, through
+    9 -> 10, 99 -> 100 and 999 -> 1000, in plain rows and as a JSON
+    array, whose last row has no comma; it reaches the kernel as the int
+    of its first value, never as an array."""
+    n = range(start, 1200)
+    q = np.arange(len(n), dtype=np.int64) * -3
+    row_fmt = field + ",%d" + ("" if json_rows else "\n")
+    for mod in each_backend:
+        firsts = counted_calls(monkeypatch, mod)
+        assert write(row_fmt, (n, q), json=json_rows) == (
+            len(n), percent_of_ints(row_fmt, (n, q), json_rows))
+        assert firsts == [start]
+
+
+@pytest.mark.parametrize("row_fmt,row_bytes", [
+    ("%d\n", 21), ("[%2d]", 22), ("%25d,", 26)])
+@pytest.mark.parametrize("limit", ["chunk", "buffer"])
+def test_range_digit_rollovers_inside_and_at_chunk_edges(
+        monkeypatch, each_backend, row_fmt, row_bytes, limit):
+    """Every rollover 10^k - 1 -> 10^k, k = 1..18, at every row of a chunk
+    of 3, its first included, and a count to INT64_MAX, with chunks cut
+    by CHUNK or by BUFFER_BYTES: each chunk's kernel call starts from the
+    chunk's first value."""
+    if limit == "chunk":
+        monkeypatch.setattr(table, "CHUNK", 3)
+    else:
+        monkeypatch.setattr(table, "BUFFER_BYTES", 3 * row_bytes + 2)
+    ranges = [range(10**k - s, 10**k - s + 6) for k in range(1, 19)
+              for s in (1, 2, 3)] + [range(INT64_MAX - 5, INT64_MAX + 1)]
+    for mod in each_backend:
+        for n in ranges:
+            firsts = counted_calls(monkeypatch, mod)
+            sink = Sink()
+            assert table.write_rows(sink, row_fmt, (n,)) == 6
+            assert sink.text() == percent_of_ints(row_fmt, (n,)), n
+            assert firsts == [n[0], n[3]]
+
+
+@pytest.mark.parametrize("n", [
+    range(0, 40, 2), range(-5, 30), range(30, -5, -1), range(-3, 3, 3),
+    range(INT64_MIN, INT64_MIN + 5), range(INT64_MAX, INT64_MAX - 9, -2),
+    range(-2**70, -2**70 + 4), range(INT64_MAX - 1, INT64_MAX + 3),
+    range(0, 5 * 2**64, 2**64)])
+def test_other_ranges_print_as_percent(monkeypatch, each_backend, n):
+    """A range goes to the kernel as an int64 array of each chunk that does
+    not count up by 1 from 0 or more, and one with a value or step outside
+    int64 to `%`; either way it prints as `%` prints its ints."""
+    monkeypatch.setattr(table, "CHUNK", 4)
+    fits = all(INT64_MIN <= v <= INT64_MAX for v in (n.start, n.step, n[-1]))
+    for mod in each_backend:
+        firsts = counted_calls(monkeypatch, mod)
+        for json_rows in (False, True):
+            assert write("%d;%3d,", (n, n), json=json_rows)[1] == (
+                percent_of_ints("%d;%3d,", (n, n), json_rows))
+        # counted from a chunk whose first value is 0 or more
+        chunks = [n[lo] if n.step == 1 and n[lo] >= 0 else np.ndarray
+                  for lo in range(0, len(n), 4)]
+        assert firsts == (chunks * 2 if fits else [])
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +672,25 @@ def test_trace_across_chunk_boundary(capsys, monkeypatch, each_backend, offset):
             _, out, _ = run(capsys, "compute", "--f", "gamma2", "--n",
                             8 + offset, "--format", fmt)
             assert out == trace_oracle(trace, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--f", "gamma2", "--n", 20, "--format", "csv"],
+    ["compute", "--f", "gamma2", "--n", 20, "--format", "text"],
+    ["hofstadter", "--variant", "tanny", "--n", 20, "--format", "csv"],
+    ["perturb", "--f", "floor:1/2", "--at", 16, "--n", 20, "--format",
+     "csv"]])
+def test_n_columns_reach_the_kernel_counted(capsys, monkeypatch,
+                                            each_backend, argv):
+    """The n column of each trace table is a range: each chunk's kernel
+    call takes the int of its first n, not an array."""
+    monkeypatch.setattr(table, "CHUNK", 8)
+    first = 0 if argv[0] == "hofstadter" else 1  # tanny starts at 0
+    for mod in each_backend:
+        firsts = counted_calls(monkeypatch, mod)
+        assert run(capsys, *argv)[0] == 0
+        assert firsts == [first, first + 8, first + 16][:len(firsts)]
+        assert len(firsts) == math.ceil((21 - first) / 8)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "text"])
@@ -712,6 +824,22 @@ def test_export_figure_matches_oracle(tmp_path, each_backend, fmt, kind, n,
                                             **extra)
         assert count == len(data[0])
         assert out.read_bytes() == figure_oracle(kind, cols, data,
+                                                 fmt).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_figure_downsampled_trace_matches_oracle(
+        tmp_path, monkeypatch, each_backend, fmt):
+    """A trace longer than MAX_EXPORT_ROWS keeps every step-th row: its n
+    column is a range of that step."""
+    monkeypatch.setattr(analysis, "MAX_EXPORT_ROWS", 7)
+    out = tmp_path / f"fig.{fmt}"
+    cols, data = figure_data("trace", 50, fspec="gamma2")
+    data = [col[::8] for col in data]
+    for _ in each_backend:
+        assert analysis.export_figure_data("trace", out, n_max=50, fmt=fmt,
+                                           fspec="gamma2") == 7
+        assert out.read_bytes() == figure_oracle("trace", cols, data,
                                                  fmt).encode()
 
 
